@@ -94,7 +94,7 @@ def _stxl_shares(r3: R3System) -> dict[str, float]:
     counts: dict[str, int] = {}
     position = table.schema.column_index("tdobject")
     total = 0
-    for _rowid, row in table.heap.scan():
+    for _rowid, row in table.store.rows():
         entity = STXL_ENTITY.get(row[position])
         if entity:
             counts[entity] = counts.get(entity, 0) + 1
@@ -189,7 +189,7 @@ def table6_plan_choice(r3: R3System) -> Table6Result:
     r3.db.analyze("vbap")
     pool = r3.db.buffer_pool
     original_capacity = pool.capacity_pages
-    vbap_pages = r3.db.catalog.table("vbap").heap.page_count
+    vbap_pages = r3.db.catalog.table("vbap").store.page_count
     pool.resize(max(vbap_pages // 4, 16))
     try:
         cases = {"high": 0.0, "low": 9999.0}

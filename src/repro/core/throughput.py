@@ -158,6 +158,157 @@ class ThroughputResult:
         return self.per_stream[stream].queue_wait_s
 
 
+@dataclass
+class _StreamRequest(Request):
+    """A request whose body is parameterized by the serving app server.
+
+    The scheduler binds ``fn`` to the routed server at submission; when
+    an app-server crash drains the request back to the balancer, the
+    re-route re-binds ``body`` to the surviving server (the queued step
+    never rolled in, so re-binding is idempotent).
+    """
+
+    body: Callable[[object], object] | None = None
+
+    def bind(self, server) -> "_StreamRequest":
+        body = self.body
+        self.fn = lambda: body(server)
+        return self
+
+    @property
+    def session(self):
+        """The balancer session this request belongs to."""
+        return "update-stream" if self.stream < 0 else self.stream
+
+
+def _run_streams(result: ThroughputResult, suite: dict[int, object],
+                 update_sets: list[tuple] | None, servers: list,
+                 disps: list[Dispatcher], route: Callable,
+                 failover: Callable | None = None) -> list[int]:
+    """The scheduling loop both throughput tests share.
+
+    ``route(session)`` names the server a session's next step runs on
+    (one session per stream, plus the update stream's own) and
+    ``disps[i]`` is the dispatcher of ``servers[i]``.  ``failover``, if
+    given, runs at the top of every round and is handed the callback
+    that sheds a drained request it could not re-route.  Fills
+    ``result``; returns the dialog steps completed on each server.
+    """
+    streams = result.streams
+    result.per_stream = {s: StreamStats() for s in range(streams)}
+    disp_of = {server.name: disp for server, disp in zip(servers, disps)}
+    completed_on = [0] * len(servers)
+    permutations = [stream_permutation(s) for s in range(streams)]
+    length = len(permutations[0])
+    positions = [0] * streams
+    waiting = [False] * streams
+    pending_updates = list(update_sets or [])
+    updates_taken = 0
+    resolved_steps = 0
+
+    def note_shed(reason: str | None) -> None:
+        key = (reason or "unknown").split(":")[0].strip()
+        result.shed_reasons[key] = result.shed_reasons.get(key, 0) + 1
+
+    def step_resolved(stream: int) -> None:
+        nonlocal resolved_steps
+        positions[stream] += 1
+        waiting[stream] = False
+        resolved_steps += 1
+
+    def resolve_shed(request: Request, reason: str | None) -> None:
+        note_shed(reason)
+        if request.stream < 0:
+            result.updates_shed += 1
+            return
+        result.per_stream[request.stream].shed += 1
+        step_resolved(request.stream)
+
+    def submit(request: _StreamRequest) -> None:
+        server = route(request.session)
+        disp_of[server.name].submit(request.bind(server))
+
+    def update_body(pair: tuple) -> Callable[[object], None]:
+        refresh, doomed = pair
+
+        def body(server) -> None:
+            from repro.reports.updatefuncs import run_uf1_sap, run_uf2_sap
+
+            if refresh is not None:
+                run_uf1_sap(server, refresh)
+            if doomed:
+                run_uf2_sap(server, doomed)
+
+        return body
+
+    while True:
+        if failover is not None:
+            failover(resolve_shed)
+        # 1. Submission: every idle stream offers its next query at the
+        # server its session routes to.  A rejected query resolves on
+        # the spot (the "user" moves on); one attempt per stream per
+        # round bounds the reject rate.
+        for stream in range(streams):
+            if waiting[stream] or positions[stream] >= length:
+                continue
+            stats = result.per_stream[stream]
+            stats.submitted += 1
+            number = permutations[stream][positions[stream]]
+            try:
+                submit(_StreamRequest(stream=stream, label=f"Q{number}",
+                                      fn=None, body=suite[number]))
+                waiting[stream] = True
+            except DispatcherOverload:
+                stats.rejected += 1
+                step_resolved(stream)
+        # 2. Dispatch: every healthy server rolls its queue into its
+        # own work-process pool, in server order on the shared clock.
+        for index, server in enumerate(servers):
+            if not server.up:
+                continue
+            for comp in disps[index].dispatch_round():
+                request = comp.request
+                if request.stream < 0:
+                    if comp.kind == "completed":
+                        result.updates_run += 1
+                        result.update_s += comp.service_s
+                    elif comp.kind == "shed":
+                        resolve_shed(request, comp.reason)
+                    continue  # "requeued" stays in the queue
+                stats = result.per_stream[request.stream]
+                if comp.kind == "requeued":
+                    stats.requeued += 1
+                    continue
+                stats.queue_wait_s += comp.queue_wait_s
+                if comp.kind == "completed":
+                    stats.completed += 1
+                    completed_on[index] += 1
+                    result.per_query[(request.stream, request.label)] = \
+                        comp.service_s
+                    step_resolved(request.stream)
+                else:
+                    resolve_shed(request, comp.reason)
+        # 3. Update slot: after each full round of resolved dialog
+        # steps the update stream gets one (sheddable) low-priority
+        # slot, as its own balancer session.
+        if pending_updates and updates_taken < resolved_steps // streams:
+            request = _StreamRequest(
+                stream=-1, label=f"UF-pair-{updates_taken}", fn=None,
+                priority=PRIORITY_UPDATE,
+                body=update_body(pending_updates.pop(0)))
+            updates_taken += 1
+            result.updates_submitted += 1
+            try:
+                submit(request)
+            except DispatcherOverload as exc:
+                result.updates_shed += 1
+                note_shed(f"admission {type(exc).__name__}")
+        # 4. Done when every stream ran dry and every queue drained.
+        if all(disp.queue_depth == 0 for disp in disps) \
+                and all(pos >= length for pos in positions):
+            return completed_on
+
+
 def run_throughput_test(
     r3,
     suite: dict[int, object],
@@ -182,128 +333,20 @@ def run_throughput_test(
     if streams < 1:
         raise ValueError(f"streams must be >= 1: {streams}")
     if dispatcher is None:
-        disp = Dispatcher(r3, DispatcherConfig.unconstrained(streams))
-    elif isinstance(dispatcher, DispatcherConfig):
-        disp = Dispatcher(r3, dispatcher)
-    else:
-        disp = dispatcher
+        dispatcher = DispatcherConfig.unconstrained(streams)
+    if isinstance(dispatcher, DispatcherConfig):
+        dispatcher = Dispatcher(r3, dispatcher)
     result = ThroughputResult(streams=streams, scale_factor=0.0,
                               elapsed_s=0.0)
-    result.per_stream = {s: StreamStats() for s in range(streams)}
-    permutations = [stream_permutation(s) for s in range(streams)]
-    length = len(permutations[0])
-    positions = [0] * streams
-    waiting = [False] * streams
-    pending_updates = list(update_sets or [])
-    updates_taken = 0
-    resolved_steps = 0
-
-    def note_shed(reason: str | None) -> None:
-        key = (reason or "unknown").split(":")[0].strip()
-        result.shed_reasons[key] = result.shed_reasons.get(key, 0) + 1
-
-    def query_request(stream: int) -> Request:
-        number = permutations[stream][positions[stream]]
-        return Request(stream=stream, label=f"Q{number}",
-                       fn=lambda n=number: suite[n](r3))
-
-    def update_request(index: int, pair: tuple) -> Request:
-        refresh, doomed = pair
-
-        def body() -> None:
-            from repro.reports.updatefuncs import run_uf1_sap, run_uf2_sap
-
-            if refresh is not None:
-                run_uf1_sap(r3, refresh)
-            if doomed:
-                run_uf2_sap(r3, doomed)
-
-        return Request(stream=-1, label=f"UF-pair-{index}", fn=body,
-                       priority=PRIORITY_UPDATE)
-
     total_span = r3.measure()
-    while True:
-        # 1. Submission: every idle stream offers its next query.  A
-        # rejected query resolves on the spot (the "user" moves on);
-        # one attempt per stream per round bounds the reject rate.
-        for stream in range(streams):
-            if waiting[stream] or positions[stream] >= length:
-                continue
-            stats = result.per_stream[stream]
-            stats.submitted += 1
-            try:
-                disp.submit(query_request(stream))
-                waiting[stream] = True
-            except DispatcherOverload:
-                stats.rejected += 1
-                positions[stream] += 1
-                resolved_steps += 1
-        # 2. Dispatch: roll queued requests into idle work processes.
-        for comp in disp.dispatch_round():
-            request = comp.request
-            if request.stream < 0:
-                if comp.kind == "completed":
-                    result.updates_run += 1
-                    result.update_s += comp.service_s
-                elif comp.kind == "shed":
-                    result.updates_shed += 1
-                    note_shed(comp.reason)
-                continue  # "requeued" stays in the queue
-            stats = result.per_stream[request.stream]
-            if comp.kind == "requeued":
-                stats.requeued += 1
-                continue
-            stats.queue_wait_s += comp.queue_wait_s
-            if comp.kind == "completed":
-                stats.completed += 1
-                result.per_query[(request.stream, request.label)] = \
-                    comp.service_s
-            else:
-                stats.shed += 1
-                note_shed(comp.reason)
-            positions[request.stream] += 1
-            waiting[request.stream] = False
-            resolved_steps += 1
-        # 3. Update slot: after each full round of resolved dialog
-        # steps the update stream gets one (sheddable) slot.
-        if pending_updates and updates_taken < resolved_steps // streams:
-            pair = pending_updates.pop(0)
-            req = update_request(updates_taken, pair)
-            updates_taken += 1
-            result.updates_submitted += 1
-            try:
-                disp.submit(req)
-            except DispatcherOverload as exc:
-                result.updates_shed += 1
-                note_shed(f"admission {type(exc).__name__}")
-        # 4. Done when every stream ran dry and the queue drained.
-        if disp.queue_depth == 0 \
-                and all(pos >= length for pos in positions):
-            break
+    _run_streams(result, suite, update_sets, [r3], [dispatcher],
+                 route=lambda session: r3)
     r3.monitor.finish()
     result.elapsed_s = total_span.stop()
     return result
 
 
 # -- multi-app-server scheduling ------------------------------------------
-
-
-@dataclass
-class _ClusterRequest(Request):
-    """A request whose body is parameterized by the serving app server.
-
-    The balancer binds ``fn`` to the routed server at submission; when
-    an app-server crash drains the request back to the balancer, the
-    re-route re-binds ``body`` to the surviving server (the queued step
-    never rolled in, so re-binding is idempotent).
-    """
-
-    body: Callable[[object], object] | None = None
-
-    def bind(self, server) -> "_ClusterRequest":
-        body = self.body
-        self.fn = lambda: body(server)
-        return self
 
 
 @dataclass
@@ -357,64 +400,16 @@ def run_cluster_throughput_test(
     servers = cluster.servers
     config = dispatcher or DispatcherConfig.unconstrained(streams)
     disps = [Dispatcher(server, config) for server in servers]
-    index_of = {server.name: i for i, server in enumerate(servers)}
+    disp_of = {server.name: disp for server, disp in zip(servers, disps)}
     balancer = cluster.balancer
     events = list(failover or [])
     result = ClusterThroughputResult(
         streams=streams, scale_factor=0.0, elapsed_s=0.0,
         n_servers=len(servers), routing=balancer.policy,
         sync_period_s=cluster.sync_period_s)
-    result.per_stream = {s: StreamStats() for s in range(streams)}
-    result.per_server_completed = {server.name: 0 for server in servers}
-    permutations = [stream_permutation(s) for s in range(streams)]
-    length = len(permutations[0])
-    positions = [0] * streams
-    waiting = [False] * streams
-    pending_updates = list(update_sets or [])
-    updates_taken = 0
-    resolved_steps = 0
     clock = cluster.clock
 
-    def note_shed(reason: str | None) -> None:
-        key = (reason or "unknown").split(":")[0].strip()
-        result.shed_reasons[key] = result.shed_reasons.get(key, 0) + 1
-
-    def resolve_shed(request: Request, reason: str) -> None:
-        """A drained request that cannot be re-routed is shed."""
-        note_shed(reason)
-        if request.stream < 0:
-            result.updates_shed += 1
-            return
-        stats = result.per_stream[request.stream]
-        stats.shed += 1
-        positions[request.stream] += 1
-        waiting[request.stream] = False
-        nonlocal resolved_steps
-        resolved_steps += 1
-
-    def query_request(stream: int) -> _ClusterRequest:
-        number = permutations[stream][positions[stream]]
-        return _ClusterRequest(stream=stream, label=f"Q{number}", fn=None,
-                               body=suite[number])
-
-    def update_request(index: int, pair: tuple) -> _ClusterRequest:
-        refresh, doomed = pair
-
-        def body(server) -> None:
-            from repro.reports.updatefuncs import run_uf1_sap, run_uf2_sap
-
-            if refresh is not None:
-                run_uf1_sap(server, refresh)
-            if doomed:
-                run_uf2_sap(server, doomed)
-
-        return _ClusterRequest(stream=-1, label=f"UF-pair-{index}",
-                               fn=None, priority=PRIORITY_UPDATE, body=body)
-
-    def session_of(request: Request):
-        return "update-stream" if request.stream < 0 else request.stream
-
-    def process_failover() -> None:
+    def process_failover(resolve_shed: Callable) -> None:
         # Event times are relative to the start of the run (the shared
         # clock already carries the load/upgrade time).
         for event in events:
@@ -434,10 +429,9 @@ def run_cluster_throughput_test(
                             f"{servers[event.server].name} crash")
                         continue
                     age = request.submitted_at
-                    target = balancer.route(session_of(request))
+                    target = balancer.route(request.session)
                     try:
-                        disps[index_of[target.name]].submit(
-                            request.bind(target))
+                        disp_of[target.name].submit(request.bind(target))
                     except DispatcherOverload:
                         resolve_shed(
                             request,
@@ -458,73 +452,11 @@ def run_cluster_throughput_test(
 
     start_t = clock.now
     total_span = cluster.primary.measure()
-    while True:
-        if events:
-            process_failover()
-        # 1. Submission: every idle stream logs its next query in at
-        # the balancer-routed server.
-        for stream in range(streams):
-            if waiting[stream] or positions[stream] >= length:
-                continue
-            stats = result.per_stream[stream]
-            stats.submitted += 1
-            server = balancer.route(stream)
-            try:
-                disps[index_of[server.name]].submit(
-                    query_request(stream).bind(server))
-                waiting[stream] = True
-            except DispatcherOverload:
-                stats.rejected += 1
-                positions[stream] += 1
-                resolved_steps += 1
-        # 2. Dispatch: every healthy server rolls its queue into its
-        # own work-process pool, in server order on the shared clock.
-        for index, server in enumerate(servers):
-            if not server.up:
-                continue
-            for comp in disps[index].dispatch_round():
-                request = comp.request
-                if request.stream < 0:
-                    if comp.kind == "completed":
-                        result.updates_run += 1
-                        result.update_s += comp.service_s
-                    elif comp.kind == "shed":
-                        result.updates_shed += 1
-                        note_shed(comp.reason)
-                    continue  # "requeued" stays in the queue
-                stats = result.per_stream[request.stream]
-                if comp.kind == "requeued":
-                    stats.requeued += 1
-                    continue
-                stats.queue_wait_s += comp.queue_wait_s
-                if comp.kind == "completed":
-                    stats.completed += 1
-                    result.per_server_completed[server.name] += 1
-                    result.per_query[(request.stream, request.label)] = \
-                        comp.service_s
-                else:
-                    stats.shed += 1
-                    note_shed(comp.reason)
-                positions[request.stream] += 1
-                waiting[request.stream] = False
-                resolved_steps += 1
-        # 3. Update slot: one (sheddable) low-priority UF pair per full
-        # round of resolved dialog steps, as its own balancer session.
-        if pending_updates and updates_taken < resolved_steps // streams:
-            pair = pending_updates.pop(0)
-            request = update_request(updates_taken, pair)
-            updates_taken += 1
-            result.updates_submitted += 1
-            server = balancer.route(session_of(request))
-            try:
-                disps[index_of[server.name]].submit(request.bind(server))
-            except DispatcherOverload as exc:
-                result.updates_shed += 1
-                note_shed(f"admission {type(exc).__name__}")
-        # 4. Done when every stream ran dry and every queue drained.
-        if all(disp.queue_depth == 0 for disp in disps) \
-                and all(pos >= length for pos in positions):
-            break
+    completed_on = _run_streams(
+        result, suite, update_sets, servers, disps, balancer.route,
+        failover=process_failover if events else None)
+    result.per_server_completed = {
+        server.name: n for server, n in zip(servers, completed_on)}
     # Rejoins scheduled beyond the workload's end still happen: the
     # cluster idles (simulated time passes) until the restart window.
     for event in events:

@@ -22,8 +22,8 @@ class Catalog:
         clock: SimulatedClock,
         metrics: MetricsCollector,
         params: SimParams,
-        storage: str = "heap",
-        disk: DiskModel | None = None,
+        storage: str,
+        disk: DiskModel,
     ) -> None:
         self._buffer = buffer_pool
         self._clock = clock

@@ -158,6 +158,9 @@ class Database:
         #: hierarchical span tracer (disabled by default, zero-overhead)
         self.tracer = Tracer(self.clock, self.metrics)
         self.ctx.tracer = self.tracer
+        #: plan roots instrumented while tracing; detached by the first
+        #: untraced run so tracing costs nothing once it is switched off
+        self._profiled_roots: list = []
         #: always-on workload monitor (disabled by default, zero-tick)
         self.monitor = WorkloadMonitor(self.clock, self.metrics)
         #: version-checked partition overlays for parallel scans
@@ -251,10 +254,9 @@ class Database:
         table = self.catalog.create_table(schema)
         table.wal = self.wal
         if self.wal is not None:
-            if table.heap.self_charging:
-                # LSM flush/compaction are checkpoint-like durable
-                # boundaries: expose them as crash-fuzz kill points.
-                table.heap.boundary = self.wal._boundary
+            # A backend's own durable boundaries (LSM flush/compaction)
+            # are checkpoint-like: expose them as crash-fuzz kill points.
+            table.store.boundary = self.wal._boundary
             self.wal.log_ddl(("create_table", schema_to_payload(schema)))
         return table
 
@@ -337,6 +339,12 @@ class Database:
         self.metrics.count("db.queries")
         tracer = self.tracer
         if not tracer.enabled:
+            if self._profiled_roots:
+                from repro.engine.exec.profile import detach_profile
+
+                for root in self._profiled_roots:
+                    detach_profile(root)
+                self._profiled_roots.clear()
             with self.monitor.layer("engine"):
                 rows = list(plan.operator.rows(params))
             return Result(plan.column_names, rows)
@@ -344,6 +352,8 @@ class Database:
         # profile accumulates across executions of a cached cursor).
         from repro.engine.exec.profile import attach_profile
 
+        if getattr(plan.operator, "_profile", None) is None:
+            self._profiled_roots.append(plan.operator)
         profile = attach_profile(plan.operator, self.clock, self.metrics)
         with tracer.span("db.query", sql=sql) as span, \
                 self.monitor.layer("engine"):
@@ -414,7 +424,7 @@ class Database:
                          params: Sequence[object]) -> list[int]:
         """Rowids matching WHERE, using an index for simple eq predicates."""
         if where is None:
-            return [rowid for rowid, _row in table.heap.scan()]
+            return [rowid for rowid, _row in table.store.rows()]
         schema = OutputSchema(
             [(table.name, c.name) for c in table.schema.columns]
         )
@@ -479,7 +489,7 @@ class Database:
             positions.append(table.schema.column_index(assignment.column))
             bind_expr(assignment.value, schema)
         for rowid in rowids:
-            row = list(table.heap.fetch(rowid))
+            row = list(table.store.fetch(rowid))
             old = tuple(row)
             for assignment, pos in zip(stmt.assignments, positions):
                 row[pos] = assignment.value.eval(old, params)
@@ -531,21 +541,8 @@ class Database:
         if wal is not None and not wal.dead and not wal.recovering:
             wal.bypass = True
             bypassed = True
-        heap = table.heap
-        if heap.self_charging:
-            heap.hold_compaction()
         try:
-            if heap.self_charging:
-                rowids = heap.ingest_sorted(validated)
-            else:
-                rowids = []
-                first_new_page = heap.page_count
-                for row in validated:
-                    rowids.append(heap.append(row))
-                for _ in range(heap.page_count - first_new_page):
-                    self.disk.write_page(sequential=True)
-                # freshly written extents invalidate any cached pages
-                self.buffer_pool.invalidate_file(table.name)
+            rowids = table.store.ingest_sorted(validated)
             if validated:
                 self.metrics.count(f"table.{table.name}.inserts",
                                    len(validated))
@@ -554,8 +551,6 @@ class Database:
                 for row, rowid in zip(validated, rowids):
                     index.insert(row, rowid, bulk=True)
         finally:
-            if heap.self_charging:
-                heap.release_compaction()
             if bypassed:
                 wal.bypass = False
         if bypassed:
@@ -650,7 +645,7 @@ class Database:
             digest.update(table_name.encode())
             digest.update(repr(schema_to_payload(table.schema)).encode())
             for row_repr in sorted(
-                repr(row) for _rowid, row in table.heap.scan()
+                repr(row) for _rowid, row in table.store.rows()
             ):
                 digest.update(row_repr.encode())
             digest.update(repr(sorted(table.indexes)).encode())
@@ -690,7 +685,7 @@ class Database:
             "views": dict(self._view_sql),
         }
         slots = {
-            n: self.catalog.table(n).heap.snapshot_slots()
+            n: self.catalog.table(n).store.snapshot_slots()
             for n in self.catalog.table_names
         }
         return catalog_payload, slots
@@ -706,10 +701,10 @@ class Database:
             schema = schema_from_payload(table_payload)
             table = self.catalog.create_table(schema, attach_pk=False)
             table.wal = self.wal
-            if table.heap.self_charging and self.wal is not None:
-                table.heap.boundary = self.wal._boundary
-            table.heap.load_slots(image.tables.get(table.name, []))
-            for _ in range(table.heap.page_count):
+            if self.wal is not None:
+                table.store.boundary = self.wal._boundary
+            table.store.load_slots(image.tables.get(table.name, []))
+            for _ in range(table.store.page_count):
                 self.disk.read_page(sequential=True)
             if schema.primary_key:
                 self.catalog.attach_primary(table)
@@ -767,13 +762,9 @@ class Database:
     # -- misc ----------------------------------------------------------------------
 
     def _compaction_backlog(self) -> int:
-        """Pending L0 segments across all LSM tables (monitor gauge)."""
-        backlog = 0
-        for name in self.catalog.table_names:
-            heap = self.catalog.table(name).heap
-            if heap.self_charging:
-                backlog += heap.compaction_backlog
-        return backlog
+        """Pending L0 segments across all tables (monitor gauge)."""
+        return sum(self.catalog.table(name).store.compaction_backlog
+                   for name in self.catalog.table_names)
 
     @property
     def now(self) -> float:

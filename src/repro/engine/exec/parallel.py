@@ -96,7 +96,7 @@ class PartitionScan(Operator):
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         partition = self.manager.get(self.table, self.spec) \
             .partitions[self.lane_index]
-        heap = self.table.heap
+        store = self.table.store
         buffer_pool = self.ctx.buffer_pool
         metrics = self.ctx.metrics
         counter = f"table.{self.table.name}.tuples_scanned"
@@ -107,7 +107,7 @@ class PartitionScan(Operator):
             if page != last_page:
                 last_page = page
                 buffer_pool.access(partition.file_name, page, sequential=True)
-            row = heap.get(rowid)
+            row = store.get(rowid)
             if row is None:
                 continue  # tombstoned since the partition snapshot
             metrics.count(counter)

@@ -31,7 +31,7 @@ produce identical tick traces.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError
@@ -129,13 +129,10 @@ class SSTable:
 class LsmTree(StorageBackend):
     """LSM-tree row storage for one table.
 
-    Self-charging: mutations pay memtable CPU (plus flush/compaction
-    sequential writes when thresholds trip) and charged reads pay
-    bloom/sparse-index CPU plus buffered block I/O — the table layer
-    must not add its heap-style page writes on top.
+    Mutations pay memtable CPU (plus flush/compaction sequential
+    writes when thresholds trip); charged reads pay bloom/sparse-index
+    CPU plus buffered block I/O.
     """
-
-    self_charging = True
 
     def __init__(
         self,
@@ -165,10 +162,7 @@ class LsmTree(StorageBackend):
         self._next_rowid = 0
         self._live = 0
         self.version = 0
-        #: crash-fuzz hook: called with "lsm.flush" / "lsm.compaction"
-        #: at each durable boundary (the WAL wires its ``_boundary``)
-        self.boundary: Callable[[str], None] | None = None
-        #: direct-path load holds compaction so sorted runs stack in L0
+        #: set by :meth:`hold_compaction`: flushed runs stack in L0
         self._compaction_held = False
 
     # -- cost helpers -----------------------------------------------------
@@ -186,7 +180,7 @@ class LsmTree(StorageBackend):
 
     # -- mutation ---------------------------------------------------------
 
-    def append(self, row: tuple) -> int:
+    def append(self, row: tuple, bulk: bool = False) -> int:
         rowid = self._next_rowid
         self._next_rowid += 1
         self._memtable[rowid] = row
@@ -245,6 +239,15 @@ class LsmTree(StorageBackend):
         if len(self._l0) >= self._params.lsm_l0_compaction_trigger:
             self._compact_l0()
         self._cascade_levels()
+
+    def hold_compaction(self) -> None:
+        """Suspend compaction (flushed runs stack in L0)."""
+        self._compaction_held = True
+
+    def release_compaction(self) -> None:
+        """Resume compaction and catch up on the backlog."""
+        self._compaction_held = False
+        self._maybe_compact()
 
     def _level_budget(self, level_index: int) -> int:
         """Byte budget of ``levels[level_index]`` (level ``index+1``)."""
@@ -329,23 +332,14 @@ class LsmTree(StorageBackend):
 
     # -- direct-path load -------------------------------------------------
 
-    def hold_compaction(self) -> None:
-        """Suspend compaction (direct-path load stacks sorted runs)."""
-        self._compaction_held = True
-
-    def release_compaction(self) -> None:
-        """Resume compaction and catch up on the backlog."""
-        self._compaction_held = False
-        self._maybe_compact()
-
     def ingest_sorted(self, rows: list[tuple]) -> list[int]:
         """Direct-path ingest: build L0 segments without the memtable.
 
         Rows are appended at fresh (ascending) rowids — already sorted
         by construction — and written straight to sequential pages in
         memtable-sized runs.  Costs one sequential page write per page
-        and zero memtable CPU per row; the caller is responsible for
-        WAL bypass and the sealing checkpoint.
+        and zero memtable CPU per row; the runs stack in L0 and
+        compaction catches up once, after the last one.
         """
         if not rows:
             return []
@@ -377,7 +371,7 @@ class LsmTree(StorageBackend):
         self._maybe_compact()
         return rowids
 
-    # -- access (uncharged state readers) ---------------------------------
+    # -- probe surface (uncharged state readers) --------------------------
 
     def _visible(self, rowid: int) -> tuple | None:
         """Newest-wins visibility without charging the clock."""
@@ -404,7 +398,7 @@ class LsmTree(StorageBackend):
     def get(self, rowid: int) -> tuple | None:
         return self._visible(rowid)
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def rows(self) -> Iterator[tuple[int, tuple]]:
         """Yield (rowid, row) for every live row in rowid order.
 
         The merged view is materialised up front, so the iterator stays
@@ -429,12 +423,20 @@ class LsmTree(StorageBackend):
         merged.update(self._memtable)
         return merged
 
-    # -- access (charged readers used by the table layer) ------------------
+    # -- charged readers ---------------------------------------------------
 
-    def read_point(self, rowid: int) -> tuple | None:
-        """Charged point read: memtable probe, then per-segment bloom
-        + sparse index + one buffered block read for each segment that
-        might hold the key (newest first, stop at first hit)."""
+    def read(self, rowid: int, sequential: bool = False) -> tuple:
+        """Charged point read; every LSM read is a random probe, so
+        ``sequential`` buys nothing here."""
+        row = self._probe(rowid)
+        if row is None:
+            raise ExecutionError(f"fetch of dead rowid {rowid}")
+        return row
+
+    def _probe(self, rowid: int) -> tuple | None:
+        """Memtable probe, then per-segment bloom + sparse index + one
+        buffered block read for each segment that might hold the key
+        (newest first, stop at first hit)."""
         self._charge_memtable_op()
         if rowid in self._memtable:
             self._metrics.count("lsm.memtable_hits")
@@ -466,7 +468,7 @@ class LsmTree(StorageBackend):
         steps = max(1, segment.block_count.bit_length())
         self._clock.charge(self._params.lsm_index_probe_s * steps)
 
-    def scan_charged(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self) -> Iterator[tuple[int, tuple]]:
         """Charged merging scan: every segment is read sequentially
         through the buffer pool, plus memtable CPU per resident entry."""
         segments: list[SSTable] = list(self._l0)
@@ -477,7 +479,7 @@ class LsmTree(StorageBackend):
         for _ in range(len(self._memtable)):
             self._charge_memtable_op()
         self._metrics.count("lsm.scans")
-        yield from self.scan()
+        yield from self.rows()
 
     # -- checkpoint / recovery --------------------------------------------
 
@@ -549,10 +551,6 @@ class LsmTree(StorageBackend):
             len(s.entries) for s in self._levels if s is not None
         )
         return entries * self.schema.row_byte_width
-
-    def page_of(self, rowid: int) -> int:
-        """Logical page number (keyspace position / rows-per-page)."""
-        return rowid // self.rows_per_page
 
     @property
     def compaction_backlog(self) -> int:

@@ -98,16 +98,16 @@ class PartitionedHeap:
     def __init__(self, table: Table, spec: PartitionSpec) -> None:
         self.table = table
         self.spec = spec
-        self.version = table.heap.version
+        self.version = table.store.version
         self.key_position = table.schema.column_index(spec.column)
         self.boundaries: list[object] = []
         rowid_lists: list[list[int]] = [[] for _ in range(spec.degree)]
         if spec.kind == "range":
             self.boundaries = self._equi_depth_boundaries()
-        for rowid, row in table.heap.scan():
+        for rowid, row in table.store.rows():
             rowid_lists[self.partition_of(row[self.key_position])] \
                 .append(rowid)
-        rpp = table.heap.rows_per_page
+        rpp = table.store.rows_per_page
         self.partitions = [
             HeapPartition(
                 i, f"{table.name}#p{i}of{spec.degree}", rowids, rpp
@@ -119,7 +119,7 @@ class PartitionedHeap:
         """Upper-exclusive split points from the observed key values."""
         values = sorted(
             row[self.key_position]
-            for _rowid, row in self.table.heap.scan()
+            for _rowid, row in self.table.store.rows()
             if row[self.key_position] is not None
         )
         if not values:
@@ -172,7 +172,7 @@ class PartitionManager:
     def get(self, table: Table, spec: PartitionSpec) -> PartitionedHeap:
         key = (table.name, spec.column, spec.kind, spec.degree, spec.seed)
         cached = self._cache.get(key)
-        if cached is not None and cached.version == table.heap.version:
+        if cached is not None and cached.version == table.store.version:
             return cached
         if cached is not None:
             for partition in cached.partitions:
@@ -184,7 +184,7 @@ class PartitionManager:
     def _build(self, table: Table, spec: PartitionSpec) -> PartitionedHeap:
         params = self.ctx.params
         self.ctx.clock.charge(
-            table.heap.page_count * params.seq_read_s
+            table.store.page_count * params.seq_read_s
             + table.row_count * params.tuple_cpu_s
         )
         self.ctx.metrics.count("parallel.partition_builds")

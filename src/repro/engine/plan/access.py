@@ -171,7 +171,7 @@ def choose_access_path(
         total_sel *= _conjunct_selectivity(sarg, conjunct, stats)
     estimated_rows = max(total_sel * row_count, 0.0)
 
-    heap_pages = max(table.heap.page_count, 1)
+    heap_pages = max(table.store.page_count, 1)
     seq_cost = heap_pages * params.seq_read_s + row_count * params.tuple_cpu_s
 
     eq_sargs: dict[str, tuple[Expr, _Sarg]] = {}

@@ -668,7 +668,7 @@ class Planner:
         # Option B: hash join (reads the inner input once).
         inner_pages = 1.0
         if unit.table is not None:
-            inner_pages = max(unit.table.heap.page_count, 1)
+            inner_pages = max(unit.table.store.page_count, 1)
         hash_cost = (
             inner_pages * params.seq_read_s
             + inner_rows * params.tuple_cpu_s * 2

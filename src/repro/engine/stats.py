@@ -45,7 +45,7 @@ def analyze(table: Table) -> TableStats:
     mins: list[object] = [None] * len(names)
     maxs: list[object] = [None] * len(names)
     nulls = [0] * len(names)
-    for _rowid, row in table.heap.scan():
+    for _rowid, row in table.store.rows():
         for pos, value in enumerate(row):
             if value is None:
                 nulls[pos] += 1

@@ -8,17 +8,20 @@ the paper's Table 2 byte counts.
 
 :class:`StorageBackend` is the abstract slice of this contract that
 the rest of the engine (tables, executors, the WAL, recovery) relies
-on.  The heap is the first implementation; the planned LSM backend
-plugs in behind the same interface.
+on.  :class:`HeapFile` here and :class:`~repro.engine.lsm.LsmTree` are
+its two implementations; each prices its own physical work, so the
+layers above have one code path whatever backend a table runs on.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterator
+from typing import Callable, Iterator
 
+from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError
 from repro.engine.schema import TableSchema
+from repro.sim.disk import DiskModel
 
 
 class StorageBackend(abc.ABC):
@@ -30,25 +33,41 @@ class StorageBackend(abc.ABC):
       rowid never moves to a different row (deletes tombstone);
     * ``version`` increases on every mutation (partition overlays and
       caches key their snapshots on it);
+    * the **charged surface** (:meth:`append`, :meth:`update`,
+      :meth:`delete`, :meth:`restore_slot`, :meth:`ingest_sorted`,
+      :meth:`scan`, :meth:`read`) pays for its own physical work on the
+      simulated clock — callers add nothing on top;
+    * the **probe surface** (:meth:`rows`, :meth:`get`, :meth:`fetch`,
+      :meth:`snapshot_slots`) never touches the clock or a metric: it
+      is for harness checks, digests, statistics and index builds whose
+      cost the caller accounts for separately (or not at all);
     * the slot-restoration API (:meth:`restore_slot`, :meth:`put_slot`,
       :meth:`snapshot_slots`, :meth:`load_slots`) lets checkpointing
       capture — and recovery rebuild — the *exact* physical state,
       tombstones included, so redo replay is idempotent.
+
+    Charge order is part of the model (the clock sums floats): a
+    mutation charges at the point it is called, so
+    :class:`~repro.engine.table.Table` fixes where that falls relative
+    to index maintenance.
     """
 
-    #: True when the backend charges its own I/O/CPU costs inside its
-    #: mutation and charged-read methods.  The heap leaves charging to
-    #: :class:`~repro.engine.table.Table` (buffer-pool page writes);
-    #: the LSM charges internally (memtable CPU, flush/compaction page
-    #: writes, bloom/sparse-index probes), so the table layer must not
-    #: double-charge buffered page I/O on top.
-    self_charging: bool = False
+    #: crash-fuzz hook, called with the name of each durable boundary a
+    #: backend crosses on its own (the WAL wires its ``_boundary``); a
+    #: backend without such boundaries never calls it
+    boundary: Callable[[str], None] | None = None
+    #: rows that fit one page of this table's schema
+    rows_per_page: int
 
-    # -- mutation -------------------------------------------------------
+    # -- charged surface ------------------------------------------------
 
     @abc.abstractmethod
-    def append(self, row: tuple) -> int:
-        """Store ``row`` and return its rowid."""
+    def append(self, row: tuple, bulk: bool = False) -> int:
+        """Store ``row`` and return its rowid.
+
+        ``bulk`` marks bulk-load inserts, whose page writes a backend
+        may amortise across a page.
+        """
 
     @abc.abstractmethod
     def delete(self, rowid: int) -> None:
@@ -58,19 +77,37 @@ class StorageBackend(abc.ABC):
     def update(self, rowid: int, row: tuple) -> None:
         """Replace a live row in place."""
 
-    # -- access ---------------------------------------------------------
-
     @abc.abstractmethod
-    def fetch(self, rowid: int) -> tuple:
-        """The live row at ``rowid`` (raises on tombstones)."""
+    def ingest_sorted(self, rows: list[tuple]) -> list[int]:
+        """Direct-path ingest below the buffer pool; returns the rowids.
 
-    @abc.abstractmethod
-    def get(self, rowid: int) -> tuple | None:
-        """The row at ``rowid``, or ``None`` for a tombstone."""
+        Rows land at fresh ascending rowids with sequential page writes
+        only.  The caller is responsible for WAL bypass and the sealing
+        checkpoint.
+        """
 
     @abc.abstractmethod
     def scan(self) -> Iterator[tuple[int, tuple]]:
         """Yield (rowid, row) for every live row, storage order."""
+
+    @abc.abstractmethod
+    def read(self, rowid: int, sequential: bool = False) -> tuple:
+        """The live row at ``rowid``; raises on a dead one, after
+        charging the access that found it dead."""
+
+    # -- probe surface (never charges) ----------------------------------
+
+    @abc.abstractmethod
+    def rows(self) -> Iterator[tuple[int, tuple]]:
+        """:meth:`scan` without its cost."""
+
+    @abc.abstractmethod
+    def fetch(self, rowid: int) -> tuple:
+        """:meth:`read` without its cost."""
+
+    @abc.abstractmethod
+    def get(self, rowid: int) -> tuple | None:
+        """The row at ``rowid``, or ``None`` for a tombstone."""
 
     # -- checkpoint / recovery ------------------------------------------
 
@@ -80,11 +117,12 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def load_slots(self, slots: list[tuple | None]) -> None:
-        """Replace all slots wholesale (checkpoint-image restore)."""
+        """Replace all slots wholesale (checkpoint-image restore; the
+        caller charges the image read)."""
 
     @abc.abstractmethod
     def restore_slot(self, rowid: int, row: tuple) -> None:
-        """Place ``row`` at exactly ``rowid`` (redo replay)."""
+        """Place ``row`` at exactly ``rowid`` (redo replay; charged)."""
 
     @abc.abstractmethod
     def put_slot(self, rowid: int, row: tuple | None) -> None:
@@ -104,9 +142,14 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def data_bytes(self) -> int: ...
 
-    @abc.abstractmethod
     def page_of(self, rowid: int) -> int:
-        """Page number holding ``rowid``."""
+        """Page number holding ``rowid`` (keyspace position on the LSM)."""
+        return rowid // self.rows_per_page
+
+    @property
+    def compaction_backlog(self) -> int:
+        """Background reorganisation work pending (the monitor's gauge)."""
+        return 0
 
 
 class HeapFile(StorageBackend):
@@ -114,12 +157,17 @@ class HeapFile(StorageBackend):
 
     Row ids are stable list positions; deletes leave tombstones
     (``None``) that scans skip, mirroring how a real heap keeps page
-    layout until reorganisation.
+    layout until reorganisation.  Every page touch goes through the
+    shared buffer pool under the table's name; only the direct path
+    writes to the disk model below it.
     """
 
-    def __init__(self, schema: TableSchema, page_size_bytes: int) -> None:
+    def __init__(self, schema: TableSchema, page_size_bytes: int,
+                 buffer_pool: BufferPool, disk: DiskModel) -> None:
         self.schema = schema
-        self._page_size = page_size_bytes
+        self._file = schema.name.lower()
+        self._buffer = buffer_pool
+        self._disk = disk
         self._rows: list[tuple | None] = []
         self._live = 0
         self.rows_per_page = max(1, page_size_bytes // schema.row_byte_width)
@@ -127,14 +175,21 @@ class HeapFile(StorageBackend):
         #: on it to detect a stale rowid snapshot
         self.version = 0
 
-    # -- mutation -------------------------------------------------------
+    # -- charged surface --------------------------------------------------
 
-    def append(self, row: tuple) -> int:
-        """Store ``row`` and return its rowid."""
+    def append(self, row: tuple, bulk: bool = False) -> int:
+        """Store ``row``: one page write, or — ``bulk`` — one fresh
+        page write per filled page."""
+        rowid = len(self._rows)
         self._rows.append(row)
         self._live += 1
         self.version += 1
-        return len(self._rows) - 1
+        if not bulk:
+            self._buffer.write(self._file, rowid // self.rows_per_page)
+        elif rowid % self.rows_per_page == 0:
+            self._buffer.write(self._file, rowid // self.rows_per_page,
+                               fresh=True)
+        return rowid
 
     def delete(self, rowid: int) -> None:
         if not self._slot_live(rowid):
@@ -142,14 +197,58 @@ class HeapFile(StorageBackend):
         self._rows[rowid] = None
         self._live -= 1
         self.version += 1
+        self._buffer.write(self._file, rowid // self.rows_per_page)
 
     def update(self, rowid: int, row: tuple) -> None:
         if not self._slot_live(rowid):
             raise ExecutionError(f"update of dead rowid {rowid}")
         self._rows[rowid] = row
         self.version += 1
+        self._buffer.write(self._file, rowid // self.rows_per_page)
 
-    # -- access ---------------------------------------------------------
+    def ingest_sorted(self, rows: list[tuple]) -> list[int]:
+        """Append ``rows`` as new extents: one sequential page write per
+        page they start, straight to disk."""
+        first_new_page = self.page_count
+        first_rowid = len(self._rows)
+        self._rows.extend(rows)
+        self._live += len(rows)
+        self.version += 1
+        for _ in range(self.page_count - first_new_page):
+            self._disk.write_page(sequential=True)
+        # freshly written extents invalidate any cached pages
+        self._buffer.invalidate_file(self._file)
+        return list(range(first_rowid, len(self._rows)))
+
+    def scan(self) -> Iterator[tuple[int, tuple]]:
+        """Heap-order scan: one sequential buffer access per page, paid
+        when the page's first live row is pulled (an all-tombstone page
+        is never charged)."""
+        access = self._buffer.access
+        file_name = self._file
+        rows_per_page = self.rows_per_page
+        last_page = -1
+        for rowid, row in enumerate(self._rows):
+            if row is not None:
+                page = rowid // rows_per_page
+                if page != last_page:
+                    last_page = page
+                    access(file_name, page, sequential=True)
+                yield rowid, row
+
+    def read(self, rowid: int, sequential: bool = False) -> tuple:
+        """Row fetch by rowid: one buffer access (random unless the
+        caller walks rowids in page order)."""
+        self._buffer.access(self._file, rowid // self.rows_per_page,
+                            sequential=sequential)
+        return self.fetch(rowid)
+
+    # -- probe surface ----------------------------------------------------
+
+    def rows(self) -> Iterator[tuple[int, tuple]]:
+        for rowid, row in enumerate(self._rows):
+            if row is not None:
+                yield rowid, row
 
     def fetch(self, rowid: int) -> tuple:
         if not self._slot_live(rowid):
@@ -168,12 +267,6 @@ class HeapFile(StorageBackend):
         if 0 <= rowid < len(self._rows):
             return self._rows[rowid]
         return None
-
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Yield (rowid, row) for every live row, heap order."""
-        for rowid, row in enumerate(self._rows):
-            if row is not None:
-                yield rowid, row
 
     def _slot_live(self, rowid: int) -> bool:
         return 0 <= rowid < len(self._rows) and self._rows[rowid] is not None
@@ -207,6 +300,7 @@ class HeapFile(StorageBackend):
             self._rows.append(row)
         self._live += 1
         self.version += 1
+        self._buffer.write(self._file, rowid // self.rows_per_page)
 
     def put_slot(self, rowid: int, row: tuple | None) -> None:
         if not 0 <= rowid < len(self._rows):
@@ -233,6 +327,3 @@ class HeapFile(StorageBackend):
     @property
     def data_bytes(self) -> int:
         return len(self._rows) * self.schema.row_byte_width
-
-    def page_of(self, rowid: int) -> int:
-        return rowid // self.rows_per_page

@@ -1,15 +1,15 @@
-"""Physical table: heap file + indexes + maintenance."""
+"""Physical table: storage backend + indexes + maintenance."""
 
 from __future__ import annotations
 
 from typing import Iterator
 
 from repro.engine.buffer import BufferPool
-from repro.engine.errors import ConstraintError, ExecutionError
+from repro.engine.errors import ConstraintError
 from repro.engine.index import BTreeIndex, HashIndex
 from repro.engine.lsm import LsmTree
 from repro.engine.schema import TableSchema
-from repro.engine.storage import HeapFile
+from repro.engine.storage import HeapFile, StorageBackend
 from repro.sim.clock import SimulatedClock
 from repro.sim.disk import DiskModel
 from repro.sim.metrics import MetricsCollector
@@ -21,9 +21,10 @@ Index = BTreeIndex | HashIndex
 class Table:
     """One physical table with its indexes.
 
-    All reads and writes charge the shared clock through the buffer
-    pool; the table additionally counts tuples touched so experiment
-    reports can show operation-level breakdowns.
+    The storage backend prices its own reads and writes; the table
+    orders them against index maintenance and counts tuples touched
+    (``table.<name>.*``) so experiment reports can show
+    operation-level breakdowns.
     """
 
     def __init__(
@@ -33,24 +34,21 @@ class Table:
         clock: SimulatedClock,
         metrics: MetricsCollector,
         params: SimParams,
-        storage: str = "heap",
-        disk: DiskModel | None = None,
+        storage: str,
+        disk: DiskModel,
     ) -> None:
         self.schema = schema
         self.name = schema.name.lower()
         self._buffer = buffer_pool
-        self._clock = clock
         self._metrics = metrics
-        self._params = params
         self.storage = storage
         if storage == "lsm":
-            if disk is None:
-                raise ValueError("lsm storage needs the disk model")
-            self.heap: HeapFile | LsmTree = LsmTree(
+            self.store: StorageBackend = LsmTree(
                 schema, params, clock, metrics, disk, buffer_pool
             )
         elif storage == "heap":
-            self.heap = HeapFile(schema, params.page_size_bytes)
+            self.store = HeapFile(schema, params.page_size_bytes,
+                                  buffer_pool, disk)
         else:
             raise ValueError(f"unknown storage backend {storage!r}")
         self.indexes: dict[str, Index] = {}
@@ -65,7 +63,7 @@ class Table:
         self.indexes[index.name.lower()] = index
         if is_primary:
             self._pk_index = index
-        for rowid, row in self.heap.scan():
+        for rowid, row in self.store.rows():
             index.insert(row, rowid)
 
     def detach_index(self, name: str) -> None:
@@ -98,48 +96,38 @@ class Table:
         """
         row = self.schema.validate_row(row)
         self._check_primary_key(row)
-        rowid = self.heap.append(row)
+        rowid = self.store.append(row, bulk)
         self._metrics.count(f"table.{self.name}.inserts")
-        if not self.heap.self_charging:
-            if bulk:
-                if rowid % self.heap.rows_per_page == 0:
-                    self._buffer.write(self.name, self.heap.page_of(rowid),
-                                       fresh=True)
-            else:
-                self._buffer.write(self.name, self.heap.page_of(rowid))
         for index in self.indexes.values():
             index.insert(row, rowid, bulk=bulk)
         if self.wal is not None:
             self.wal.log_insert(self.name, rowid, row,
-                                self.heap.page_of(rowid))
+                                self.store.page_of(rowid))
         return rowid
 
     def delete(self, rowid: int) -> None:
-        row = self.heap.fetch(rowid)
+        row = self.store.fetch(rowid)
         for index in self.indexes.values():
             index.delete(row, rowid)
-        self.heap.delete(rowid)
+        self.store.delete(rowid)
         self._metrics.count(f"table.{self.name}.deletes")
-        if not self.heap.self_charging:
-            self._buffer.write(self.name, self.heap.page_of(rowid))
         if self.wal is not None:
             self.wal.log_delete(self.name, rowid, row,
-                                self.heap.page_of(rowid))
+                                self.store.page_of(rowid))
 
     def update(self, rowid: int, new_row: tuple) -> None:
         new_row = self.schema.validate_row(new_row)
-        old_row = self.heap.fetch(rowid)
+        old_row = self.store.fetch(rowid)
         for index in self.indexes.values():
             index.delete(old_row, rowid)
-        self.heap.update(rowid, new_row)
         for index in self.indexes.values():
             index.insert(new_row, rowid)
+        # the store pays after index maintenance: the order is the model
+        self.store.update(rowid, new_row)
         self._metrics.count(f"table.{self.name}.updates")
-        if not self.heap.self_charging:
-            self._buffer.write(self.name, self.heap.page_of(rowid))
         if self.wal is not None:
             self.wal.log_update(self.name, rowid, old_row, new_row,
-                                self.heap.page_of(rowid))
+                                self.store.page_of(rowid))
 
     def apply_insert(self, rowid: int, row: tuple) -> None:
         """Replay an insert at its original rowid (redo / undo-of-delete).
@@ -149,10 +137,8 @@ class Table:
         physical costs (page write, index maintenance) a replayed
         insert pays during recovery.
         """
-        self.heap.restore_slot(rowid, row)
+        self.store.restore_slot(rowid, row)
         self._metrics.count(f"table.{self.name}.inserts")
-        if not self.heap.self_charging:
-            self._buffer.write(self.name, self.heap.page_of(rowid))
         for index in self.indexes.values():
             index.insert(row, rowid)
 
@@ -174,49 +160,27 @@ class Table:
     # -- access ---------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Full sequential scan charging one buffer access per page.
-
-        Self-charging backends (the LSM) price the scan themselves —
-        one buffered sequential block read per segment block plus
-        memtable CPU — via ``scan_charged``.
-        """
-        if self.heap.self_charging:
-            for rowid, row in self.heap.scan_charged():
-                self._metrics.count(f"table.{self.name}.tuples_scanned")
-                yield rowid, row
-            return
-        last_page = -1
-        for rowid, row in self.heap.scan():
-            page = self.heap.page_of(rowid)
-            if page != last_page:
-                last_page = page
-                self._buffer.access(self.name, page, sequential=True)
-            self._metrics.count(f"table.{self.name}.tuples_scanned")
-            yield rowid, row
+        """Full sequential scan, priced by the storage backend."""
+        count = self._metrics.count
+        counter = f"table.{self.name}.tuples_scanned"
+        for item in self.store.scan():
+            count(counter)
+            yield item
 
     def fetch_row(self, rowid: int, sequential: bool = False) -> tuple:
         """Random row fetch (what unclustered index scans pay for)."""
-        if self.heap.self_charging:
-            self._metrics.count(f"table.{self.name}.tuples_fetched")
-            row = self.heap.read_point(rowid)
-            if row is None:
-                raise ExecutionError(f"fetch of dead rowid {rowid}")
-            return row
-        self._buffer.access(
-            self.name, self.heap.page_of(rowid), sequential=sequential
-        )
         self._metrics.count(f"table.{self.name}.tuples_fetched")
-        return self.heap.fetch(rowid)
+        return self.store.read(rowid, sequential)
 
     # -- accounting ---------------------------------------------------------
 
     @property
     def row_count(self) -> int:
-        return self.heap.row_count
+        return self.store.row_count
 
     @property
     def data_bytes(self) -> int:
-        return self.heap.data_bytes
+        return self.store.data_bytes
 
     @property
     def index_bytes(self) -> int:

@@ -18,7 +18,6 @@ into the ``repro-monitor-v1`` JSON document:
 
 from __future__ import annotations
 
-from repro.core.results import render_table
 from repro.monitor.core import STEP_LAYERS, WorkloadMonitor
 
 FORMAT = "repro-monitor-v1"
@@ -114,7 +113,7 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1000:.2f}"
 
 
-def _render_profile(report: dict) -> str:
+def _profile_table(report: dict) -> tuple:
     rows = []
     for prof in report["profile"]:
         resp = prof["response_s"]
@@ -133,13 +132,12 @@ def _render_profile(report: dict) -> str:
         ])
     if not rows:
         rows.append(["(no steps recorded)"] + ["-"] * 12)
-    return render_table(
-        ["Task", "Steps", "Mean ms", "p50", "p95", "p99", "Queue",
-         "Roll", "ABAP", "DBIF", "Engine", "Commit", "DB%"],
-        rows, title="ST03 workload profile (per-step means, ms)")
+    return (["Task", "Steps", "Mean ms", "p50", "p95", "p99", "Queue",
+             "Roll", "ABAP", "DBIF", "Engine", "Commit", "DB%"],
+            rows, "ST03 workload profile (per-step means, ms)")
 
 
-def _render_server_profile(report: dict) -> str:
+def _server_profile_table(report: dict) -> tuple:
     rows = []
     for prof in report["profile_by_server"]:
         resp = prof["response_s"]
@@ -152,12 +150,11 @@ def _render_server_profile(report: dict) -> str:
                 + layers["commit_s"]),
             f"{prof['db_share'] * 100:.1f}%",
         ])
-    return render_table(
-        ["Server", "Steps", "Mean ms", "p95", "Queue", "DB ms", "DB%"],
-        rows, title="ST03 per-application-server profile")
+    return (["Server", "Steps", "Mean ms", "p95", "Queue", "DB ms", "DB%"],
+            rows, "ST03 per-application-server profile")
 
 
-def _render_db(report: dict) -> str:
+def _db_table(report: dict) -> tuple:
     rows = []
     for stmt in report["db"]["top"]:
         sql = stmt["sql"]
@@ -168,14 +165,13 @@ def _render_db(report: dict) -> str:
                      stmt["rows"], sql])
     if not rows:
         rows.append(["(no statements recorded)"] + ["-"] * 5)
-    return render_table(
-        ["Fingerprint", "Calls", "DB ms", "ms/call", "Rows", "Statement"],
-        rows,
-        title=f"ST04 top statements by DB time "
-              f"({report['db']['statements']} distinct)")
+    return (["Fingerprint", "Calls", "DB ms", "ms/call", "Rows", "Statement"],
+            rows,
+            f"ST04 top statements by DB time "
+            f"({report['db']['statements']} distinct)")
 
 
-def _render_gauges(report: dict) -> str:
+def _gauges_table(report: dict) -> tuple:
     rows = []
     for name, summary in report["gauges"].items():
         if summary["samples"]:
@@ -186,30 +182,27 @@ def _render_gauges(report: dict) -> str:
             rows.append([name, 0, "-", "-", "-", "-"])
     if not rows:
         rows.append(["(no gauges sampled)", "-", "-", "-", "-", "-"])
-    return render_table(
-        ["Gauge", "Samples", "Last", "Min", "Max", "Mean"],
-        rows, title="Gauge series")
+    return (["Gauge", "Samples", "Last", "Min", "Max", "Mean"],
+            rows, "Gauge series")
 
 
-def _render_alerts(report: dict) -> str:
+def _alert_tables(report: dict) -> list[tuple]:
     alerts = report["alerts"]
     rows = [[rule["name"], rule["condition"], rule["severity"],
              rule["fired"], "yes" if rule["active"] else "no"]
             for rule in alerts["rules"]]
-    lines = [render_table(
-        ["Rule", "Condition", "Severity", "Fired", "Active"],
-        rows, title=f"CCMS alerts ({alerts['fired_total']} fired)")]
+    tables = [(["Rule", "Condition", "Severity", "Fired", "Active"],
+               rows, f"CCMS alerts ({alerts['fired_total']} fired)")]
     if alerts["events"]:
         event_rows = [[f"{event['t']:.3f}", event["kind"], event["rule"],
                        f"{event['value']:g}", event["condition"]]
                       for event in alerts["events"]]
-        lines.append(render_table(
-            ["t", "Event", "Rule", "Value", "Condition"], event_rows,
-            title="Alert log"))
-    return "\n\n".join(lines)
+        tables.append((["t", "Event", "Rule", "Value", "Condition"],
+                       event_rows, "Alert log"))
+    return tables
 
 
-def _render_stat_records(report: dict) -> str:
+def _stat_records_table(report: dict) -> tuple:
     rows = []
     for r in report.get("stat_records", []):
         rows.append([r["seq"], r["task"], r["label"], r["wp"],
@@ -219,16 +212,18 @@ def _render_stat_records(report: dict) -> str:
                      _ms(r["commit_s"])])
     if not rows:
         rows.append(["(empty STAT ring)"] + ["-"] * 10)
-    return render_table(
-        ["Seq", "Task", "Step", "WP", "Outcome", "Resp ms", "Queue",
-         "ABAP", "DBIF", "Engine", "Commit"],
-        rows, title="STAT records")
+    return (["Seq", "Task", "Step", "WP", "Outcome", "Resp ms", "Queue",
+             "ABAP", "DBIF", "Engine", "Commit"],
+            rows, "STAT records")
 
 
 def render_report(report: dict, sections: tuple[str, ...] | None = None
                   ) -> str:
     """Monospace rendering; ``sections`` picks from ``profile``,
     ``alerts``, ``stat_records`` (``None`` renders everything)."""
+    # imported here: repro.core imports the engine, which imports us
+    from repro.core.results import render_table
+
     want = set(sections) if sections else {"profile", "alerts"}
     if "stat_records" in report and sections is None:
         want.add("stat_records")
@@ -237,14 +232,17 @@ def render_report(report: dict, sections: tuple[str, ...] | None = None
     if meta:
         parts.append("  ".join(f"{key}={value}"
                                for key, value in sorted(meta.items())))
+    tables = []
     if "profile" in want:
-        parts.append(_render_profile(report))
+        tables.append(_profile_table(report))
         if "profile_by_server" in report:
-            parts.append(_render_server_profile(report))
-        parts.append(_render_db(report))
-        parts.append(_render_gauges(report))
+            tables.append(_server_profile_table(report))
+        tables.append(_db_table(report))
+        tables.append(_gauges_table(report))
     if "alerts" in want:
-        parts.append(_render_alerts(report))
+        tables.extend(_alert_tables(report))
     if "stat_records" in want:
-        parts.append(_render_stat_records(report))
+        tables.append(_stat_records_table(report))
+    parts.extend(render_table(headers, rows, title=title)
+                 for headers, rows, title in tables)
     return "\n\n".join(parts)

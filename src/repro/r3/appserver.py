@@ -46,6 +46,9 @@ class R3Version(enum.Enum):
 
 
 class R3System:
+    #: serving requests; only a cluster ever takes a server down
+    up = True
+
     def __init__(
         self,
         version: R3Version = R3Version.V22,

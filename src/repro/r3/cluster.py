@@ -273,7 +273,6 @@ class R3Cluster:
         self.monitor = primary.monitor
         self.sync_period_s = sync_period_s
         self.servers: list[R3System] = [primary]
-        primary.up = True
         for index in range(1, n_servers):
             server = R3System(version=primary.version,
                               client=primary.client,
@@ -285,7 +284,6 @@ class R3Cluster:
             server.ddic = primary.ddic
             server.pools = primary.pools
             server.clusters = primary.clusters
-            server.up = True
             self.servers.append(server)
         self.ddlog = DdLog()
         if sync_period_s is not None and n_servers > 1:

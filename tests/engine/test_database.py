@@ -13,8 +13,7 @@ from repro.engine.errors import (
 )
 
 
-@pytest.fixture()
-def db():
+def _database():
     database = Database()
     database.create_table(TableSchema("emp", [
         Column("id", SqlType.integer(), nullable=False),
@@ -36,6 +35,11 @@ def db():
         )
     database.analyze()
     return database
+
+
+@pytest.fixture()
+def db():
+    return _database()
 
 
 class TestBasicQueries:
@@ -286,6 +290,32 @@ class TestPreparedStatements:
         stmt = db.prepare("DELETE FROM emp WHERE id = ?")
         assert stmt.execute((1,)).scalar() == 1
         assert stmt.execute((1,)).scalar() == 0
+
+    def test_tracing_leaves_nothing_on_a_cached_plan(self, db):
+        """The operator profile shadows ``rows`` on every operator of a
+        traced plan; once tracing is off the next run must shed it."""
+        sql = ("SELECT dname, COUNT(*) FROM emp, dept "
+               "WHERE emp.dept = dept.id AND salary > ? GROUP BY dname")
+
+        def operators(op):
+            yield op
+            for child in op.child_operators():
+                yield from operators(child)
+
+        stmt = db.prepare(sql)
+        ops = list(operators(stmt._plan.operator))
+        db.tracer.enable()
+        stmt.execute((1050.0,))
+        db.tracer.disable()
+        assert all("rows" in vars(op) for op in ops)
+        rows = stmt.execute((1050.0,)).rows
+        assert not any("rows" in vars(op) or "_profile" in vars(op)
+                       for op in ops)
+        never_traced = _database()
+        twin = never_traced.prepare(sql)
+        twin.execute((1050.0,))
+        assert twin.execute((1050.0,)).rows == rows
+        assert never_traced.clock.now == db.clock.now
 
 
 class TestViews:

@@ -63,7 +63,7 @@ class TestPartitionedHeap:
         assigned = sorted(
             rowid for p in heap.partitions for rowid in p.rowids
         )
-        assert assigned == [rowid for rowid, _ in table.heap.scan()]
+        assert assigned == [rowid for rowid, _ in table.store.rows()]
 
     def test_same_seed_and_degree_identical_across_rebuilds(self):
         db = make_db()
@@ -93,7 +93,7 @@ class TestPartitionedHeap:
         db = make_db()
         table = db.catalog.table("t")
         heap = PartitionedHeap(table, PartitionSpec("id", 4))
-        rpp = table.heap.rows_per_page
+        rpp = table.store.rows_per_page
         for p in heap.partitions:
             assert p.page_count == -(-len(p.rowids) // rpp)
             if p.rowids:
@@ -109,7 +109,7 @@ class TestPartitionedHeap:
         key = table.schema.column_index("id")
         highs = []
         for p in heap.partitions:
-            keys = [table.heap.fetch(r)[key] for r in p.rowids]
+            keys = [table.store.fetch(r)[key] for r in p.rowids]
             assert keys == sorted(keys)
             if keys:
                 if highs:
@@ -136,7 +136,7 @@ class TestTombstones:
         before = manager.get(table, spec)
         victim_partition = before.partitions[2]
         victim_rowid = victim_partition.rowids[0]
-        victim_id = table.heap.fetch(victim_rowid)[0]
+        victim_id = table.store.fetch(victim_rowid)[0]
         sibling_rowids = {
             p.index: list(p.rowids) for p in before.partitions
             if p.index != 2
@@ -155,7 +155,7 @@ class TestTombstones:
             if p.index != 2:
                 assert list(p.rowids) == sibling_rowids[p.index]
                 assert p.page_count == sibling_pages[p.index]
-        assert table.heap.get(victim_rowid) is None
+        assert table.store.get(victim_rowid) is None
 
         # A rebuild (triggered by the version bump) drops the victim
         # from partition 2 and leaves every sibling untouched.

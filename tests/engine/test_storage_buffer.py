@@ -17,18 +17,26 @@ def _schema():
     ])
 
 
+def _heap(schema=None):
+    clock = SimulatedClock()
+    metrics = MetricsCollector()
+    disk = DiskModel(clock, metrics, 0.001, 0.01, 0.02)
+    pool = BufferPool(4, disk, clock, metrics, 0.00001)
+    return HeapFile(schema or _schema(), 8192, pool, disk)
+
+
 class TestHeapFile:
     def test_append_and_fetch(self):
-        heap = HeapFile(_schema(), 8192)
+        heap = _heap()
         rowid = heap.append((1, "x"))
         assert heap.fetch(rowid) == (1, "x")
 
     def test_rowids_sequential(self):
-        heap = HeapFile(_schema(), 8192)
+        heap = _heap()
         assert [heap.append((i, "")) for i in range(3)] == [0, 1, 2]
 
     def test_delete_leaves_tombstone(self):
-        heap = HeapFile(_schema(), 8192)
+        heap = _heap()
         for i in range(3):
             heap.append((i, ""))
         heap.delete(1)
@@ -38,21 +46,21 @@ class TestHeapFile:
             heap.fetch(1)
 
     def test_double_delete_rejected(self):
-        heap = HeapFile(_schema(), 8192)
+        heap = _heap()
         heap.append((1, ""))
         heap.delete(0)
         with pytest.raises(ExecutionError):
             heap.delete(0)
 
     def test_update(self):
-        heap = HeapFile(_schema(), 8192)
+        heap = _heap()
         heap.append((1, "a"))
         heap.update(0, (2, "b"))
         assert heap.fetch(0) == (2, "b")
 
     def test_page_accounting(self):
         schema = _schema()  # row width 4+20+8 = 32 bytes
-        heap = HeapFile(schema, 8192)
+        heap = _heap(schema)
         assert heap.rows_per_page == 256
         for i in range(257):
             heap.append((i, ""))
@@ -61,7 +69,7 @@ class TestHeapFile:
         assert heap.page_of(256) == 1
 
     def test_data_bytes_includes_tombstones(self):
-        heap = HeapFile(_schema(), 8192)
+        heap = _heap()
         heap.append((1, ""))
         heap.append((2, ""))
         before = heap.data_bytes

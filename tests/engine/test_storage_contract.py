@@ -2,9 +2,11 @@
 
 Parametrized over the heap and LSM backends: DML visibility, point
 reads, scans, crash-recovery digest identity, iterator stability under
-concurrent-on-the-clock compaction, and the slot-restoration API that
-ARIES replay depends on.  The LSM runs with a deliberately tiny
-memtable so flush and compaction actually occur inside each test.
+concurrent-on-the-clock compaction, the slot-restoration API that
+ARIES replay depends on, and the *cost* contract — which calls charge
+the clock, which may never, and which metrics each layer may touch.
+The LSM runs with a deliberately tiny memtable so flush and compaction
+actually occur inside each test.
 """
 
 import itertools
@@ -13,7 +15,9 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, PlanError
+from repro.engine.lsm import LsmTree
 from repro.engine.schema import Column, TableSchema
+from repro.engine.stats import analyze
 from repro.engine.types import SqlType
 from repro.engine.wal import DurableStore
 from repro.sim.params import SimParams
@@ -154,11 +158,11 @@ class TestIteratorStability:
         # Force the backend's maintenance mid-iteration: on the LSM a
         # flush lands a new L0 segment and (trigger=2) cascades into a
         # compaction that rewrites the very segments being iterated.
-        if table.heap.self_charging:
+        if isinstance(table.store, LsmTree):
             before = db.metrics.get("lsm.compactions")
-            table.heap.flush_memtable()
-            table.heap.restore_slot(10_000, (10_000, "late"))
-            table.heap.flush_memtable()
+            table.store.flush_memtable()
+            table.store.restore_slot(10_000, (10_000, "late"))
+            table.store.flush_memtable()
             assert db.metrics.get("lsm.compactions") > before
         assert head + list(it) == snapshot
 
@@ -167,38 +171,143 @@ class TestIteratorStability:
 class TestSlotApi:
     def test_restore_slot_into_occupied_slot_raises(self, storage):
         db = _fresh(storage)
-        heap = db.catalog.table("t").heap
-        rowid = heap.append((1, "one"))
+        store = db.catalog.table("t").store
+        rowid = store.append((1, "one"))
         with pytest.raises(ExecutionError):
-            heap.restore_slot(rowid, (2, "two"))
+            store.restore_slot(rowid, (2, "two"))
 
     def test_put_slot_unknown_rowid_raises(self, storage):
         db = _fresh(storage)
-        heap = db.catalog.table("t").heap
-        heap.append((1, "one"))
+        store = db.catalog.table("t").store
+        store.append((1, "one"))
         with pytest.raises(ExecutionError):
-            heap.put_slot(99, (2, "two"))
+            store.put_slot(99, (2, "two"))
 
     def test_put_slot_tombstone_and_revive(self, storage):
         db = _fresh(storage)
-        heap = db.catalog.table("t").heap
-        rowid = heap.append((1, "one"))
-        heap.put_slot(rowid, None)
-        assert heap.row_count == 0
-        assert heap.get(rowid) is None
-        heap.put_slot(rowid, (2, "two"))
-        assert heap.row_count == 1
-        assert heap.get(rowid) == (2, "two")
+        store = db.catalog.table("t").store
+        rowid = store.append((1, "one"))
+        store.put_slot(rowid, None)
+        assert store.row_count == 0
+        assert store.get(rowid) is None
+        store.put_slot(rowid, (2, "two"))
+        assert store.row_count == 1
+        assert store.get(rowid) == (2, "two")
 
     def test_snapshot_load_slots_roundtrip(self, storage):
         db = _fresh(storage)
         table = db.catalog.table("t")
         model = _mixed_dml(table, n=150)
-        slots = table.heap.snapshot_slots()
+        slots = table.store.snapshot_slots()
         other = _fresh(storage)
-        other.catalog.table("t").heap.load_slots(slots)
-        assert dict(other.catalog.table("t").heap.scan()) == model
+        other.catalog.table("t").store.load_slots(slots)
+        assert dict(other.catalog.table("t").store.rows()) == model
         assert other.catalog.table("t").row_count == len(model)
+
+
+#: the probe surface: harness reads that may never charge or count
+PROBES = {
+    "rows": lambda db, table: list(table.store.rows()),
+    "get": lambda db, table: [table.store.get(r) for r in (0, 3, 999)],
+    "fetch": lambda db, table: table.store.fetch(0),
+    "snapshot_slots": lambda db, table: table.store.snapshot_slots(),
+    "content_digest": lambda db, table: db.content_digest(),
+    "analyze": lambda db, table: analyze(table),
+}
+
+#: the charged surface, through the table layer and on the bare store
+CHARGED = {
+    "insert": lambda table: table.insert((9_000, "new")),
+    "bulk_insert": lambda table: [table.insert((20_000 + i, "b"), bulk=True)
+                                  for i in range(600)],
+    "update": lambda table: table.update(0, (40_000, "upd")),
+    "delete": lambda table: table.delete(1),
+    "apply_insert": lambda table: table.apply_insert(3, (3, "redo")),
+    "scan": lambda table: list(table.scan()),
+    "fetch_row": lambda table: table.fetch_row(0),
+    "ingest_sorted": lambda table: table.store.ingest_sorted(
+        [(30_000 + i, "d") for i in range(600)]),  # > one heap page
+}
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
+class TestCostContract:
+    def _loaded(self, storage):
+        db = _fresh(storage)
+        table = db.catalog.table("t")
+        _mixed_dml(table)
+        return db, table
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probes_touch_neither_clock_nor_metrics(self, storage, probe):
+        db, table = self._loaded(storage)
+        before = (db.clock.now, db.metrics.all())
+        PROBES[probe](db, table)
+        assert (db.clock.now, db.metrics.all()) == before
+
+    @pytest.mark.parametrize("call", sorted(CHARGED))
+    def test_charged_calls_advance_the_clock(self, storage, call):
+        db, table = self._loaded(storage)  # rowid 3 is a tombstone
+        before = db.clock.now
+        CHARGED[call](table)
+        assert db.clock.now > before
+
+    def test_read_charges_before_raising_on_a_dead_rowid(self, storage):
+        db, table = self._loaded(storage)
+        before = db.clock.now
+        with pytest.raises(ExecutionError):
+            table.store.read(3)
+        assert db.clock.now > before
+
+    def test_each_layer_touches_only_its_own_metrics(self, storage):
+        db, table = self._loaded(storage)
+        for call in CHARGED.values():
+            call(table)
+        names = set(db.metrics.all())
+        if storage == "heap":
+            assert not [n for n in names if n.startswith("lsm.")]
+        # what the table counts itself is table.<name>.* and nothing
+        # else: every other counter belongs to the layer that charged
+        own = {n for n in names if n.startswith("table.")}
+        assert own == {f"table.t.{op}" for op in (
+            "inserts", "updates", "deletes", "tuples_scanned",
+            "tuples_fetched")}
+        layers = {n.split(".")[0] for n in names - own}
+        assert layers <= {"buffer", "disk", "index", "lsm"}
+
+
+class TestHeapScanCharging:
+    """The heap prices a scan lazily, page by page, as rows are pulled."""
+
+    def test_pages_are_charged_as_the_consumer_reaches_them(self):
+        db = _fresh("heap")
+        table = db.catalog.table("t")
+        per_page = table.store.rows_per_page
+        for i in range(3 * per_page):
+            table.insert((i, "v"))
+        db.buffer_pool.clear()
+        misses = lambda: db.metrics.get("buffer.misses")  # noqa: E731
+        before = misses()
+        it = table.scan()
+        assert misses() == before  # nothing until the first pull
+        next(it)
+        assert misses() == before + 1
+        for _ in range(per_page):
+            next(it)
+        assert misses() == before + 2
+
+    def test_an_all_tombstone_page_is_never_charged(self):
+        db = _fresh("heap")
+        table = db.catalog.table("t")
+        per_page = table.store.rows_per_page
+        for i in range(3 * per_page):
+            table.insert((i, "v"))
+        for rowid in range(per_page, 2 * per_page):
+            table.delete(rowid)
+        db.buffer_pool.clear()
+        before = db.metrics.get("buffer.misses")
+        assert len(list(table.scan())) == 2 * per_page
+        assert db.metrics.get("buffer.misses") == before + 2
 
 
 class TestStorageSelection:

@@ -71,10 +71,10 @@ class TestBatchInputLoad:
         fast = R3System(R3Version.V22)
         load_sap_fast(fast, tiny_data)
         slow_rows = sorted(
-            r for _id, r in slow.db.catalog.table("vbap").heap.scan()
+            r for _id, r in slow.db.catalog.table("vbap").store.rows()
         )
         fast_rows = sorted(
-            r for _id, r in fast.db.catalog.table("vbap").heap.scan()
+            r for _id, r in fast.db.catalog.table("vbap").store.rows()
         )
         assert slow_rows == fast_rows
 

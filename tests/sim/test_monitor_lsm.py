@@ -38,11 +38,11 @@ def _db(storage: str) -> Database:
 def _stack_l0(db: Database, segments: int) -> None:
     """Flush ``segments`` L0 runs with compaction suspended."""
     table = db.catalog.table("t")
-    table.heap.hold_compaction()
+    table.store.hold_compaction()
     base = table.row_count
     for i in range(segments):
         table.insert((base + i, f"s{i}"))
-        table.heap.flush_memtable()
+        table.store.flush_memtable()
 
 
 class TestCompactionBacklogRule:
@@ -83,8 +83,8 @@ class TestCompactionBacklogRule:
         assert [e.kind for e in second
                 if e.rule == "compaction_backlog_high"] == ["fired"]
         # Drain the backlog and hold two calm windows to clear.
-        db.catalog.table("t").heap.release_compaction()
-        assert db.catalog.table("t").heap.compaction_backlog < 4
+        db.catalog.table("t").store.release_compaction()
+        assert db.catalog.table("t").store.compaction_backlog < 4
         db.clock.charge(1.0)
         third = db.monitor.sample()
         assert third == []  # clear_after=2
