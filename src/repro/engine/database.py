@@ -26,7 +26,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.exec.base import ExecContext
-from repro.engine.expr import Expr, OutputSchema, predicate_holds
+from repro.engine.expr import Expr, OutputSchema
 from repro.engine.parallel import ParallelPolicy, PartitionManager
 from repro.engine.plan.binder import bind_expr
 from repro.engine.plan.planner import PlannedQuery, Planner
@@ -453,6 +453,9 @@ class Database:
             if prefix > best_prefix:
                 best_prefix = prefix
                 best_index = index
+        # Compiled per statement: prepared DML deep-copies its AST for
+        # every execution, so there is no plan to keep the closure on.
+        holds = where.compile()
         if best_index is not None:
             key = tuple(
                 eq_values[column].eval((), params)
@@ -461,13 +464,14 @@ class Database:
             matches = []
             for _key, rowid in best_index.search_prefix(key):
                 row = table.fetch_row(rowid)
-                if predicate_holds(where, row, params):
+                if holds(row, params) is True:
                     matches.append(rowid)
             return matches
         matches = []
+        charge_tuples = self.ctx.charge_tuples
         for rowid, row in table.scan():
-            self.ctx.charge_tuples(1)
-            if predicate_holds(where, row, params):
+            charge_tuples(1)
+            if holds(row, params) is True:
                 matches.append(rowid)
         return matches
 
@@ -484,15 +488,16 @@ class Database:
             [(table.name, c.name) for c in table.schema.columns]
         )
         rowids = self._matching_rowids(table, stmt.where, params)
-        positions = []
+        assignments = []
         for assignment in stmt.assignments:
-            positions.append(table.schema.column_index(assignment.column))
+            pos = table.schema.column_index(assignment.column)
             bind_expr(assignment.value, schema)
+            assignments.append((pos, assignment.value.compile()))
         for rowid in rowids:
-            row = list(table.store.fetch(rowid))
-            old = tuple(row)
-            for assignment, pos in zip(stmt.assignments, positions):
-                row[pos] = assignment.value.eval(old, params)
+            old = table.store.fetch(rowid)
+            row = list(old)
+            for pos, value in assignments:
+                row[pos] = value(old, params)
             table.update(rowid, tuple(row))
         return Result(["updated"], [(len(rowids),)])
 

@@ -8,11 +8,12 @@ EXTRACT/SORT grouping (Section 4.2, Table 7).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.engine.errors import ExecutionError
-from repro.engine.exec.base import ExecContext, Operator
-from repro.engine.expr import AggCall, Expr, OutputSchema
+from repro.engine.exec.base import ExecContext, Operator, compile_optional
+from repro.engine.expr import AggCall, Compiled, Expr, OutputSchema
 
 
 class _AggState:
@@ -81,6 +82,9 @@ class GroupAggregate(Operator):
     exactly one row (global aggregation), even over empty input.
     """
 
+    #: prefix of the aggregate columns' names in the output schema
+    AGG_PREFIX = "_a"
+
     def __init__(
         self,
         ctx: ExecContext,
@@ -90,40 +94,50 @@ class GroupAggregate(Operator):
     ) -> None:
         entries: list[tuple[str | None, str]] = []
         entries.extend((None, f"_g{i}") for i in range(len(group_exprs)))
-        entries.extend((None, f"_a{i}") for i in range(len(agg_calls)))
+        entries.extend((None, f"{self.AGG_PREFIX}{i}")
+                       for i in range(len(agg_calls)))
         super().__init__(ctx, OutputSchema(entries))
         self.child = child
         self.group_exprs = group_exprs
         self.agg_calls = agg_calls
 
-    def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+    @cached_property
+    def _group_key(self) -> list[Compiled]:
+        return [expr.compile() for expr in self.group_exprs]
+
+    @cached_property
+    def _agg_args(self) -> list[Compiled | None]:
+        """One compiled argument per aggregate; None for COUNT(*)."""
+        return [compile_optional(call.arg) for call in self.agg_calls]
+
+    def _new_states(self) -> list[_AggState]:
+        return [_AggState(call.func, call.distinct)
+                for call in self.agg_calls]
+
+    def _accumulate(
+        self, params: Sequence[object]
+    ) -> dict[tuple, list[_AggState]]:
+        """Fold the child's rows into per-group states, first-seen order."""
         groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
+        group_key, agg_args = self._group_key, self._agg_args
+        charge_tuples = self.ctx.charge_tuples
         for row in self.child.rows(params):
-            self.ctx.charge_tuples(1)
-            key = tuple(expr.eval(row, params) for expr in self.group_exprs)
+            charge_tuples(1)
+            key = tuple([part(row, params) for part in group_key])
             states = groups.get(key)
             if states is None:
-                states = [
-                    _AggState(call.func, call.distinct)
-                    for call in self.agg_calls
-                ]
-                groups[key] = states
-                order.append(key)
-            for call, state in zip(self.agg_calls, states):
-                if call.arg is None:
-                    state.add(_COUNT_STAR)
-                else:
-                    state.add(call.arg.eval(row, params))
+                states = groups[key] = self._new_states()
+            for arg, state in zip(agg_args, states):
+                state.add(_COUNT_STAR if arg is None else arg(row, params))
+        return groups
+
+    def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+        groups = self._accumulate(params)
         if not self.group_exprs and not groups:
             # Global aggregate over empty input still yields one row.
-            states = [
-                _AggState(call.func, call.distinct) for call in self.agg_calls
-            ]
-            yield tuple(state.result() for state in states)
+            yield tuple(state.result() for state in self._new_states())
             return
-        for key in order:
-            states = groups[key]
+        for key, states in groups.items():
             self.ctx.charge_tuples(1)
             yield key + tuple(state.result() for state in states)
 

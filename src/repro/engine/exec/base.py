@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.engine.buffer import BufferPool
-from repro.engine.expr import OutputSchema
+from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
@@ -62,12 +63,36 @@ class ExecContext:
         return width * ESTIMATED_COLUMN_BYTES
 
 
+def compile_optional(expr: Expr | None) -> Compiled | None:
+    """The compiled expression, or None for an absent predicate."""
+    return None if expr is None else expr.compile()
+
+
+def compiled(attribute: str) -> cached_property:
+    """Cached property compiling the operator's ``attribute`` expression.
+
+    Use in an operator's class body: ``_holds = compiled("residual")``;
+    an absent (None) expression compiles to None.
+    """
+    return cached_property(
+        lambda self: compile_optional(getattr(self, attribute)))
+
+
 class Operator:
     """Base physical operator.
 
     ``schema`` names the output columns; ``rows(params)`` yields output
     tuples.  ``estimated_rows`` is filled by the planner for costing
     and for explain output.
+
+    Operators keep their expressions as ``Expr`` trees and compile them
+    in ``functools.cached_property`` attributes (:func:`compiled` for a
+    single optional expression): the closure is built
+    when ``rows()`` first asks for it — the planner binds residuals
+    *after* constructing an operator, so the constructor is too early —
+    and then lives on the operator for as long as the plan does (a
+    prepared statement, a cursor-cache entry).  A compiled predicate
+    holds when it returns ``True``; NULL counts as not satisfied.
     """
 
     def __init__(self, ctx: ExecContext, schema: OutputSchema) -> None:

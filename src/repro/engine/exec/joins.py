@@ -2,16 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
-from repro.engine.exec.base import ExecContext, Operator
+from repro.engine.exec.base import ExecContext, Operator, compiled
 from repro.engine.exec.sort import sort_rows
-from repro.engine.expr import Expr, OutputSchema, predicate_holds
+from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.engine.table import Table
 
 
 def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
     return left.schema.concat(right_schema)
+
+
+def key_getter(positions: list[int]) -> Callable[[tuple], tuple | None]:
+    """``row -> join key`` as a tuple; None when a key column is NULL.
+
+    NULL never equi-joins, so the callers drop such rows.
+    """
+    if len(positions) == 1:
+        position, = positions
+
+        def single(row: tuple) -> tuple | None:
+            value = row[position]
+            return None if value is None else (value,)
+
+        return single
+    columns = itemgetter(*positions)
+
+    def composite(row: tuple) -> tuple | None:
+        key = columns(row)
+        for value in key:
+            if value is None:
+                return None
+        return key
+
+    return composite
 
 
 class NestedLoopJoin(Operator):
@@ -36,25 +63,28 @@ class NestedLoopJoin(Operator):
         self.condition = condition
         self.outer = outer
 
+    _holds = compiled("condition")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         inner = list(self.right.rows(params))
         inner_bytes = len(inner) * self.ctx.row_bytes(len(self.right.schema))
         rescans_needed = inner_bytes > self.ctx.params.work_mem_bytes
         null_row = (None,) * len(self.right.schema)
         outer_count = 0
+        holds = self._holds
+        charge_tuples = self.ctx.charge_tuples
         for left_row in self.left.rows(params):
             outer_count += 1
             matched = False
             self.ctx.charge_comparisons(len(inner))
             for right_row in inner:
                 combined = left_row + right_row
-                if self.condition is None or predicate_holds(
-                        self.condition, combined, params):
+                if holds is None or holds(combined, params) is True:
                     matched = True
-                    self.ctx.charge_tuples(1)
+                    charge_tuples(1)
                     yield combined
             if self.outer and not matched:
-                self.ctx.charge_tuples(1)
+                charge_tuples(1)
                 yield left_row + null_row
         if rescans_needed and outer_count:
             # Charge the re-reads a block-sized BNL would have done.
@@ -107,37 +137,53 @@ class IndexNestedLoopJoin(Operator):
         self.residual = residual
         self.inner_filter = inner_filter
 
+    @cached_property
+    def _key_parts(self) -> list[tuple[int | None, Compiled | None]]:
+        """Per key column ``(outer position, None)`` or ``(None, closure)``."""
+        return [
+            (source, None) if kind == "outer" else (None, source.compile())
+            for kind, source in self.key_sources
+        ]
+
+    _inner_holds = compiled("inner_filter")
+    _holds = compiled("residual")
+
     def _probe_key(self, left_row: tuple,
                    params: Sequence[object]) -> tuple | None:
         key = []
-        for kind, source in self.key_sources:
-            if kind == "outer":
-                value = left_row[source]
+        for position, constant in self._key_parts:
+            if constant is None:
+                value = left_row[position]
             else:
-                value = source.eval((), params)
+                value = constant((), params)
             if value is None:
                 return None
             key.append(value)
         return tuple(key)
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+        inner_holds, holds = self._inner_holds, self._holds
+        probe_key = self._probe_key
+        index = self.index
+        full_key = len(self.key_sources) == len(index.column_names)
+        fetch_row = self.inner_table.fetch_row
+        charge_tuples = self.ctx.charge_tuples
         for left_row in self.left.rows(params):
-            key = self._probe_key(left_row, params)
+            key = probe_key(left_row, params)
             if key is None:
                 continue
-            if len(key) == len(self.index.column_names):
-                rowids = self.index.search_eq(key)
+            if full_key:
+                rowids = index.search_eq(key)
             else:
-                rowids = [r for _k, r in self.index.search_prefix(key)]
+                rowids = [r for _k, r in index.search_prefix(key)]
             for rowid in rowids:
-                inner_row = self.inner_table.fetch_row(rowid, sequential=False)
-                if self.inner_filter is not None and not predicate_holds(
-                        self.inner_filter, inner_row, params):
+                inner_row = fetch_row(rowid, sequential=False)
+                if inner_holds is not None \
+                        and inner_holds(inner_row, params) is not True:
                     continue
                 combined = left_row + inner_row
-                self.ctx.charge_tuples(1)
-                if self.residual is None or predicate_holds(
-                        self.residual, combined, params):
+                charge_tuples(1)
+                if holds is None or holds(combined, params) is True:
                     yield combined
 
     def describe(self) -> str:
@@ -176,8 +222,12 @@ class HashJoin(Operator):
         #: one; output column order is unaffected
         self.build_left = build_left
 
+    _holds = compiled("residual")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        if self.build_left:
+        ctx = self.ctx
+        build_left = self.build_left
+        if build_left:
             build_op, probe_op = self.left, self.right
             build_keys, probe_keys = (self.left_key_positions,
                                       self.right_key_positions)
@@ -185,37 +235,41 @@ class HashJoin(Operator):
             build_op, probe_op = self.right, self.left
             build_keys, probe_keys = (self.right_key_positions,
                                       self.left_key_positions)
+        build_key, probe_key = key_getter(build_keys), key_getter(probe_keys)
         buckets: dict[tuple, list[tuple]] = {}
         build_count = 0
         for row in build_op.rows(params):
-            key = tuple(row[pos] for pos in build_keys)
-            if any(v is None for v in key):
+            key = build_key(row)
+            if key is None:
                 continue
             buckets.setdefault(key, []).append(row)
             build_count += 1
-        self.ctx.charge_tuples(build_count)
-        build_bytes = build_count * self.ctx.row_bytes(len(build_op.schema))
-        probe_bytes = 0
-        spilling = build_bytes > self.ctx.params.work_mem_bytes
+        ctx.charge_tuples(build_count)
+        build_bytes = build_count * ctx.row_bytes(len(build_op.schema))
+        spilling = build_bytes > ctx.params.work_mem_bytes
         if spilling:
-            self.ctx.charge_spill(build_bytes, "hash-build")
+            ctx.charge_spill(build_bytes, "hash-build")
+        holds = self._holds
+        charge_tuples = ctx.charge_tuples
+        probe_count = 0
         for probe_row in probe_op.rows(params):
-            probe_bytes += self.ctx.row_bytes(len(probe_op.schema))
-            key = tuple(probe_row[pos] for pos in probe_keys)
-            if any(v is None for v in key):
+            probe_count += 1
+            key = probe_key(probe_row)
+            if key is None:
                 continue
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             for build_row in buckets.get(key, ()):
-                if self.build_left:
+                if build_left:
                     combined = build_row + probe_row
                 else:
                     combined = probe_row + build_row
-                if self.residual is None or predicate_holds(
-                        self.residual, combined, params):
-                    self.ctx.charge_tuples(1)
+                if holds is None or holds(combined, params) is True:
+                    charge_tuples(1)
                     yield combined
         if spilling:
-            self.ctx.charge_spill(probe_bytes, "hash-probe")
+            ctx.charge_spill(
+                probe_count * ctx.row_bytes(len(probe_op.schema)),
+                "hash-probe")
 
     def describe(self) -> str:
         side = "build=left" if self.build_left else "build=right"
@@ -244,7 +298,10 @@ class MergeJoin(Operator):
         self.right_key = right_key
         self.residual = residual
 
+    _holds = compiled("residual")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+        holds = self._holds
         left_rows = sort_rows(
             self.ctx, list(self.left.rows(params)),
             [(self.left_key, False)], len(self.left.schema),
@@ -279,8 +336,7 @@ class MergeJoin(Operator):
                        and left_rows[i_run][self.left_key] == lval):
                     for jj in range(j, j_end):
                         combined = left_rows[i_run] + right_rows[jj]
-                        if self.residual is None or predicate_holds(
-                                self.residual, combined, params):
+                        if holds is None or holds(combined, params) is True:
                             self.ctx.charge_tuples(1)
                             yield combined
                     i_run += 1

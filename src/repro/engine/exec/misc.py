@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from repro.engine.exec.base import ExecContext, Operator
-from repro.engine.expr import Expr, OutputSchema, predicate_holds
+from repro.engine.exec.base import ExecContext, Operator, compiled
+from repro.engine.expr import Compiled, Expr, OutputSchema
 
 
 class Filter(Operator):
@@ -15,10 +16,14 @@ class Filter(Operator):
         self.child = child
         self.predicate = predicate
 
+    _holds = compiled("predicate")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+        holds = self._holds
+        charge_tuples = self.ctx.charge_tuples
         for row in self.child.rows(params):
-            self.ctx.charge_tuples(1)
-            if predicate_holds(self.predicate, row, params):
+            charge_tuples(1)
+            if holds(row, params) is True:
                 yield row
 
     def describe(self) -> str:
@@ -40,10 +45,16 @@ class Project(Operator):
         self.child = child
         self.exprs = exprs
 
+    @cached_property
+    def _columns(self) -> list[Compiled]:
+        return [expr.compile() for expr in self.exprs]
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+        columns = self._columns
+        charge_tuples = self.ctx.charge_tuples
         for row in self.child.rows(params):
-            self.ctx.charge_tuples(1)
-            yield tuple(expr.eval(row, params) for expr in self.exprs)
+            charge_tuples(1)
+            yield tuple([column(row, params) for column in columns])
 
     def describe(self) -> str:
         return f"Project({len(self.exprs)} cols)"

@@ -32,11 +32,12 @@ fragment's elapsed time.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from repro.engine.exec.aggregate import _COUNT_STAR, _AggState
-from repro.engine.exec.base import ExecContext, Operator
-from repro.engine.expr import AggCall, Expr, OutputSchema, predicate_holds
+from repro.engine.exec.aggregate import GroupAggregate, _AggState
+from repro.engine.exec.base import ExecContext, Operator, compiled
+from repro.engine.exec.joins import key_getter
+from repro.engine.expr import AggCall, Expr, OutputSchema
 from repro.engine.parallel.lanes import LaneSet
 from repro.engine.parallel.partition import (
     PartitionManager,
@@ -93,6 +94,8 @@ class PartitionScan(Operator):
         self.lane_index = lane_index
         self.predicate = predicate
 
+    _holds = compiled("predicate")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         partition = self.manager.get(self.table, self.spec) \
             .partitions[self.lane_index]
@@ -100,7 +103,8 @@ class PartitionScan(Operator):
         buffer_pool = self.ctx.buffer_pool
         metrics = self.ctx.metrics
         counter = f"table.{self.table.name}.tuples_scanned"
-        predicate = self.predicate
+        holds = self._holds
+        charge_tuples = self.ctx.charge_tuples
         last_page = -1
         for local_slot, rowid in enumerate(partition.rowids):
             page = partition.page_of(local_slot)
@@ -111,8 +115,8 @@ class PartitionScan(Operator):
             if row is None:
                 continue  # tombstoned since the partition snapshot
             metrics.count(counter)
-            self.ctx.charge_tuples(1)
-            if predicate is None or predicate_holds(predicate, row, params):
+            charge_tuples(1)
+            if holds is None or holds(row, params) is True:
                 yield row
 
     def describe(self) -> str:
@@ -180,7 +184,7 @@ class Gather(Operator):
         return list(self.lane_ops)
 
 
-class PartialAggregate(Operator):
+class PartialAggregate(GroupAggregate):
     """Lane-local aggregation emitting mergeable accumulator states.
 
     Output layout: group values first, then one state tuple
@@ -191,6 +195,8 @@ class PartialAggregate(Operator):
     ``degree`` partials for a global aggregate.
     """
 
+    AGG_PREFIX = "_s"
+
     def __init__(
         self,
         ctx: ExecContext,
@@ -198,51 +204,23 @@ class PartialAggregate(Operator):
         group_exprs: list[Expr],
         agg_calls: list[AggCall],
     ) -> None:
-        entries: list[tuple[str | None, str]] = []
-        entries.extend((None, f"_g{i}") for i in range(len(group_exprs)))
-        entries.extend((None, f"_s{i}") for i in range(len(agg_calls)))
-        super().__init__(ctx, OutputSchema(entries))
         assert not any(call.distinct for call in agg_calls), \
             "DISTINCT aggregates cannot be partially aggregated"
-        self.child = child
-        self.group_exprs = group_exprs
-        self.agg_calls = agg_calls
+        super().__init__(ctx, child, group_exprs, agg_calls)
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
-        for row in self.child.rows(params):
-            self.ctx.charge_tuples(1)
-            key = tuple(expr.eval(row, params) for expr in self.group_exprs)
-            states = groups.get(key)
-            if states is None:
-                states = [
-                    _AggState(call.func, False) for call in self.agg_calls
-                ]
-                groups[key] = states
-                order.append(key)
-            for call, state in zip(self.agg_calls, states):
-                if call.arg is None:
-                    state.add(_COUNT_STAR)
-                else:
-                    state.add(call.arg.eval(row, params))
+        groups = self._accumulate(params)
         if not self.group_exprs and not groups:
-            states = [_AggState(call.func, False) for call in self.agg_calls]
-            groups[()] = states
-            order.append(())
-        for key in order:
+            groups[()] = self._new_states()
+        for key, states in groups.items():
             self.ctx.charge_tuples(1)
             yield key + tuple(
-                (s.count, s.total, s.minimum, s.maximum)
-                for s in groups[key]
+                (s.count, s.total, s.minimum, s.maximum) for s in states
             )
 
     def describe(self) -> str:
         return (f"PartialAggregate(groups={len(self.group_exprs)}, "
                 f"aggs={len(self.agg_calls)})")
-
-    def child_operators(self) -> list[Operator]:
-        return [self.child]
 
 
 class FinalAggregate(Operator):
@@ -386,14 +364,12 @@ class ParallelHashJoin(Operator):
 
     # -- helpers ---------------------------------------------------------
 
+    _holds = compiled("residual")
+
     def _build_rows(self, params: Sequence[object]) \
             -> list[tuple[tuple, tuple]]:
-        keyed = []
-        for row in self.build_op.rows(params):
-            key = tuple(row[pos] for pos in self.build_key_positions)
-            if any(value is None for value in key):
-                continue
-            keyed.append((key, row))
+        keyed = list(self._keyed(self.build_op, self.build_key_positions,
+                                 params))
         self.ctx.charge_tuples(len(keyed))
         return keyed
 
@@ -404,25 +380,33 @@ class ParallelHashJoin(Operator):
         params: Sequence[object],
         out: list[tuple],
     ) -> None:
+        holds = self._holds
+        probe_is_left = self.probe_is_left
+        charge_tuples = self.ctx.charge_tuples
         for key, probe_row in probe_rows:
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             for build_row in buckets.get(key, ()):
-                if self.probe_is_left:
+                if probe_is_left:
                     combined = probe_row + build_row
                 else:
                     combined = build_row + probe_row
-                if self.residual is None or predicate_holds(
-                        self.residual, combined, params):
-                    self.ctx.charge_tuples(1)
+                if holds is None or holds(combined, params) is True:
+                    charge_tuples(1)
                     out.append(combined)
 
     def _keyed_probe(self, op: Operator, params: Sequence[object]) \
             -> Iterator[tuple[tuple, tuple]]:
+        return self._keyed(op, self.probe_key_positions, params)
+
+    @staticmethod
+    def _keyed(op: Operator, positions: list[int],
+               params: Sequence[object]) -> Iterator[tuple[tuple, tuple]]:
+        """``(key, row)`` for every row of ``op`` whose key has no NULL."""
+        key_of = key_getter(positions)
         for row in op.rows(params):
-            key = tuple(row[pos] for pos in self.probe_key_positions)
-            if any(value is None for value in key):
-                continue
-            yield key, row
+            key = key_of(row)
+            if key is not None:
+                yield key, row
 
     @staticmethod
     def _hash_table(keyed: list[tuple[tuple, tuple]]) \

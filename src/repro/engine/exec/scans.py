@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from repro.engine.exec.base import ExecContext, Operator
-from repro.engine.expr import Expr, OutputSchema, predicate_holds
+from repro.engine.exec.base import ExecContext, Operator, compiled
+from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.engine.table import Table
 
 
@@ -31,11 +32,14 @@ class SeqScan(Operator):
         self.alias = alias
         self.predicate = predicate
 
+    _holds = compiled("predicate")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        predicate = self.predicate
+        holds = self._holds
+        charge_tuples = self.ctx.charge_tuples
         for _rowid, row in self.table.scan():
-            self.ctx.charge_tuples(1)
-            if predicate is None or predicate_holds(predicate, row, params):
+            charge_tuples(1)
+            if holds is None or holds(row, params) is True:
                 yield row
 
     def describe(self) -> str:
@@ -61,17 +65,25 @@ class IndexEqScan(Operator):
         self.key_exprs = key_exprs
         self.residual = residual
 
+    @cached_property
+    def _key(self) -> list[Compiled]:
+        return [expr.compile() for expr in self.key_exprs]
+
+    _holds = compiled("residual")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        key = tuple(expr.eval((), params) for expr in self.key_exprs)
+        key = tuple([part((), params) for part in self._key])
         if len(key) == len(self.index.column_names):
             rowids = self.index.search_eq(key)
         else:
             rowids = [rowid for _key, rowid in self.index.search_prefix(key)]
+        holds = self._holds
+        fetch_row = self.table.fetch_row
+        charge_tuples = self.ctx.charge_tuples
         for rowid in rowids:
-            row = self.table.fetch_row(rowid, sequential=False)
-            self.ctx.charge_tuples(1)
-            if self.residual is None or predicate_holds(
-                    self.residual, row, params):
+            row = fetch_row(rowid, sequential=False)
+            charge_tuples(1)
+            if holds is None or holds(row, params) is True:
                 yield row
 
     def describe(self) -> str:
@@ -108,19 +120,26 @@ class IndexRangeScan(Operator):
         self.high_inclusive = high_inclusive
         self.residual = residual
 
+    _low = compiled("low")
+    _high = compiled("high")
+    _holds = compiled("residual")
+
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        low_value = (self.low.eval((), params),) if self.low else None
-        high_value = (self.high.eval((), params),) if self.high else None
+        low, high = self._low, self._high
         entries = self.index.search_range(
-            low_value, high_value, self.low_inclusive, self.high_inclusive
+            None if low is None else (low((), params),),
+            None if high is None else (high((), params),),
+            self.low_inclusive, self.high_inclusive,
         )
+        holds = self._holds
+        fetch_row = self.table.fetch_row
+        charge_tuples = self.ctx.charge_tuples
         for key, rowid in entries:
             if key[0] == (0, 0):  # NULL keys never satisfy a range
                 continue
-            row = self.table.fetch_row(rowid, sequential=False)
-            self.ctx.charge_tuples(1)
-            if self.residual is None or predicate_holds(
-                    self.residual, row, params):
+            row = fetch_row(rowid, sequential=False)
+            charge_tuples(1)
+            if holds is None or holds(row, params) is True:
                 yield row
 
     def describe(self) -> str:

@@ -1,19 +1,29 @@
-"""Expression AST and evaluator.
+"""Expression AST and compiler.
 
 Expressions are produced by the SQL parser (or constructed directly by
 the R/3 layers), *bound* against an :class:`OutputSchema` that maps
-qualified column names to tuple positions, and then evaluated per row.
+qualified column names to tuple positions, and then *compiled*: every
+node's :meth:`Expr.compile` returns a closure ``fn(row, params)`` that
+carries the node's whole semantics.  Compilation picks the operator
+from a table, captures column positions, correlation cells and
+subquery executors, and folds subtrees made of literals only, so the
+per-row work is the closure calls and nothing else.  Operators compile
+once per plan (see :class:`repro.engine.exec.base.Operator`);
+:meth:`Expr.eval` compiles and calls in one step for the cold paths.
 
 NULL is represented as Python ``None`` with SQL three-valued logic:
 comparisons involving NULL yield NULL, AND/OR follow Kleene logic, and
-filter predicates treat NULL as not-satisfied.
+filter predicates treat NULL as not-satisfied (operators test the
+compiled predicate with ``is True``).
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
+import operator
 import re
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.engine.errors import ExecutionError, PlanError
 
@@ -66,6 +76,50 @@ class OutputSchema:
         return [n for _, n in self.entries]
 
 
+#: a compiled expression: ``fn(row, params) -> value``
+Compiled = Callable[[tuple, Sequence[object]], object]
+
+
+def _constant(value: object) -> Compiled:
+    """A closure that returns ``value``.
+
+    The ``value`` attribute marks it as foldable: a parent whose parts
+    are all marked is evaluated once, at compile time (:func:`_fold`).
+    """
+    def constant(row: tuple, params: Sequence[object]) -> object:
+        return value
+
+    constant.value = value  # type: ignore[attr-defined]
+    return constant
+
+
+def _is_constant(fn: Compiled) -> bool:
+    return hasattr(fn, "value")
+
+
+def _fold(fn: Compiled, *parts: Compiled) -> Compiled:
+    """``fn`` itself, or its value when every closure it calls is constant.
+
+    A constant subtree that fails to evaluate stays unfolded: the error
+    belongs to run time, where it is raised per row and only if a row
+    arrives (``WHERE 1/0 = 1`` over an empty table is not an error).
+    """
+    if not all(_is_constant(part) for part in parts):
+        return fn
+    try:
+        return _constant(fn((), ()))
+    except Exception:  # re-raised by ``fn`` itself when a row is evaluated
+        return fn
+
+
+def _raiser(message: str) -> Compiled:
+    """A closure that raises :class:`ExecutionError` when a row reaches it."""
+    def fail(row: tuple, params: Sequence[object]) -> object:
+        raise ExecutionError(message)
+
+    return fail
+
+
 class Expr:
     """Base class for expression nodes."""
 
@@ -73,8 +127,16 @@ class Expr:
         """Resolve column references; returns self for chaining."""
         raise NotImplementedError
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
+    def compile(self) -> Compiled:
+        """Closure ``fn(row, params)`` evaluating this (bound) node.
+
+        Binding state is captured, so compile after the last bind.
+        """
         raise NotImplementedError
+
+    def eval(self, row: tuple, params: Sequence[object]) -> object:
+        """Compile and evaluate once (plan-time folding, INSERT values)."""
+        return self.compile()(row, params)
 
     def children(self) -> list["Expr"]:
         return []
@@ -93,8 +155,8 @@ class Literal(Expr):
     def bind(self, schema: OutputSchema) -> "Literal":
         return self
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        return self.value
+    def compile(self) -> Compiled:
+        return _constant(self.value)
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
@@ -109,13 +171,18 @@ class ParamRef(Expr):
     def bind(self, schema: OutputSchema) -> "ParamRef":
         return self
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        try:
-            return params[self.index]
-        except IndexError:
-            raise ExecutionError(
-                f"missing value for parameter {self.index + 1}"
-            ) from None
+    def compile(self) -> Compiled:
+        index = self.index
+
+        def param(row: tuple, params: Sequence[object]) -> object:
+            try:
+                return params[index]
+            except IndexError:
+                raise ExecutionError(
+                    f"missing value for parameter {index + 1}"
+                ) from None
+
+        return param
 
     def __repr__(self) -> str:
         return f"ParamRef({self.index})"
@@ -170,13 +237,14 @@ class ColumnRef(Expr):
                 return True
         raise PlanError(f"unknown column {self.display_name}")
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
+    def compile(self) -> Compiled:
         if self._outer_cell is not None:
-            assert self._outer_position is not None
-            return self._outer_cell.row[self._outer_position]
-        if self._position is None:
-            raise ExecutionError(f"unbound column {self.display_name}")
-        return row[self._position]
+            cell, outer_position = self._outer_cell, self._outer_position
+            return lambda row, params: cell.row[outer_position]
+        position = self._position
+        if position is None:
+            return _raiser(f"unbound column {self.display_name}")
+        return lambda row, params: row[position]
 
     @property
     def display_name(self) -> str:
@@ -197,62 +265,59 @@ class InputRef(Expr):
     def bind(self, schema: OutputSchema) -> "InputRef":
         return self
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        return row[self.position]
+    def compile(self) -> Compiled:
+        position = self.position
+        return lambda row, params: row[position]
 
     def __repr__(self) -> str:
         return f"InputRef({self.position})"
 
 
-def _is_null(value: object) -> bool:
-    return value is None
+def _divide(left: object, right: object) -> object:
+    if right == 0:
+        raise ExecutionError("division by zero")
+    return left / right
 
 
-def _compare(op: str, left: object, right: object) -> object:
-    if left is None or right is None:
-        return None
-    try:
-        if op == "=":
-            return left == right
-        if op in ("<>", "!="):
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError as exc:
-        raise ExecutionError(f"cannot compare {left!r} {op} {right!r}") from exc
-    raise AssertionError(f"unknown comparison {op}")
+#: operator symbol -> (function, verb of the TypeError message)
+_BINARY_OPERATORS: dict[str, tuple[Callable[[object, object], object], str]] = {
+    "=": (operator.eq, "compare"),
+    "<>": (operator.ne, "compare"),
+    "!=": (operator.ne, "compare"),
+    "<": (operator.lt, "compare"),
+    "<=": (operator.le, "compare"),
+    ">": (operator.gt, "compare"),
+    ">=": (operator.ge, "compare"),
+    "+": (operator.add, "evaluate"),
+    "-": (operator.sub, "evaluate"),
+    "*": (operator.mul, "evaluate"),
+    "/": (_divide, "evaluate"),
+}
 
 
-def _arith(op: str, left: object, right: object) -> object:
-    if left is None or right is None:
-        return None
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left / right
-    except TypeError as exc:
-        raise ExecutionError(f"cannot evaluate {left!r} {op} {right!r}") from exc
-    raise AssertionError(f"unknown arithmetic {op}")
+def _connective(parts: list[Compiled], dominant: bool) -> Compiled:
+    """Kleene AND (``dominant`` False) / OR (True) over ``parts``.
+
+    Parts run left to right and stop at the first dominant value, as
+    the nested two-operand form does.
+    """
+    neutral = not dominant
+
+    def connective(row: tuple, params: Sequence[object]) -> object:
+        result: object = neutral
+        for part in parts:
+            value = part(row, params)
+            if value is dominant:
+                return dominant
+            if value is None:
+                result = None
+        return result
+
+    return connective
 
 
 class BinOp(Expr):
     """Binary operator: comparison, arithmetic, AND/OR."""
-
-    COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
-    ARITHMETIC = {"+", "-", "*", "/"}
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
         self.op = op.upper() if op.upper() in ("AND", "OR") else op
@@ -267,38 +332,39 @@ class BinOp(Expr):
     def children(self) -> list[Expr]:
         return [self.left, self.right]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
+    def compile(self) -> Compiled:
         op = self.op
-        if op == "AND":
-            left = self.left.eval(row, params)
-            if left is False:
-                return False
-            right = self.right.eval(row, params)
-            if right is False:
-                return False
-            if left is None or right is None:
+        if op in ("AND", "OR"):
+            parts = [part.compile() for part in _operands(self, op)]
+            return _fold(_connective(parts, dominant=(op == "OR")), *parts)
+        if op not in _BINARY_OPERATORS:
+            raise AssertionError(f"unknown operator {op}")
+        apply, verb = _BINARY_OPERATORS[op]
+        left, right = self.left.compile(), self.right.compile()
+
+        def binary(row: tuple, params: Sequence[object]) -> object:
+            a = left(row, params)
+            b = right(row, params)
+            if a is None or b is None:
                 return None
-            return True
-        if op == "OR":
-            left = self.left.eval(row, params)
-            if left is True:
-                return True
-            right = self.right.eval(row, params)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self.left.eval(row, params)
-        right = self.right.eval(row, params)
-        if op in self.COMPARISONS:
-            return _compare(op, left, right)
-        if op in self.ARITHMETIC:
-            return _arith(op, left, right)
-        raise AssertionError(f"unknown operator {op}")
+            try:
+                return apply(a, b)
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"cannot {verb} {a!r} {op} {b!r}"
+                ) from exc
+
+        return _fold(binary, left, right)
 
     def __repr__(self) -> str:
         return f"BinOp({self.left!r} {self.op} {self.right!r})"
+
+
+def _operands(expr: Expr, op: str) -> list[Expr]:
+    """Flatten a nest of one connective into its operands, in order."""
+    if isinstance(expr, BinOp) and expr.op == op:
+        return _operands(expr.left, op) + _operands(expr.right, op)
+    return [expr]
 
 
 class NotExpr(Expr):
@@ -312,11 +378,16 @@ class NotExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.operand.eval(row, params)
-        if value is None:
-            return None
-        return not value
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+
+        def negate(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            if value is None:
+                return None
+            return not value
+
+        return _fold(negate, operand)
 
 
 class NegExpr(Expr):
@@ -330,11 +401,16 @@ class NegExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.operand.eval(row, params)
-        if value is None:
-            return None
-        return -value
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+
+        def minus(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            if value is None:
+                return None
+            return -value
+
+        return _fold(minus, operand)
 
 
 class IsNullExpr(Expr):
@@ -349,9 +425,14 @@ class IsNullExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        is_null = self.operand.eval(row, params) is None
-        return not is_null if self.negated else is_null
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        negated = self.negated
+
+        def is_null(row: tuple, params: Sequence[object]) -> object:
+            return (operand(row, params) is None) is not negated
+
+        return _fold(is_null, operand)
 
 
 class BetweenExpr(Expr):
@@ -371,14 +452,32 @@ class BetweenExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand, self.low, self.high]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.operand.eval(row, params)
-        low = self.low.eval(row, params)
-        high = self.high.eval(row, params)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return not result if self.negated else result
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        low, high = self.low.compile(), self.high.compile()
+        negated = self.negated
+
+        def between(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            lo = low(row, params)
+            hi = high(row, params)
+            if value is None or lo is None or hi is None:
+                return None
+            return (lo <= value <= hi) is not negated
+
+        return _fold(between, operand, low, high)
+
+
+def _membership(value: object, candidates: Iterable[object],
+                negated: bool) -> object:
+    """``value [NOT] IN candidates`` for a non-NULL ``value``."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return not negated
+    return None if saw_null else negated
 
 
 class InListExpr(Expr):
@@ -396,24 +495,44 @@ class InListExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand, *self.items]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.operand.eval(row, params)
-        if value is None:
-            return None
-        saw_null = False
-        for item in self.items:
-            candidate = item.eval(row, params)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return False if self.negated else True
-        if saw_null:
-            return None
-        return True if self.negated else False
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        items = [item.compile() for item in self.items]
+        negated = self.negated
+        if all(_is_constant(item) for item in items):
+            # Literal list: one set probe.  ``in`` on a set is hash plus
+            # ``==``, the comparison the candidate loop makes.
+            values = [item.value for item in items]
+            members = frozenset(v for v in values if v is not None)
+            hit = not negated
+            miss = None if any(v is None for v in values) else negated
+
+            def in_set(row: tuple, params: Sequence[object]) -> object:
+                value = operand(row, params)
+                if value is None:
+                    return None
+                return hit if value in members else miss
+
+            return _fold(in_set, operand)
+
+        def in_list(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            if value is None:
+                return None
+            return _membership(
+                value, (item(row, params) for item in items), negated
+            )
+
+        return in_list
 
 
+@functools.lru_cache(maxsize=512)
 def like_to_regex(pattern: str) -> re.Pattern[str]:
-    """Compile a SQL LIKE pattern (``%``, ``_``) to an anchored regex."""
+    """Compile a SQL LIKE pattern (``%``, ``_``) to an anchored regex.
+
+    Memoised: a parameterised ``LIKE ?`` asks for the same pattern once
+    per row.
+    """
     out = ["^"]
     for ch in pattern:
         if ch == "%":
@@ -432,9 +551,6 @@ class LikeExpr(Expr):
         self.operand = operand
         self.pattern = pattern
         self.negated = negated
-        self._compiled: re.Pattern[str] | None = None
-        if isinstance(pattern, Literal) and isinstance(pattern.value, str):
-            self._compiled = like_to_regex(pattern.value)
 
     def bind(self, schema: OutputSchema) -> "LikeExpr":
         self.operand = self.operand.bind(schema)
@@ -444,19 +560,32 @@ class LikeExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand, self.pattern]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.operand.eval(row, params)
-        if value is None:
-            return None
-        if self._compiled is not None:
-            regex = self._compiled
-        else:
-            pattern = self.pattern.eval(row, params)
-            if pattern is None:
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        pattern = self.pattern.compile()
+        negated = self.negated
+        if _is_constant(pattern) and isinstance(pattern.value, str):
+            match = like_to_regex(pattern.value).match
+
+            def like_literal(row: tuple, params: Sequence[object]) -> object:
+                value = operand(row, params)
+                if value is None:
+                    return None
+                return (match(value) is not None) is not negated
+
+            return _fold(like_literal, operand)
+
+        def like(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            if value is None:
                 return None
-            regex = like_to_regex(pattern)
-        matched = regex.match(value) is not None
-        return not matched if self.negated else matched
+            text = pattern(row, params)
+            if text is None:
+                return None
+            return (like_to_regex(text).match(value) is not None) \
+                is not negated
+
+        return _fold(like, operand, pattern)
 
 
 class CaseExpr(Expr):
@@ -484,13 +613,21 @@ class CaseExpr(Expr):
             out.append(self.default)
         return out
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        for cond, value in self.branches:
-            if cond.eval(row, params) is True:
-                return value.eval(row, params)
-        if self.default is not None:
-            return self.default.eval(row, params)
-        return None
+    def compile(self) -> Compiled:
+        branches = [
+            (cond.compile(), value.compile())
+            for cond, value in self.branches
+        ]
+        default = (_constant(None) if self.default is None
+                   else self.default.compile())
+
+        def case(row: tuple, params: Sequence[object]) -> object:
+            for cond, value in branches:
+                if cond(row, params) is True:
+                    return value(row, params)
+            return default(row, params)
+
+        return _fold(case, default, *(fn for pair in branches for fn in pair))
 
 
 class ExtractExpr(Expr):
@@ -512,17 +649,19 @@ class ExtractExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.operand.eval(row, params)
-        if value is None:
-            return None
-        if not isinstance(value, datetime.date):
-            raise ExecutionError(f"EXTRACT from non-date {value!r}")
-        if self.field == "YEAR":
-            return value.year
-        if self.field == "MONTH":
-            return value.month
-        return value.day
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
+        part = operator.attrgetter(self.field.lower())
+
+        def extract(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            if value is None:
+                return None
+            if not isinstance(value, datetime.date):
+                raise ExecutionError(f"EXTRACT from non-date {value!r}")
+            return part(value)
+
+        return _fold(extract, operand)
 
 
 class IntervalLiteral(Expr):
@@ -540,8 +679,8 @@ class IntervalLiteral(Expr):
     def bind(self, schema: OutputSchema) -> "IntervalLiteral":
         return self
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        return self
+    def compile(self) -> Compiled:
+        return _constant(self)
 
     def add_to(self, date: datetime.date, sign: int) -> datetime.date:
         amount = self.amount * sign
@@ -581,17 +720,44 @@ class DateArithExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.date_expr]
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        value = self.date_expr.eval(row, params)
-        if value is None:
-            return None
-        if not isinstance(value, datetime.date):
-            raise ExecutionError(f"interval arithmetic on non-date {value!r}")
-        return self.interval.add_to(value, self.sign)
+    def compile(self) -> Compiled:
+        date_expr = self.date_expr.compile()
+        add_to, sign = self.interval.add_to, self.sign
+
+        def shift(row: tuple, params: Sequence[object]) -> object:
+            value = date_expr(row, params)
+            if value is None:
+                return None
+            if not isinstance(value, datetime.date):
+                raise ExecutionError(
+                    f"interval arithmetic on non-date {value!r}"
+                )
+            return add_to(value, sign)
+
+        return _fold(shift, date_expr)
+
+
+def _substring(values: list) -> object:
+    text, begin = values[0], int(values[1]) - 1
+    if len(values) > 2:
+        return text[begin:begin + int(values[2])]
+    return text[begin:]
+
+
+#: scalar function name -> implementation over the (non-NULL) arguments
+_FUNCTIONS: dict[str, Callable[[list], object]] = {
+    "SUBSTRING": _substring,
+    "UPPER": lambda values: values[0].upper(),
+    "LOWER": lambda values: values[0].lower(),
+    "ABS": lambda values: abs(values[0]),
+    "ROUND": lambda values: round(
+        values[0], int(values[1]) if len(values) > 1 else 0),
+    "CONCAT": lambda values: "".join(str(v) for v in values),
+}
 
 
 class FuncCall(Expr):
-    """Scalar function call (SUBSTRING, UPPER, LOWER, ABS, ROUND)."""
+    """Scalar function call (SUBSTRING, UPPER, LOWER, ABS, ROUND, CONCAT)."""
 
     def __init__(self, name: str, args: list[Expr]) -> None:
         self.name = name.upper()
@@ -604,30 +770,21 @@ class FuncCall(Expr):
     def children(self) -> list[Expr]:
         return list(self.args)
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        values = [arg.eval(row, params) for arg in self.args]
-        if any(v is None for v in values):
-            return None
+    def compile(self) -> Compiled:
+        args = [arg.compile() for arg in self.args]
         name = self.name
-        if name == "SUBSTRING":
-            text, start = values[0], int(values[1])
-            length = int(values[2]) if len(values) > 2 else None
-            begin = start - 1
-            if length is None:
-                return text[begin:]
-            return text[begin:begin + length]
-        if name == "UPPER":
-            return values[0].upper()
-        if name == "LOWER":
-            return values[0].lower()
-        if name == "ABS":
-            return abs(values[0])
-        if name == "ROUND":
-            digits = int(values[1]) if len(values) > 1 else 0
-            return round(values[0], digits)
-        if name == "CONCAT":
-            return "".join(str(v) for v in values)
-        raise ExecutionError(f"unknown function {name}")
+        function = _FUNCTIONS.get(name)
+
+        def call(row: tuple, params: Sequence[object]) -> object:
+            values = [arg(row, params) for arg in args]
+            for value in values:
+                if value is None:
+                    return None
+            if function is None:
+                raise ExecutionError(f"unknown function {name}")
+            return function(values)
+
+        return _fold(call, *args)
 
 
 class AggCall(Expr):
@@ -657,10 +814,8 @@ class AggCall(Expr):
     def children(self) -> list[Expr]:
         return [self.arg] if self.arg is not None else []
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        raise ExecutionError(
-            f"aggregate {self.func} evaluated outside aggregation"
-        )
+    def compile(self) -> Compiled:
+        return _raiser(f"aggregate {self.func} evaluated outside aggregation")
 
     def __repr__(self) -> str:
         inner = "*" if self.arg is None else repr(self.arg)
@@ -697,43 +852,31 @@ class SubqueryExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand] if self.operand is not None else []
 
-    def eval(self, row: tuple, params: Sequence[object]) -> object:
-        if self.executor is None:
-            raise ExecutionError("subquery was never compiled by the planner")
+    def compile(self) -> Compiled:
+        executor = self.executor
+        if executor is None:
+            return _raiser("subquery was never compiled by the planner")
         if self.mode == "scalar":
-            return self.executor(row, params)
+            return executor
+        negated = self.negated
         if self.mode == "exists":
-            found = bool(self.executor(row, params))
-            return not found if self.negated else found
-        # IN subquery
-        value = self.operand.eval(row, params) if self.operand else None
-        if value is None:
-            return None
-        values = self.executor(row, params)
-        saw_null = False
-        for candidate in values:
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return False if self.negated else True
-        if saw_null:
-            return None
-        return True if self.negated else False
+            return lambda row, params: \
+                bool(executor(row, params)) is not negated
+        operand = (_constant(None) if self.operand is None
+                   else self.operand.compile())
 
+        def in_subquery(row: tuple, params: Sequence[object]) -> object:
+            value = operand(row, params)
+            if value is None:
+                return None
+            return _membership(value, executor(row, params), negated)
 
-def predicate_holds(expr: Expr, row: tuple,
-                    params: Sequence[object]) -> bool:
-    """SQL filter semantics: NULL counts as not-satisfied."""
-    return expr.eval(row, params) is True
+        return in_subquery
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:
     """Flatten a predicate into its top-level AND conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, BinOp) and expr.op == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
+    return [] if expr is None else _operands(expr, "AND")
 
 
 def conjoin(conjuncts: Sequence[Expr]) -> Expr | None:

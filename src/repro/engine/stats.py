@@ -37,31 +37,21 @@ class TableStats:
     analyzed: bool = False
 
 
+#: distinct values counted per column before the count saturates
+MAX_DISTINCT_TRACKED = 100_000
+
+
 def analyze(table: Table) -> TableStats:
-    """Single-pass statistics collection (the engine's ANALYZE)."""
+    """Statistics collection (the engine's ANALYZE), column by column."""
     stats = TableStats(row_count=table.row_count, analyzed=True)
-    names = [c.name.lower() for c in table.schema.columns]
-    distinct: list[set] = [set() for _ in names]
-    mins: list[object] = [None] * len(names)
-    maxs: list[object] = [None] * len(names)
-    nulls = [0] * len(names)
-    for _rowid, row in table.store.rows():
-        for pos, value in enumerate(row):
-            if value is None:
-                nulls[pos] += 1
-                continue
-            if len(distinct[pos]) < 100_000:
-                distinct[pos].add(value)
-            if mins[pos] is None or value < mins[pos]:
-                mins[pos] = value
-            if maxs[pos] is None or value > maxs[pos]:
-                maxs[pos] = value
-    for pos, name in enumerate(names):
-        stats.columns[name] = ColumnStats(
-            n_distinct=len(distinct[pos]),
-            min_value=mins[pos],
-            max_value=maxs[pos],
-            null_count=nulls[pos],
+    rows = [row for _rowid, row in table.store.rows()]
+    for pos, column in enumerate(table.schema.columns):
+        values = [row[pos] for row in rows if row[pos] is not None]
+        stats.columns[column.name.lower()] = ColumnStats(
+            n_distinct=min(len(set(values)), MAX_DISTINCT_TRACKED),
+            min_value=min(values, default=None),
+            max_value=max(values, default=None),
+            null_count=len(rows) - len(values),
         )
     return stats
 

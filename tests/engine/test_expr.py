@@ -1,10 +1,11 @@
 import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.expr import (
+    AggCall,
     BetweenExpr,
     BinOp,
     CaseExpr,
@@ -21,9 +22,9 @@ from repro.engine.expr import (
     NotExpr,
     OutputSchema,
     ParamRef,
+    SubqueryExpr,
     conjoin,
     like_to_regex,
-    predicate_holds,
     split_conjuncts,
 )
 
@@ -96,10 +97,6 @@ class TestThreeValuedLogic:
 
     def test_not_null(self):
         assert ev(NotExpr(Literal(None))) is None
-
-    def test_predicate_holds_treats_null_as_false(self):
-        expr = BinOp("=", Literal(None), Literal(1)).bind(SCHEMA)
-        assert predicate_holds(expr, (), ()) is False
 
     def test_is_null(self):
         assert ev(IsNullExpr(Literal(None))) is True
@@ -305,3 +302,333 @@ def test_comparison_matches_python(a, b):
 def test_between_matches_python(x, lo, hi):
     expr = BetweenExpr(Literal(x), Literal(lo), Literal(hi)).bind(SCHEMA)
     assert expr.eval((), ()) is (lo <= x <= hi)
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against a reference interpreter written here
+# ---------------------------------------------------------------------------
+
+#: row layout of the property: two ints, two strings, two dates
+PROPERTY_SCHEMA = OutputSchema(
+    [("r", name) for name in ("i0", "i1", "s0", "s1", "d0", "d1")]
+)
+_INT_COLS, _STR_COLS, _DATE_COLS = (0, 1), (2, 3), (4, 5)
+
+_ints = st.one_of(st.none(), st.integers(-5, 5))
+_strs = st.one_of(st.none(), st.text(alphabet="ab%_.", max_size=4))
+_dates = st.one_of(
+    st.none(),
+    st.dates(datetime.date(1995, 1, 1), datetime.date(1995, 3, 1)),
+)
+_rows = st.tuples(_ints, _ints, _strs, _strs, _dates, _dates)
+#: params: two ints, one LIKE pattern
+_params = st.tuples(_ints, _ints, st.text(alphabet="ab%_", max_size=4))
+
+_CMP = {"=": lambda a, b: a == b, "<>": lambda a, b: a != b,
+        "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
+_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b}
+
+
+def _leaf(cols, literals, params=()):
+    options = [st.tuples(st.just("col"), st.sampled_from(cols)),
+               st.tuples(st.just("lit"), literals)]
+    if params:
+        options.append(st.tuples(st.just("param"), st.sampled_from(params)))
+    return st.one_of(options)
+
+
+_bool_spec = st.deferred(lambda: _bool_tree)
+
+_int_spec = st.recursive(
+    _leaf(_INT_COLS, _ints, params=(0, 1)),
+    lambda inner: st.one_of(
+        st.tuples(st.just("arith"), st.sampled_from(sorted(_ARITH)),
+                  inner, inner),
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("case"),
+                  st.lists(st.tuples(_bool_spec, inner), min_size=1,
+                           max_size=2),
+                  st.one_of(st.none(), inner)),
+    ),
+    max_leaves=4,
+)
+_str_spec = _leaf(_STR_COLS, _strs)
+_date_spec = st.one_of(
+    _leaf(_DATE_COLS, _dates),
+    st.tuples(st.just("shift"), _leaf(_DATE_COLS, _dates),
+              st.integers(0, 40), st.sampled_from((1, -1))),
+)
+
+
+def _typed(build):
+    """``build(operand strategy)`` for each of the three value types."""
+    return st.one_of(build(_int_spec), build(_str_spec), build(_date_spec))
+
+
+_bool_leaf = st.one_of(
+    _typed(lambda v: st.tuples(st.just("cmp"), st.sampled_from(sorted(_CMP)),
+                               v, v)),
+    _typed(lambda v: st.tuples(st.just("isnull"), v, st.booleans())),
+    _typed(lambda v: st.tuples(st.just("between"), v, v, v, st.booleans())),
+    _typed(lambda v: st.tuples(st.just("in"), v, st.lists(v, max_size=3),
+                               st.booleans())),
+    st.tuples(st.just("in"), _int_spec,
+              st.lists(st.tuples(st.just("lit"), _ints), max_size=4),
+              st.booleans()),
+    st.tuples(st.just("like"), _str_spec,
+              st.one_of(st.tuples(st.just("lit"), _strs),
+                        st.just(("param", 2))),
+              st.booleans()),
+)
+_bool_tree = st.recursive(
+    _bool_leaf,
+    lambda inner: st.one_of(
+        st.tuples(st.just("and"), inner, inner),
+        st.tuples(st.just("or"), inner, inner),
+        st.tuples(st.just("not"), inner),
+    ),
+    max_leaves=5,
+)
+
+
+def build_expr(spec):
+    """The ``Expr`` tree a spec stands for."""
+    kind = spec[0]
+    if kind == "col":
+        return ColumnRef("r", PROPERTY_SCHEMA.names[spec[1]])
+    if kind == "lit":
+        return Literal(spec[1])
+    if kind == "param":
+        return ParamRef(spec[1])
+    if kind in ("cmp", "arith"):
+        return BinOp(spec[1], build_expr(spec[2]), build_expr(spec[3]))
+    if kind in ("and", "or"):
+        return BinOp(kind, build_expr(spec[1]), build_expr(spec[2]))
+    if kind == "not":
+        return NotExpr(build_expr(spec[1]))
+    if kind == "neg":
+        return NegExpr(build_expr(spec[1]))
+    if kind == "isnull":
+        return IsNullExpr(build_expr(spec[1]), negated=spec[2])
+    if kind == "between":
+        return BetweenExpr(build_expr(spec[1]), build_expr(spec[2]),
+                           build_expr(spec[3]), negated=spec[4])
+    if kind == "in":
+        return InListExpr(build_expr(spec[1]),
+                          [build_expr(item) for item in spec[2]],
+                          negated=spec[3])
+    if kind == "like":
+        return LikeExpr(build_expr(spec[1]), build_expr(spec[2]),
+                        negated=spec[3])
+    if kind == "case":
+        return CaseExpr(
+            [(build_expr(c), build_expr(v)) for c, v in spec[1]],
+            None if spec[2] is None else build_expr(spec[2]),
+        )
+    if kind == "shift":
+        return DateArithExpr(build_expr(spec[1]),
+                             IntervalLiteral(spec[2], "DAY"), spec[3])
+    raise AssertionError(kind)
+
+
+def _like(pattern, text):
+    """SQL LIKE by recursion on the pattern; no regex involved."""
+    if not pattern:
+        return not text
+    head, rest = pattern[0], pattern[1:]
+    if head == "%":
+        return any(_like(rest, text[i:]) for i in range(len(text) + 1))
+    return bool(text) and (head == "_" or head == text[0]) \
+        and _like(rest, text[1:])
+
+
+def _negate(value, negated):
+    return value if value is None or not negated else not value
+
+
+def reference(spec, row, params):
+    """Kleene-logic interpreter over specs: the oracle of the property."""
+    kind = spec[0]
+    if kind == "col":
+        return row[spec[1]]
+    if kind == "lit":
+        return spec[1]
+    if kind == "param":
+        return params[spec[1]]
+    if kind in ("cmp", "arith"):
+        a = reference(spec[2], row, params)
+        b = reference(spec[3], row, params)
+        if a is None or b is None:
+            return None
+        return (_CMP if kind == "cmp" else _ARITH)[spec[1]](a, b)
+    if kind in ("and", "or"):
+        a = reference(spec[1], row, params)
+        b = reference(spec[2], row, params)
+        dominant = kind == "or"
+        if a is dominant or b is dominant:
+            return dominant
+        return None if a is None or b is None else not dominant
+    if kind == "not":
+        return _negate(reference(spec[1], row, params), True)
+    if kind == "neg":
+        value = reference(spec[1], row, params)
+        return None if value is None else -value
+    if kind == "isnull":
+        return (reference(spec[1], row, params) is None) != spec[2]
+    if kind == "between":
+        value, low, high = (reference(s, row, params) for s in spec[1:4])
+        if value is None or low is None or high is None:
+            return None
+        return _negate(low <= value <= high, spec[4])
+    if kind == "in":
+        value = reference(spec[1], row, params)
+        if value is None:
+            return None
+        items = [reference(item, row, params) for item in spec[2]]
+        if value in [item for item in items if item is not None]:
+            return _negate(True, spec[3])
+        return None if None in items else _negate(False, spec[3])
+    if kind == "like":
+        value = reference(spec[1], row, params)
+        pattern = reference(spec[2], row, params)
+        if value is None or pattern is None:
+            return None
+        return _negate(_like(pattern, value), spec[3])
+    if kind == "case":
+        for cond, value in spec[1]:
+            if reference(cond, row, params) is True:
+                return reference(value, row, params)
+        return None if spec[2] is None else reference(spec[2], row, params)
+    if kind == "shift":
+        value = reference(spec[1], row, params)
+        if value is None:
+            return None
+        return value + datetime.timedelta(days=spec[2] * spec[3])
+    raise AssertionError(kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_bool_tree, _int_spec, _date_spec), _rows, _params)
+def test_compiled_tree_agrees_with_reference(spec, row, params):
+    expr = build_expr(spec)
+    bind = [node for node in expr.walk() if isinstance(node, ColumnRef)]
+    for node in bind:
+        node.bind(PROPERTY_SCHEMA)
+    compiled = expr.compile()
+    expected = reference(spec, row, params)
+    assert compiled(row, params) == expected
+    assert type(compiled(row, params)) is type(expected)
+    # the cold-path convenience is the same closure, called once
+    assert expr.eval(row, params) == expected
+
+
+class TestCompiledErrors:
+    """Error typing survives compilation, texts unchanged."""
+
+    @pytest.mark.parametrize("expr,message", [
+        (BinOp("<", Literal(1), Literal("a")), "cannot compare 1 < 'a'"),
+        (BinOp("+", Literal(1), Literal("a")), "cannot evaluate 1 + 'a'"),
+        (BinOp("/", Literal(1), Literal(0)), "division by zero"),
+        (BinOp("/", ColumnRef("t", "a"), BinOp("-", Literal(1), Literal(1))),
+         "division by zero"),
+        (ParamRef(3), "missing value for parameter 4"),
+        (ExtractExpr("YEAR", Literal(5)), "EXTRACT from non-date 5"),
+        (DateArithExpr(Literal(5), IntervalLiteral(1, "DAY"), 1),
+         "interval arithmetic on non-date 5"),
+        (FuncCall("FROBNICATE", [Literal(1)]), "unknown function FROBNICATE"),
+        (AggCall("SUM", Literal(1)),
+         "aggregate SUM evaluated outside aggregation"),
+        (SubqueryExpr(object(), "scalar"),
+         "subquery was never compiled by the planner"),
+    ])
+    def test_message(self, expr, message):
+        with pytest.raises(ExecutionError) as caught:
+            ev(expr)
+        assert str(caught.value) == message
+
+    def test_unbound_column(self):
+        with pytest.raises(ExecutionError) as caught:
+            ColumnRef("t", "a").eval((1,), ())
+        assert str(caught.value) == "unbound column t.a"
+
+    def test_constant_error_waits_for_a_row(self):
+        # Folding must not move an error from run time to compile time:
+        # ``WHERE 1/0 = 1`` over an empty table never raised.
+        compiled = BinOp("=", BinOp("/", Literal(1), Literal(0)),
+                         Literal(1)).compile()
+        with pytest.raises(ExecutionError, match="division by zero"):
+            compiled((), ())
+
+    def test_null_argument_hides_unknown_function(self):
+        assert ev(FuncCall("FROBNICATE", [Literal(None)])) is None
+
+
+class TestCompileTimeWork:
+    """What compilation does once so that no row has to."""
+
+    def test_literal_subtree_is_folded(self, monkeypatch):
+        calls = []
+        original = IntervalLiteral.add_to
+        monkeypatch.setattr(
+            IntervalLiteral, "add_to",
+            lambda self, date, sign: calls.append(date)
+            or original(self, date, sign))
+        cutoff = DateArithExpr(Literal(datetime.date(1998, 12, 1)),
+                               IntervalLiteral(90, "DAY"), -1)
+        compiled = BinOp("<=", ColumnRef(None, "c"), cutoff) \
+            .bind(SCHEMA).compile()
+        assert len(calls) == 1
+        for day in range(1, 20):
+            assert compiled((0, 0, datetime.date(1998, 9, day)), ()) \
+                is (day <= 2)
+        assert len(calls) == 1
+
+    def test_literal_in_list_probes_a_set(self):
+        class Loud(int):
+            """An int that counts how often it is compared."""
+            compared = 0
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                Loud.compared += 1
+                return int(self) == other
+
+        items = [Literal(Loud(n)) for n in range(50)]
+        compiled = InListExpr(ColumnRef("t", "a"), items) \
+            .bind(SCHEMA).compile()
+        assert compiled((49, 0, 0), ()) is True
+        assert compiled((77, 0, 0), ()) is False
+        assert Loud.compared <= 2  # not 50 + 50
+
+    def test_parameterised_like_compiles_one_regex(self, monkeypatch):
+        like_to_regex.cache_clear()
+        compiled = LikeExpr(ColumnRef("t", "a"), ParamRef(0)) \
+            .bind(SCHEMA).compile()
+        rows = [(f"PROMO {n}", 0, 0) for n in range(200)]
+        assert all(compiled(row, ("PROMO%",)) for row in rows)
+        info = like_to_regex.cache_info()
+        assert (info.misses, info.hits) == (1, 199)
+
+    @pytest.mark.parametrize("pattern,text,expected", [
+        ("a.c", "abc", False), ("a.c", "a.c", True),
+        ("(x)%", "(x)y", True), ("[ab]_", "[ab]c", True),
+        ("[ab]_", "ac", False), ("50%", "50 percent", True),
+        ("a_c", "a\nc", True), ("^$", "^$", True),
+    ])
+    def test_parameterised_like_metacharacters(self, pattern, text, expected):
+        assert ev(LikeExpr(Literal(text), ParamRef(0)),
+                  params=(pattern,)) is expected
+
+    def test_and_chain_is_one_closure_and_stops_at_false(self):
+        seen = []
+
+        class Probe(Literal):
+            def compile(self):
+                return lambda row, params: seen.append(self.value) \
+                    or self.value
+
+        chain = conjoin([Probe(True), Probe(None), Probe(False), Probe(True)])
+        assert chain.compile()((), ()) is False
+        assert seen == [True, None, False]

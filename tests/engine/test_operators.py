@@ -51,6 +51,12 @@ class TestPlumbing:
         op.predicate.bind(op.schema)
         assert list(op.rows(())) == [(2, 2), (3, 3)]
 
+    def test_filter_treats_null_as_not_satisfied(self, ctx):
+        op = Filter(ctx, source(ctx, [(1, 1), (None, 2), (3, 3)]),
+                    BinOp("<>", ColumnRef(None, "a"), Literal(1)))
+        op.predicate.bind(op.schema)
+        assert list(op.rows(())) == [(3, 3)]
+
     def test_project(self, ctx):
         expr = BinOp("*", ColumnRef(None, "a"), Literal(10))
         child = source(ctx, [(1, 0), (2, 0)])
