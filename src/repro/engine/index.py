@@ -24,19 +24,24 @@ from repro.sim.metrics import MetricsCollector
 #: bytes per entry beyond the key itself (rowid + slot overhead)
 ENTRY_OVERHEAD_BYTES = 8
 
-# Sortable wrapper so NULL keys order before everything else.
+# Sortable wrapper so NULL keys order before everything else: a value
+# is ``(1, value)`` in a key, NULL is ``_NULL_KEY``.
 _NULL_KEY = (0, 0)
-
-
-def _sortable(value: object) -> tuple:
-    if value is None:
-        return _NULL_KEY
-    return (1, value)
 
 
 def make_key(values: tuple) -> tuple:
     """Build a total-order-safe key tuple from column values."""
-    return tuple(_sortable(v) for v in values)
+    return tuple([_NULL_KEY if v is None else (1, v) for v in values])
+
+
+def _compile_key_of_row(positions: list[int]):
+    """``row -> make_key(row[p] for p in positions)`` as one expression
+    with the positions written into it, built once per index."""
+    parts = "".join(
+        f"(NULL if (v := row[{pos}]) is None else (1, v)), "
+        for pos in positions
+    )
+    return eval(f"lambda row: ({parts})", {"NULL": _NULL_KEY})
 
 
 class BTreeIndex:
@@ -68,30 +73,34 @@ class BTreeIndex:
         )
         self.entry_byte_width = key_bytes + ENTRY_OVERHEAD_BYTES
         self.entries_per_page = max(2, page_size_bytes // self.entry_byte_width)
-        # Parallel arrays: sort keys and (key, rowid) payloads.
-        self._keys: list[tuple] = []
+        self._file_name = f"idx:{name}"
+        #: ``row -> key``: the indexed columns of a row as ``make_key``
+        #: would wrap them
+        self.key_of_row = _compile_key_of_row(self.column_positions)
+        # the all-NULL key, which a unique index admits any number of
+        self._null_key = (_NULL_KEY,) * len(self.column_positions)
+        # ``(key, rowid)`` entries in sort order
         self._entries: list[tuple[tuple, int]] = []
         self._bulk_pending = 0
-
-    # -- key helpers ----------------------------------------------------
-
-    def key_of_row(self, row: tuple) -> tuple:
-        return make_key(tuple(row[pos] for pos in self.column_positions))
 
     # -- maintenance -----------------------------------------------------
 
     def insert(self, row: tuple, rowid: int, bulk: bool = False) -> None:
         key = self.key_of_row(row)
-        pos = bisect.bisect_left(self._keys, (key, rowid))
-        if self.unique:
-            probe = bisect.bisect_left(self._keys, (key, -1))
-            if probe < len(self._keys) and self._entries[probe][0] == key:
-                if key != (_NULL_KEY,) * len(self.column_positions):
-                    raise ExecutionError(
-                        f"unique index {self.name} violated for key {key}"
-                    )
-        self._keys.insert(pos, (key, rowid))
-        self._entries.insert(pos, (key, rowid))
+        entry = (key, rowid)
+        entries = self._entries
+        if not entries or entries[-1] < entry:
+            # what sorted input (bulk load, direct path, ingest_sorted)
+            # delivers: the position a bisect would find, without one
+            pos = len(entries)
+        else:
+            pos = bisect.bisect_left(entries, entry)
+        # Entries of one key are adjacent and ``pos`` lies among them.
+        if self.unique and key != self._null_key and (
+                (pos < len(entries) and entries[pos][0] == key)
+                or (pos and entries[pos - 1][0] == key)):
+            raise self._violation(key)
+        entries.insert(pos, entry)
         if bulk:
             # Deferred index build: page writes amortise over a full
             # leaf, as a bulk loader's sort-and-build pass would.
@@ -105,16 +114,37 @@ class BTreeIndex:
         self._buffer.write(self._file_name, self._leaf_page(pos))
 
     def delete(self, row: tuple, rowid: int) -> None:
-        key = self.key_of_row(row)
-        pos = bisect.bisect_left(self._keys, (key, rowid))
-        if pos >= len(self._keys) or self._keys[pos] != (key, rowid):
+        entry = (self.key_of_row(row), rowid)
+        pos = bisect.bisect_left(self._entries, entry)
+        if pos >= len(self._entries) or self._entries[pos] != entry:
             raise ExecutionError(
                 f"index {self.name}: missing entry for rowid {rowid}"
             )
-        del self._keys[pos]
         del self._entries[pos]
         self._charge_traverse()
         self._buffer.write(self._file_name, self._leaf_page(pos))
+
+    def check_unique(self, row: tuple, own_rowid: int | None = None) -> None:
+        """Raise what ``insert(row, ...)`` would raise on a unique
+        violation, before anything is mutated and without touching the
+        clock, the metrics or the buffer pool.  An update passes the
+        row's ``own_rowid``: its old entry is no conflict."""
+        if not self.unique:
+            return
+        key = self.key_of_row(row)
+        if key == self._null_key:
+            return
+        entries = self._entries
+        idx = bisect.bisect_left(entries, (key, -1))
+        while idx < len(entries) and entries[idx][0] == key:
+            if entries[idx][1] != own_rowid:
+                raise self._violation(key)
+            idx += 1
+
+    def _violation(self, key: tuple) -> ExecutionError:
+        return ExecutionError(
+            f"unique index {self.name} violated for key {key}"
+        )
 
     # -- lookups -----------------------------------------------------------
 
@@ -122,7 +152,7 @@ class BTreeIndex:
         """Rowids whose key equals ``values`` (full-key match)."""
         key = make_key(values)
         self._charge_traverse()
-        lo = bisect.bisect_left(self._keys, (key, -1))
+        lo = bisect.bisect_left(self._entries, (key, -1))
         out: list[int] = []
         touched_pages: set[int] = set()
         idx = lo
@@ -135,7 +165,7 @@ class BTreeIndex:
             idx += 1
         if not touched_pages:
             self._buffer.access(
-                self._file_name, self._leaf_page(min(lo, max(len(self._keys) - 1, 0))),
+                self._file_name, self._leaf_page(min(lo, max(len(self._entries) - 1, 0))),
                 sequential=False,
             )
         self._metrics.count("index.eq_lookups")
@@ -145,7 +175,7 @@ class BTreeIndex:
         """All entries whose key starts with ``values`` (prefix match)."""
         prefix = make_key(values)
         self._charge_traverse()
-        lo = bisect.bisect_left(self._keys, (prefix, -1))
+        lo = bisect.bisect_left(self._entries, (prefix, -1))
         self._metrics.count("index.prefix_scans")
         yield from self._walk_leaves_while(
             lo, lambda key: key[: len(prefix)] == prefix
@@ -168,7 +198,7 @@ class BTreeIndex:
         if low is not None:
             low_key = make_key(low)
             if low_inclusive:
-                start = bisect.bisect_left(self._keys, (low_key, -1))
+                start = bisect.bisect_left(self._entries, (low_key, -1))
             else:
                 start = self._advance_past(low_key)
         else:
@@ -193,7 +223,7 @@ class BTreeIndex:
     # -- internals ---------------------------------------------------------
 
     def _advance_past(self, low_key: tuple) -> int:
-        idx = bisect.bisect_left(self._keys, (low_key, -1))
+        idx = bisect.bisect_left(self._entries, (low_key, -1))
         while idx < len(self._entries) and \
                 self._entries[idx][0][: len(low_key)] == low_key:
             idx += 1
@@ -262,10 +292,6 @@ class BTreeIndex:
             0, math.ceil(math.log(max(self.leaf_page_count, 1), self.entries_per_page))
         )
 
-    @property
-    def _file_name(self) -> str:
-        return f"idx:{self.name}"
-
 
 class HashIndex:
     """Equality-only index (kept for completeness; catalog may create it)."""
@@ -306,13 +332,23 @@ class HashIndex:
         key = self.key_of_row(row)
         bucket = self._buckets.setdefault(key, [])
         if self.unique and bucket:
-            raise ExecutionError(f"unique hash index {self.name} violated")
+            raise self._violation()
         bucket.append(rowid)
         self._count += 1
         if bulk and self._count % self.entries_per_page:
             return
         self._buffer.write(self._file_name, hash(key) % 1024,
                            fresh=bulk)
+
+    def check_unique(self, row: tuple, own_rowid: int | None = None) -> None:
+        """As ``BTreeIndex.check_unique``: uncharged, before mutation."""
+        if self.unique and any(
+                rowid != own_rowid
+                for rowid in self._buckets.get(self.key_of_row(row), ())):
+            raise self._violation()
+
+    def _violation(self) -> ExecutionError:
+        return ExecutionError(f"unique hash index {self.name} violated")
 
     def delete(self, row: tuple, rowid: int) -> None:
         key = self.key_of_row(row)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.engine.errors import CatalogError
 from repro.engine.types import SqlType
@@ -84,6 +85,28 @@ class TableSchema:
             raise CatalogError(
                 f"row width {len(row)} != {len(self.columns)} for {self.name}"
             )
-        return tuple(
-            col.sql_type.validate(value) for col, value in zip(self.columns, row)
-        )
+        return self._validate_cells(row)
+
+    @cached_property
+    def _validate_cells(self):
+        """The row validator, compiled at the schema's first row.
+
+        One unrolled function: per cell the exact-type (and string
+        length) test under which ``SqlType.validate`` would return the
+        value as it is.  Only a cell that fails the test is handed to
+        ``SqlType.validate``, which alone defines coercion and errors.
+        """
+        cells = [f"v{i}" for i in range(len(self.columns))]
+        lines = ["def validate_cells(row):", f"    [{', '.join(cells)}] = row"]
+        names: dict[str, object] = {}
+        for cell, col in zip(cells, self.columns):
+            sql_type = col.sql_type
+            names[f"type_{cell}"] = sql_type.exact_type
+            names[f"validate_{cell}"] = sql_type.validate
+            test = f"type({cell}) is not type_{cell}"
+            if sql_type.exact_type is str:
+                test += f" or len({cell}) > {sql_type.length}"
+            lines.append(f"    if {test}: {cell} = validate_{cell}({cell})")
+        lines.append(f"    return ({''.join(c + ', ' for c in cells)})")
+        exec("\n".join(lines), names)
+        return names["validate_cells"]

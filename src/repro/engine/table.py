@@ -53,6 +53,9 @@ class Table:
             raise ValueError(f"unknown storage backend {storage!r}")
         self.indexes: dict[str, Index] = {}
         self._pk_index: Index | None = None
+        self._pk_positions = [
+            schema.column_index(c) for c in schema.primary_key
+        ]
         #: the database's WriteAheadLog, or None when durability is off
         #: (the zero-touch default); set by Database at create time
         self.wal = None
@@ -96,6 +99,8 @@ class Table:
         """
         row = self.schema.validate_row(row)
         self._check_primary_key(row)
+        # the charged probe above has just cleared the primary index
+        self._check_unique(row, skip=self._pk_index)
         rowid = self.store.append(row, bulk)
         self._metrics.count(f"table.{self.name}.inserts")
         for index in self.indexes.values():
@@ -117,6 +122,7 @@ class Table:
 
     def update(self, rowid: int, new_row: tuple) -> None:
         new_row = self.schema.validate_row(new_row)
+        self._check_unique(new_row, own_rowid=rowid)
         old_row = self.store.fetch(rowid)
         for index in self.indexes.values():
             index.delete(old_row, rowid)
@@ -143,12 +149,10 @@ class Table:
             index.insert(row, rowid)
 
     def _check_primary_key(self, row: tuple) -> None:
-        if not self.schema.primary_key or self._pk_index is None:
+        if not self._pk_positions or self._pk_index is None:
             return
-        key = tuple(
-            row[self.schema.column_index(c)] for c in self.schema.primary_key
-        )
-        if any(v is None for v in key):
+        key = tuple([row[pos] for pos in self._pk_positions])
+        if None in key:
             raise ConstraintError(
                 f"NULL in primary key of {self.name}: {key}"
             )
@@ -156,6 +160,16 @@ class Table:
             raise ConstraintError(
                 f"duplicate primary key in {self.name}: {key}"
             )
+
+    def _check_unique(self, row: tuple, own_rowid: int | None = None,
+                      skip: Index | None = None) -> None:
+        """Probe the unique indexes before the first mutation, so that
+        a violating statement leaves store and indexes as they were.
+        The probes are uncharged: a statement that passes costs what it
+        cost before they existed."""
+        for index in self.indexes.values():
+            if index is not skip:
+                index.check_unique(row, own_rowid)
 
     # -- access ---------------------------------------------------------------
 

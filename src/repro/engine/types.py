@@ -23,6 +23,18 @@ class TypeKind(enum.Enum):
     DATE = "DATE"
 
 
+#: per kind, the Python type whose instances ``SqlType.validate``
+#: returns as they are (a ``str`` only within the declared length).
+#: Exact types: ``bool`` is not ``int`` here, ``datetime`` is not ``date``.
+_EXACT_TYPES = {
+    TypeKind.INTEGER: int,
+    TypeKind.DECIMAL: float,
+    TypeKind.CHAR: str,
+    TypeKind.VARCHAR: str,
+    TypeKind.DATE: datetime.date,
+}
+
+
 @dataclass(frozen=True)
 class SqlType:
     """A SQL column type with storage width semantics.
@@ -76,6 +88,13 @@ class SqlType:
         raise AssertionError(f"unhandled kind {self.kind}")
 
     # -- value handling ------------------------------------------------
+
+    @property
+    def exact_type(self) -> type:
+        """``type(value) is exact_type`` (and, for a string,
+        ``len(value) <= length``) means ``validate(value) is value``:
+        the test a compiled row validator makes instead of the call."""
+        return _EXACT_TYPES[self.kind]
 
     def validate(self, value: object) -> object:
         """Coerce/validate a Python value for this type; None passes."""

@@ -13,6 +13,7 @@ as in the paper); the remaining 15 are transparent.
 from __future__ import annotations
 
 import datetime
+from functools import cached_property
 
 from repro.engine.types import SqlType, TypeKind
 from repro.r3.appserver import R3System
@@ -66,7 +67,7 @@ class SapTableInfo:
     def fields(self) -> list[DDicField]:
         return self.semantic_fields + self.filler_fields
 
-    @property
+    @cached_property
     def filler_defaults(self) -> tuple:
         return tuple(
             _DEFAULTS[f.sql_type.kind] for f in self.filler_fields

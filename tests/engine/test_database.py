@@ -8,6 +8,7 @@ from repro.engine import Column, Database, SqlType, TableSchema
 from repro.engine.errors import (
     CatalogError,
     ConstraintError,
+    ExecutionError,
     PlanError,
     SqlSyntaxError,
 )
@@ -270,6 +271,78 @@ class TestDml:
         db.execute("UPDATE emp SET id = 500 WHERE id = 0")
         assert db.execute(
             "SELECT name FROM emp WHERE id = 500").scalar() == "e00"
+
+
+class TestUniqueViolationLeavesNoTrace:
+    """A statement that violates a unique index fails before its first
+    mutation: store, every index and the digest are as they were."""
+
+    @staticmethod
+    def _state(database):
+        table = database.catalog.table("t")
+        return (table.row_count,
+                {name: index.entry_count
+                 for name, index in table.indexes.items()},
+                sorted(table.store.rows()),
+                database.content_digest())
+
+    @pytest.fixture(params=[("heap", "btree"), ("heap", "hash"),
+                            ("lsm", "btree")])
+    def unique_db(self, request):
+        storage, kind = request.param
+        database = Database(storage=storage)
+        database.create_table(TableSchema("t", [
+            Column("a", SqlType.integer(), nullable=False),
+            Column("b", SqlType.integer()),
+            Column("c", SqlType.integer()),
+        ], primary_key=["a"]))
+        database.catalog.create_index("ub", "t", ["b"], unique=True,
+                                      kind=kind)
+        # after ``ub`` in maintenance order: the index a torn statement
+        # used to leave behind
+        database.create_index("ic", "t", ["c"])
+        database.execute("INSERT INTO t VALUES (1, 10, 7), (3, 30, 7)")
+        return database
+
+    def test_failed_insert(self, unique_db):
+        before = self._state(unique_db)
+        with pytest.raises(ExecutionError, match="unique .*index ub"):
+            unique_db.execute("INSERT INTO t VALUES (2, 10, 7)")
+        assert self._state(unique_db) == before
+        assert unique_db.execute("SELECT a FROM t ORDER BY a").rows == \
+            [(1,), (3,)]
+
+    def test_failed_update_of_a_unique_column(self, unique_db):
+        before = self._state(unique_db)
+        with pytest.raises(ExecutionError, match="unique .*index ub"):
+            unique_db.execute("UPDATE t SET b = 10 WHERE a = 3")
+        assert self._state(unique_db) == before
+        assert unique_db.execute(
+            "SELECT a FROM t WHERE c = 7 ORDER BY a").rows == [(1,), (3,)]
+
+    def test_failed_update_onto_an_existing_primary_key(self, unique_db):
+        before = self._state(unique_db)
+        with pytest.raises(ExecutionError, match="unique index pk_t"):
+            unique_db.execute("UPDATE t SET a = 1 WHERE a = 3")
+        assert self._state(unique_db) == before
+
+    def test_update_may_keep_its_own_key(self, unique_db):
+        unique_db.execute("UPDATE t SET c = 8 WHERE a = 3")
+        unique_db.execute("UPDATE t SET b = 30, a = 3 WHERE a = 3")
+        assert unique_db.execute(
+            "SELECT a, b, c FROM t ORDER BY a").rows == \
+            [(1, 10, 7), (3, 30, 8)]
+
+    def test_probe_charges_nothing(self, unique_db):
+        table = unique_db.catalog.table("t")
+        now, counters = unique_db.clock.now, unique_db.metrics.all()
+        for index in table.indexes.values():
+            index.check_unique((5, 50, 7))
+            index.check_unique((3, 30, 7), 1)  # the row's own entries
+        with pytest.raises(ExecutionError):
+            table.indexes["ub"].check_unique((5, 10, 7))
+        assert (unique_db.clock.now, unique_db.metrics.all()) == \
+            (now, counters)
 
 
 class TestPreparedStatements:
