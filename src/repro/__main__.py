@@ -1,71 +1,17 @@
-"""Command-line entry point: ``python -m repro <experiment>``.
+"""Command-line entry point: ``python -m repro <command>``.
 
-Runs any of the paper's experiments from the shell:
+One subcommand per experiment, each registered by the package that owns
+it (its ``cli.py``); ``python -m repro <command> --help`` shows that
+command's options and usage examples:
 
     python -m repro power --release 3.0 --sf 0.002
-    python -m repro dbsize
-    python -m repro loading --sf 0.0005
-    python -m repro plan-trap
-    python -m repro aggregation
-    python -m repro caching
-    python -m repro warehouse
-    python -m repro eis
+    python -m repro chaos --help
 
-the tracer over the power test:
-
-    python -m repro trace power --release 2.2 --sf 0.002 --format=text
-    python -m repro trace power --format=chrome --trace-out trace.json
-
-the static analyzer over the report sources:
-
-    python -m repro lint --format=json
-
-the rule-driven report rewriter (plans 2.2->3.0 pushdown rewrites from
-the analyzer's findings; --check proves each one by running original
-and rewritten reports against the same seeded database):
-
-    python -m repro rewrite
-    python -m repro rewrite --diff
-    python -m repro rewrite --check --family open22 --sf 0.001 \
-        --report rewrite-report.json
-
-the benchmark-result differ (``--gate`` turns it into a CI regression
-gate: exit 1 when any extra_info field moved more than the threshold):
-
-    python -m repro bench-diff BENCH_old.json BENCH_new.json
-    python -m repro bench-diff BENCH_base.json BENCH_new.json \
-        --gate 10 --gate-allow wall_s,overhead_pct
-
-the always-on workload monitor (runs a monitored throughput workload
-and prints the ST03/ST04-style report with CCMS alerts):
-
-    python -m repro monitor --profile --sf 0.001
-    python -m repro monitor --alerts --stat-records --format=json \
-        --monitor-out workload-report.json
-
-the chaos harness (dispatcher-scheduled throughput under fault
-storms; exits 1 if any robustness invariant is violated):
-
-    python -m repro chaos --streams 4 --profile light --sf 0.001
-    python -m repro chaos --streams 2,4,8 --profile all --chaos-out chaos.json
-
-the app-server failover scenario (multi-server scale-out with a
-mid-run crash; exits 1 if any scale-out invariant is violated):
-
-    python -m repro chaos --kill-appserver --servers 1,2,4 --sf 0.001
-    python -m repro chaos --kill-appserver --routing round_robin \
-        --sync-period 2.0 --chaos-out scaleout.json
-
-the crash-point fuzzer (kill the engine at sampled WAL/checkpoint
-boundaries, recover, resume, compare digests; exits 1 on divergence):
-
-    python -m repro chaos --crash-fuzz --fuzz-workloads load --sf 0.0002
-    python -m repro chaos --crash-fuzz --fuzz-sample 12 --chaos-out fuzz.json
-
-and a single crash/recover demonstration printing the ARIES pass
-statistics:
-
-    python -m repro recover --sf 0.0002 --crash-at 120 --torn
+Exit status: 0 success; 1 an invariant, gate or lint failure; 2 a usage
+or input error.  :func:`main` holds the only handler that turns an
+exception into status 2 — any :class:`~repro.errors.ReproError` or
+``OSError`` becomes one ``repro <command>: <message>`` line on stderr.
+Anything else is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -73,467 +19,48 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import experiments as ex
-from repro.core.powertest import build_sap_system, run_power_test
-from repro.core.results import duration_cell, kb_cell, render_table
-from repro.r3.appserver import R3Version
-from repro.sim.clock import format_duration
-from repro.tpcd.dbgen import generate
+from repro.analysis import cli as lint_cli
+from repro.analysis.rewrite import cli as rewrite_cli
+from repro.cli import ReproParser
+from repro.core import cli as core_cli
+from repro.errors import ReproError
+from repro.monitor import cli as monitor_cli
+from repro.sim import cli as sim_cli
+from repro.trace import cli as trace_cli
+
+_PACKAGES = (core_cli, trace_cli, lint_cli, rewrite_cli, sim_cli,
+             monitor_cli)
 
 
-#: sentinel for a bare ``--profile`` (the monitor's section flag);
-#: chaos treats it as "all"
-PROFILE_FLAG = "__flag__"
-
-
-def _version(args) -> R3Version:
-    return R3Version.V22 if args.release == "2.2" else R3Version.V30
-
-
-def _build_30(args):
-    return build_sap_system(generate(args.sf), R3Version.V30)
-
-
-def cmd_power(args) -> None:
-    result = run_power_test(args.sf, _version(args),
-                            include_updates=not args.no_updates,
-                            degree=args.degree, storage=args.storage)
-    print(result.render())
-
-
-def cmd_dbsize(args) -> None:
-    result = ex.table2_dbsize(scale_factor=args.sf)
-    rows = [
-        [entity, kb_cell(e["orig_data"]), kb_cell(e["orig_index"]),
-         kb_cell(e["sap_data"]), kb_cell(e["sap_index"])]
-        for entity, e in result.entities.items()
-    ]
-    print(render_table(
-        ["", "Orig Data KB", "Orig Idx KB", "SAP Data KB", "SAP Idx KB"],
-        rows, title=f"Table 2 at SF={args.sf}",
-    ))
-    print(f"inflation: data {result.data_inflation:.1f}x, "
-          f"index {result.index_inflation:.1f}x")
-
-
-def cmd_loading(args) -> None:
-    timings = ex.table3_loading(scale_factor=args.sf,
-                                storage=args.storage)
-    for entity in ("SUPPLIER", "PART", "PARTSUPP", "CUSTOMER",
-                   "ORDER+LINEITEM"):
-        print(f"{entity:16} {duration_cell(timings.effective(entity))}")
-
-
-def cmd_plan_trap(args) -> None:
-    result = ex.table6_plan_choice(_build_30(args))
-    for (interface, label), seconds in sorted(result.times.items()):
-        print(f"{interface:>6} / {label:<4} "
-              f"{duration_cell(seconds):>10} "
-              f"({result.rows[(interface, label)]} rows)")
-
-
-def cmd_aggregation(args) -> None:
-    result = ex.table7_aggregation(_build_30(args))
-    print(f"native {duration_cell(result.native_s)}  "
-          f"open {duration_cell(result.open_s)}  "
-          f"match={result.rows_match}")
-
-
-def cmd_caching(args) -> None:
-    result = ex.table8_caching(_build_30(args))
-    for label, (hit_ratio, cost) in result.configs.items():
-        print(f"{label:<6} hit {hit_ratio:>4.0%}  "
-              f"cost {duration_cell(cost)}")
-
-
-def cmd_warehouse(args) -> None:
-    results = ex.table9_warehouse(_build_30(args))
-    total = 0.0
-    for name, entry in results.items():
-        total += entry.elapsed_s
-        print(f"{name:10} {entry.rows:7} rows  "
-              f"{duration_cell(entry.elapsed_s)}")
-    print(f"{'total':10} {'':>12} {duration_cell(total)}")
-
-
-def cmd_eis(args) -> None:
-    from repro.warehouse.eis import EisWarehouse, breakeven_queries
-    from repro.reports import open30
-
-    r3 = _build_30(args)
-    warehouse = EisWarehouse.build_from_sap(r3)
-    eis_total = warehouse.run_power_test(args.sf)
-    suite = open30.make_queries(args.sf)
-    span = r3.measure()
-    for number in range(1, 18):
-        suite[number](r3)
-    open_total = span.stop()
-    rounds = breakeven_queries(warehouse.build.total_s, open_total,
-                               eis_total)
-    print(f"construction {format_duration(warehouse.build.total_s)}, "
-          f"power test on EIS {format_duration(eis_total)}, "
-          f"via Open SQL {format_duration(open_total)}")
-    print(f"break-even after ~{rounds:.1f} power-test rounds")
-
-
-def cmd_lint(args) -> int:
-    from repro.analysis.cli import run_lint_command
-
-    if args.format == "chrome":
-        print("lint: --format=chrome is only valid for 'trace'",
-              file=sys.stderr)
-        return 2
-    return run_lint_command(args)
-
-
-def cmd_rewrite(args) -> int:
-    from repro.analysis.rewrite.cli import run_rewrite_command
-
-    if args.format == "chrome":
-        print("rewrite: --format=chrome is only valid for 'trace'",
-              file=sys.stderr)
-        return 2
-    return run_rewrite_command(args)
-
-
-def cmd_trace(args) -> int:
-    from repro.trace.cli import run_trace_command
-
-    return run_trace_command(args)
-
-
-def cmd_chaos(args) -> int:
-    import json
-
-    from repro.sim.chaos import CHAOS_PROFILES, run_chaos
-
-    if args.format == "chrome":
-        print("chaos: --format=chrome is only valid for 'trace'",
-              file=sys.stderr)
-        return 2
-    if args.crash_fuzz:
-        from repro.sim.crashfuzz import FUZZ_WORKLOADS, run_crash_fuzz
-
-        workloads = tuple(
-            part.strip() for part in args.fuzz_workloads.split(",")
-            if part.strip())
-        bad = [w for w in workloads if w not in FUZZ_WORKLOADS]
-        if bad:
-            print(f"chaos: unknown --fuzz-workloads entries {bad} "
-                  f"(choose from {', '.join(FUZZ_WORKLOADS)})",
-                  file=sys.stderr)
-            return 2
-        report = run_crash_fuzz(
-            scale_factor=args.sf, workloads=workloads,
-            commit_interval=args.commit_interval,
-            sample=args.fuzz_sample or None,
-            storage=args.storage)
-        payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.chaos_out:
-            with open(args.chaos_out, "w") as handle:
-                handle.write(payload + "\n")
-        if args.format == "json":
-            print(payload)
-        else:
-            print(report.render())
-            if args.chaos_out:
-                print(f"report written to {args.chaos_out}")
-        return 0 if report.ok else 1
-    if args.kill_appserver:
-        from repro.sim.chaos import run_kill_appserver
-
-        try:
-            server_counts = tuple(
-                int(part) for part in args.servers.split(",")
-                if part.strip())
-        except ValueError:
-            print(f"chaos: bad --servers value {args.servers!r} "
-                  f"(expected e.g. '2' or '1,2,4')", file=sys.stderr)
-            return 2
-        if not server_counts or any(n < 1 for n in server_counts):
-            print(f"chaos: --servers must list positive integers: "
-                  f"{args.servers!r}", file=sys.stderr)
-            return 2
-        if args.routing not in ("sticky", "round_robin"):
-            print(f"chaos: unknown --routing {args.routing!r} (choose "
-                  f"from sticky, round_robin)", file=sys.stderr)
-            return 2
-        # --streams defaults to the sweep list "2,4,8"; the scale-out
-        # scenario wants one stream count, so only a single integer is
-        # taken over, anything else falls back to the default 6.
-        streams = 6
-        if "," not in args.streams:
-            try:
-                streams = int(args.streams)
-            except ValueError:
-                pass
-        report = run_kill_appserver(
-            scale_factor=args.sf, server_counts=server_counts,
-            streams=streams, routing=args.routing,
-            sync_period_s=args.sync_period)
-        payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.chaos_out:
-            with open(args.chaos_out, "w") as handle:
-                handle.write(payload + "\n")
-        if args.format == "json":
-            print(payload)
-        else:
-            print(report.render())
-            if args.chaos_out:
-                print(f"report written to {args.chaos_out}")
-        return 0 if report.ok else 1
-    try:
-        stream_counts = tuple(
-            int(part) for part in args.streams.split(",") if part.strip())
-    except ValueError:
-        print(f"chaos: bad --streams value {args.streams!r} "
-              f"(expected e.g. '4' or '2,4,8')", file=sys.stderr)
-        return 2
-    if not stream_counts or any(s < 1 for s in stream_counts):
-        print(f"chaos: --streams must list positive integers: "
-              f"{args.streams!r}", file=sys.stderr)
-        return 2
-    # --profile doubles as the monitor command's section flag, so
-    # argparse cannot enforce choices; validate here.
-    profile = args.profile
-    if profile is None or profile == PROFILE_FLAG:
-        profile = "all"
-    if profile != "all" and profile not in CHAOS_PROFILES:
-        print(f"chaos: unknown --profile {profile!r} (choose from "
-              f"none, light, heavy, all)", file=sys.stderr)
-        return 2
-    profiles = (tuple(sorted(CHAOS_PROFILES, key=("none", "light",
-                                                  "heavy").index))
-                if profile == "all" else (profile,))
-    report = run_chaos(scale_factor=args.sf, stream_counts=stream_counts,
-                       profiles=profiles)
-    payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    if args.chaos_out:
-        with open(args.chaos_out, "w") as handle:
-            handle.write(payload + "\n")
-    if args.format == "json":
-        print(payload)
-    else:
-        print(report.render())
-        if args.chaos_out:
-            print(f"report written to {args.chaos_out}")
-    return 0 if report.ok else 1
-
-
-def cmd_recover(args) -> int:
-    import json
-
-    from repro.sim.crashfuzz import _WORKLOADS, _census, _run_trial
-    from repro.sim.params import SimParams
-    from repro.tpcd.dbgen import generate
-
-    workload = _WORKLOADS[args.fuzz_workloads.split(",")[0].strip()
-                          if args.fuzz_workloads else "load"]
-    data = generate(args.sf)
-    boundaries, kinds, reference = _census(
-        workload, data, args.commit_interval, SimParams)
-    k = args.crash_at if args.crash_at is not None \
-        else max(1, boundaries // 2)
-    if k > boundaries:
-        print(f"recover: --crash-at {k} exceeds the workload's "
-              f"{boundaries} durability boundaries", file=sys.stderr)
-        return 2
-    mode = "torn" if args.torn else "clean"
-    trial = _run_trial(workload, data, args.commit_interval, k, mode,
-                       reference, SimParams)
-    payload = json.dumps(trial.to_json(), indent=2, sort_keys=True)
-    if args.format == "json":
-        print(payload)
-    else:
-        print(f"workload {workload.name!r}: {boundaries} durability "
-              f"boundaries ({', '.join(sorted(kinds))})")
-        print(f"crashed at boundary {k} ({trial.kind}), "
-              f"mode {trial.mode}")
-        print(f"recovery: losers={trial.loser_txns} "
-              f"redo={trial.redo_applied} undo={trial.undo_applied} "
-              f"torn_tail_dropped={trial.torn_tail_dropped}")
-        print(f"resumed: {trial.resumed}; recovered digest "
-              f"{'matches' if trial.digest_ok else 'DIVERGES FROM'} "
-              f"the uncrashed reference")
-        if trial.error:
-            print(f"error: {trial.error}")
-    return 0 if trial.ok else 1
-
-
-def cmd_bench_diff(args) -> int:
-    from repro.core.benchdiff import run_bench_diff
-
-    if args.format == "chrome":
-        print("bench-diff: --format=chrome is only valid for 'trace'",
-              file=sys.stderr)
-        return 2
-    return run_bench_diff(args)
-
-
-def cmd_monitor(args) -> int:
-    from repro.monitor.cli import run_monitor_command
-
-    if args.format == "chrome":
-        print("monitor: --format=chrome is only valid for 'trace'",
-              file=sys.stderr)
-        return 2
-    return run_monitor_command(args)
-
-
-COMMANDS = {
-    "power": cmd_power,
-    "trace": cmd_trace,
-    "lint": cmd_lint,
-    "rewrite": cmd_rewrite,
-    "bench-diff": cmd_bench_diff,
-    "chaos": cmd_chaos,
-    "monitor": cmd_monitor,
-    "recover": cmd_recover,
-    "dbsize": cmd_dbsize,
-    "loading": cmd_loading,
-    "plan-trap": cmd_plan_trap,
-    "aggregation": cmd_aggregation,
-    "caching": cmd_caching,
-    "warehouse": cmd_warehouse,
-    "eis": cmd_eis,
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    parser = ReproParser(
         prog="python -m repro",
         description="Reproduce the SIGMOD'97 TPC-D / SAP R/3 experiments",
     )
-    parser.add_argument("experiment", choices=sorted(COMMANDS))
-    parser.add_argument("--sf", type=float, default=0.002,
-                        help="TPC-D scale factor (default 0.002)")
-    parser.add_argument("--release", choices=["2.2", "3.0"],
-                        default="3.0", help="R/3 release (power test)")
-    parser.add_argument("--no-updates", action="store_true",
-                        help="skip UF1/UF2 in the power test")
-    parser.add_argument("--storage", choices=["heap", "lsm"],
-                        default="heap",
-                        help="storage backend for power/loading/chaos "
-                             "runs (default: heap)")
-    parser.add_argument("--degree", type=int, default=1,
-                        help="intra-query parallel degree for the power "
-                             "test (default 1 = serial)")
-    trace = parser.add_argument_group("trace")
-    trace.add_argument("--top", type=int, default=10,
-                       help="operators in the hot-operator table "
-                            "(default 10)")
-    trace.add_argument("--trace-out", default=None,
-                       help="write the json/chrome trace to this file "
-                            "instead of stdout")
-    lint = parser.add_argument_group("lint")
-    lint.add_argument("paths", nargs="*",
-                      help="experiment to trace (default: power), "
-                           "files/directories to lint, or the two "
-                           "bench-diff inputs")
-    lint.add_argument("--format", choices=["text", "json", "chrome"],
-                      default="text",
-                      help="output format (chrome: trace only)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file (default: lint-baseline.json "
-                           "at the repo root)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report all findings as new")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="accept the current findings as the baseline")
-    lint.add_argument("--lint-scale", type=float, default=1.0,
-                      help="scale factor for lint cost estimates "
-                           "(default 1.0 — the paper's installation)")
-    rewrite = parser.add_argument_group("rewrite")
-    rewrite.add_argument("--check", action="store_true",
-                         help="rewrite: run the differential "
-                              "verification harness (exit 1 on any "
-                              "row mismatch or regression)")
-    rewrite.add_argument("--diff", action="store_true",
-                         help="rewrite: print unified diffs of the "
-                              "rewritten modules")
-    rewrite.add_argument("--report", default=None,
-                         help="rewrite: write the repro-rewrite-v1 "
-                              "JSON report to this file")
-    rewrite.add_argument("--rewrite-out", default=None,
-                         help="rewrite: write rewritten module sources "
-                              "to this directory")
-    rewrite.add_argument("--family", default=None,
-                         help="rewrite: comma-separated report "
-                              "families (default open22,native22)")
-    chaos = parser.add_argument_group("chaos")
-    chaos.add_argument("--streams", default="2,4,8",
-                       help="comma-separated stream counts to sweep "
-                            "(default 2,4,8)")
-    chaos.add_argument("--profile", nargs="?", const=PROFILE_FLAG,
-                       default=None,
-                       help="chaos: fault profile(s) to sweep (none, "
-                            "light, heavy, all; default all) / "
-                            "monitor: include the ST03 workload "
-                            "profile section")
-    chaos.add_argument("--chaos-out", default=None,
-                       help="also write the JSON chaos report to this "
-                            "file")
-    chaos.add_argument("--kill-appserver", action="store_true",
-                       help="chaos: run the multi-app-server failover "
-                            "sweep instead of the fault-profile sweep")
-    chaos.add_argument("--servers", default="1,2,4",
-                       help="kill-appserver: comma-separated server "
-                            "counts to sweep (default 1,2,4)")
-    chaos.add_argument("--routing", default="sticky",
-                       help="kill-appserver: login balancer policy "
-                            "(sticky or round_robin; default sticky)")
-    chaos.add_argument("--sync-period", type=float, default=5.0,
-                       help="kill-appserver: DDLOG buffer-coherence "
-                            "sync period in simulated seconds "
-                            "(default 5.0)")
-    monitor = parser.add_argument_group("monitor")
-    monitor.add_argument("--alerts", action="store_true",
-                         help="monitor: include the CCMS alert section")
-    monitor.add_argument("--stat-records", action="store_true",
-                         help="monitor: include the raw STAT-record "
-                              "ring")
-    monitor.add_argument("--monitor-streams", type=int, default=6,
-                         help="monitor: dialog streams for the "
-                              "monitored workload (default 6)")
-    monitor.add_argument("--window", type=float, default=1.0,
-                         help="monitor: gauge sample window in "
-                              "simulated seconds (default 1.0)")
-    monitor.add_argument("--monitor-out", default=None,
-                         help="monitor: also write the JSON workload "
-                              "report to this file")
-    bench = parser.add_argument_group("bench-diff")
-    bench.add_argument("--gate", type=float, default=None,
-                       help="bench-diff: fail (exit 1) when any "
-                            "extra_info field moved more than this "
-                            "many percent")
-    bench.add_argument("--gate-allow", default=None,
-                       help="bench-diff: comma-separated extra_info "
-                            "fields exempt from --gate")
-    fuzz = parser.add_argument_group("crash-fuzz / recover")
-    fuzz.add_argument("--crash-fuzz", action="store_true",
-                      help="chaos: run the crash-point fuzz sweep "
-                           "instead of the throughput sweep")
-    fuzz.add_argument("--fuzz-workloads", default="load",
-                      help="comma-separated crash-fuzz workloads "
-                           "(load, uf, power; default load)")
-    fuzz.add_argument("--fuzz-sample", type=int, default=24,
-                      help="sampled crash points per workload "
-                           "(default 24; 0 = every boundary)")
-    fuzz.add_argument("--commit-interval", type=int, default=8,
-                      help="batch-input commit interval for the fuzzed "
-                           "load (default 8)")
-    fuzz.add_argument("--crash-at", type=int, default=None,
-                      help="recover: durability boundary to crash at "
-                           "(default: the middle one)")
-    fuzz.add_argument("--torn", action="store_true",
-                      help="recover: leave the in-flight frame torn on "
-                           "the log tail")
-    return parser
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
+    commands: dict = {}
+    for package in _PACKAGES:
+        commands.update(package.register(sub))
+    return parser, commands
+
+
+#: command name -> function taking the parsed arguments
+COMMANDS = _build()[1]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.experiment](args) or 0
+    try:
+        return COMMANDS[args.command](args) or 0
+    except (ReproError, OSError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"repro {args.command}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

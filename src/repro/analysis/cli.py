@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+from repro import cli
 from repro.analysis.baseline import Baseline, default_baseline_path
 from repro.analysis.costmodel import SchemaInfo
 from repro.analysis.extractor import analyze_paths
@@ -85,3 +86,31 @@ def run_lint_command(args) -> int:
         write_baseline=args.write_baseline,
         scale=args.lint_scale,
     )
+
+
+def register(sub) -> dict:
+    """Add this package's subparser to ``sub``; returns name -> function."""
+    lint = cli.add_command(
+        sub, "lint",
+        "the static analyzer over the report sources (exit 1 on a "
+        "finding that is not in the baseline)",
+        """\
+  python -m repro lint
+  python -m repro lint --format=json > lint-report.json
+  python -m repro lint --no-baseline src/repro/reports/open22.py
+  python -m repro lint --write-baseline
+""", [cli.TEXT_OR_JSON])
+    lint.add_argument("paths", nargs="*",
+                      help="files/directories to lint (default: the "
+                           "report sources)")
+    lint.add_argument("--baseline", default=None,
+                      help="baseline file (default: lint-baseline.json "
+                           "at the repo root)")
+    lint.add_argument("--no-baseline", action="store_true",
+                      help="report all findings as new")
+    lint.add_argument("--write-baseline", action="store_true",
+                      help="accept the current findings as the baseline")
+    lint.add_argument("--lint-scale", type=cli.positive_float, default=1.0,
+                      help="scale factor for lint cost estimates "
+                           "(default 1.0 — the paper's installation)")
+    return {"lint": run_lint_command}

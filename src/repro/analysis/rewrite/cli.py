@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+from repro import cli
 from repro.analysis.costmodel import SchemaInfo
 from repro.analysis.rewrite.planner import plan_module
 from repro.analysis.rewrite.report import render_json, render_text
@@ -22,6 +23,7 @@ from repro.analysis.rewrite.verify import (
     reports_dir,
     verify_families,
 )
+from repro.errors import UsageError
 
 DEFAULT_FAMILIES = ["open22", "native22"]
 
@@ -37,10 +39,11 @@ def run_rewrite(families: list[str] | None = None,
     chosen = families or DEFAULT_FAMILIES
     unknown = [f for f in chosen if f not in FAMILIES]
     if unknown:
-        print(f"rewrite: unknown family(ies) {unknown} "
-              f"(choose from {', '.join(sorted(FAMILIES))})",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown family(ies) {unknown} "
+                         f"(choose from {', '.join(sorted(FAMILIES))})")
+    if rewrite_out is not None:
+        # before the (slow) verification, so a bad path fails at once
+        Path(rewrite_out).mkdir(parents=True, exist_ok=True)
 
     if check:
         results = verify_families(chosen, scale)
@@ -64,7 +67,6 @@ def run_rewrite(families: list[str] | None = None,
 
     if rewrite_out is not None:
         out_dir = Path(rewrite_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         written = set()
         for fam in results:
             for module in fam.modules:
@@ -95,13 +97,44 @@ def run_rewrite(families: list[str] | None = None,
 
 def run_rewrite_command(args) -> int:
     """Adapter for the ``python -m repro`` argument namespace."""
-    families = [part.strip() for part in args.family.split(",")
-                if part.strip()] if args.family else None
     return run_rewrite(
-        families=families,
+        families=list(args.family) if args.family else None,
         check=args.check,
         diff=args.diff,
         report_path=args.report,
         rewrite_out=args.rewrite_out,
         scale=args.sf,
     )
+
+
+def register(sub) -> dict:
+    """Add this package's subparser to ``sub``; returns name -> function."""
+    rewrite = cli.add_command(
+        sub, "rewrite",
+        "the rule-driven report rewriter: plans 2.2->3.0 pushdown "
+        "rewrites from the analyzer's findings; --check proves each one "
+        "by running original and rewritten reports against the same "
+        "seeded database",
+        """\
+  python -m repro rewrite
+  python -m repro rewrite --diff
+  python -m repro rewrite --check --family open22 --sf 0.001 \\
+      --report rewrite-report.json
+""", [cli.SF])
+    rewrite.add_argument("--check", action="store_true",
+                         help="run the differential verification "
+                              "harness (exit 1 on any row mismatch or "
+                              "regression)")
+    rewrite.add_argument("--diff", action="store_true",
+                         help="print unified diffs of the rewritten "
+                              "modules")
+    rewrite.add_argument("--report", type=cli.output_file, default=None,
+                         help="write the repro-rewrite-v1 JSON report "
+                              "to this file")
+    rewrite.add_argument("--rewrite-out", default=None,
+                         help="write rewritten module sources to this "
+                              "directory")
+    rewrite.add_argument("--family", type=cli.names, default=None,
+                         help="comma-separated report families "
+                              "(default open22,native22)")
+    return {"rewrite": run_rewrite_command}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from repro.errors import ReproError
 from repro.r3.opensql.ast import (
     OSAgg,
     OSBetween,
@@ -31,7 +32,7 @@ from repro.r3.opensql.ast import (
 _NUMBER = re.compile(r"^\d+(\.\d+)?$")
 
 
-class RenderError(Exception):
+class RenderError(ReproError):
     """The AST holds a value the Open SQL grammar cannot spell."""
 
 

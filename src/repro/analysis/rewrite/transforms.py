@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.analysis.costmodel import SchemaInfo
 from repro.analysis.extractor import _resolve_str
 from repro.analysis.rewrite.render import render_select
+from repro.errors import ReproError
 from repro.r3.ddic import TableKind
 from repro.r3.errors import OpenSqlError
 from repro.r3.opensql.ast import (
@@ -102,7 +103,7 @@ class Refusal:
         }
 
 
-class RewriteError(Exception):
+class RewriteError(ReproError):
     """An invariant the transformer relies on failed mid-apply."""
 
 

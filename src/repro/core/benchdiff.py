@@ -19,36 +19,38 @@ names or ``extra_info.<name>``), for values that are expected to move
 from __future__ import annotations
 
 import json
-import sys
 
 from repro.core.results import render_table
+from repro.errors import UsageError
 
 
 def _load(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _shape_error(record: object, path: str) -> str | None:
-    """Why ``record`` is not a BENCH_*.json dump, or None if it is.
+    """One ``BENCH_*.json`` dump; anything else is a :class:`UsageError`.
 
     Guards the diff against raw pytest-benchmark output (a JSON *list*
     of runs) and other foreign files, which used to surface as a
     KeyError/AttributeError traceback deep inside the field walk.
     """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            record = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not JSON ({exc})") from None
     if not isinstance(record, dict):
-        return (f"{path}: expected a BENCH_*.json object "
-                f"(got {type(record).__name__}); this is not a dump "
-                f"written by benchmarks/conftest.py")
+        raise UsageError(
+            f"{path}: expected a BENCH_*.json object "
+            f"(got {type(record).__name__}); this is not a dump "
+            f"written by benchmarks/conftest.py")
     if "name" not in record:
-        return (f"{path}: missing 'name' — not a BENCH_*.json dump "
-                f"(top-level keys: {sorted(record)[:6]})")
+        raise UsageError(
+            f"{path}: missing 'name' — not a BENCH_*.json dump "
+            f"(top-level keys: {sorted(record)[:6]})")
     for section in ("stats", "extra_info"):
         value = record.get(section)
         if value is not None and not isinstance(value, dict):
-            return (f"{path}: '{section}' should be an object, "
-                    f"got {type(value).__name__}")
-    return None
+            raise UsageError(f"{path}: '{section}' should be an object, "
+                             f"got {type(value).__name__}")
+    return record
 
 
 def _numeric_fields(record: dict, section: str) -> dict[str, float]:
@@ -120,43 +122,21 @@ def gate_violations(a: dict, b: dict, gate_pct: float,
 
 
 def run_bench_diff(args) -> int:
-    paths = getattr(args, "paths", None) or []
-    if len(paths) != 2:
-        print("bench-diff needs exactly two BENCH_*.json files",
-              file=sys.stderr)
-        return 2
-    gate_pct = getattr(args, "gate", None)
-    if gate_pct is not None and gate_pct < 0:
-        print(f"bench-diff: --gate must be >= 0: {gate_pct}",
-              file=sys.stderr)
-        return 2
-    allow = {
-        part.strip()
-        for part in (getattr(args, "gate_allow", None) or "").split(",")
-        if part.strip()
-    }
-    try:
-        a, b = _load(paths[0]), _load(paths[1])
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench-diff: cannot read inputs: {exc}", file=sys.stderr)
-        return 2
-    shape_errors = [err for err in (_shape_error(a, paths[0]),
-                                    _shape_error(b, paths[1])) if err]
-    if shape_errors:
-        for err in shape_errors:
-            print(f"bench-diff: {err}", file=sys.stderr)
-        return 2
+    paths = args.paths
+    gate_pct = args.gate
+    allow = set(args.gate_allow or ())
+    a, b = _load(paths[0]), _load(paths[1])
     name_a = a.get("name") or paths[0]
     name_b = b.get("name") or paths[1]
     if name_a != name_b:
-        print(f"bench-diff: benchmark name mismatch: "
-              f"{paths[0]} is {name_a!r} but {paths[1]} is {name_b!r}; "
-              f"diff two dumps of the same benchmark", file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"benchmark name mismatch: "
+            f"{paths[0]} is {name_a!r} but {paths[1]} is {name_b!r}; "
+            f"diff two dumps of the same benchmark")
     rows = diff_rows(a, b)
     violations = ([] if gate_pct is None
                   else gate_violations(a, b, gate_pct, allow))
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         payload = {
             "a": {"path": paths[0], "name": name_a},
             "b": {"path": paths[1], "name": name_b},

@@ -117,7 +117,7 @@ def build_sap_system(data: TpcdData, version: R3Version,
         upgrade_to_30(r3)
         r3.db.drop_index("idx_vbep_edatu")
         r3.db.analyze()
-    if degree > 1:
+    if degree != 1:  # set_degree rejects anything below 1
         r3.db.set_degree(degree)
         r3.db.prepartition()
     return r3
@@ -182,20 +182,52 @@ def run_power_test(
     doomed = delete_keys(data)
     result = PowerTestResult(version=version, scale_factor=scale_factor)
 
+    def record(variant: str, system: Database | R3System, wp: str,
+               queries: dict, updates: dict) -> None:
+        """Run one variant's suite: every member a monitored, traced,
+        guarded step on ``system``, timed individually."""
+        if tracing:
+            system.tracer.enable()
+            result.traces[variant] = system.tracer
+        if monitoring:
+            system.monitor.enable()
+            result.monitors[variant] = system.monitor
+        times: dict[str, float] = {}
+        counts: dict[str, int] = {}
+        failed: dict[str, str] = {}
+        for kind, members in (("dialog", queries), ("update", updates)):
+            for name, fn in members.items():
+                step = system.monitor.begin_step(kind, name, wp=wp)
+                with system.tracer.span(
+                        "power.query", capture_metrics=True, name=name,
+                        variant=variant) as span:
+                    elapsed, rows, reason = _guarded(
+                        system.clock, system.metrics, name,
+                        query_timeout_s, fn)
+                    span.set(elapsed_s=elapsed, failed=reason is not None)
+                system.monitor.end_step(
+                    step,
+                    outcome="completed" if reason is None else "failed")
+                times[name] = elapsed
+                if reason is not None:
+                    failed[name] = reason
+                elif kind == "dialog":
+                    counts[name] = len(rows)
+        system.monitor.finish()
+        result.times[variant] = times
+        result.row_counts[variant] = counts
+        result.failures[variant] = failed
+
     if "rdbms" in variants:
         db = load_original(data, params=params, degree=degree,
                            storage=storage)
-        if tracing:
-            db.tracer.enable()
-            result.traces["rdbms"] = db.tracer
-        if monitoring:
-            db.monitor.enable()
-            result.monitors["rdbms"] = db.monitor
-        (result.times["rdbms"], result.row_counts["rdbms"],
-         result.failures["rdbms"]) = _run_rdbms(
-            db, scale_factor, refresh, doomed, include_updates,
-            query_timeout_s)
-        db.monitor.finish()
+        specs = build_queries(scale_factor)
+        record("rdbms", db, "SQL",
+               {f"Q{number}": lambda s=specs[number]: run_query(db, s).rows
+                for number in sorted(specs)},
+               {"UF1": lambda: run_uf1_rdbms(db, refresh),
+                "UF2": lambda: run_uf2_rdbms(db, doomed)}
+               if include_updates else {})
 
     sap_suites = {
         "native": (native22 if version is R3Version.V22
@@ -204,102 +236,23 @@ def run_power_test(
                  else open30).make_queries(scale_factor),
     }
     sap_needed = [v for v in variants if v in sap_suites]
-    uf_times: dict[str, float] = {}
-    uf_failures: dict[str, str] = {}
-    for i, variant in enumerate(sap_needed):
+    for variant in sap_needed:
         r3 = build_sap_system(data, version, params, degree=degree,
                               storage=storage)
-        if tracing:
-            r3.tracer.enable()
-            result.traces[variant] = r3.tracer
-        if monitoring:
-            r3.monitor.enable()
-            result.monitors[variant] = r3.monitor
-        times: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        failed: dict[str, str] = {}
-        for number in range(1, 18):
-            name = f"Q{number}"
-            suite_fn = sap_suites[variant][number]
-            step = r3.monitor.begin_step("dialog", name, wp="PWR")
-            with r3.tracer.span("power.query", capture_metrics=True,
-                                name=name, variant=variant) as qspan:
-                elapsed, rows, reason = _guarded(
-                    r3.clock, r3.metrics, name, query_timeout_s,
-                    lambda fn=suite_fn: fn(r3))
-                qspan.set(elapsed_s=elapsed, failed=reason is not None)
-            r3.monitor.end_step(
-                step, outcome="completed" if reason is None else "failed")
-            times[name] = elapsed
-            if reason is None:
-                counts[name] = len(rows)
-            else:
-                failed[name] = reason
-        if include_updates:
-            if not uf_times:
-                # Both SAP variants use the identical batch-input
-                # implementation; measure once, record for both.
-                for name, fn in (("UF1", lambda: run_uf1_sap(r3, refresh)),
-                                 ("UF2", lambda: run_uf2_sap(r3, doomed))):
-                    step = r3.monitor.begin_step("update", name, wp="PWR")
-                    with r3.tracer.span("power.query", capture_metrics=True,
-                                        name=name, variant=variant) as uspan:
-                        elapsed, _, reason = _guarded(
-                            r3.clock, r3.metrics, name, query_timeout_s, fn)
-                        uspan.set(elapsed_s=elapsed,
-                                  failed=reason is not None)
-                    r3.monitor.end_step(
-                        step,
-                        outcome="completed" if reason is None else "failed")
-                    uf_times[name] = elapsed
-                    if reason is not None:
-                        uf_failures[name] = reason
-            times.update(uf_times)
-            failed.update(uf_failures)
-        r3.monitor.finish()
-        result.times[variant] = times
-        result.row_counts[variant] = counts
-        result.failures[variant] = failed
+        measures_updates = include_updates and variant == sap_needed[0]
+        record(variant, r3, "PWR",
+               {f"Q{number}": lambda fn=sap_suites[variant][number]: fn(r3)
+                for number in range(1, 18)},
+               {"UF1": lambda: run_uf1_sap(r3, refresh),
+                "UF2": lambda: run_uf2_sap(r3, doomed)}
+               if measures_updates else {})
+        if include_updates and not measures_updates:
+            # Both SAP variants use the identical batch-input
+            # implementation; measured once, recorded for both.
+            for source in (result.times, result.failures):
+                source[variant].update(
+                    (name, source[sap_needed[0]][name])
+                    for name in paperdata.UPDATES
+                    if name in source[sap_needed[0]])
     return result
 
-
-def _run_rdbms(db: Database, scale_factor: float, refresh: TpcdData,
-               doomed: list[int], include_updates: bool,
-               query_timeout_s: float | None = None,
-               ) -> tuple[dict[str, float], dict[str, int], dict[str, str]]:
-    specs = build_queries(scale_factor)
-    times: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    failed: dict[str, str] = {}
-    for number in sorted(specs):
-        name = f"Q{number}"
-        spec = specs[number]
-        step = db.monitor.begin_step("dialog", name, wp="SQL")
-        with db.tracer.span("power.query", capture_metrics=True,
-                            name=name, variant="rdbms") as qspan:
-            elapsed, rows, reason = _guarded(
-                db.clock, db.metrics, name, query_timeout_s,
-                lambda s=spec: run_query(db, s))
-            qspan.set(elapsed_s=elapsed, failed=reason is not None)
-        db.monitor.end_step(
-            step, outcome="completed" if reason is None else "failed")
-        times[name] = elapsed
-        if reason is None:
-            counts[name] = len(rows.rows)
-        else:
-            failed[name] = reason
-    if include_updates:
-        for name, fn in (("UF1", lambda: run_uf1_rdbms(db, refresh)),
-                         ("UF2", lambda: run_uf2_rdbms(db, doomed))):
-            step = db.monitor.begin_step("update", name, wp="SQL")
-            with db.tracer.span("power.query", capture_metrics=True,
-                                name=name, variant="rdbms") as uspan:
-                elapsed, _, reason = _guarded(
-                    db.clock, db.metrics, name, query_timeout_s, fn)
-                uspan.set(elapsed_s=elapsed, failed=reason is not None)
-            db.monitor.end_step(
-                step, outcome="completed" if reason is None else "failed")
-            times[name] = elapsed
-            if reason is not None:
-                failed[name] = reason
-    return times, counts, failed

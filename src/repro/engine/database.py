@@ -189,7 +189,7 @@ class Database:
                 "compaction_backlog", self._compaction_backlog
             )
         self.degree = 1
-        if degree > 1:
+        if degree != 1:  # set_degree rejects anything below 1
             self.set_degree(degree)
 
     # -- parallelism --------------------------------------------------------

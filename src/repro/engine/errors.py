@@ -10,7 +10,9 @@ Two branches matter for robustness handling:
   unknown catalog objects, constraint violations.  These propagate.
 
 Everything still derives from :class:`EngineError`, so existing
-``except EngineError`` sites keep working unchanged.
+``except EngineError`` sites keep working unchanged; ``EngineError``
+itself derives from :class:`repro.errors.ReproError`, the one type the
+command line maps to exit status 2.
 
 Durability adds two WAL-specific members with deliberate placement:
 
@@ -26,8 +28,10 @@ Durability adds two WAL-specific members with deliberate placement:
   may swallow it.
 """
 
+from repro.errors import ReproError
 
-class EngineError(Exception):
+
+class EngineError(ReproError):
     """Base class for all engine errors."""
 
 

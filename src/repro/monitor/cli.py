@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 
+from repro import cli
 from repro.monitor.profile import build_report, render_report
 
 
@@ -20,41 +21,19 @@ def run_monitor_command(args) -> int:
     from repro.r3.appserver import R3Version
     from repro.reports import open30
     from repro.sim.chaos import default_chaos_config
-    from repro.tpcd.dbgen import delete_keys, generate, generate_refresh_orders
+    from repro.tpcd.dbgen import generate, generate_update_pairs
 
-    if args.monitor_streams < 1:
-        print(f"monitor: --monitor-streams must be >= 1: "
-              f"{args.monitor_streams}", file=sys.stderr)
-        return 2
-    if args.window <= 0:
-        print(f"monitor: --window must be > 0: {args.window}",
-              file=sys.stderr)
-        return 2
-    sections = []
-    if args.profile is not None:
-        sections.append("profile")
-    if args.alerts:
-        sections.append("alerts")
-    if args.stat_records:
-        sections.append("stat_records")
-    if not sections:
-        sections = ["profile", "alerts"]
+    sections = [name for name in ("profile", "alerts", "stat_records")
+                if getattr(args, name)] or ["profile", "alerts"]
 
     data = generate(args.sf)
     r3 = build_sap_system(data, R3Version.V30)
     r3.monitor.sample_interval_s = args.window
     r3.monitor.enable()
     suite = open30.make_queries(args.sf)
-    pair_size = max(1, round(len(data.orders) * 0.001))
-    update_sets = [
-        (generate_refresh_orders(
-            data, seed=123 + i,
-            start_key=data.max_orderkey + 1 + i * pair_size),
-         delete_keys(data, seed=321 + i))
-        for i in range(2)
-    ]
     result = run_throughput_test(
-        r3, suite, streams=args.monitor_streams, update_sets=update_sets,
+        r3, suite, streams=args.monitor_streams,
+        update_sets=generate_update_pairs(data, 2),
         dispatcher=default_chaos_config())
 
     report = build_report(
@@ -81,3 +60,35 @@ def run_monitor_command(args) -> int:
         print(f"workload report written to {args.monitor_out}",
               file=sys.stderr)
     return 0
+
+
+def register(sub) -> dict:
+    """Add this package's subparser to ``sub``; returns name -> function."""
+    monitor = cli.add_command(
+        sub, "monitor",
+        "run a monitored throughput workload and print the "
+        "ST03/ST04-style workload report with CCMS alerts (default "
+        "sections: --profile --alerts)",
+        """\
+  python -m repro monitor --profile --sf 0.001
+  python -m repro monitor --alerts --stat-records --format=json \\
+      --monitor-out workload-report.json
+""", [cli.SF, cli.TEXT_OR_JSON])
+    monitor.add_argument("--profile", action="store_true",
+                         help="include the ST03 workload profile section")
+    monitor.add_argument("--alerts", action="store_true",
+                         help="include the CCMS alert section")
+    monitor.add_argument("--stat-records", action="store_true",
+                         help="include the raw STAT-record ring")
+    monitor.add_argument("--monitor-streams", type=cli.positive_int,
+                         default=6,
+                         help="dialog streams for the monitored workload "
+                              "(default 6)")
+    monitor.add_argument("--window", type=cli.positive_float, default=1.0,
+                         help="gauge sample window in simulated seconds "
+                              "(default 1.0)")
+    monitor.add_argument("--monitor-out", type=cli.output_file,
+                         default=None,
+                         help="also write the JSON workload report to "
+                              "this file")
+    return {"monitor": run_monitor_command}

@@ -45,13 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.monitor.alerts import cluster_alert_rules
+from repro.errors import UsageError
 from repro.r3.appserver import R3System
+from repro.r3.errors import R3Error
 
 #: routing policies the login balancer understands
 ROUTING_POLICIES = ("round_robin", "sticky")
 
 
-class ClusterDownError(RuntimeError):
+class ClusterDownError(R3Error):
     """No healthy application server is left to route to."""
 
 
@@ -107,7 +109,7 @@ class BufferCoherence:
 
     def __init__(self, r3, ddlog: DdLog, sync_interval_s: float) -> None:
         if sync_interval_s <= 0:
-            raise ValueError(
+            raise UsageError(
                 f"sync_interval_s must be > 0: {sync_interval_s}")
         self._r3 = r3
         self.ddlog = ddlog
@@ -195,7 +197,7 @@ class LoginBalancer:
     def __init__(self, cluster: "R3Cluster",
                  policy: str = "round_robin") -> None:
         if policy not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {policy!r} "
+            raise UsageError(f"unknown routing policy {policy!r} "
                              f"(choose from {ROUTING_POLICIES})")
         self._cluster = cluster
         self.policy = policy
@@ -265,7 +267,7 @@ class R3Cluster:
                  sync_period_s: float | None = None,
                  routing: str = "round_robin") -> None:
         if n_servers < 1:
-            raise ValueError(f"n_servers must be >= 1: {n_servers}")
+            raise UsageError(f"n_servers must be >= 1: {n_servers}")
         self.primary = primary
         self.db = primary.db
         self.clock = primary.clock

@@ -1,7 +1,9 @@
 """R/3 layer exception hierarchy."""
 
+from repro.errors import ReproError
 
-class R3Error(Exception):
+
+class R3Error(ReproError):
     """Base class for R/3 simulator errors."""
 
 

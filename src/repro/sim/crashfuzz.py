@@ -31,11 +31,14 @@ divergence is a reproducible bug, not flake: rerun with the reported
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.engine.errors import SimulatedCrash
+from repro.errors import UsageError
 from repro.sim.faults import FaultInjector, FaultProfile
 from repro.sim.params import SimParams
+from repro.sim.sweep import SweepReport
+from repro.tpcd.dbgen import generate_update_pairs
 
 #: workload names accepted by :func:`run_crash_fuzz`
 FUZZ_WORKLOADS = ("load", "uf", "power")
@@ -78,15 +81,6 @@ def _durable_fast_setup(r3, data):
     return journal
 
 
-def _refresh_sets(data):
-    from repro.tpcd.dbgen import delete_keys, generate_refresh_orders
-
-    refresh = generate_refresh_orders(data, seed=123,
-                                      start_key=data.max_orderkey + 1)
-    deletes = delete_keys(data, seed=321)
-    return refresh, deletes
-
-
 class _LoadWorkload:
     """The Table-3 batch-input load, journalled end to end."""
 
@@ -118,36 +112,27 @@ class _UfWorkload:
     def run(self, r3, journal, data, commit_interval):
         from repro.reports.updatefuncs import run_uf1_sap, run_uf2_sap
 
-        refresh, deletes = _refresh_sets(data)
+        (refresh, deletes), = generate_update_pairs(data, 1)
         run_uf1_sap(r3, refresh, commit_interval=commit_interval,
                     journal=journal)
         run_uf2_sap(r3, deletes, commit_interval=commit_interval,
                     journal=journal)
 
 
-class _PowerWorkload:
+class _PowerWorkload(_UfWorkload):
     """A compact power test: read queries (which never touch the WAL)
     interleaved around the journalled update functions."""
 
     name = "power"
-    v22 = True
     query_numbers = (1, 6, 13)
-
-    def setup(self, r3, data):
-        return _durable_fast_setup(r3, data)
 
     def run(self, r3, journal, data, commit_interval):
         from repro.reports import open30
-        from repro.reports.updatefuncs import run_uf1_sap, run_uf2_sap
 
         suite = open30.make_queries(data.scale_factor)
-        refresh, deletes = _refresh_sets(data)
         for number in self.query_numbers[:-1]:
             suite[number](r3)
-        run_uf1_sap(r3, refresh, commit_interval=commit_interval,
-                    journal=journal)
-        run_uf2_sap(r3, deletes, commit_interval=commit_interval,
-                    journal=journal)
+        super().run(r3, journal, data, commit_interval)
         suite[self.query_numbers[-1]](r3)
 
 
@@ -155,7 +140,14 @@ _WORKLOADS = {w.name: w for w in (_LoadWorkload(), _UfWorkload(),
                                   _PowerWorkload())}
 
 
-# -- trial / report records --------------------------------------------------
+def _workload(name: str):
+    if name not in _WORKLOADS:
+        raise UsageError(f"unknown crash-fuzz workload {name!r}; "
+                         f"choose from {', '.join(FUZZ_WORKLOADS)}")
+    return _WORKLOADS[name]
+
+
+# -- trial / per-workload records --------------------------------------------
 
 
 @dataclass
@@ -182,34 +174,22 @@ class CrashTrial:
         return self.digest_ok and not self.error
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "mode": self.mode,
-            "kind": self.kind,
-            "crashed": self.crashed,
-            "torn_frames": self.torn_frames,
-            "tail_corrupted": self.tail_corrupted,
-            "recovered": self.recovered,
-            "resumed": self.resumed,
-            "digest_ok": self.digest_ok,
-            "loser_txns": self.loser_txns,
-            "redo_applied": self.redo_applied,
-            "undo_applied": self.undo_applied,
-            "torn_tail_dropped": self.torn_tail_dropped,
-            "error": self.error,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass
-class WorkloadFuzzReport:
-    """The sweep over one workload."""
+class FuzzCell:
+    """The sweep over one workload: its census and its trials."""
 
     workload: str
     boundaries: int = 0
     boundary_kinds: dict[str, int] = field(default_factory=dict)
     reference_digest: str = ""
     trials: list[CrashTrial] = field(default_factory=list)
+
+    @property
+    def key(self) -> dict[str, object]:
+        return {"workload": self.workload}
 
     @property
     def divergences(self) -> list[CrashTrial]:
@@ -231,60 +211,29 @@ class WorkloadFuzzReport:
         }
 
 
-@dataclass
-class CrashFuzzReport:
-    scale_factor: float
-    commit_interval: int
-    sample: int | None
-    storage: str = "heap"
-    workloads: list[WorkloadFuzzReport] = field(default_factory=list)
+def digests_match(cells: list[FuzzCell]) -> list[str]:
+    """Every crashed, recovered and resumed run lands on the digest of
+    the uncrashed reference."""
+    return [
+        f"{cell.workload} k={t.k} mode={t.mode} kind={t.kind}: "
+        f"{t.error or 'digest mismatch'}"
+        for cell in cells for t in cell.divergences]
 
-    @property
-    def ok(self) -> bool:
-        return all(w.ok for w in self.workloads)
 
-    def to_json(self) -> dict:
-        return {
-            "format": "repro-crashfuzz-v1",
-            "scale_factor": self.scale_factor,
-            "commit_interval": self.commit_interval,
-            "sample": self.sample,
-            "storage": self.storage,
-            "workloads": [w.to_json() for w in self.workloads],
-            "ok": self.ok,
-        }
+def _trials_in(mode: str):
+    return lambda cell: sum(t.mode == mode for t in cell.trials)
 
-    def render(self) -> str:
-        from repro.core.results import render_table
 
-        rows = []
-        for wl in self.workloads:
-            by_mode: dict[str, int] = {}
-            for trial in wl.trials:
-                by_mode[trial.mode] = by_mode.get(trial.mode, 0) + 1
-            rows.append([
-                wl.workload, wl.boundaries, len(wl.trials),
-                by_mode.get("clean", 0), by_mode.get("torn", 0),
-                by_mode.get("corrupt-tail", 0),
-                len(wl.divergences),
-                "ok" if wl.ok else "DIVERGED",
-            ])
-        table = render_table(
-            ["Workload", "Boundaries", "Trials", "Clean", "Torn",
-             "Corrupt", "Diverged", "Verdict"],
-            rows,
-            title=f"Crash-point fuzz at SF={self.scale_factor} "
-                  f"(commit interval {self.commit_interval})")
-        problems = [t for wl in self.workloads for t in wl.divergences]
-        if problems:
-            table += "\n\nDivergent trials:\n" + "\n".join(
-                f"  - {wl.workload} k={t.k} mode={t.mode} kind={t.kind}: "
-                f"{t.error or 'digest mismatch'}"
-                for wl in self.workloads for t in wl.divergences)
-        else:
-            table += ("\nEvery sampled crash point recovered to the "
-                      "reference digest.")
-        return table
+_FUZZ_COLUMNS = (
+    ("Workload", lambda c: c.workload),
+    ("Boundaries", lambda c: c.boundaries),
+    ("Trials", lambda c: len(c.trials)),
+    ("Clean", _trials_in("clean")),
+    ("Torn", _trials_in("torn")),
+    ("Corrupt", _trials_in("corrupt-tail")),
+    ("Diverged", lambda c: len(c.divergences)),
+    ("Verdict", lambda c: "ok" if c.ok else "DIVERGED"),
+)
 
 
 # -- the sweep ---------------------------------------------------------------
@@ -302,39 +251,50 @@ def _sample_boundaries(total: int, sample: int | None) -> list[int]:
     return sorted({round(1 + i * step) for i in range(sample)})
 
 
-def _census(workload, data, commit_interval: int, params_factory,
-            storage: str = "heap") -> tuple[int, dict[str, int], str]:
-    """Reference run: boundary count, per-kind census, clean digest."""
-    r3, _ = _build_durable_system(params_factory(), v22=workload.v22,
+def crash_census(workload: str, data, commit_interval: int = 8,
+                 params_factory=SimParams,
+                 storage: str = "heap") -> FuzzCell:
+    """Reference run of ``workload``: the boundary count, the per-kind
+    census and the clean digest, as a :class:`FuzzCell` without trials."""
+    work = _workload(workload)
+    r3, _ = _build_durable_system(params_factory(), v22=work.v22,
                                   storage=storage)
-    journal = workload.setup(r3, data)
+    journal = work.setup(r3, data)
     injector = FaultInjector(FaultProfile(name="census"), r3.clock,
                              r3.metrics)
     r3.attach_faults(injector)
-    workload.run(r3, journal, data, commit_interval)
+    work.run(r3, journal, data, commit_interval)
     r3.detach_faults()
-    return (injector.durability_ops, dict(injector.durability_kinds),
-            r3.db.content_digest())
+    return FuzzCell(workload=workload,
+                    boundaries=injector.durability_ops,
+                    boundary_kinds=dict(injector.durability_kinds),
+                    reference_digest=r3.db.content_digest())
 
 
-def _run_trial(workload, data, commit_interval: int, k: int, mode: str,
-               reference_digest: str, params_factory,
-               storage: str = "heap") -> CrashTrial:
+def run_crash_trial(workload: str, data, k: int, mode: str,
+                    reference_digest: str, commit_interval: int = 8,
+                    params_factory=SimParams,
+                    storage: str = "heap") -> CrashTrial:
+    """Crash ``workload`` at durability boundary ``k``, recover, resume
+    and compare with ``reference_digest`` (from :func:`crash_census`,
+    run with the same settings).  ``mode`` is ``clean``, ``torn`` or
+    ``corrupt-tail``."""
     from repro.r3.appserver import R3Version
     from repro.sapschema.loader import recover_sap_system
 
+    work = _workload(workload)
     trial = CrashTrial(k=k, mode=mode)
-    r3, store = _build_durable_system(params_factory(), v22=workload.v22,
+    r3, store = _build_durable_system(params_factory(), v22=work.v22,
                                       storage=storage)
-    journal = workload.setup(r3, data)
+    journal = work.setup(r3, data)
     profile = FaultProfile(
-        name=f"crashfuzz-{workload.name}-{mode}-{k}", seed=1996 + k,
+        name=f"crashfuzz-{workload}-{mode}-{k}", seed=1996 + k,
         crash_at_durability_op=k,
         torn_write_prob=1.0 if mode == "torn" else 0.0,
     )
     injector = r3.attach_faults(profile)
     try:
-        workload.run(r3, journal, data, commit_interval)
+        work.run(r3, journal, data, commit_interval)
     except SimulatedCrash:
         trial.crashed = True
     trial.kind = injector.last_durability_kind
@@ -356,7 +316,7 @@ def _run_trial(workload, data, commit_interval: int, k: int, mode: str,
         trial.redo_applied = report.redo_applied
         trial.undo_applied = report.undo_applied
         trial.torn_tail_dropped = report.torn_tail_dropped
-        workload.run(r3b, journal_b, data, commit_interval)
+        work.run(r3b, journal_b, data, commit_interval)
         trial.resumed = True
         trial.digest_ok = r3b.db.content_digest() == reference_digest
     except Exception as exc:  # a diverging trial must not kill the sweep
@@ -375,7 +335,7 @@ def run_crash_fuzz(
     data=None,
     params_factory=None,
     storage: str = "heap",
-) -> CrashFuzzReport:
+) -> SweepReport:
     """Sweep injected engine crashes over ``workloads``.
 
     ``sample=None`` fuzzes *every* boundary (exhaustive); an integer
@@ -402,30 +362,33 @@ def run_crash_fuzz(
                 params.lsm_l0_compaction_trigger = 2
             return params
 
-    unknown = [w for w in workloads if w not in _WORKLOADS]
-    if unknown:
-        raise ValueError(f"unknown crash-fuzz workload(s): {unknown}; "
-                         f"choose from {sorted(_WORKLOADS)}")
-    data = data if data is not None else generate(scale_factor)
-    report = CrashFuzzReport(scale_factor=scale_factor,
-                             commit_interval=commit_interval,
-                             sample=sample, storage=storage)
     for name in workloads:
-        workload = _WORKLOADS[name]
-        boundaries, kinds, reference = _census(
-            workload, data, commit_interval, params_factory,
-            storage=storage)
-        wl_report = WorkloadFuzzReport(
-            workload=name, boundaries=boundaries, boundary_kinds=kinds,
-            reference_digest=reference)
-        ks = _sample_boundaries(boundaries, sample)
+        _workload(name)
+    data = data if data is not None else generate(scale_factor)
+    report = SweepReport(
+        format="repro-crashfuzz-v1",
+        header={"scale_factor": scale_factor,
+                "commit_interval": commit_interval, "sample": sample,
+                "storage": storage},
+        title=f"Crash-point fuzz at SF={scale_factor} "
+              f"(commit interval {commit_interval})",
+        columns=_FUZZ_COLUMNS, invariants=(digests_match,),
+        key_fields=("workload",),
+        all_clear="Every sampled crash point recovered to the "
+                  "reference digest.",
+        problems="Divergent trials",
+        cells_key="workloads", violations_key=None)
+    for name in workloads:
+        cell = crash_census(name, data, commit_interval, params_factory,
+                            storage)
+        ks = _sample_boundaries(cell.boundaries, sample)
         plan = [(k, "clean") for k in ks]
         if torn:
             plan += [(k, "torn") for k in ks[::2]]
         plan += [(k, "corrupt-tail") for k in ks[:corrupt_tail_trials]]
-        for k, mode in plan:
-            wl_report.trials.append(_run_trial(
-                workload, data, commit_interval, k, mode, reference,
-                params_factory, storage=storage))
-        report.workloads.append(wl_report)
-    return report
+        cell.trials = [
+            run_crash_trial(name, data, k, mode, cell.reference_digest,
+                            commit_interval, params_factory, storage)
+            for k, mode in plan]
+        report.cells.append(cell)
+    return report.check()

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.errors import UsageError
 from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 
@@ -71,16 +72,16 @@ class FaultProfile:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1): {self.jitter}")
+            raise UsageError(f"jitter must be in [0, 1): {self.jitter}")
         if self.connection_drop_burst < 1:
-            raise ValueError("connection_drop_burst must be >= 1")
+            raise UsageError("connection_drop_burst must be >= 1")
         if not 0.0 <= self.torn_write_prob <= 1.0:
-            raise ValueError(
+            raise UsageError(
                 f"torn_write_prob must be in [0, 1]: {self.torn_write_prob}"
             )
         if self.crash_at_durability_op is not None \
                 and self.crash_at_durability_op < 1:
-            raise ValueError("crash_at_durability_op must be >= 1")
+            raise UsageError("crash_at_durability_op must be >= 1")
 
 
 #: the three standard profiles used by the robustness benchmark

@@ -15,6 +15,8 @@ import datetime
 import random
 from dataclasses import dataclass, field
 
+from repro.errors import UsageError
+
 START_DATE = datetime.date(1992, 1, 1)
 END_DATE = datetime.date(1998, 8, 2)
 CURRENT_DATE = datetime.date(1995, 6, 17)
@@ -127,7 +129,8 @@ def _scaled(base: int, sf: float, minimum: int = 1) -> int:
 def generate(scale_factor: float = 0.01, seed: int = 19970601) -> TpcdData:
     """Generate a TPC-D database at the given scale factor."""
     if scale_factor <= 0:
-        raise ValueError("scale factor must be positive")
+        raise UsageError(
+            f"scale factor must be positive, got {scale_factor}")
     data = TpcdData(scale_factor=scale_factor, seed=seed)
     rng = random.Random(seed)
 
@@ -291,3 +294,24 @@ def delete_keys(data: TpcdData, fraction: float = 0.001,
     n_delete = max(1, round(len(data.orders) * fraction))
     keys = [row[0] for row in data.orders]
     return sorted(rng.sample(keys, min(n_delete, len(keys))))
+
+
+def generate_update_pairs(
+    data: TpcdData, pairs: int
+) -> list[tuple[TpcdData, list[int]]]:
+    """``pairs`` (UF1 refresh set, UF2 delete keys) tuples for a
+    throughput update stream.
+
+    Each UF1 set gets its own order-key range above the loaded data, so
+    the pairs can be applied to one database in sequence.  The seeds
+    are fixed: the chaos, scale-out and monitor harnesses (and their
+    committed baselines) all run exactly these pairs.
+    """
+    pair_size = max(1, round(len(data.orders) * 0.001))
+    return [
+        (generate_refresh_orders(
+            data, seed=123 + i,
+            start_key=data.max_orderkey + 1 + i * pair_size),
+         delete_keys(data, seed=321 + i))
+        for i in range(pairs)
+    ]

@@ -23,7 +23,7 @@ def load_original(data: TpcdData, params: SimParams | None = None,
         db.bulk_load(name, data.table(name))
     if analyze:
         db.analyze()
-    if degree > 1:
+    if degree != 1:  # set_degree rejects anything below 1
         # Install the policy only after stats exist, so degree and
         # partition-key selection see real cardinalities; partition
         # the big tables as part of the (unmeasured) load phase.

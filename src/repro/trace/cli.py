@@ -1,10 +1,7 @@
 """``python -m repro trace`` — run an experiment under the tracer.
 
-Currently the traceable experiment is the power test::
-
-    python -m repro trace power --release 2.2 --sf 0.002 --format=text
-    python -m repro trace power --format=json --trace-out trace.json
-    python -m repro trace power --format=chrome --trace-out trace.chrome.json
+Currently the traceable experiment is the power test (usage examples:
+``python -m repro trace --help``).
 
 ``text`` prints the ST05-style per-query layer breakdown and hottest
 operators per variant; ``json`` dumps the analysis plus the full span
@@ -15,16 +12,15 @@ variant on its own thread row, loadable in ``chrome://tracing``.
 from __future__ import annotations
 
 import json
-import sys
 
+from repro import cli
 from repro.core.powertest import run_power_test
-from repro.r3.appserver import R3Version
 from repro.trace.analyze import TraceAnalyzer
 from repro.trace.export import to_chrome, to_json
 
 
 def _dump(document: dict, args) -> None:
-    out = getattr(args, "trace_out", None)
+    out = args.trace_out
     text = json.dumps(document, indent=2, default=str)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -35,17 +31,8 @@ def _dump(document: dict, args) -> None:
 
 
 def run_trace_command(args) -> int:
-    target = args.paths[0] if getattr(args, "paths", None) else "power"
-    if target != "power":
-        print(f"trace: unsupported experiment {target!r} "
-              "(only 'power' can be traced)", file=sys.stderr)
-        return 2
-    version = R3Version.V22 if args.release == "2.2" else R3Version.V30
-    top = getattr(args, "top", 10)
-    result = run_power_test(args.sf, version,
-                            include_updates=not args.no_updates,
-                            tracing=True,
-                            degree=getattr(args, "degree", 1))
+    result = run_power_test(**cli.power_test_options(args), tracing=True)
+    version, top = result.version, args.top
 
     if args.format == "text":
         first = True
@@ -83,3 +70,30 @@ def run_trace_command(args) -> int:
     _dump({"traceEvents": events, "displayTimeUnit": "ms",
            "otherData": meta}, args)
     return 0
+
+
+def register(sub) -> dict:
+    """Add this package's subparser to ``sub``; returns name -> function."""
+    trace = cli.add_command(
+        sub, "trace",
+        "run an experiment under the tracer (per-query layer breakdown, "
+        "hottest operators, full span tree)",
+        """\
+  python -m repro trace power --release 2.2 --sf 0.002 --format=text
+  python -m repro trace power --format=json --trace-out trace.json
+  python -m repro trace power --format=chrome --trace-out trace.chrome.json
+""", [cli.POWER])
+    trace.add_argument("target", nargs="?", choices=["power"],
+                       default="power",
+                       help="experiment to trace (default: power)")
+    trace.add_argument("--format", choices=["text", "json", "chrome"],
+                       default="text",
+                       help="output format (chrome: one Chrome Trace "
+                            "Event document, loadable in chrome://tracing)")
+    trace.add_argument("--top", type=cli.positive_int, default=10,
+                       help="operators in the hot-operator table "
+                            "(default 10)")
+    trace.add_argument("--trace-out", type=cli.output_file, default=None,
+                       help="write the json/chrome trace to this file "
+                            "instead of stdout")
+    return {"trace": run_trace_command}

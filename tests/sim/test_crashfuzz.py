@@ -7,8 +7,9 @@ import pytest
 from repro.sim.crashfuzz import (
     FUZZ_WORKLOADS,
     CrashTrial,
-    WorkloadFuzzReport,
+    FuzzCell,
     _sample_boundaries,
+    digests_match,
     run_crash_fuzz,
 )
 
@@ -30,7 +31,7 @@ class TestSampleBoundaries:
 
 class TestReportShape:
     def test_workload_report_divergences(self):
-        report = WorkloadFuzzReport(
+        report = FuzzCell(
             workload="load", boundaries=10,
             boundary_kinds={"wal.flush": 10}, reference_digest="abc",
             trials=[
@@ -42,6 +43,9 @@ class TestReportShape:
         )
         assert not report.ok
         assert len(report.divergences) == 2
+        assert digests_match([report]) == [
+            "load k=2 mode=torn kind=: digest mismatch",
+            "load k=3 mode=clean kind=: boom"]
 
     def test_workload_names_are_registered(self):
         assert FUZZ_WORKLOADS == ("load", "uf", "power")
@@ -55,22 +59,22 @@ class TestLiveSweep:
 
     def test_every_trial_recovers(self, report):
         assert report.ok
-        workload = report.workloads[0]
+        workload = report.cells[0]
         assert workload.boundaries > 0
         assert all(t.digest_ok for t in workload.trials)
 
     def test_covers_all_modes(self, report):
-        modes = {t.mode for t in report.workloads[0].trials}
+        modes = {t.mode for t in report.cells[0].trials}
         assert modes == {"clean", "torn", "corrupt-tail"}
 
     def test_checkpoint_boundaries_present(self, report):
-        kinds = report.workloads[0].boundary_kinds
+        kinds = report.cells[0].boundary_kinds
         assert "checkpoint.begin" in kinds
         assert "checkpoint.end" in kinds
         assert "wal.fsync" in kinds
 
     def test_torn_trials_recover(self, report):
-        torn = [t for t in report.workloads[0].trials
+        torn = [t for t in report.cells[0].trials
                 if t.mode == "torn"]
         assert torn and all(t.digest_ok for t in torn)
         # injection only bites when the crash lands on a flush boundary
@@ -89,3 +93,38 @@ class TestLiveSweep:
         text = report.render()
         assert "load" in text
         assert "ok" in text
+
+
+class TestRecoverCli:
+    """``python -m repro recover``: one census, one trial, two renderings."""
+
+    ARGV = ["recover", "--sf", "0.0002", "--fuzz-workloads", "uf",
+            "--crash-at", "7", "--torn"]
+
+    def test_json(self, capsys):
+        from repro.__main__ import main
+
+        assert main([*self.ARGV, "--format", "json"]) == 0
+        trial = json.loads(capsys.readouterr().out)
+        assert set(trial) == {
+            "k", "mode", "kind", "crashed", "torn_frames",
+            "tail_corrupted", "recovered", "resumed", "digest_ok",
+            "loser_txns", "redo_applied", "undo_applied",
+            "torn_tail_dropped", "error", "ok"}
+        assert trial["k"] == 7 and trial["mode"] == "torn"
+        assert trial["crashed"] and trial["recovered"] and trial["resumed"]
+        assert trial["ok"] is True and trial["error"] == ""
+
+    def test_text(self, capsys):
+        from repro.__main__ import main
+
+        assert main(self.ARGV) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("workload 'uf': ")
+        assert "durability boundaries (" in out[0]
+        assert out[1].startswith("crashed at boundary 7 (")
+        assert out[1].endswith("mode torn")
+        assert out[2].startswith("recovery: losers=")
+        assert out[3] == ("resumed: True; recovered digest matches the "
+                          "uncrashed reference")
+        assert len(out) == 4

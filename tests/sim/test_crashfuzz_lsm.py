@@ -20,16 +20,16 @@ class TestLsmCrashFuzz:
                               corrupt_tail_trials=1, storage="lsm")
 
     def test_report_records_storage(self, report):
-        assert report.storage == "lsm"
+        assert report.header["storage"] == "lsm"
         assert report.to_json()["storage"] == "lsm"
 
     def test_lsm_boundaries_present(self, report):
-        kinds = report.workloads[0].boundary_kinds
+        kinds = report.cells[0].boundary_kinds
         assert kinds.get("lsm.flush", 0) > 0
         assert kinds.get("lsm.compaction", 0) > 0
 
     def test_every_trial_recovers_digest_identical(self, report):
         assert report.ok
-        workload = report.workloads[0]
+        workload = report.cells[0]
         assert workload.trials
         assert all(t.digest_ok for t in workload.trials)

@@ -487,6 +487,8 @@ class TestCli:
     def test_monitor_bad_args(self, capsys):
         from repro.__main__ import main
 
-        assert main(["monitor", "--monitor-streams", "0"]) == 2
-        assert main(["monitor", "--window", "0"]) == 2
-        assert main(["monitor", "--format", "chrome"]) == 2
+        for bad in (["--monitor-streams", "0"], ["--window", "0"],
+                    ["--format", "chrome"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["monitor", *bad])
+            assert exit_info.value.code == 2
