@@ -454,7 +454,7 @@ class Database:
                 best_prefix = prefix
                 best_index = index
         # Compiled per statement: prepared DML deep-copies its AST for
-        # every execution, so there is no plan to keep the closure on.
+        # every execution, so there is no plan to keep the function on.
         holds = where.compile()
         if best_index is not None:
             key = tuple(
@@ -549,8 +549,7 @@ class Database:
         try:
             rowids = table.store.ingest_sorted(validated)
             if validated:
-                self.metrics.count(f"table.{table.name}.inserts",
-                                   len(validated))
+                self.metrics.count(table.inserts_counter, len(validated))
             # deferred index build: one bulk pass per index
             for index in table.indexes.values():
                 for row, rowid in zip(validated, rowids):

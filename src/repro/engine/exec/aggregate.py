@@ -137,8 +137,9 @@ class GroupAggregate(Operator):
             # Global aggregate over empty input still yields one row.
             yield tuple(state.result() for state in self._new_states())
             return
+        charge_tuples = self.ctx.charge_tuples
         for key, states in groups.items():
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             yield key + tuple(state.result() for state in states)
 
     def describe(self) -> str:

@@ -34,11 +34,21 @@ class ExecContext:
         #: Database (unit tests build bare contexts)
         self.tracer = None
         self._spill_counter = 0
+        tuple_cpu_s = params.tuple_cpu_s
+        counts = metrics.counts
 
-    def charge_tuples(self, count: int) -> None:
-        if count:
-            self.clock.charge(self.params.tuple_cpu_s * count)
-            self.metrics.count("exec.tuples", count)
+        def charge_tuples(count: int) -> None:
+            if count:
+                # looked up on the clock per call: instrumentation
+                # shadows ``charge`` with an instance attribute
+                clock.charge(tuple_cpu_s * count)
+                counts["exec.tuples"] += count
+
+        #: ``charge_tuples(n)``: n tuples of CPU on the clock and on the
+        #: ``exec.tuples`` counter.  Every operator loop calls it once
+        #: per tuple, so it is a closure over what it needs, not a
+        #: method that finds it through ``self``.
+        self.charge_tuples = charge_tuples
 
     def charge_comparisons(self, count: float) -> None:
         if count:
@@ -87,7 +97,7 @@ class Operator:
 
     Operators keep their expressions as ``Expr`` trees and compile them
     in ``functools.cached_property`` attributes (:func:`compiled` for a
-    single optional expression): the closure is built
+    single optional expression): the function is built
     when ``rows()`` first asks for it — the planner binds residuals
     *after* constructing an operator, so the constructor is too early —
     and then lives on the operator for as long as the plan does (a

@@ -73,10 +73,11 @@ class NestedLoopJoin(Operator):
         outer_count = 0
         holds = self._holds
         charge_tuples = self.ctx.charge_tuples
+        charge_comparisons = self.ctx.charge_comparisons
         for left_row in self.left.rows(params):
             outer_count += 1
             matched = False
-            self.ctx.charge_comparisons(len(inner))
+            charge_comparisons(len(inner))
             for right_row in inner:
                 combined = left_row + right_row
                 if holds is None or holds(combined, params) is True:
@@ -139,7 +140,7 @@ class IndexNestedLoopJoin(Operator):
 
     @cached_property
     def _key_parts(self) -> list[tuple[int | None, Compiled | None]]:
-        """Per key column ``(outer position, None)`` or ``(None, closure)``."""
+        """Per key column ``(outer position, None)`` or ``(None, fn)``."""
         return [
             (source, None) if kind == "outer" else (None, source.compile())
             for kind, source in self.key_sources
@@ -302,6 +303,8 @@ class MergeJoin(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         holds = self._holds
+        charge_tuples = self.ctx.charge_tuples
+        charge_comparisons = self.ctx.charge_comparisons
         left_rows = sort_rows(
             self.ctx, list(self.left.rows(params)),
             [(self.left_key, False)], len(self.left.schema),
@@ -320,7 +323,7 @@ class MergeJoin(Operator):
             if rval is None:
                 j += 1
                 continue
-            self.ctx.charge_comparisons(1)
+            charge_comparisons(1)
             if lval < rval:
                 i += 1
             elif lval > rval:
@@ -337,7 +340,7 @@ class MergeJoin(Operator):
                     for jj in range(j, j_end):
                         combined = left_rows[i_run] + right_rows[jj]
                         if holds is None or holds(combined, params) is True:
-                            self.ctx.charge_tuples(1)
+                            charge_tuples(1)
                             yield combined
                     i_run += 1
                 i = i_run

@@ -70,8 +70,9 @@ class Distinct(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         seen: set[tuple] = set()
+        charge_tuples = self.ctx.charge_tuples
         for row in self.child.rows(params):
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             if row not in seen:
                 seen.add(row)
                 yield row
@@ -136,8 +137,9 @@ class RowsSource(Operator):
         self._rows = rows
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
+        charge_tuples = self.ctx.charge_tuples
         for row in self._rows:
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             yield row
 
     def describe(self) -> str:

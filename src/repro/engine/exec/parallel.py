@@ -101,8 +101,8 @@ class PartitionScan(Operator):
             .partitions[self.lane_index]
         store = self.table.store
         buffer_pool = self.ctx.buffer_pool
-        metrics = self.ctx.metrics
-        counter = f"table.{self.table.name}.tuples_scanned"
+        counts = self.ctx.metrics.counts
+        counter = self.table.scanned_counter
         holds = self._holds
         charge_tuples = self.ctx.charge_tuples
         last_page = -1
@@ -114,7 +114,7 @@ class PartitionScan(Operator):
             row = store.get(rowid)
             if row is None:
                 continue  # tombstoned since the partition snapshot
-            metrics.count(counter)
+            counts[counter] += 1
             charge_tuples(1)
             if holds is None or holds(row, params) is True:
                 yield row
@@ -212,8 +212,9 @@ class PartialAggregate(GroupAggregate):
         groups = self._accumulate(params)
         if not self.group_exprs and not groups:
             groups[()] = self._new_states()
+        charge_tuples = self.ctx.charge_tuples
         for key, states in groups.items():
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             yield key + tuple(
                 (s.count, s.total, s.minimum, s.maximum) for s in states
             )
@@ -249,8 +250,9 @@ class FinalAggregate(Operator):
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         merged: dict[tuple, list[_AggState]] = {}
         order: list[tuple] = []
+        charge_tuples = self.ctx.charge_tuples
         for row in self.child.rows(params):
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             key = row[:self.group_count]
             states = merged.get(key)
             if states is None:
@@ -274,7 +276,7 @@ class FinalAggregate(Operator):
             yield tuple(state.result() for state in states)
             return
         for key in order:
-            self.ctx.charge_tuples(1)
+            charge_tuples(1)
             yield key + tuple(state.result() for state in merged[key])
 
     def describe(self) -> str:

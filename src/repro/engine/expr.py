@@ -2,12 +2,17 @@
 
 Expressions are produced by the SQL parser (or constructed directly by
 the R/3 layers), *bound* against an :class:`OutputSchema` that maps
-qualified column names to tuple positions, and then *compiled*: every
-node's :meth:`Expr.compile` returns a closure ``fn(row, params)`` that
-carries the node's whole semantics.  Compilation picks the operator
-from a table, captures column positions, correlation cells and
-subquery executors, and folds subtrees made of literals only, so the
-per-row work is the closure calls and nothing else.  Operators compile
+qualified column names to tuple positions, and then *compiled*:
+:meth:`Expr.compile` asks the tree to emit the Python source of one
+function ``fn(row, params)`` (every node class has one small
+:meth:`Expr.emit`), so that evaluating a predicate is one call however
+many nodes it has.  Columns and parameters become subscripts,
+comparisons and arithmetic become NULL-guarded operators, AND/OR become
+straight-line code that stops at the first dominant value, and subtrees
+made of literals only are evaluated once, at compile time.  The source
+is ``exec``-ed once per distinct text (:func:`_factory`); what differs
+between two expressions of one shape — literal values, correlation
+cells, subquery executors — enters as arguments.  Operators compile
 once per plan (see :class:`repro.engine.exec.base.Operator`);
 :meth:`Expr.eval` compiles and calls in one step for the cold paths.
 
@@ -21,9 +26,10 @@ from __future__ import annotations
 
 import datetime
 import functools
-import operator
+import itertools
 import re
-from typing import Callable, Iterable, Sequence
+from contextlib import nullcontext
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from repro.engine.errors import ExecutionError, PlanError
 
@@ -80,44 +86,140 @@ class OutputSchema:
 Compiled = Callable[[tuple, Sequence[object]], object]
 
 
-def _constant(value: object) -> Compiled:
-    """A closure that returns ``value``.
+#: numbers the generated sources.  Each reports a file name of its own
+#: (``pstats`` keeps one entry per file, line and function name) that
+#: ends in this module's path (``perf/layers.py`` attributes profiled
+#: time to modules by that ending).
+_serial = itertools.count(1)
 
-    The ``value`` attribute marks it as foldable: a parent whose parts
-    are all marked is evaluated once, at compile time (:func:`_fold`).
+#: :meth:`_Source.fold` of a subtree that depends on the row or the
+#: parameters
+_VARIES = object()
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable[..., Compiled]:
+    """``exec`` a generated ``make(c0, c1, ...)`` once per source text.
+
+    ``make`` returns ``fn(row, params)`` closed over its arguments, the
+    bound constants of one expression.  Expressions of one shape share
+    the text, hence the code object; the cold paths that compile per
+    execution (:meth:`Expr.eval`, prepared DML) pay this lookup, not an
+    ``exec``.  The code runs in this module's namespace: that is where
+    it finds ``ExecutionError`` and the helpers below.
     """
-    def constant(row: tuple, params: Sequence[object]) -> object:
-        return value
-
-    constant.value = value  # type: ignore[attr-defined]
-    return constant
-
-
-def _is_constant(fn: Compiled) -> bool:
-    return hasattr(fn, "value")
+    scope: dict[str, Callable[..., Compiled]] = {}
+    filename = f"<generated {next(_serial)}>/repro/engine/expr.py"
+    exec(compile(source, filename, "exec"), globals(), scope)
+    return scope["make"]
 
 
-def _fold(fn: Compiled, *parts: Compiled) -> Compiled:
-    """``fn`` itself, or its value when every closure it calls is constant.
+def _fail(message: str) -> NoReturn:
+    """Raise when a row reaches a node that cannot be evaluated."""
+    raise ExecutionError(message)
 
-    A constant subtree that fails to evaluate stays unfolded: the error
-    belongs to run time, where it is raised per row and only if a row
-    arrives (``WHERE 1/0 = 1`` over an empty table is not an error).
+
+class _Source:
+    """The source of one expression's function, while it is emitted.
+
+    A node's :meth:`Expr.emit` appends statements and returns an
+    *atom*, a side-effect-free Python expression for its value: the
+    name of a temporary (``t3``), of a bound constant (``c0``), a
+    subscript of the row, or ``None`` — a literal NULL is never bound,
+    so that its guards can be decided while emitting.
     """
-    if not all(_is_constant(part) for part in parts):
-        return fn
-    try:
-        return _constant(fn((), ()))
-    except Exception:  # re-raised by ``fn`` itself when a row is evaluated
-        return fn
 
+    def __init__(self, root: "Expr") -> None:
+        self.root = root
+        self.constants: dict[str, object] = {}
+        self._lines: list[str] = []
+        self._indent = "  "
+        self._temps = 0
 
-def _raiser(message: str) -> Compiled:
-    """A closure that raises :class:`ExecutionError` when a row reaches it."""
-    def fail(row: tuple, params: Sequence[object]) -> object:
-        raise ExecutionError(message)
+    def line(self, text: str) -> None:
+        self._lines.append(f"{self._indent}{text}\n")
 
-    return fail
+    def block(self, header: str) -> "_Source":
+        """``with src.block("else:"):`` indents what its body emits."""
+        self.line(header)
+        return self
+
+    def guard(self, test: str | None) -> "_Source | nullcontext[None]":
+        """A block under ``if test:``; no block without a test."""
+        return self.block(f"if {test}:") if test else nullcontext()
+
+    def __enter__(self) -> None:
+        self._indent += " "
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._indent = self._indent[:-1]
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def constant(self, value: object) -> str:
+        """The atom of a value known now: an argument of ``make``."""
+        if value is None:
+            return "None"
+        name = f"c{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def hold(self, atom: str) -> str:
+        """A name for ``atom``, which the caller mentions more than once."""
+        if atom.isidentifier():
+            return atom
+        name = self.temp()
+        self.line(f"{name} = {atom}")
+        return name
+
+    def fold(self, node: "Expr") -> object:
+        """The value of a subtree of literals only, else ``_VARIES``.
+
+        A subtree that fails to evaluate varies: the error belongs to
+        run time, where it is raised per row and only if a row arrives
+        (``WHERE 1/0 = 1`` over an empty table is not an error).
+        """
+        if isinstance(node, Literal):
+            return node.value
+        if isinstance(node, IntervalLiteral):
+            return node
+        if not _is_literal(node):
+            return _VARIES
+        try:
+            return node.compile()((), ())
+        except Exception:  # raised again by the emitted code, per row
+            return _VARIES
+
+    def value(self, node: "Expr") -> str:
+        """The atom of ``node``: its folded value or its emitted code."""
+        folded = self.fold(node)
+        return node.emit(self) if folded is _VARIES else self.constant(folded)
+
+    def name(self, node: "Expr") -> str:
+        """A name that holds the value of ``node``."""
+        return self.hold(self.value(node))
+
+    def failure(self, message: str) -> str:
+        """An expression that raises ``message`` if a row evaluates it."""
+        return f"_fail({self.constant(message)})"
+
+    def unless_null(self, operands: Sequence[str], expression: str) -> str:
+        """The atom of ``expression``, NULL when an operand is NULL."""
+        if "None" in operands:
+            return "None"
+        tests = [f"{atom} is None" for atom in operands
+                 if atom not in self.constants]
+        if tests:
+            expression = f"None if {' or '.join(tests)} else {expression}"
+        return self.hold(expression)
+
+    def function(self, result: str) -> Compiled:
+        source = (f"def make({', '.join(self.constants)}):\n"
+                  f" def fn(row, params):\n{''.join(self._lines)}"
+                  f"  return {result}\n return fn\n")
+        return _factory(source)(*self.constants.values())
 
 
 class Expr:
@@ -128,10 +230,15 @@ class Expr:
         raise NotImplementedError
 
     def compile(self) -> Compiled:
-        """Closure ``fn(row, params)`` evaluating this (bound) node.
+        """Function ``fn(row, params)`` evaluating this (bound) tree.
 
         Binding state is captured, so compile after the last bind.
         """
+        src = _Source(self)
+        return src.function(self.emit(src))
+
+    def emit(self, src: _Source) -> str:
+        """Append the statements computing this node; return its atom."""
         raise NotImplementedError
 
     def eval(self, row: tuple, params: Sequence[object]) -> object:
@@ -155,8 +262,8 @@ class Literal(Expr):
     def bind(self, schema: OutputSchema) -> "Literal":
         return self
 
-    def compile(self) -> Compiled:
-        return _constant(self.value)
+    def emit(self, src: _Source) -> str:
+        return src.constant(self.value)
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
@@ -171,18 +278,14 @@ class ParamRef(Expr):
     def bind(self, schema: OutputSchema) -> "ParamRef":
         return self
 
-    def compile(self) -> Compiled:
-        index = self.index
-
-        def param(row: tuple, params: Sequence[object]) -> object:
-            try:
-                return params[index]
-            except IndexError:
-                raise ExecutionError(
-                    f"missing value for parameter {index + 1}"
-                ) from None
-
-        return param
+    def emit(self, src: _Source) -> str:
+        result = src.temp()
+        with src.block("try:"):
+            src.line(f"{result} = params[{self.index:d}]")
+        with src.block("except IndexError:"):
+            src.line(f"raise ExecutionError('missing value for parameter "
+                     f"{self.index + 1}') from None")
+        return result
 
     def __repr__(self) -> str:
         return f"ParamRef({self.index})"
@@ -237,14 +340,14 @@ class ColumnRef(Expr):
                 return True
         raise PlanError(f"unknown column {self.display_name}")
 
-    def compile(self) -> Compiled:
+    def emit(self, src: _Source) -> str:
         if self._outer_cell is not None:
-            cell, outer_position = self._outer_cell, self._outer_position
-            return lambda row, params: cell.row[outer_position]
-        position = self._position
-        if position is None:
-            return _raiser(f"unbound column {self.display_name}")
-        return lambda row, params: row[position]
+            cell = src.constant(self._outer_cell)
+            return f"{cell}.row[{self._outer_position:d}]"
+        if self._position is None:
+            return src.hold(
+                src.failure(f"unbound column {self.display_name}"))
+        return f"row[{self._position:d}]"
 
     @property
     def display_name(self) -> str:
@@ -265,9 +368,8 @@ class InputRef(Expr):
     def bind(self, schema: OutputSchema) -> "InputRef":
         return self
 
-    def compile(self) -> Compiled:
-        position = self.position
-        return lambda row, params: row[position]
+    def emit(self, src: _Source) -> str:
+        return f"row[{self.position:d}]"
 
     def __repr__(self) -> str:
         return f"InputRef({self.position})"
@@ -279,41 +381,21 @@ def _divide(left: object, right: object) -> object:
     return left / right
 
 
-#: operator symbol -> (function, verb of the TypeError message)
-_BINARY_OPERATORS: dict[str, tuple[Callable[[object, object], object], str]] = {
-    "=": (operator.eq, "compare"),
-    "<>": (operator.ne, "compare"),
-    "!=": (operator.ne, "compare"),
-    "<": (operator.lt, "compare"),
-    "<=": (operator.le, "compare"),
-    ">": (operator.gt, "compare"),
-    ">=": (operator.ge, "compare"),
-    "+": (operator.add, "evaluate"),
-    "-": (operator.sub, "evaluate"),
-    "*": (operator.mul, "evaluate"),
-    "/": (_divide, "evaluate"),
+#: operator symbol -> (Python expression over the two operand atoms,
+#: verb of the TypeError message)
+_BINARY_OPERATORS: dict[str, tuple[str, str]] = {
+    "=": ("{} == {}", "compare"),
+    "<>": ("{} != {}", "compare"),
+    "!=": ("{} != {}", "compare"),
+    "<": ("{} < {}", "compare"),
+    "<=": ("{} <= {}", "compare"),
+    ">": ("{} > {}", "compare"),
+    ">=": ("{} >= {}", "compare"),
+    "+": ("{} + {}", "evaluate"),
+    "-": ("{} - {}", "evaluate"),
+    "*": ("{} * {}", "evaluate"),
+    "/": ("_divide({}, {})", "evaluate"),
 }
-
-
-def _connective(parts: list[Compiled], dominant: bool) -> Compiled:
-    """Kleene AND (``dominant`` False) / OR (True) over ``parts``.
-
-    Parts run left to right and stop at the first dominant value, as
-    the nested two-operand form does.
-    """
-    neutral = not dominant
-
-    def connective(row: tuple, params: Sequence[object]) -> object:
-        result: object = neutral
-        for part in parts:
-            value = part(row, params)
-            if value is dominant:
-                return dominant
-            if value is None:
-                result = None
-        return result
-
-    return connective
 
 
 class BinOp(Expr):
@@ -332,29 +414,43 @@ class BinOp(Expr):
     def children(self) -> list[Expr]:
         return [self.left, self.right]
 
-    def compile(self) -> Compiled:
+    def emit(self, src: _Source) -> str:
         op = self.op
         if op in ("AND", "OR"):
-            parts = [part.compile() for part in _operands(self, op)]
-            return _fold(_connective(parts, dominant=(op == "OR")), *parts)
+            return self._emit_connective(src, dominant=(op == "OR"))
         if op not in _BINARY_OPERATORS:
             raise AssertionError(f"unknown operator {op}")
         apply, verb = _BINARY_OPERATORS[op]
-        left, right = self.left.compile(), self.right.compile()
+        a, b = src.name(self.left), src.name(self.right)
+        if "None" in (a, b):
+            return "None"
+        with src.block("try:"):
+            result = src.unless_null((a, b), apply.format(a, b))
+        with src.block("except TypeError as exc:"):
+            src.line(f"raise ExecutionError(f'cannot {verb} {{{a}!r}} {op} "
+                     f"{{{b}!r}}') from exc")
+        return result
 
-        def binary(row: tuple, params: Sequence[object]) -> object:
-            a = left(row, params)
-            b = right(row, params)
-            if a is None or b is None:
-                return None
-            try:
-                return apply(a, b)
-            except TypeError as exc:
-                raise ExecutionError(
-                    f"cannot {verb} {a!r} {op} {b!r}"
-                ) from exc
+    def _emit_connective(self, src: _Source, dominant: bool) -> str:
+        """Kleene AND (``dominant`` False) / OR (True) over the operands.
 
-        return _fold(binary, left, right)
+        They run left to right and stop at the first dominant value, as
+        the nested two-operand form does: the root of a predicate
+        returns there, a nested connective skips what is left.
+        """
+        returns = src.root is self
+        result = src.temp()
+        src.line(f"{result} = {not dominant}")
+        for index, part in enumerate(_operands(self, self.op)):
+            with src.guard(f"{result} is not {dominant}"
+                           if index and not returns else None):
+                value = src.name(part)
+                with src.block(f"if {value} is {dominant}:"):
+                    src.line(f"return {dominant}" if returns
+                             else f"{result} = {dominant}")
+                with src.block(f"elif {value} is None:"):
+                    src.line(f"{result} = None")
+        return result
 
     def __repr__(self) -> str:
         return f"BinOp({self.left!r} {self.op} {self.right!r})"
@@ -378,16 +474,9 @@ class NotExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-
-        def negate(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            if value is None:
-                return None
-            return not value
-
-        return _fold(negate, operand)
+    def emit(self, src: _Source) -> str:
+        value = src.name(self.operand)
+        return src.unless_null([value], f"not {value}")
 
 
 class NegExpr(Expr):
@@ -401,16 +490,9 @@ class NegExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-
-        def minus(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            if value is None:
-                return None
-            return -value
-
-        return _fold(minus, operand)
+    def emit(self, src: _Source) -> str:
+        value = src.name(self.operand)
+        return src.unless_null([value], f"-{value}")
 
 
 class IsNullExpr(Expr):
@@ -425,14 +507,9 @@ class IsNullExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-        negated = self.negated
-
-        def is_null(row: tuple, params: Sequence[object]) -> object:
-            return (operand(row, params) is None) is not negated
-
-        return _fold(is_null, operand)
+    def emit(self, src: _Source) -> str:
+        test = "is not" if self.negated else "is"
+        return src.hold(f"{src.value(self.operand)} {test} None")
 
 
 class BetweenExpr(Expr):
@@ -452,20 +529,11 @@ class BetweenExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand, self.low, self.high]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-        low, high = self.low.compile(), self.high.compile()
-        negated = self.negated
-
-        def between(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            lo = low(row, params)
-            hi = high(row, params)
-            if value is None or lo is None or hi is None:
-                return None
-            return (lo <= value <= hi) is not negated
-
-        return _fold(between, operand, low, high)
+    def emit(self, src: _Source) -> str:
+        value, low, high = [src.name(part) for part in self.children()]
+        test = f"{low} <= {value} <= {high}"
+        return src.unless_null((value, low, high),
+                               f"not {test}" if self.negated else test)
 
 
 def _membership(value: object, candidates: Iterable[object],
@@ -495,35 +563,32 @@ class InListExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand, *self.items]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-        items = [item.compile() for item in self.items]
-        negated = self.negated
-        if all(_is_constant(item) for item in items):
+    def emit(self, src: _Source) -> str:
+        value = src.name(self.operand)
+        hit, miss = not self.negated, bool(self.negated)
+        values = [src.fold(item) for item in self.items]
+        if not any(v is _VARIES for v in values):
             # Literal list: one set probe.  ``in`` on a set is hash plus
-            # ``==``, the comparison the candidate loop makes.
-            values = [item.value for item in items]
-            members = frozenset(v for v in values if v is not None)
-            hit = not negated
-            miss = None if any(v is None for v in values) else negated
-
-            def in_set(row: tuple, params: Sequence[object]) -> object:
-                value = operand(row, params)
-                if value is None:
-                    return None
-                return hit if value in members else miss
-
-            return _fold(in_set, operand)
-
-        def in_list(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            if value is None:
-                return None
-            return _membership(
-                value, (item(row, params) for item in items), negated
-            )
-
-        return in_list
+            # ``==``, the comparison the candidate code makes.
+            members = src.constant(
+                frozenset(v for v in values if v is not None))
+            if any(v is None for v in values):
+                miss = None
+            return src.unless_null(
+                [value], f"{hit} if {value} in {members} else {miss}")
+        # candidates run in order and stop at the first match
+        result = src.temp()
+        src.line(f"{result} = None")
+        with src.block(f"if {value} is not None:"):
+            src.line(f"{result} = {miss}")
+            for index, item in enumerate(self.items):
+                with src.guard(f"{result} is not {hit}" if index else None):
+                    candidate = src.name(item)
+                    with src.block(f"if {candidate} is None:"):
+                        src.line(f"{result} = None")
+                    with src.block(f"elif {candidate} == {value}:"):
+                        src.line(f"{result} = {hit}")
+        return result
 
 
 @functools.lru_cache(maxsize=512)
@@ -560,32 +625,22 @@ class LikeExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand, self.pattern]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-        pattern = self.pattern.compile()
-        negated = self.negated
-        if _is_constant(pattern) and isinstance(pattern.value, str):
-            match = like_to_regex(pattern.value).match
-
-            def like_literal(row: tuple, params: Sequence[object]) -> object:
-                value = operand(row, params)
-                if value is None:
-                    return None
-                return (match(value) is not None) is not negated
-
-            return _fold(like_literal, operand)
-
-        def like(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            if value is None:
-                return None
-            text = pattern(row, params)
-            if text is None:
-                return None
-            return (like_to_regex(text).match(value) is not None) \
-                is not negated
-
-        return _fold(like, operand, pattern)
+    def emit(self, src: _Source) -> str:
+        value = src.name(self.operand)
+        test = "is" if self.negated else "is not"
+        pattern = src.fold(self.pattern)
+        if isinstance(pattern, str):
+            match = src.constant(like_to_regex(pattern).match)
+            return src.unless_null([value], f"{match}({value}) {test} None")
+        # the pattern is not looked at under a NULL operand
+        result = src.temp()
+        src.line(f"{result} = None")
+        with src.block(f"if {value} is not None:"):
+            text = src.name(self.pattern)
+            with src.block(f"if {text} is not None:"):
+                src.line(f"{result} = like_to_regex({text}).match({value}) "
+                         f"{test} None")
+        return result
 
 
 class CaseExpr(Expr):
@@ -613,21 +668,21 @@ class CaseExpr(Expr):
             out.append(self.default)
         return out
 
-    def compile(self) -> Compiled:
-        branches = [
-            (cond.compile(), value.compile())
-            for cond, value in self.branches
-        ]
-        default = (_constant(None) if self.default is None
-                   else self.default.compile())
-
-        def case(row: tuple, params: Sequence[object]) -> object:
-            for cond, value in branches:
-                if cond(row, params) is True:
-                    return value(row, params)
-            return default(row, params)
-
-        return _fold(case, default, *(fn for pair in branches for fn in pair))
+    def emit(self, src: _Source) -> str:
+        result, undecided = src.temp(), src.temp()
+        src.line(f"{undecided} = True")
+        for index, (cond, value) in enumerate(self.branches):
+            with src.guard(undecided if index else None):
+                test = src.value(cond)
+                with src.block(f"if {test} is True:"):
+                    taken = src.value(value)
+                    src.line(f"{result} = {taken}")
+                    src.line(f"{undecided} = False")
+        with src.guard(undecided):
+            default = "None" if self.default is None \
+                else src.value(self.default)
+            src.line(f"{result} = {default}")
+        return result
 
 
 class ExtractExpr(Expr):
@@ -649,19 +704,16 @@ class ExtractExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand]
 
-    def compile(self) -> Compiled:
-        operand = self.operand.compile()
-        part = operator.attrgetter(self.field.lower())
+    def emit(self, src: _Source) -> str:
+        value = src.name(self.operand)
+        return src.unless_null(
+            [value], f"_extract({value}, {self.field.lower()!r})")
 
-        def extract(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            if value is None:
-                return None
-            if not isinstance(value, datetime.date):
-                raise ExecutionError(f"EXTRACT from non-date {value!r}")
-            return part(value)
 
-        return _fold(extract, operand)
+def _extract(value: object, field: str) -> int:
+    if not isinstance(value, datetime.date):
+        raise ExecutionError(f"EXTRACT from non-date {value!r}")
+    return getattr(value, field)
 
 
 class IntervalLiteral(Expr):
@@ -679,8 +731,8 @@ class IntervalLiteral(Expr):
     def bind(self, schema: OutputSchema) -> "IntervalLiteral":
         return self
 
-    def compile(self) -> Compiled:
-        return _constant(self)
+    def emit(self, src: _Source) -> str:
+        return src.constant(self)
 
     def add_to(self, date: datetime.date, sign: int) -> datetime.date:
         amount = self.amount * sign
@@ -720,21 +772,17 @@ class DateArithExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.date_expr]
 
-    def compile(self) -> Compiled:
-        date_expr = self.date_expr.compile()
-        add_to, sign = self.interval.add_to, self.sign
+    def emit(self, src: _Source) -> str:
+        value = src.name(self.date_expr)
+        interval = src.constant(self.interval)
+        return src.unless_null(
+            [value], f"_shift({value}, {interval}, {self.sign:d})")
 
-        def shift(row: tuple, params: Sequence[object]) -> object:
-            value = date_expr(row, params)
-            if value is None:
-                return None
-            if not isinstance(value, datetime.date):
-                raise ExecutionError(
-                    f"interval arithmetic on non-date {value!r}"
-                )
-            return add_to(value, sign)
 
-        return _fold(shift, date_expr)
+def _shift(value: object, interval: IntervalLiteral, sign: int) -> object:
+    if not isinstance(value, datetime.date):
+        raise ExecutionError(f"interval arithmetic on non-date {value!r}")
+    return interval.add_to(value, sign)
 
 
 def _substring(values: list) -> object:
@@ -770,21 +818,14 @@ class FuncCall(Expr):
     def children(self) -> list[Expr]:
         return list(self.args)
 
-    def compile(self) -> Compiled:
-        args = [arg.compile() for arg in self.args]
-        name = self.name
-        function = _FUNCTIONS.get(name)
-
-        def call(row: tuple, params: Sequence[object]) -> object:
-            values = [arg(row, params) for arg in args]
-            for value in values:
-                if value is None:
-                    return None
-            if function is None:
-                raise ExecutionError(f"unknown function {name}")
-            return function(values)
-
-        return _fold(call, *args)
+    def emit(self, src: _Source) -> str:
+        args = [src.name(arg) for arg in self.args]
+        function = _FUNCTIONS.get(self.name)
+        if function is None:
+            call = src.failure(f"unknown function {self.name}")
+        else:
+            call = f"{src.constant(function)}([{', '.join(args)}])"
+        return src.unless_null(args, call)
 
 
 class AggCall(Expr):
@@ -814,8 +855,9 @@ class AggCall(Expr):
     def children(self) -> list[Expr]:
         return [self.arg] if self.arg is not None else []
 
-    def compile(self) -> Compiled:
-        return _raiser(f"aggregate {self.func} evaluated outside aggregation")
+    def emit(self, src: _Source) -> str:
+        return src.hold(src.failure(
+            f"aggregate {self.func} evaluated outside aggregation"))
 
     def __repr__(self) -> str:
         inner = "*" if self.arg is None else repr(self.arg)
@@ -852,26 +894,27 @@ class SubqueryExpr(Expr):
     def children(self) -> list[Expr]:
         return [self.operand] if self.operand is not None else []
 
-    def compile(self) -> Compiled:
-        executor = self.executor
-        if executor is None:
-            return _raiser("subquery was never compiled by the planner")
+    def emit(self, src: _Source) -> str:
+        if self.executor is None:
+            return src.hold(src.failure(
+                "subquery was never compiled by the planner"))
+        run = f"{src.constant(self.executor)}(row, params)"
         if self.mode == "scalar":
-            return executor
-        negated = self.negated
+            return src.hold(run)
         if self.mode == "exists":
-            return lambda row, params: \
-                bool(executor(row, params)) is not negated
-        operand = (_constant(None) if self.operand is None
-                   else self.operand.compile())
+            return src.hold(f"not {run}" if self.negated else f"bool({run})")
+        value = "None" if self.operand is None else src.name(self.operand)
+        return src.unless_null(
+            [value], f"_membership({value}, {run}, {bool(self.negated)})")
 
-        def in_subquery(row: tuple, params: Sequence[object]) -> object:
-            value = operand(row, params)
-            if value is None:
-                return None
-            return _membership(value, executor(row, params), negated)
 
-        return in_subquery
+def _is_literal(node: Expr) -> bool:
+    """True for a subtree whose leaves are all literals: it folds."""
+    if isinstance(node, (Literal, IntervalLiteral)):
+        return True
+    parts = node.children()
+    return bool(parts) and not isinstance(node, SubqueryExpr) \
+        and all(_is_literal(part) for part in parts)
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

@@ -40,7 +40,14 @@ class Table:
         self.schema = schema
         self.name = schema.name.lower()
         self._buffer = buffer_pool
-        self._metrics = metrics
+        self._counts = metrics.counts
+        #: counter names, formatted once per table: the table counts
+        #: per row, and so do direct-path load and the partition scan
+        self.inserts_counter = f"table.{self.name}.inserts"
+        self.deletes_counter = f"table.{self.name}.deletes"
+        self.updates_counter = f"table.{self.name}.updates"
+        self.scanned_counter = f"table.{self.name}.tuples_scanned"
+        self.fetched_counter = f"table.{self.name}.tuples_fetched"
         self.storage = storage
         if storage == "lsm":
             self.store: StorageBackend = LsmTree(
@@ -102,7 +109,7 @@ class Table:
         # the charged probe above has just cleared the primary index
         self._check_unique(row, skip=self._pk_index)
         rowid = self.store.append(row, bulk)
-        self._metrics.count(f"table.{self.name}.inserts")
+        self._counts[self.inserts_counter] += 1
         for index in self.indexes.values():
             index.insert(row, rowid, bulk=bulk)
         if self.wal is not None:
@@ -115,7 +122,7 @@ class Table:
         for index in self.indexes.values():
             index.delete(row, rowid)
         self.store.delete(rowid)
-        self._metrics.count(f"table.{self.name}.deletes")
+        self._counts[self.deletes_counter] += 1
         if self.wal is not None:
             self.wal.log_delete(self.name, rowid, row,
                                 self.store.page_of(rowid))
@@ -130,7 +137,7 @@ class Table:
             index.insert(new_row, rowid)
         # the store pays after index maintenance: the order is the model
         self.store.update(rowid, new_row)
-        self._metrics.count(f"table.{self.name}.updates")
+        self._counts[self.updates_counter] += 1
         if self.wal is not None:
             self.wal.log_update(self.name, rowid, old_row, new_row,
                                 self.store.page_of(rowid))
@@ -144,7 +151,7 @@ class Table:
         insert pays during recovery.
         """
         self.store.restore_slot(rowid, row)
-        self._metrics.count(f"table.{self.name}.inserts")
+        self._counts[self.inserts_counter] += 1
         for index in self.indexes.values():
             index.insert(row, rowid)
 
@@ -175,15 +182,14 @@ class Table:
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
         """Full sequential scan, priced by the storage backend."""
-        count = self._metrics.count
-        counter = f"table.{self.name}.tuples_scanned"
+        counts, counter = self._counts, self.scanned_counter
         for item in self.store.scan():
-            count(counter)
+            counts[counter] += 1
             yield item
 
     def fetch_row(self, rowid: int, sequential: bool = False) -> tuple:
         """Random row fetch (what unclustered index scans pay for)."""
-        self._metrics.count(f"table.{self.name}.tuples_fetched")
+        self._counts[self.fetched_counter] += 1
         return self.store.read(rowid, sequential)
 
     # -- accounting ---------------------------------------------------------

@@ -8,7 +8,7 @@ simulated clock (via the calibration table) and the experiment reports
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from typing import Iterator
 
 
@@ -17,26 +17,27 @@ class MetricsSnapshot:
 
     def __init__(self, collector: "MetricsCollector") -> None:
         self._collector = collector
-        self._base = Counter(collector._counts)
+        self._base = dict(collector.counts)
 
     def delta(self) -> dict[str, float]:
-        """Counter deltas accumulated since the snapshot was taken.
+        """Counter deltas accumulated since the snapshot was taken,
+        in name order (the order is part of every trace file).
 
         Counters that existed at the base but were reset or removed
         afterwards show up with a negative delta — a silent drop would
         make a ``reset()`` between snapshots look like "nothing
         happened".
         """
-        current = self._collector._counts
+        current = self._collector.counts
         out: dict[str, float] = {}
-        for name in current.keys() | self._base.keys():
+        for name in sorted(current.keys() | self._base.keys()):
             change = current.get(name, 0) - self._base.get(name, 0)
             if change:
                 out[name] = change
         return out
 
     def get(self, name: str) -> float:
-        return self._collector._counts.get(name, 0) - self._base.get(name, 0)
+        return self._collector.counts.get(name, 0) - self._base.get(name, 0)
 
 
 class MetricsScope:
@@ -67,17 +68,26 @@ class MetricsScope:
 
 
 class MetricsCollector:
-    """A bag of named, monotonically increasing counters."""
+    """A bag of named, monotonically increasing counters.
+
+    :attr:`counts` is the write surface: ``counts[name] += n`` is all
+    that :meth:`count` does, and a loop that counts per tuple binds the
+    mapping once and writes that statement inline instead of paying a
+    call per increment.  The mapping object lives as long as the
+    collector (:meth:`reset` empties it in place).  Read through
+    :meth:`get`, :meth:`all`, a snapshot or iteration, never by
+    subscript: a subscript read of a missing name would create it.
+    """
 
     def __init__(self) -> None:
-        self._counts: Counter[str] = Counter()
+        self.counts: defaultdict[str, float] = defaultdict(int)
 
     def count(self, name: str, amount: float = 1) -> None:
         """Increase counter ``name`` by ``amount`` (default 1)."""
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def get(self, name: str) -> float:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def snapshot(self) -> MetricsSnapshot:
         """Mark the current state; deltas are measured against it."""
@@ -88,10 +98,10 @@ class MetricsCollector:
         return MetricsScope(self)
 
     def all(self) -> dict[str, float]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
-        return iter(sorted(self._counts.items()))
+        return iter(sorted(self.counts.items()))

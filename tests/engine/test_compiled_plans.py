@@ -1,44 +1,42 @@
 """Plans compile their expressions once and charge what they charged.
 
 Operators keep ``Expr`` trees and compile them when ``rows()`` first
-asks (``functools.cached_property``); the closures then live on the
+asks (``functools.cached_property``); the functions then live on the
 operator for as long as the plan does.  The pins at the bottom were
-captured at the last commit that walked the trees per row: the change
-to closures is wall-clock only, so rows, ticks and tuple counts of
-correlated and partitioned plans must not move.
+captured at the last commit that walked the trees per row: compiling
+(first to closures, now to generated source) is wall-clock only, so
+rows, ticks and tuple counts of correlated and partitioned plans must
+not move.
 """
 
 import datetime
 import hashlib
+import sys
 
 import pytest
 
 from repro.engine import Column, Database, SqlType, TableSchema
-from repro.engine.expr import Expr, IntervalLiteral
+from repro.engine.expr import Expr, IntervalLiteral, _factory
 from repro.r3.appserver import R3System, R3Version
 from repro.r3.ddic import DDicField, DDicTable, TableKind
 from repro.tpcd.loader import load_original
 
 
-def _all_subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _all_subclasses(sub)
-
-
 @pytest.fixture()
 def compile_calls(monkeypatch):
-    """Names of the node classes whose ``compile()`` ran, in order."""
+    """Class names of the trees :meth:`Expr.compile` ran on, in order.
+
+    ``compile`` is the one entry to the code generator: operators, the
+    cold ``eval`` path and compile-time folding all come through it.
+    """
     calls: list[str] = []
-    for cls in _all_subclasses(Expr):
-        if "compile" not in vars(cls):
-            continue
+    original = Expr.compile
 
-        def counted(self, _original=vars(cls)["compile"]):
-            calls.append(type(self).__name__)
-            return _original(self)
+    def counted(self):
+        calls.append(type(self).__name__)
+        return original(self)
 
-        monkeypatch.setattr(cls, "compile", counted)
+    monkeypatch.setattr(Expr, "compile", counted)
     return calls
 
 
@@ -135,6 +133,66 @@ class TestCompileOnce:
             == 10
         assert r3.metrics.get("dbif.cursor_cache_hits") == hits + 1
         assert len(compile_calls) == compiled
+
+
+class TestColdPaths:
+    """Compiling per execution costs a memo lookup, not an ``exec``."""
+
+    @pytest.fixture()
+    def memo(self):
+        _factory.cache_clear()
+        return _factory
+
+    def test_prepared_delete_execs_once_per_source_text(self, items_db, memo):
+        # prepared DML deep-copies its AST, so every execution compiles
+        stmt = items_db.prepare("delete from items where qty = ? and name = ?")
+        for n in range(100):
+            assert stmt.execute((n % 7, "nobody")).scalar() == 0
+        info = memo.cache_info()
+        assert info.misses == info.currsize <= 2  # no text exec-ed twice
+        assert info.hits >= 99
+
+    def test_single_row_inserts_exec_once_per_source_text(self, items_db,
+                                                          memo):
+        items_db.create_table(TableSchema("pairs", [
+            Column(name, SqlType.integer()) for name in "abc"]))
+        for n in range(1000):
+            items_db.execute("insert into pairs values (?, ?, ?)",
+                             (n, n + 1, n + 2))
+        info = memo.cache_info()
+        assert info.misses == info.currsize == 3  # params[0], [1], [2]
+        assert info.hits == 3 * 999
+        assert items_db.execute("select count(*) from pairs").scalar() == 1000
+
+
+def test_a_scanned_tuple_costs_five_python_calls():
+    # A regression pin for the per-tuple path, in calls, not in seconds:
+    # the two scan generators, ``charge_tuples``, ``clock.charge`` and
+    # the predicate.  A layer that adds a call per tuple fails here.
+    db = Database()
+    db.create_table(TableSchema("t", [
+        Column("k", SqlType.integer(), nullable=False),
+        Column("a", SqlType.integer()),
+        Column("b", SqlType.integer()),
+    ], primary_key=["k"]))
+    db.bulk_load("t", [(n, 1, n % 10) for n in range(1000)])
+    stmt = db.prepare("select k from t where a = ? and b < ?")
+    assert len(stmt.execute((1, 5)).rows) == 500  # compiled, pages warm
+    assert "SeqScan" in stmt.explain()
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    outer = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        result = stmt.execute((1, 0))  # a holds, b rejects: every row
+    finally:
+        sys.setprofile(outer)
+    assert result.rows == []
+    assert calls <= 6 * 1000 + 100, calls / 1000
 
 
 #: name -> (degree, sql, operators the plan must contain)

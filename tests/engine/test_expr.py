@@ -565,6 +565,72 @@ class TestCompiledErrors:
         assert ev(FuncCall("FROBNICATE", [Literal(None)])) is None
 
 
+def _a_is(value, negated=False):
+    return BinOp("<>" if negated else "=", ColumnRef("t", "a"),
+                 Literal(value))
+
+
+#: shape -> (tree around the ``bad`` node, a row that does not reach
+#: ``bad``, the value there, a row that does)
+LAZY_SHAPES = {
+    "and_arm": (
+        lambda bad: BinOp("AND", _a_is(1, negated=True), bad),
+        (1, 2, 3), False, (0, 2, 3)),
+    "or_arm": (
+        lambda bad: BinOp("OR", _a_is(1), bad),
+        (1, 2, 3), True, (0, 2, 3)),
+    "third_arm_of_a_chain": (
+        lambda bad: conjoin([_a_is(9, negated=True),
+                             _a_is(1, negated=True), bad]),
+        (1, 2, 3), False, (0, 2, 3)),
+    "nested_and_arm": (
+        lambda bad: NotExpr(BinOp("AND", _a_is(1, negated=True), bad)),
+        (1, 2, 3), True, (0, 2, 3)),
+    "nested_or_arm": (
+        lambda bad: BinOp("AND", BinOp("OR", _a_is(1), bad), _a_is(1)),
+        (1, 2, 3), True, (0, 2, 3)),
+    "case_value": (
+        lambda bad: CaseExpr([(_a_is(1, negated=True), bad)], Literal(7)),
+        (1, 2, 3), 7, (0, 2, 3)),
+    "case_default": (
+        lambda bad: CaseExpr([(_a_is(1), Literal(7))], bad),
+        (1, 2, 3), 7, (0, 2, 3)),
+    "case_condition_after_a_taken_branch": (
+        lambda bad: CaseExpr([(_a_is(1), Literal(7)), (bad, Literal(8))],
+                             None),
+        (1, 2, 3), 7, (0, 2, 3)),
+    "in_list_item_after_a_match": (
+        lambda bad: InListExpr(Literal(1), [ColumnRef("t", "a"), bad]),
+        (1, 2, 3), True, (0, 2, 3)),
+    "in_list_under_a_null_operand": (
+        lambda bad: InListExpr(ColumnRef("t", "b"), [bad]),
+        (1, None, 3), None, (1, 2, 3)),
+    "like_pattern_under_a_null_operand": (
+        lambda bad: LikeExpr(ColumnRef("t", "b"), bad),
+        (1, None, 3), None, (1, "x", 3)),
+}
+
+#: a node that raises when a row reaches it -> the text it raises
+BAD_NODES = {
+    "missing_param": (lambda: ParamRef(9),
+                      "missing value for parameter 10"),
+    "one_over_zero": (lambda: BinOp("/", Literal(1), Literal(0)),
+                      "division by zero"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_NODES))
+@pytest.mark.parametrize("shape", sorted(LAZY_SHAPES))
+def test_unreached_node_does_not_raise_and_reached_one_does(shape, bad):
+    build, unreached_row, value, reached_row = LAZY_SHAPES[shape]
+    make_bad, message = BAD_NODES[bad]
+    compiled = build(make_bad()).bind(SCHEMA).compile()
+    assert compiled(unreached_row, ()) is value
+    with pytest.raises(ExecutionError) as caught:
+        compiled(reached_row, ())
+    assert str(caught.value) == message
+
+
 class TestCompileTimeWork:
     """What compilation does once so that no row has to."""
 
@@ -624,11 +690,12 @@ class TestCompileTimeWork:
     def test_and_chain_is_one_closure_and_stops_at_false(self):
         seen = []
 
-        class Probe(Literal):
-            def compile(self):
-                return lambda row, params: seen.append(self.value) \
-                    or self.value
+        def probe(value):
+            # a scalar subquery: the one node whose value is a call out
+            node = SubqueryExpr(object(), "scalar")
+            node.executor = lambda row, params: seen.append(value) or value
+            return node
 
-        chain = conjoin([Probe(True), Probe(None), Probe(False), Probe(True)])
+        chain = conjoin([probe(True), probe(None), probe(False), probe(True)])
         assert chain.compile()((), ()) is False
         assert seen == [True, None, False]

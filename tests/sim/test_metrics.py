@@ -66,6 +66,40 @@ class TestMetricsCollector:
         assert snap.delta() == {"a": -6}
         assert snap.get("a") == -6
 
+    def test_reading_never_lists_a_counter(self):
+        # the counts live in a defaultdict: a subscript read would
+        # create the name, so every read goes through ``.get``
+        metrics = MetricsCollector()
+        metrics.count("written")
+        snap = metrics.snapshot()
+        assert metrics.get("only.read") == 0
+        assert snap.get("only.read") == 0
+        assert snap.delta() == {}
+        assert metrics.all() == {"written": 1}
+        assert list(metrics) == [("written", 1)]
+        assert "only.read" not in metrics.counts
+
+    def test_delta_keys_come_out_sorted(self):
+        # the order is part of every trace file; a set of names iterates
+        # in an order that changes with PYTHONHASHSEED
+        metrics = MetricsCollector()
+        names = [f"layer{n % 7}.counter{n}" for n in range(40, 0, -1)]
+        metrics.count(names[3])
+        snap = metrics.snapshot()
+        for name in names:
+            metrics.count(name)
+        assert list(snap.delta()) == sorted(names)
+
+    def test_counts_is_the_write_surface(self):
+        metrics = MetricsCollector()
+        counts = metrics.counts
+        counts["hot"] += 2
+        metrics.count("hot")
+        assert metrics.get("hot") == 3
+        metrics.reset()  # in place: a loop's binding stays valid
+        counts["hot"] += 1
+        assert metrics.all() == {"hot": 1}
+
     def test_snapshot_isolation_across_collectors(self):
         one, two = MetricsCollector(), MetricsCollector()
         one.count("shared", 1)
