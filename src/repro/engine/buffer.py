@@ -31,7 +31,7 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self._disk = disk
         self._clock = clock
-        self._metrics = metrics
+        self._counts = metrics.counts
         self._hit_cpu_s = hit_cpu_s
         self._pages: OrderedDict[tuple[str, int], None] = OrderedDict()
 
@@ -40,10 +40,10 @@ class BufferPool:
         key = (file_name, page_no)
         if key in self._pages:
             self._pages.move_to_end(key)
-            self._metrics.count("buffer.hits")
+            self._counts["buffer.hits"] += 1
             self._clock.charge(self._hit_cpu_s)
             return True
-        self._metrics.count("buffer.misses")
+        self._counts["buffer.misses"] += 1
         self._disk.read_page(sequential)
         self._pages[key] = None
         if len(self._pages) > self.capacity_pages:

@@ -305,8 +305,8 @@ class Database:
         for name in names:
             table = self.catalog.table(name)
             # ANALYZE reads the whole table once.
-            for _ in table.scan():
-                pass
+            for rowids, _rows in table.store.scan():
+                self.metrics.counts[table.scanned_counter] += len(rowids)
             self.stats[name] = analyze(table)
 
     # -- query execution ---------------------------------------------------
@@ -468,11 +468,15 @@ class Database:
                     matches.append(rowid)
             return matches
         matches = []
-        charge_tuples = self.ctx.charge_tuples
-        for rowid, row in table.scan():
-            charge_tuples(1)
-            if holds(row, params) is True:
-                matches.append(rowid)
+        counts, counter = self.metrics.counts, table.scanned_counter
+        for rowids, rows in table.store.scan():
+            for rowid, row in zip(rowids, rows):
+                # per row, not per page: a subquery in the predicate
+                # charges the clock between two tuples
+                counts[counter] += 1
+                counts["exec.tuples"] += 1
+                if holds(row, params) is True:
+                    matches.append(rowid)
         return matches
 
     def _run_delete(self, stmt: DeleteStmt, params: Sequence[object]) -> Result:

@@ -120,9 +120,9 @@ class GroupAggregate(Operator):
         """Fold the child's rows into per-group states, first-seen order."""
         groups: dict[tuple, list[_AggState]] = {}
         group_key, agg_args = self._group_key, self._agg_args
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             key = tuple([part(row, params) for part in group_key])
             states = groups.get(key)
             if states is None:
@@ -137,9 +137,9 @@ class GroupAggregate(Operator):
             # Global aggregate over empty input still yields one row.
             yield tuple(state.result() for state in self._new_states())
             return
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for key, states in groups.items():
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             yield key + tuple(state.result() for state in states)
 
     def describe(self) -> str:

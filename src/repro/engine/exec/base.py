@@ -34,21 +34,16 @@ class ExecContext:
         #: Database (unit tests build bare contexts)
         self.tracer = None
         self._spill_counter = 0
-        tuple_cpu_s = params.tuple_cpu_s
-        counts = metrics.counts
+        #: per-tuple CPU is charged lazily: an operator loop counts a
+        #: tuple with ``counts["exec.tuples"] += 1`` on ``metrics.counts``
+        #: and the clock replays the additions (see ``sim.clock``)
+        clock.bind_unit_charge(metrics, "exec.tuples", params.tuple_cpu_s)
 
-        def charge_tuples(count: int) -> None:
-            if count:
-                # looked up on the clock per call: instrumentation
-                # shadows ``charge`` with an instance attribute
-                clock.charge(tuple_cpu_s * count)
-                counts["exec.tuples"] += count
-
-        #: ``charge_tuples(n)``: n tuples of CPU on the clock and on the
-        #: ``exec.tuples`` counter.  Every operator loop calls it once
-        #: per tuple, so it is a closure over what it needs, not a
-        #: method that finds it through ``self``.
-        self.charge_tuples = charge_tuples
+    def charge_tuples(self, count: int) -> None:
+        """A batch of ``count`` tuples, counted and charged at once as
+        **one** addition of ``tuple_cpu_s * count``."""
+        if count:
+            self.clock.charge_units(count)
 
     def charge_comparisons(self, count: float) -> None:
         if count:

@@ -16,29 +16,15 @@ def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
     return left.schema.concat(right_schema)
 
 
-def key_getter(positions: list[int]) -> Callable[[tuple], tuple | None]:
-    """``row -> join key`` as a tuple; None when a key column is NULL.
+def key_getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """``row -> join key``, always a tuple, taken at C speed.
 
-    NULL never equi-joins, so the callers drop such rows.
+    NULL never equi-joins: the callers drop a key with ``None in key``.
     """
     if len(positions) == 1:
         position, = positions
-
-        def single(row: tuple) -> tuple | None:
-            value = row[position]
-            return None if value is None else (value,)
-
-        return single
-    columns = itemgetter(*positions)
-
-    def composite(row: tuple) -> tuple | None:
-        key = columns(row)
-        for value in key:
-            if value is None:
-                return None
-        return key
-
-    return composite
+        return itemgetter(slice(position, position + 1))  # a 1-tuple
+    return itemgetter(*positions)
 
 
 class NestedLoopJoin(Operator):
@@ -72,7 +58,7 @@ class NestedLoopJoin(Operator):
         null_row = (None,) * len(self.right.schema)
         outer_count = 0
         holds = self._holds
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         charge_comparisons = self.ctx.charge_comparisons
         for left_row in self.left.rows(params):
             outer_count += 1
@@ -82,10 +68,10 @@ class NestedLoopJoin(Operator):
                 combined = left_row + right_row
                 if holds is None or holds(combined, params) is True:
                     matched = True
-                    charge_tuples(1)
+                    counts["exec.tuples"] += 1
                     yield combined
             if self.outer and not matched:
-                charge_tuples(1)
+                counts["exec.tuples"] += 1
                 yield left_row + null_row
         if rescans_needed and outer_count:
             # Charge the re-reads a block-sized BNL would have done.
@@ -168,7 +154,7 @@ class IndexNestedLoopJoin(Operator):
         index = self.index
         full_key = len(self.key_sources) == len(index.column_names)
         fetch_row = self.inner_table.fetch_row
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for left_row in self.left.rows(params):
             key = probe_key(left_row, params)
             if key is None:
@@ -183,7 +169,7 @@ class IndexNestedLoopJoin(Operator):
                         and inner_holds(inner_row, params) is not True:
                     continue
                 combined = left_row + inner_row
-                charge_tuples(1)
+                counts["exec.tuples"] += 1
                 if holds is None or holds(combined, params) is True:
                     yield combined
 
@@ -241,7 +227,7 @@ class HashJoin(Operator):
         build_count = 0
         for row in build_op.rows(params):
             key = build_key(row)
-            if key is None:
+            if None in key:
                 continue
             buckets.setdefault(key, []).append(row)
             build_count += 1
@@ -251,21 +237,21 @@ class HashJoin(Operator):
         if spilling:
             ctx.charge_spill(build_bytes, "hash-build")
         holds = self._holds
-        charge_tuples = ctx.charge_tuples
+        counts = ctx.metrics.counts
         probe_count = 0
         for probe_row in probe_op.rows(params):
             probe_count += 1
             key = probe_key(probe_row)
-            if key is None:
+            if None in key:
                 continue
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             for build_row in buckets.get(key, ()):
                 if build_left:
                     combined = build_row + probe_row
                 else:
                     combined = probe_row + build_row
                 if holds is None or holds(combined, params) is True:
-                    charge_tuples(1)
+                    counts["exec.tuples"] += 1
                     yield combined
         if spilling:
             ctx.charge_spill(
@@ -303,7 +289,7 @@ class MergeJoin(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         holds = self._holds
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         charge_comparisons = self.ctx.charge_comparisons
         left_rows = sort_rows(
             self.ctx, list(self.left.rows(params)),
@@ -340,7 +326,7 @@ class MergeJoin(Operator):
                     for jj in range(j, j_end):
                         combined = left_rows[i_run] + right_rows[jj]
                         if holds is None or holds(combined, params) is True:
-                            charge_tuples(1)
+                            counts["exec.tuples"] += 1
                             yield combined
                     i_run += 1
                 i = i_run

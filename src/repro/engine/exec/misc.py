@@ -20,9 +20,9 @@ class Filter(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         holds = self._holds
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             if holds(row, params) is True:
                 yield row
 
@@ -51,9 +51,9 @@ class Project(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         columns = self._columns
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             yield tuple([column(row, params) for column in columns])
 
     def describe(self) -> str:
@@ -70,9 +70,9 @@ class Distinct(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         seen: set[tuple] = set()
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             if row not in seen:
                 seen.add(row)
                 yield row
@@ -137,9 +137,9 @@ class RowsSource(Operator):
         self._rows = rows
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for row in self._rows:
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             yield row
 
     def describe(self) -> str:

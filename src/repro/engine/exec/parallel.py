@@ -104,7 +104,6 @@ class PartitionScan(Operator):
         counts = self.ctx.metrics.counts
         counter = self.table.scanned_counter
         holds = self._holds
-        charge_tuples = self.ctx.charge_tuples
         last_page = -1
         for local_slot, rowid in enumerate(partition.rowids):
             page = partition.page_of(local_slot)
@@ -115,7 +114,7 @@ class PartitionScan(Operator):
             if row is None:
                 continue  # tombstoned since the partition snapshot
             counts[counter] += 1
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             if holds is None or holds(row, params) is True:
                 yield row
 
@@ -212,9 +211,9 @@ class PartialAggregate(GroupAggregate):
         groups = self._accumulate(params)
         if not self.group_exprs and not groups:
             groups[()] = self._new_states()
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for key, states in groups.items():
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             yield key + tuple(
                 (s.count, s.total, s.minimum, s.maximum) for s in states
             )
@@ -250,9 +249,9 @@ class FinalAggregate(Operator):
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         merged: dict[tuple, list[_AggState]] = {}
         order: list[tuple] = []
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             key = row[:self.group_count]
             states = merged.get(key)
             if states is None:
@@ -276,7 +275,7 @@ class FinalAggregate(Operator):
             yield tuple(state.result() for state in states)
             return
         for key in order:
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             yield key + tuple(state.result() for state in merged[key])
 
     def describe(self) -> str:
@@ -384,16 +383,16 @@ class ParallelHashJoin(Operator):
     ) -> None:
         holds = self._holds
         probe_is_left = self.probe_is_left
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for key, probe_row in probe_rows:
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             for build_row in buckets.get(key, ()):
                 if probe_is_left:
                     combined = probe_row + build_row
                 else:
                     combined = build_row + probe_row
                 if holds is None or holds(combined, params) is True:
-                    charge_tuples(1)
+                    counts["exec.tuples"] += 1
                     out.append(combined)
 
     def _keyed_probe(self, op: Operator, params: Sequence[object]) \
@@ -407,7 +406,7 @@ class ParallelHashJoin(Operator):
         key_of = key_getter(positions)
         for row in op.rows(params):
             key = key_of(row)
-            if key is not None:
+            if None not in key:
                 yield key, row
 
     @staticmethod

@@ -36,11 +36,21 @@ class SeqScan(Operator):
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         holds = self._holds
-        charge_tuples = self.ctx.charge_tuples
-        for _rowid, row in self.table.scan():
-            charge_tuples(1)
-            if holds is None or holds(row, params) is True:
-                yield row
+        counts = self.ctx.metrics.counts
+        counter = self.table.scanned_counter
+        # both counters per row pulled: a Limit abandons a page half way
+        for _rowids, rows in self.table.store.scan():
+            if holds is None:
+                for row in rows:
+                    counts[counter] += 1
+                    counts["exec.tuples"] += 1
+                    yield row
+            else:
+                for row in rows:
+                    counts[counter] += 1
+                    counts["exec.tuples"] += 1
+                    if holds(row, params) is True:
+                        yield row
 
     def describe(self) -> str:
         filt = " (filtered)" if self.predicate is not None else ""
@@ -79,10 +89,10 @@ class IndexEqScan(Operator):
             rowids = [rowid for _key, rowid in self.index.search_prefix(key)]
         holds = self._holds
         fetch_row = self.table.fetch_row
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for rowid in rowids:
             row = fetch_row(rowid, sequential=False)
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             if holds is None or holds(row, params) is True:
                 yield row
 
@@ -133,12 +143,12 @@ class IndexRangeScan(Operator):
         )
         holds = self._holds
         fetch_row = self.table.fetch_row
-        charge_tuples = self.ctx.charge_tuples
+        counts = self.ctx.metrics.counts
         for key, rowid in entries:
             if key[0] == (0, 0):  # NULL keys never satisfy a range
                 continue
             row = fetch_row(rowid, sequential=False)
-            charge_tuples(1)
+            counts["exec.tuples"] += 1
             if holds is None or holds(row, params) is True:
                 yield row
 

@@ -177,9 +177,18 @@ class BTreeIndex:
         self._charge_traverse()
         lo = bisect.bisect_left(self._entries, (prefix, -1))
         self._metrics.count("index.prefix_scans")
-        yield from self._walk_leaves_while(
-            lo, lambda key: key[: len(prefix)] == prefix
-        )
+        width, entries_per_page = len(prefix), self.entries_per_page
+        touched_page = -1
+        # its own leaf walk: two calls an entry less than the helper
+        for idx in range(lo, len(self._entries)):
+            key, rowid = self._entries[idx]
+            if key[:width] != prefix:
+                break
+            page = idx // entries_per_page
+            if page != touched_page:
+                touched_page = page
+                self._buffer.access(self._file_name, page, sequential=True)
+            yield key, rowid
 
     def search_range(
         self,

@@ -468,9 +468,11 @@ class LsmTree(StorageBackend):
         steps = max(1, segment.block_count.bit_length())
         self._clock.charge(self._params.lsm_index_probe_s * steps)
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self) -> Iterator[tuple[list[int], list[tuple]]]:
         """Charged merging scan: every segment is read sequentially
-        through the buffer pool, plus memtable CPU per resident entry."""
+        through the buffer pool, plus memtable CPU per resident entry —
+        all up front; the merged view then goes out in page-sized
+        batches."""
         segments: list[SSTable] = list(self._l0)
         segments.extend(s for s in self._levels if s is not None)
         for segment in segments:
@@ -479,7 +481,12 @@ class LsmTree(StorageBackend):
         for _ in range(len(self._memtable)):
             self._charge_memtable_op()
         self._metrics.count("lsm.scans")
-        yield from self.rows()
+        merged = self._merged_view()
+        live = [rowid for rowid in sorted(merged)
+                if merged[rowid] is not None]
+        for first in range(0, len(live), self.rows_per_page):
+            rowids = live[first:first + self.rows_per_page]
+            yield rowids, [merged[rowid] for rowid in rowids]
 
     # -- checkpoint / recovery --------------------------------------------
 

@@ -16,7 +16,7 @@ layers above have one code path whatever backend a table runs on.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError
@@ -87,8 +87,9 @@ class StorageBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Yield (rowid, row) for every live row, storage order."""
+    def scan(self) -> Iterator[tuple[Sequence[int], Sequence[tuple]]]:
+        """Every live row in storage order, a page at a time: yields
+        ``(rowids, rows)``, two parallel non-empty sequences."""
 
     @abc.abstractmethod
     def read(self, rowid: int, sequential: bool = False) -> tuple:
@@ -99,7 +100,7 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def rows(self) -> Iterator[tuple[int, tuple]]:
-        """:meth:`scan` without its cost."""
+        """:meth:`scan` without its cost, one ``(rowid, row)`` at a time."""
 
     @abc.abstractmethod
     def fetch(self, rowid: int) -> tuple:
@@ -220,28 +221,34 @@ class HeapFile(StorageBackend):
         self._buffer.invalidate_file(self._file)
         return list(range(first_rowid, len(self._rows)))
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self) -> Iterator[tuple[Sequence[int], Sequence[tuple]]]:
         """Heap-order scan: one sequential buffer access per page, paid
-        when the page's first live row is pulled (an all-tombstone page
-        is never charged)."""
+        before the page is handed out (an all-tombstone page is never
+        charged and never handed out)."""
         access = self._buffer.access
         file_name = self._file
         rows_per_page = self.rows_per_page
-        last_page = -1
-        for rowid, row in enumerate(self._rows):
-            if row is not None:
-                page = rowid // rows_per_page
-                if page != last_page:
-                    last_page = page
-                    access(file_name, page, sequential=True)
-                yield rowid, row
+        for first in range(0, len(self._rows), rows_per_page):
+            rows = self._rows[first:first + rows_per_page]
+            rowids: Sequence[int] = range(first, first + len(rows))
+            if None in rows:
+                rowids = [rowid for rowid, row in zip(rowids, rows)
+                          if row is not None]
+                if not rowids:
+                    continue
+                rows = [row for row in rows if row is not None]
+            access(file_name, first // rows_per_page, sequential=True)
+            yield rowids, rows
 
     def read(self, rowid: int, sequential: bool = False) -> tuple:
         """Row fetch by rowid: one buffer access (random unless the
         caller walks rowids in page order)."""
         self._buffer.access(self._file, rowid // self.rows_per_page,
                             sequential=sequential)
-        return self.fetch(rowid)
+        row = self._rows[rowid] if 0 <= rowid < len(self._rows) else None
+        if row is None:
+            raise ExecutionError(f"fetch of dead rowid {rowid}")
+        return row
 
     # -- probe surface ----------------------------------------------------
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ConstraintError
 from repro.engine.index import BTreeIndex, HashIndex
@@ -42,7 +40,8 @@ class Table:
         self._buffer = buffer_pool
         self._counts = metrics.counts
         #: counter names, formatted once per table: the table counts
-        #: per row, and so do direct-path load and the partition scan
+        #: per row, and so do direct-path load and whoever pulls rows
+        #: out of ``store.scan()`` (``scanned_counter``, per row pulled)
         self.inserts_counter = f"table.{self.name}.inserts"
         self.deletes_counter = f"table.{self.name}.deletes"
         self.updates_counter = f"table.{self.name}.updates"
@@ -179,13 +178,6 @@ class Table:
                 index.check_unique(row, own_rowid)
 
     # -- access ---------------------------------------------------------------
-
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Full sequential scan, priced by the storage backend."""
-        counts, counter = self._counts, self.scanned_counter
-        for item in self.store.scan():
-            counts[counter] += 1
-            yield item
 
     def fetch_row(self, rowid: int, sequential: bool = False) -> tuple:
         """Random row fetch (what unclustered index scans pay for)."""

@@ -14,11 +14,21 @@ parallel executor runs each worker lane under its own sink and then
 advances the global clock by ``max(lane totals)`` at the barrier, which
 is what makes a fragment's elapsed time the slowest lane's time instead
 of the sum.
+
+One cost is charged lazily.  Every tuple the executor touches costs the
+same constant, so it only *counts* tuples, on a metrics counter the
+clock is bound to (:meth:`SimulatedClock.bind_unit_charge`), and the
+clock replays the counted additions one by one before anything can
+observe or interleave with them: a ``charge``, a read of ``now``, a lane
+switch, a reset.  The same float additions in the same order give the
+same bits whenever they are made.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+from repro.sim.metrics import MetricsCollector
 
 
 class LaneSink:
@@ -43,10 +53,12 @@ class _Redirect:
         if self._clock._sink is not None:
             raise RuntimeError("clock charges are already redirected "
                                "(worker lanes do not nest)")
+        self._clock._settle()  # counted before the lane: global time
         self._clock._sink = self._sink
         return self._sink
 
     def __exit__(self, *exc_info: object) -> None:
+        self._clock._settle()  # counted inside the lane: its sink
         self._clock._sink = None
 
 
@@ -88,6 +100,13 @@ class SimulatedClock:
         self._sink: LaneSink | None = None
         self._deadlines: dict[int, tuple[float, Callable[[], Exception]]] = {}
         self._next_deadline_token = 0
+        #: the lazily replayed charge: ``_settled`` of the units counted
+        #: in ``_counts[_unit_name]`` are on the clock (unbound: none)
+        self._metrics: MetricsCollector | None = None
+        self._counts: dict[str, float] = {}
+        self._unit_name = ""
+        self._unit_s = 0.0
+        self._settled = 0
 
     @property
     def now(self) -> float:
@@ -96,8 +115,11 @@ class SimulatedClock:
         While charges are redirected into a lane sink this reads as
         *lane-local* time (global time plus the lane's accumulation),
         so spans and profiles opened inside a lane measure the lane's
-        own progress.
+        own progress.  Never raises: reading settles pending unit
+        charges, but a deadline only fires from ``charge``.
         """
+        if self._counts.get(self._unit_name, 0) != self._settled:
+            self._settle()
         if self._sink is not None:
             return self._now + self._sink.seconds
         return self._now
@@ -120,15 +142,74 @@ class SimulatedClock:
         time does not move; armed deadlines are only evaluated against
         global time, so they fire at the fragment barrier (when the
         lanes' max is charged for real), not inside a lane.
+
+        Pending unit charges are settled first, and settling checks no
+        deadline: one crossed by unit charges alone fires here, at the
+        next charge of any other kind (in a scan, the next page access
+        at the latest), late by at most the pending units' cost.
         """
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
+        if self._counts.get(self._unit_name, 0) != self._settled:
+            self._settle()
         if self._sink is not None:
             self._sink.seconds += seconds
             return
         self._now += seconds
         if self._deadlines:
             self._check_deadlines()
+
+    def bind_unit_charge(self, metrics: MetricsCollector, name: str,
+                         seconds: float) -> None:
+        """Make counter ``name`` of ``metrics`` a ledger of unit charges.
+
+        Every later increment is ``seconds`` of work the clock has yet
+        to add: a hot loop charges a unit with ``counts[name] += 1`` and
+        nothing else.  Binding again settles the previous binding first.
+        """
+        if seconds < 0:
+            raise ValueError(f"cannot charge negative time: {seconds}")
+        self._settle()
+        if self._metrics is not None:
+            self._metrics.before_reset.remove(self._rebase)
+        metrics.before_reset.append(self._rebase)
+        self._metrics = metrics
+        self._counts = metrics.counts
+        self._unit_name = name
+        self._unit_s = seconds
+        self._settled = self._counts.get(name, 0)
+
+    def charge_units(self, count: int) -> None:
+        """Count and charge ``count`` bound units in **one** addition:
+        the product differs from ``count`` additions in the last bits,
+        and a site that has always charged a batch keeps its bits."""
+        self.charge(self._unit_s * count)
+        self._counts[self._unit_name] += count
+        self._settled += count
+
+    def _settle(self) -> None:
+        """Replay the unit charges counted since the last settle: one
+        addition each, onto what ``charge`` would add to right now —
+        what an eager ``charge`` per unit would have done.  Never
+        ``pending * unit``, never ``sum()`` (compensated since CPython
+        3.12): either changes the bits."""
+        # ``.get``: a read must not create the counter
+        counted = self._counts.get(self._unit_name, 0)
+        unit_s, sink = self._unit_s, self._sink
+        total = self._now if sink is None else sink.seconds
+        for _ in range(counted - self._settled):
+            total += unit_s
+        if sink is None:
+            self._now = total
+        else:
+            sink.seconds = total
+        self._settled = counted
+
+    def _rebase(self) -> None:
+        """The bound counters are about to be emptied: what is pending
+        is work done, so it is settled, not dropped."""
+        self._settle()
+        self._settled = 0
 
     def redirect(self, sink: LaneSink) -> _Redirect:
         """Redirect subsequent charges into ``sink`` (context manager)."""
@@ -139,7 +220,10 @@ class SimulatedClock:
         return ClockSpan(self)
 
     def reset(self) -> None:
-        """Rewind to zero.  Only meant for harness setup, not mid-run."""
+        """Rewind to zero.  Only meant for harness setup, not mid-run.
+        Pending unit charges are settled first: they go with the time
+        they belong to instead of landing after it."""
+        self._settle()
         self._now = 0.0
         self._sink = None
         self._deadlines.clear()
@@ -154,7 +238,8 @@ class SimulatedClock:
         crosses ``at``, ``exc_factory()`` is raised from inside the
         charging call — aborting whatever simulated work was in flight,
         wherever in the stack it happened.  Deadlines nest; the earliest
-        armed one fires first.
+        armed one fires first; one crossed by lazily replayed unit
+        charges alone fires late, see :meth:`charge`.
         """
         token = self._next_deadline_token
         self._next_deadline_token += 1

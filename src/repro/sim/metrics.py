@@ -9,7 +9,7 @@ simulated clock (via the calibration table) and the experiment reports
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class MetricsSnapshot:
@@ -81,6 +81,9 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.counts: defaultdict[str, float] = defaultdict(int)
+        #: called by :meth:`reset` before it empties the mapping (a
+        #: clock settles the unit charges it replays from a counter)
+        self.before_reset: list[Callable[[], None]] = []
 
     def count(self, name: str, amount: float = 1) -> None:
         """Increase counter ``name`` by ``amount`` (default 1)."""
@@ -101,6 +104,8 @@ class MetricsCollector:
         return dict(self.counts)
 
     def reset(self) -> None:
+        for notify in self.before_reset:
+            notify()
         self.counts.clear()
 
     def __iter__(self) -> Iterator[tuple[str, float]]:

@@ -165,20 +165,9 @@ class TestColdPaths:
         assert items_db.execute("select count(*) from pairs").scalar() == 1000
 
 
-def test_a_scanned_tuple_costs_five_python_calls():
-    # A regression pin for the per-tuple path, in calls, not in seconds:
-    # the two scan generators, ``charge_tuples``, ``clock.charge`` and
-    # the predicate.  A layer that adds a call per tuple fails here.
-    db = Database()
-    db.create_table(TableSchema("t", [
-        Column("k", SqlType.integer(), nullable=False),
-        Column("a", SqlType.integer()),
-        Column("b", SqlType.integer()),
-    ], primary_key=["k"]))
-    db.bulk_load("t", [(n, 1, n % 10) for n in range(1000)])
-    stmt = db.prepare("select k from t where a = ? and b < ?")
-    assert len(stmt.execute((1, 5)).rows) == 500  # compiled, pages warm
-    assert "SeqScan" in stmt.explain()
+def _python_calls(run) -> int:
+    """Python-level ``call`` events (generator resumes included; C
+    functions are ``c_call`` and do not count) while ``run()`` runs."""
     calls = 0
 
     def count_calls(frame, event, arg):
@@ -188,11 +177,53 @@ def test_a_scanned_tuple_costs_five_python_calls():
     outer = sys.getprofile()
     sys.setprofile(count_calls)
     try:
-        result = stmt.execute((1, 0))  # a holds, b rejects: every row
+        run()
     finally:
         sys.setprofile(outer)
-    assert result.rows == []
-    assert calls <= 6 * 1000 + 100, calls / 1000
+    return calls
+
+
+@pytest.fixture()
+def thousand_rows():
+    db = Database()
+    db.create_table(TableSchema("t", [
+        Column("k", SqlType.integer(), nullable=False),
+        Column("a", SqlType.integer()),
+        Column("b", SqlType.integer()),
+    ], primary_key=["k"]))
+    db.bulk_load("t", [(n, 1, n % 10) for n in range(1000)])
+    return db
+
+
+def test_a_scanned_tuple_costs_one_python_call(thousand_rows):
+    # A regression pin for the per-tuple path, in calls, not in seconds:
+    # a scanned, rejected tuple costs the predicate call and nothing
+    # else (the scan hands out pages, the tuple charge is an integer
+    # add).  A layer that adds a call per tuple fails here.
+    stmt = thousand_rows.prepare("select k from t where a = ? and b < ?")
+    assert len(stmt.execute((1, 5)).rows) == 500  # compiled, pages warm
+    assert "SeqScan" in stmt.explain()
+    rows = []
+    # a holds, b rejects: every row
+    calls = _python_calls(lambda: rows.extend(stmt.execute((1, 0)).rows))
+    assert rows == []
+    assert calls <= 1 * 1000 + 100, calls / 1000
+
+
+def test_an_unmatched_probe_row_costs_no_python_call(thousand_rows):
+    # The hash join takes its keys with ``itemgetter`` and counts its
+    # tuples inline: a probe row that finds no match costs what pulling
+    # it out of the child scan costs (one generator resume), no more.
+    db = thousand_rows
+    db.create_table(TableSchema("u", [Column("x", SqlType.integer())]))
+    db.bulk_load("u", [(n,) for n in (7, 8, None)])
+    stmt = db.prepare("select k from t, u where a = x")
+    assert "HashJoin" in stmt.explain()
+    assert stmt.execute(()).rows == []  # compiled, pages warm
+    rows = []
+    calls = _python_calls(lambda: rows.extend(stmt.execute(()).rows))
+    assert rows == []
+    assert calls <= 1 * 1000 + 100, calls / 1000
 
 
 #: name -> (degree, sql, operators the plan must contain)

@@ -40,7 +40,7 @@ class TestHeapFile:
         for i in range(3):
             heap.append((i, ""))
         heap.delete(1)
-        assert [row[0] for _id, row in heap.scan()] == [0, 2]
+        assert [row[0] for _ids, rows in heap.scan() for row in rows] == [0, 2]
         assert heap.row_count == 2
         with pytest.raises(ExecutionError):
             heap.fetch(1)

@@ -48,6 +48,13 @@ def _fresh(storage: str) -> Database:
     return db
 
 
+def _scan(table):
+    """``(rowid, row)`` pulled one at a time out of the charged scan,
+    which hands out a page at a time."""
+    for rowids, rows in table.store.scan():
+        yield from zip(rowids, rows)
+
+
 def _mixed_dml(table, n: int = 300) -> dict[int, tuple]:
     """Deterministic insert/update/delete mix; returns rowid -> row."""
     model: dict[int, tuple] = {}
@@ -70,9 +77,9 @@ class TestDmlSemantics:
         table = db.catalog.table("t")
         model = _mixed_dml(table)
         assert table.row_count == len(model)
-        assert dict(table.scan()) == model
+        assert dict(_scan(table)) == model
         # scan yields live rows in rowid order on both backends
-        rowids = [rowid for rowid, _row in table.scan()]
+        rowids = [rowid for rowid, _row in _scan(table)]
         assert rowids == sorted(model)
         for rowid, row in model.items():
             assert table.fetch_row(rowid) == row
@@ -127,7 +134,7 @@ class TestCrashRecovery:
         recovered, report = Database.open(store)
         assert recovered.storage == storage
         assert recovered.content_digest() == reference
-        assert dict(recovered.catalog.table("t").scan()) == model
+        assert dict(_scan(recovered.catalog.table("t"))) == model
 
     def test_checkpoint_then_more_work_recovers(self, storage):
         db, store = self._durable(storage)
@@ -152,8 +159,8 @@ class TestIteratorStability:
         table = db.catalog.table("t")
         for i in range(240):
             table.insert((i, f"v{i}"))
-        snapshot = list(table.scan())
-        it = table.scan()
+        snapshot = list(_scan(table))
+        it = _scan(table)
         head = list(itertools.islice(it, 50))
         # Force the backend's maintenance mid-iteration: on the LSM a
         # flush lands a new L0 segment and (trigger=2) cascades into a
@@ -223,7 +230,7 @@ CHARGED = {
     "update": lambda table: table.update(0, (40_000, "upd")),
     "delete": lambda table: table.delete(1),
     "apply_insert": lambda table: table.apply_insert(3, (3, "redo")),
-    "scan": lambda table: list(table.scan()),
+    "scan": lambda table: list(_scan(table)),
     "fetch_row": lambda table: table.fetch_row(0),
     "ingest_sorted": lambda table: table.store.ingest_sorted(
         [(30_000 + i, "d") for i in range(600)]),  # > one heap page
@@ -268,10 +275,11 @@ class TestCostContract:
             assert not [n for n in names if n.startswith("lsm.")]
         # what the table counts itself is table.<name>.* and nothing
         # else: every other counter belongs to the layer that charged
+        # (tuples_scanned is counted per row by whoever pulls rows out
+        # of the page scan: see TestPageScan)
         own = {n for n in names if n.startswith("table.")}
         assert own == {f"table.t.{op}" for op in (
-            "inserts", "updates", "deletes", "tuples_scanned",
-            "tuples_fetched")}
+            "inserts", "updates", "deletes", "tuples_fetched")}
         layers = {n.split(".")[0] for n in names - own}
         assert layers <= {"buffer", "disk", "index", "lsm"}
 
@@ -288,7 +296,7 @@ class TestHeapScanCharging:
         db.buffer_pool.clear()
         misses = lambda: db.metrics.get("buffer.misses")  # noqa: E731
         before = misses()
-        it = table.scan()
+        it = _scan(table)
         assert misses() == before  # nothing until the first pull
         next(it)
         assert misses() == before + 1
@@ -306,8 +314,90 @@ class TestHeapScanCharging:
             table.delete(rowid)
         db.buffer_pool.clear()
         before = db.metrics.get("buffer.misses")
-        assert len(list(table.scan())) == 2 * per_page
+        assert len(list(_scan(table))) == 2 * per_page
         assert db.metrics.get("buffer.misses") == before + 2
+
+
+def _row_scan(table):
+    """The per-row charged scan both backends had before scans handed
+    out pages, kept as the reference for what a scan costs and when."""
+    store = table.store
+    if isinstance(store, LsmTree):
+        segments = list(store._l0)
+        segments.extend(s for s in store._levels if s is not None)
+        for segment in segments:
+            for block_no in range(segment.block_count):
+                store._buffer.access(segment.name, block_no, sequential=True)
+        for _ in range(len(store._memtable)):
+            store._charge_memtable_op()
+        store._metrics.count("lsm.scans")
+        yield from store.rows()
+        return
+    last_page = -1
+    for rowid, row in enumerate(store._rows):
+        if row is not None:
+            page = rowid // store.rows_per_page
+            if page != last_page:
+                last_page = page
+                store._buffer.access(store._file, page, sequential=True)
+            yield rowid, row
+
+
+#: name -> rowids to delete, given the rows a page holds
+TOMBSTONES = {
+    "none": lambda per_page: (),
+    "a whole page": lambda per_page: range(per_page, 2 * per_page),
+    "part of a page": lambda per_page: range(per_page + 4, 2 * per_page, 3),
+    "the head of a page": lambda per_page: range(per_page, per_page + 3),
+}
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
+class TestPageScan:
+    """The charged scan hands out pages and costs what the row scan did."""
+
+    def _three_pages(self, storage, tombstones):
+        db = _fresh(storage)
+        table = db.catalog.table("t")
+        per_page = table.store.rows_per_page
+        for i in range(3 * per_page + 5):
+            table.insert((i, f"v{i}"))
+        for rowid in TOMBSTONES[tombstones](per_page):
+            table.delete(rowid)
+        db.buffer_pool.clear()  # hits and misses now depend on the scan
+        return db, table
+
+    @pytest.mark.parametrize("pulled", ("all", "abandoned mid-page"))
+    @pytest.mark.parametrize("tombstones", sorted(TOMBSTONES))
+    def test_costs_what_the_row_scan_cost(self, storage, tombstones, pulled):
+        observed = []
+        for scan in (_row_scan, _scan):
+            db, table = self._three_pages(storage, tombstones)
+            limit = None if pulled == "all" \
+                else table.store.rows_per_page + 7
+            got = list(itertools.islice(scan(table), limit))
+            assert got == list(itertools.islice(table.store.rows(), limit))
+            observed.append((db.clock.now, db.metrics.all(),
+                             db.buffer_pool.resident_pages))
+        assert observed[0] == observed[1]
+        assert observed[0][1]["buffer.misses"] > 0
+
+    def test_pages_are_parallel_non_empty_sequences(self, storage):
+        db, table = self._three_pages(storage, "a whole page")
+        pages = list(table.store.scan())
+        assert all(len(rowids) == len(rows) > 0 for rowids, rows in pages)
+        assert [rowid for rowids, _rows in pages for rowid in rowids] == \
+            [rowid for rowid, _row in table.store.rows()]
+
+    @pytest.mark.parametrize("where", ("", "where v like 'v%'"),
+                             ids=("unfiltered", "filtered"))
+    def test_a_limit_counts_the_rows_it_pulled_not_the_page(self, storage,
+                                                            where):
+        db, table = self._three_pages(storage, "none")
+        before = db.metrics.snapshot()
+        assert len(db.execute(f"select id from t {where} limit 7").rows) == 7
+        assert before.get("table.t.tuples_scanned") == 7
+        assert before.get("exec.tuples") == 7 + 7  # scanned, projected
 
 
 class TestStorageSelection:

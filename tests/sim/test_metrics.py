@@ -1,3 +1,4 @@
+from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 
 
@@ -99,6 +100,22 @@ class TestMetricsCollector:
         metrics.reset()  # in place: a loop's binding stays valid
         counts["hot"] += 1
         assert metrics.all() == {"hot": 1}
+
+    def test_reset_under_a_clock_that_replays_a_counter(self):
+        # the clock charges ``exec.tuples`` lazily, from this mapping:
+        # a reset with tuples pending settles them (work done is time
+        # spent) and leaves neither a negative nor a phantom count
+        metrics, clock = MetricsCollector(), SimulatedClock()
+        clock.bind_unit_charge(metrics, "exec.tuples", 0.5)
+        metrics.counts["exec.tuples"] += 3
+        assert clock.now == 1.5
+        metrics.counts["exec.tuples"] += 2  # pending at the reset
+        metrics.reset()
+        assert metrics.all() == {}
+        assert clock.now == 2.5
+        metrics.counts["exec.tuples"] += 4  # fewer than before: no matter
+        assert clock.now == 4.5
+        assert metrics.all() == {"exec.tuples": 4}
 
     def test_snapshot_isolation_across_collectors(self):
         one, two = MetricsCollector(), MetricsCollector()
