@@ -12,8 +12,15 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.engine.errors import ExecutionError
-from repro.engine.exec.base import ExecContext, Operator, compile_optional
-from repro.engine.expr import AggCall, Compiled, Expr, OutputSchema
+from repro.engine.exec.base import ExecContext, Operator
+from repro.engine.expr import (
+    AggCall,
+    Compiled,
+    Expr,
+    Literal,
+    OutputSchema,
+    compile_row,
+)
 
 
 class _AggState:
@@ -102,13 +109,14 @@ class GroupAggregate(Operator):
         self.agg_calls = agg_calls
 
     @cached_property
-    def _group_key(self) -> list[Compiled]:
-        return [expr.compile() for expr in self.group_exprs]
+    def _group_key(self) -> Compiled:
+        return compile_row(self.group_exprs)
 
     @cached_property
-    def _agg_args(self) -> list[Compiled | None]:
-        """One compiled argument per aggregate; None for COUNT(*)."""
-        return [compile_optional(call.arg) for call in self.agg_calls]
+    def _agg_args(self) -> Compiled:
+        """The aggregates' arguments as one row; COUNT(*)'s is a marker."""
+        return compile_row([Literal(_COUNT_STAR) if call.arg is None
+                            else call.arg for call in self.agg_calls])
 
     def _new_states(self) -> list[_AggState]:
         return [_AggState(call.func, call.distinct)
@@ -123,12 +131,12 @@ class GroupAggregate(Operator):
         counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
             counts["exec.tuples"] += 1
-            key = tuple([part(row, params) for part in group_key])
+            key = group_key(row, params)
             states = groups.get(key)
             if states is None:
                 states = groups[key] = self._new_states()
-            for arg, state in zip(agg_args, states):
-                state.add(_COUNT_STAR if arg is None else arg(row, params))
+            for state, value in zip(states, agg_args(row, params)):
+                state.add(value)
         return groups
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:

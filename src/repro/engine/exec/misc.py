@@ -6,7 +6,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.expr import Compiled, Expr, OutputSchema
+from repro.engine.expr import Compiled, Expr, OutputSchema, compile_row
 
 
 class Filter(Operator):
@@ -46,15 +46,15 @@ class Project(Operator):
         self.exprs = exprs
 
     @cached_property
-    def _columns(self) -> list[Compiled]:
-        return [expr.compile() for expr in self.exprs]
+    def _project(self) -> Compiled:
+        return compile_row(self.exprs)
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        columns = self._columns
+        project = self._project
         counts = self.ctx.metrics.counts
         for row in self.child.rows(params):
             counts["exec.tuples"] += 1
-            yield tuple([column(row, params) for column in columns])
+            yield project(row, params)
 
     def describe(self) -> str:
         return f"Project({len(self.exprs)} cols)"

@@ -129,7 +129,7 @@ class _Source:
     so that its guards can be decided while emitting.
     """
 
-    def __init__(self, root: "Expr") -> None:
+    def __init__(self, root: "Expr | None") -> None:
         self.root = root
         self.constants: dict[str, object] = {}
         self._lines: list[str] = []
@@ -436,7 +436,8 @@ class BinOp(Expr):
 
         They run left to right and stop at the first dominant value, as
         the nested two-operand form does: the root of a predicate
-        returns there, a nested connective skips what is left.
+        returns there, a nested connective skips what is left (and in
+        :func:`compile_row` none is the root: its value is one of many).
         """
         returns = src.root is self
         result = src.temp()
@@ -915,6 +916,14 @@ def _is_literal(node: Expr) -> bool:
     parts = node.children()
     return bool(parts) and not isinstance(node, SubqueryExpr) \
         and all(_is_literal(part) for part in parts)
+
+
+def compile_row(exprs: Sequence[Expr]) -> Compiled:
+    """One function ``fn(row, params) -> tuple`` of all ``exprs``,
+    evaluated left to right; an error belongs to the row it is raised by."""
+    src = _Source(None)
+    atoms = [src.value(expr) for expr in exprs]
+    return src.function(f"({''.join(atom + ', ' for atom in atoms)})")
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

@@ -239,12 +239,13 @@ class DatabaseInterface:
     def cold_start(self) -> None:
         """Reset all per-process state after an app-server restart.
 
-        The cursor cache and the circuit-breaker history live in the
-        crashed work processes' memory; a restarted server comes back
-        with an empty cache and a fresh (closed) breaker.
+        Cursor cache, compiled Open SQL statements and circuit-breaker
+        history live in the crashed work processes' memory; a restarted
+        server comes back with empty caches and a fresh (closed) breaker.
         """
         self.flush_cursor_cache()
         r3 = self._r3
+        r3.open_sql.flush_statements()
         self.breaker = CircuitBreaker(
             r3.clock, r3.metrics, tracer=r3.tracer,
             failure_threshold=r3.params.breaker_failure_threshold,

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 from repro.r3.errors import DDicError
+from repro.r3.pools import row_decoder
 
 #: the client column present on every client-dependent SAP table
 MANDT = "mandt"
@@ -45,7 +48,9 @@ class DDicField:
 
 @dataclass
 class DDicTable:
-    """One logical SAP table definition."""
+    """One logical SAP table definition.  ``fields`` is fixed (a
+    conversion flips ``kind`` and ``container`` only): what derives from
+    it — names, key, positions, row decoders — is derived once."""
 
     name: str
     kind: TableKind
@@ -63,24 +68,33 @@ class DDicTable:
         if self.kind is TableKind.CLUSTER and self.cluster_key_length < 1:
             raise DDicError(f"{self.name}: cluster needs a cluster key")
 
-    @property
+    @cached_property
     def key_fields(self) -> list[DDicField]:
         return [f for f in self.fields if f.key]
 
-    @property
+    @cached_property
     def field_names(self) -> list[str]:
         return [f.name.lower() for f in self.fields]
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Lower-case field name -> position in a logical row."""
+        return {name: i for i, name in enumerate(self.field_names)}
+
+    @cached_property
+    def decode_cluster_row(self) -> Callable[[str], tuple]:
+        """Encoded row -> logical row; cluster rows carry no MANDT."""
+        return row_decoder(self.fields, self.name)
+
+    @cached_property
+    def decode_pool_row(self) -> Callable[[str], tuple]:
+        """Encoded row -> logical row with its leading MANDT."""
+        return row_decoder([DDicField(MANDT, MANDT_TYPE)] + self.fields,
+                           self.name)
 
     @property
     def encapsulated(self) -> bool:
         return self.kind is not TableKind.TRANSPARENT
-
-    def field_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, f in enumerate(self.fields):
-            if f.name.lower() == lowered:
-                return i
-        raise DDicError(f"no field {name} in {self.name}")
 
     def to_table_schema(self) -> TableSchema:
         """The RDBMS schema of the table's transparent incarnation."""

@@ -13,18 +13,21 @@ application server and why converting it to a transparent table
 (Release 3.0) triples its footprint.
 
 Encoded rows can only be interpreted with the data dictionary; each
-decoded logical row charges the app server's decode CPU cost.
+decoded logical row charges the app server's decode CPU cost.  The
+dictionary generates one decoder per table (:func:`row_decoder`).
 """
 
 from __future__ import annotations
 
 import datetime
-from typing import Iterator
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType, TypeKind
-from repro.r3.ddic import DDicField, DDicTable
 from repro.r3.errors import DDicError
+
+if TYPE_CHECKING:  # the dictionary imports this module for its decoders
+    from repro.r3.ddic import DDicField, DDicTable
 
 FIELD_SEP = "\x1f"
 ROW_SEP = "\x1e"
@@ -42,33 +45,66 @@ def encode_value(value: object) -> str:
     return str(value)
 
 
+#: kind -> conversion of an encoded value; other kinds are the text itself
+_CONVERSIONS = {TypeKind.INTEGER: int, TypeKind.DECIMAL: float,
+                TypeKind.DATE: datetime.date.fromisoformat}
+
+
 def decode_value(text: str, sql_type: SqlType) -> object:
     if text == NULL_MARK:
         return None
-    kind = sql_type.kind
-    if kind is TypeKind.INTEGER:
-        return int(text)
-    if kind is TypeKind.DECIMAL:
-        return float(text)
-    if kind is TypeKind.DATE:
-        return datetime.date.fromisoformat(text)
-    return text
+    return _CONVERSIONS.get(sql_type.kind, str)(text)
 
 
 def encode_row(values: tuple) -> str:
-    return FIELD_SEP.join(encode_value(v) for v in values)
+    return FIELD_SEP.join([  # encode_value, inline
+        NULL_MARK if v is None
+        else v.isoformat() if isinstance(v, datetime.date) else str(v)
+        for v in values])
+
+
+def row_decoder(fields: Sequence[DDicField],
+                table: str | None = None) -> Callable[[str], tuple]:
+    """Generate ``decode(text)`` for one encoded row of ``fields``: the
+    split parts unpacked, :func:`decode_value` inline per field.  The
+    file name ends in this module's path (``perf/layers.py`` attributes
+    profiled time by that ending)."""
+    parts = [f"p{i}" for i in range(len(fields))]
+    values = "".join(
+        f"None if {p} == NULL_MARK else "
+        f"{f'{k.name}({p})' if k in _CONVERSIONS else p}, "
+        for p, k in zip(parts, (f.sql_type.kind for f in fields)))
+    source = (f"def decode(text):\n"
+              f" try:\n"
+              f"  [{', '.join(parts)}] = text.split(FIELD_SEP)\n"
+              f"  return ({values})\n"
+              f" except ValueError:\n"
+              f"  raise corrupt(text) from None\n")
+    names = {"FIELD_SEP": FIELD_SEP, "NULL_MARK": NULL_MARK,
+             "corrupt": lambda text: _corrupt(table, fields, text),
+             **{kind.name: fn for kind, fn in _CONVERSIONS.items()}}
+    exec(compile(source, "<generated>/repro/r3/pools.py", "exec"), names)
+    return names["decode"]
+
+
+def _corrupt(table: str | None, fields: Sequence[DDicField],
+             text: str) -> DDicError:
+    """Why ``text`` does not decode: wrong part count or a bad value."""
+    parts = text.split(FIELD_SEP)
+    if len(parts) != len(fields):
+        return DDicError(f"corrupt encoded row: {len(parts)} parts, "
+                         f"{len(fields)} fields expected")
+    for part, f in zip(parts, fields):
+        try:
+            decode_value(part, f.sql_type)
+        except ValueError:
+            break
+    where = f"{table}.{f.name}" if table else f.name
+    return DDicError(f"corrupt encoded value {part!r} for field {where}")
 
 
 def decode_row(text: str, fields: list[DDicField]) -> tuple:
-    parts = text.split(FIELD_SEP)
-    if len(parts) != len(fields):
-        raise DDicError(
-            f"corrupt encoded row: {len(parts)} parts, "
-            f"{len(fields)} fields expected"
-        )
-    return tuple(
-        decode_value(part, f.sql_type) for part, f in zip(parts, fields)
-    )
+    return row_decoder(fields)(text)
 
 
 class PoolContainer:
@@ -90,10 +126,11 @@ class PoolContainer:
 
         ``row`` is the full logical row *including* the leading MANDT.
         """
-        parts = [encode_value(row[0])]
-        for f in table.key_fields:
-            parts.append(encode_value(row[1 + table.field_index(f.name)]))
-        return "|".join(parts)
+        positions = table.positions
+        return "|".join([encode_value(row[0])] + [
+            encode_value(row[1 + positions[f.name.lower()]])
+            for f in table.key_fields
+        ])
 
     def physical_row(self, table: DDicTable, row: tuple) -> tuple:
         return (table.name, self.varkey_of(table, row), encode_row(row))
@@ -101,8 +138,7 @@ class PoolContainer:
     @staticmethod
     def decode(table: DDicTable, vardata: str) -> tuple:
         """Logical row (incl. MANDT) from a VARDATA string."""
-        mandt_field = DDicField("mandt", SqlType.char(3))
-        return decode_row(vardata, [mandt_field] + table.fields)
+        return table.decode_pool_row(vardata)
 
 
 class ClusterContainer:
@@ -159,9 +195,8 @@ class ClusterContainer:
         return pages
 
     @staticmethod
-    def decode_page(table: DDicTable, vardata: str) -> Iterator[tuple]:
+    def decode_page(table: DDicTable, vardata: str) -> list[tuple]:
         """Logical rows (without MANDT) from one physical page."""
         if not vardata:
-            return
-        for encoded in vardata.split(ROW_SEP):
-            yield decode_row(encoded, table.fields)
+            return []
+        return list(map(table.decode_cluster_row, vardata.split(ROW_SEP)))

@@ -23,6 +23,7 @@ from repro.engine.expr import (
     OutputSchema,
     ParamRef,
     SubqueryExpr,
+    compile_row,
     conjoin,
     like_to_regex,
     split_conjuncts,
@@ -699,3 +700,66 @@ class TestCompileTimeWork:
         chain = conjoin([probe(True), probe(None), probe(False), probe(True)])
         assert chain.compile()((), ()) is False
         assert seen == [True, None, False]
+
+
+# ---------------------------------------------------------------------------
+# compile_row: several expressions, one function
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_bool_tree, _int_spec, _date_spec), max_size=4),
+       _rows, _params)
+def test_compile_row_agrees_with_one_compile_each(specs, row, params):
+    exprs = [build_expr(spec) for spec in specs]
+    for expr in exprs:
+        for node in expr.walk():
+            if isinstance(node, ColumnRef):
+                node.bind(PROPERTY_SCHEMA)
+    expected = tuple(expr.compile()(row, params) for expr in exprs)
+    got = compile_row(exprs)(row, params)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+class TestCompileRow:
+    def test_no_expressions(self):
+        assert compile_row([])((1, 2, 3), ()) == ()
+
+    @pytest.mark.parametrize("row,expected", [
+        ((1, 2, 3), (True, 3, True)),
+        ((0, 2, 3), (False, 3, True)),     # AND decided by its first operand
+        ((1, 0, 3), (False, 3, True)),     # OR decided by its first operand
+        ((None, 2, 3), (None, 3, True)),
+        ((0, None, 3), (False, 3, None)),
+    ])
+    def test_connective_among_other_columns(self, row, expected):
+        # The root of a predicate returns at the first dominant value; in
+        # a row of expressions that would drop the other columns.
+        b_is_2 = BinOp("=", ColumnRef("t", "b"), Literal(2))
+        exprs = [BinOp("AND", _a_is(1), b_is_2).bind(SCHEMA),
+                 ColumnRef(None, "c").bind(SCHEMA),
+                 BinOp("OR", _a_is(1), b_is_2).bind(SCHEMA)]
+        assert compile_row(exprs)(row, ()) == expected
+        assert expected == tuple(e.compile()(row, ()) for e in exprs)
+
+    def test_error_belongs_to_the_row_that_provokes_it(self):
+        project = compile_row([
+            ColumnRef("t", "a").bind(SCHEMA),
+            BinOp("/", Literal(1), ColumnRef("t", "b")).bind(SCHEMA)])
+        with pytest.raises(ExecutionError, match="division by zero"):
+            project((1, 0, 3), ())
+        assert project((1, 2, 3), ()) == (1, 0.5)
+
+    def test_left_to_right(self):
+        seen = []
+
+        def probe(value):
+            node = SubqueryExpr(object(), "scalar")
+            node.executor = lambda row, params: seen.append(value) or value
+            return node
+
+        fused = compile_row([probe(1), conjoin([probe(False), probe(2)]),
+                             probe(3)])
+        assert fused((), ()) == (1, False, 3)
+        assert seen == [1, False, 3]
