@@ -3,28 +3,17 @@
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
 from repro.engine.exec.sort import sort_rows
 from repro.engine.expr import Compiled, Expr, OutputSchema
+from repro.engine.index import key_getter
 from repro.engine.table import Table
 
 
 def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
     return left.schema.concat(right_schema)
-
-
-def key_getter(positions: list[int]) -> Callable[[tuple], tuple]:
-    """``row -> join key``, always a tuple, taken at C speed.
-
-    NULL never equi-joins: the callers drop a key with ``None in key``.
-    """
-    if len(positions) == 1:
-        position, = positions
-        return itemgetter(slice(position, position + 1))  # a 1-tuple
-    return itemgetter(*positions)
 
 
 class NestedLoopJoin(Operator):

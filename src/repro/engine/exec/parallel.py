@@ -36,8 +36,8 @@ from typing import Iterator, Sequence
 
 from repro.engine.exec.aggregate import GroupAggregate, _AggState
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.exec.joins import key_getter
 from repro.engine.expr import AggCall, Expr, OutputSchema
+from repro.engine.index import key_getter
 from repro.engine.parallel.lanes import LaneSet
 from repro.engine.parallel.partition import (
     PartitionManager,

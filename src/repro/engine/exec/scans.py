@@ -7,6 +7,7 @@ from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
 from repro.engine.expr import Compiled, Expr, OutputSchema
+from repro.engine.index import NULL_FIRST
 from repro.engine.table import Table
 
 
@@ -145,7 +146,7 @@ class IndexRangeScan(Operator):
         fetch_row = self.table.fetch_row
         counts = self.ctx.metrics.counts
         for key, rowid in entries:
-            if key[0] == (0, 0):  # NULL keys never satisfy a range
+            if key[0] is NULL_FIRST:  # NULL keys never satisfy a range
                 continue
             row = fetch_row(rowid, sequential=False)
             counts["exec.tuples"] += 1

@@ -7,13 +7,20 @@ buffer pool, and leaf walks charge one (mostly cached) page per
 ``entries_per_page`` entries.  Fetching the *heap* rows an index scan
 produces is the caller's job — that is where the paper's Table 6
 random-I/O trap lives.
+
+A key is the plain tuple of the indexed column values, so that every
+comparison a bisect makes runs inside ``tuple``'s own C loop; the one
+value a column type cannot order, NULL, is ``NULL_FIRST`` in a key
+(DESIGN.md §20).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterator
+import zlib
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError
@@ -24,24 +31,52 @@ from repro.sim.metrics import MetricsCollector
 #: bytes per entry beyond the key itself (rowid + slot overhead)
 ENTRY_OVERHEAD_BYTES = 8
 
-# Sortable wrapper so NULL keys order before everything else: a value
-# is ``(1, value)`` in a key, NULL is ``_NULL_KEY``.
-_NULL_KEY = (0, 0)
+
+class _NullFirst:
+    """What SQL NULL is inside an index key: below every value, equal
+    to itself alone.  Every other type answers ``NotImplemented`` to a
+    comparison with it, so Python asks the reflected method here."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return other is not self
+
+    def __le__(self, other: object) -> bool:
+        return True
+
+    def __gt__(self, other: object) -> bool:
+        return False
+
+    def __ge__(self, other: object) -> bool:
+        return other is self
+
+    def __repr__(self) -> str:
+        return "NULL_FIRST"
+
+    def __reduce__(self) -> str:
+        # copies and pickles as the one instance: ``is`` keeps working
+        return "NULL_FIRST"
+
+
+NULL_FIRST = _NullFirst()
+
+
+def key_getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """``row -> the columns at positions``, always a tuple, taken at C
+    speed; NULLs come out as ``None`` (see :func:`make_key`)."""
+    if len(positions) == 1:
+        position, = positions
+        return itemgetter(slice(position, position + 1))  # a 1-tuple
+    return itemgetter(*positions)
 
 
 def make_key(values: tuple) -> tuple:
-    """Build a total-order-safe key tuple from column values."""
-    return tuple([_NULL_KEY if v is None else (1, v) for v in values])
-
-
-def _compile_key_of_row(positions: list[int]):
-    """``row -> make_key(row[p] for p in positions)`` as one expression
-    with the positions written into it, built once per index."""
-    parts = "".join(
-        f"(NULL if (v := row[{pos}]) is None else (1, v)), "
-        for pos in positions
-    )
-    return eval(f"lambda row: ({parts})", {"NULL": _NULL_KEY})
+    """The index key of column values: the values themselves, in a
+    plain tuple that compares at C speed, NULL as ``NULL_FIRST``."""
+    if None in values:
+        return tuple([NULL_FIRST if v is None else v for v in values])
+    return tuple(values)
 
 
 class BTreeIndex:
@@ -74,33 +109,46 @@ class BTreeIndex:
         self.entry_byte_width = key_bytes + ENTRY_OVERHEAD_BYTES
         self.entries_per_page = max(2, page_size_bytes // self.entry_byte_width)
         self._file_name = f"idx:{name}"
-        #: ``row -> key``: the indexed columns of a row as ``make_key``
-        #: would wrap them
-        self.key_of_row = _compile_key_of_row(self.column_positions)
+        #: ``row -> indexed column values``, NULL still ``None``
+        self.columns_of_row = key_getter(self.column_positions)
         # the all-NULL key, which a unique index admits any number of
-        self._null_key = (_NULL_KEY,) * len(self.column_positions)
+        self._null_key = (NULL_FIRST,) * len(self.column_positions)
         # ``(key, rowid)`` entries in sort order
         self._entries: list[tuple[tuple, int]] = []
         self._bulk_pending = 0
 
+    def key_of_row(self, row: tuple) -> tuple:
+        """The indexed columns of a row as :func:`make_key` has them."""
+        key = self.columns_of_row(row)
+        return make_key(key) if None in key else key
+
     # -- maintenance -----------------------------------------------------
 
-    def insert(self, row: tuple, rowid: int, bulk: bool = False) -> None:
-        key = self.key_of_row(row)
-        entry = (key, rowid)
+    def _lower_bound(self, entry: tuple[tuple, int]) -> int:
+        """Where ``entry`` belongs in the sort order."""
         entries = self._entries
         if not entries or entries[-1] < entry:
             # what sorted input (bulk load, direct path, ingest_sorted)
             # delivers: the position a bisect would find, without one
-            pos = len(entries)
-        else:
-            pos = bisect.bisect_left(entries, entry)
-        # Entries of one key are adjacent and ``pos`` lies among them.
-        if self.unique and key != self._null_key and (
-                (pos < len(entries) and entries[pos][0] == key)
-                or (pos and entries[pos - 1][0] == key)):
-            raise self._violation(key)
-        entries.insert(pos, entry)
+            return len(entries)
+        return bisect.bisect_left(entries, entry)
+
+    def insert(self, row: tuple, rowid: int, bulk: bool = False,
+               pos: int | None = None) -> None:
+        """``pos`` is where :meth:`locate` put the row's key, when it
+        found the key free and nothing has touched the index since: the
+        insert of a probed row descends once, not twice."""
+        key = self.key_of_row(row)
+        entries = self._entries
+        if pos is None:
+            pos = self._lower_bound((key, rowid))
+            # Entries of one key are adjacent and ``pos`` lies among
+            # them.
+            if self.unique and key != self._null_key and (
+                    (pos < len(entries) and entries[pos][0] == key)
+                    or (pos and entries[pos - 1][0] == key)):
+                raise self._violation(key)
+        entries.insert(pos, (key, rowid))
         if bulk:
             # Deferred index build: page writes amortise over a full
             # leaf, as a bulk loader's sort-and-build pass would.
@@ -150,26 +198,33 @@ class BTreeIndex:
 
     def search_eq(self, values: tuple) -> list[int]:
         """Rowids whose key equals ``values`` (full-key match)."""
+        return self.locate(values)[1]
+
+    def locate(self, values: tuple) -> tuple[int, list[int]]:
+        """``search_eq`` that also says where it looked: the position
+        of the first entry not below ``values``, and the rowids."""
         key = make_key(values)
         self._charge_traverse()
-        lo = bisect.bisect_left(self._entries, (key, -1))
+        entries = self._entries
+        lo = self._lower_bound((key, -1))
         out: list[int] = []
         touched_pages: set[int] = set()
         idx = lo
-        while idx < len(self._entries) and self._entries[idx][0] == key:
+        while idx < len(entries) and entries[idx][0] == key:
             page = self._leaf_page(idx)
             if page not in touched_pages:
                 touched_pages.add(page)
                 self._buffer.access(self._file_name, page, sequential=True)
-            out.append(self._entries[idx][1])
+            out.append(entries[idx][1])
             idx += 1
         if not touched_pages:
             self._buffer.access(
-                self._file_name, self._leaf_page(min(lo, max(len(self._entries) - 1, 0))),
+                self._file_name,
+                self._leaf_page(min(lo, max(len(entries) - 1, 0))),
                 sequential=False,
             )
         self._metrics.count("index.eq_lookups")
-        return out
+        return lo, out
 
     def search_prefix(self, values: tuple) -> Iterator[tuple[tuple, int]]:
         """All entries whose key starts with ``values`` (prefix match)."""
@@ -302,6 +357,12 @@ class BTreeIndex:
         )
 
 
+def _bucket_page(key: tuple) -> int:
+    """The hash index page of a key.  Not ``hash(key)``: that is salted
+    per process for strings, and the page decides hits and misses."""
+    return zlib.crc32(repr(key).encode()) % 1024
+
+
 class HashIndex:
     """Equality-only index (kept for completeness; catalog may create it)."""
 
@@ -331,11 +392,9 @@ class HashIndex:
         )
         self.entry_byte_width = key_bytes + ENTRY_OVERHEAD_BYTES
         self.entries_per_page = max(2, page_size_bytes // self.entry_byte_width)
+        self.key_of_row = key_getter(self.column_positions)
         self._buckets: dict[tuple, list[int]] = {}
         self._count = 0
-
-    def key_of_row(self, row: tuple) -> tuple:
-        return tuple(row[pos] for pos in self.column_positions)
 
     def insert(self, row: tuple, rowid: int, bulk: bool = False) -> None:
         key = self.key_of_row(row)
@@ -346,8 +405,7 @@ class HashIndex:
         self._count += 1
         if bulk and self._count % self.entries_per_page:
             return
-        self._buffer.write(self._file_name, hash(key) % 1024,
-                           fresh=bulk)
+        self._buffer.write(self._file_name, _bucket_page(key), fresh=bulk)
 
     def check_unique(self, row: tuple, own_rowid: int | None = None) -> None:
         """As ``BTreeIndex.check_unique``: uncharged, before mutation."""
@@ -366,13 +424,15 @@ class HashIndex:
             raise ExecutionError(f"hash index {self.name}: missing {rowid}")
         bucket.remove(rowid)
         self._count -= 1
-        self._buffer.write(self._file_name, hash(key) % 1024)
+        self._buffer.write(self._file_name, _bucket_page(key))
 
     def search_eq(self, values: tuple) -> list[int]:
+        key = tuple(values)
         self._clock.charge(self._traverse_cpu_s)
         self._metrics.count("index.eq_lookups")
-        self._buffer.access(self._file_name, hash(values) % 1024, sequential=False)
-        return list(self._buckets.get(tuple(values), []))
+        self._buffer.access(self._file_name, _bucket_page(key),
+                            sequential=False)
+        return list(self._buckets.get(key, []))
 
     @property
     def entry_count(self) -> int:

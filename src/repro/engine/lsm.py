@@ -61,19 +61,19 @@ class BloomFilter:
         self._mask = bits - 1
         self._bits = bytearray(bits // 8)
 
-    def _positions(self, key: int) -> Iterator[int]:
-        for mult in _BLOOM_MULTIPLIERS:
-            yield (key * mult) & self._mask
-
     def add(self, key: int) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        bits, mask = self._bits, self._mask
+        for mult in _BLOOM_MULTIPLIERS:
+            pos = (key * mult) & mask
+            bits[pos >> 3] |= 1 << (pos & 7)
 
     def might_contain(self, key: int) -> bool:
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7))
-            for pos in self._positions(key)
-        )
+        bits, mask = self._bits, self._mask
+        for mult in _BLOOM_MULTIPLIERS:
+            pos = (key * mult) & mask
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
 
 class SSTable:

@@ -58,10 +58,7 @@ class Table:
         else:
             raise ValueError(f"unknown storage backend {storage!r}")
         self.indexes: dict[str, Index] = {}
-        self._pk_index: Index | None = None
-        self._pk_positions = [
-            schema.column_index(c) for c in schema.primary_key
-        ]
+        self._pk_index: BTreeIndex | None = None
         #: the database's WriteAheadLog, or None when durability is off
         #: (the zero-touch default); set by Database at create time
         self.wal = None
@@ -71,6 +68,7 @@ class Table:
     def attach_index(self, index: Index, is_primary: bool = False) -> None:
         self.indexes[index.name.lower()] = index
         if is_primary:
+            assert isinstance(index, BTreeIndex)
             self._pk_index = index
         for rowid, row in self.store.rows():
             index.insert(row, rowid)
@@ -82,7 +80,7 @@ class Table:
         self._buffer.invalidate_file(f"idx:{index.name}")
 
     @property
-    def primary_index(self) -> Index | None:
+    def primary_index(self) -> BTreeIndex | None:
         return self._pk_index
 
     def index_on(self, column_name: str) -> Index | None:
@@ -104,13 +102,18 @@ class Table:
         forgoes in the paper's Table 3.
         """
         row = self.schema.validate_row(row)
-        self._check_primary_key(row)
+        pk = self._pk_index
+        pk_pos = self._check_primary_key(row)
         # the charged probe above has just cleared the primary index
-        self._check_unique(row, skip=self._pk_index)
+        self._check_unique(row, skip=pk)
         rowid = self.store.append(row, bulk)
         self._counts[self.inserts_counter] += 1
         for index in self.indexes.values():
-            index.insert(row, rowid, bulk=bulk)
+            if index is pk:
+                # the probe's descent is the insert's
+                pk.insert(row, rowid, bulk, pk_pos)
+            else:
+                index.insert(row, rowid, bulk=bulk)
         if self.wal is not None:
             self.wal.log_insert(self.name, rowid, row,
                                 self.store.page_of(rowid))
@@ -154,18 +157,23 @@ class Table:
         for index in self.indexes.values():
             index.insert(row, rowid)
 
-    def _check_primary_key(self, row: tuple) -> None:
-        if not self._pk_positions or self._pk_index is None:
-            return
-        key = tuple([row[pos] for pos in self._pk_positions])
+    def _check_primary_key(self, row: tuple) -> int | None:
+        """The charged primary-key probe; where the primary index will
+        put the row (None without one)."""
+        pk = self._pk_index
+        if pk is None:
+            return None
+        key = pk.columns_of_row(row)
         if None in key:
             raise ConstraintError(
                 f"NULL in primary key of {self.name}: {key}"
             )
-        if self._pk_index.search_eq(key):
+        pos, rowids = pk.locate(key)
+        if rowids:
             raise ConstraintError(
                 f"duplicate primary key in {self.name}: {key}"
             )
+        return pos
 
     def _check_unique(self, row: tuple, own_rowid: int | None = None,
                       skip: Index | None = None) -> None:

@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.engine.exec.joins import key_getter
 from repro.engine.expr import like_to_regex
+from repro.engine.index import key_getter
 from repro.r3.ddic import DDicTable, TableKind
 from repro.r3.errors import OpenSqlError
 from repro.r3.opensql.ast import (

@@ -84,7 +84,7 @@ class TestBTreeIndex:
         index.insert((None, ""), 0)
         index.insert((1, ""), 1)
         keys = [k for k, _r in index.scan_all()]
-        assert keys[0][0] == (0, 0)
+        assert keys[0] == make_key((None,))
 
     def test_size_accounting(self):
         index = _index()
