@@ -108,6 +108,16 @@ class Operator:
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         raise NotImplementedError
 
+    def materialize(self, params: Sequence[object]) -> list[tuple]:
+        """Every output row, for a consumer that pulls the operator dry
+        before it does anything else and charges nothing, not even a
+        tuple unit, while it pulls: a hash build, a sort, a nested-loop
+        inner.  For such a consumer an override may count a page's
+        tuples in one addition (DESIGN.md §21).  A consumer that counts
+        or charges per row it pulls (``Project``, ``GroupAggregate``, a
+        probe loop) is not one: it calls ``rows``."""
+        return list(self.rows(params))
+
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
         lines = [f"{pad}{self.describe()}"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
@@ -14,6 +15,31 @@ from repro.engine.table import Table
 
 def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
     return left.schema.concat(right_schema)
+
+
+def build_hash_table(
+    rows: list[tuple], key_positions: list[int]
+) -> tuple[dict[tuple, Sequence[tuple]], int]:
+    """The build side of every hash join: ``(buckets, build_count)``.
+
+    A row whose key has a NULL part joins nothing and is neither stored
+    nor counted; a bucket keeps its rows in input order.  Unique keys —
+    a primary or foreign-key parent side — make the whole table in three
+    C loops, each bucket a 1-tuple.
+    """
+    keys = list(map(key_getter(key_positions), rows))
+    if None not in chain.from_iterable(keys):
+        unique = dict(zip(keys, zip(rows)))
+        if len(unique) == len(rows):
+            return unique, len(rows)
+    buckets: dict[tuple, list[tuple]] = {}
+    build_count = 0
+    for key, row in zip(keys, rows):
+        if None in key:
+            continue
+        buckets.setdefault(key, []).append(row)
+        build_count += 1
+    return buckets, build_count
 
 
 class NestedLoopJoin(Operator):
@@ -41,7 +67,7 @@ class NestedLoopJoin(Operator):
     _holds = compiled("condition")
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        inner = list(self.right.rows(params))
+        inner = self.right.materialize(params)
         inner_bytes = len(inner) * self.ctx.row_bytes(len(self.right.schema))
         rescans_needed = inner_bytes > self.ctx.params.work_mem_bytes
         null_row = (None,) * len(self.right.schema)
@@ -211,15 +237,9 @@ class HashJoin(Operator):
             build_op, probe_op = self.right, self.left
             build_keys, probe_keys = (self.right_key_positions,
                                       self.left_key_positions)
-        build_key, probe_key = key_getter(build_keys), key_getter(probe_keys)
-        buckets: dict[tuple, list[tuple]] = {}
-        build_count = 0
-        for row in build_op.rows(params):
-            key = build_key(row)
-            if None in key:
-                continue
-            buckets.setdefault(key, []).append(row)
-            build_count += 1
+        probe_key = key_getter(probe_keys)
+        buckets, build_count = build_hash_table(
+            build_op.materialize(params), build_keys)
         ctx.charge_tuples(build_count)
         build_bytes = build_count * ctx.row_bytes(len(build_op.schema))
         spilling = build_bytes > ctx.params.work_mem_bytes
@@ -281,11 +301,11 @@ class MergeJoin(Operator):
         counts = self.ctx.metrics.counts
         charge_comparisons = self.ctx.charge_comparisons
         left_rows = sort_rows(
-            self.ctx, list(self.left.rows(params)),
+            self.ctx, self.left.materialize(params),
             [(self.left_key, False)], len(self.left.schema),
         )
         right_rows = sort_rows(
-            self.ctx, list(self.right.rows(params)),
+            self.ctx, self.right.materialize(params),
             [(self.right_key, False)], len(self.right.schema),
         )
         i = j = 0

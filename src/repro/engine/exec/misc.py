@@ -121,6 +121,9 @@ class Alias(Operator):
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
         return self.child.rows(params)
 
+    def materialize(self, params: Sequence[object]) -> list[tuple]:
+        return self.child.materialize(params)
+
     def describe(self) -> str:
         return f"Alias({self.schema.entries[0][0]})"
 

@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 
 from repro.engine.exec.aggregate import GroupAggregate, _AggState
 from repro.engine.exec.base import ExecContext, Operator, compiled
+from repro.engine.exec.joins import build_hash_table
 from repro.engine.expr import AggCall, Expr, OutputSchema
 from repro.engine.index import key_getter
 from repro.engine.parallel.lanes import LaneSet
@@ -367,16 +368,9 @@ class ParallelHashJoin(Operator):
 
     _holds = compiled("residual")
 
-    def _build_rows(self, params: Sequence[object]) \
-            -> list[tuple[tuple, tuple]]:
-        keyed = list(self._keyed(self.build_op, self.build_key_positions,
-                                 params))
-        self.ctx.charge_tuples(len(keyed))
-        return keyed
-
     def _probe_one(
         self,
-        buckets: dict[tuple, list[tuple]],
+        buckets: dict[tuple, Sequence[tuple]],
         probe_rows: Iterator[tuple[tuple, tuple]],
         params: Sequence[object],
         out: list[tuple],
@@ -397,25 +391,12 @@ class ParallelHashJoin(Operator):
 
     def _keyed_probe(self, op: Operator, params: Sequence[object]) \
             -> Iterator[tuple[tuple, tuple]]:
-        return self._keyed(op, self.probe_key_positions, params)
-
-    @staticmethod
-    def _keyed(op: Operator, positions: list[int],
-               params: Sequence[object]) -> Iterator[tuple[tuple, tuple]]:
         """``(key, row)`` for every row of ``op`` whose key has no NULL."""
-        key_of = key_getter(positions)
+        key_of = key_getter(self.probe_key_positions)
         for row in op.rows(params):
             key = key_of(row)
             if None not in key:
                 yield key, row
-
-    @staticmethod
-    def _hash_table(keyed: list[tuple[tuple, tuple]]) \
-            -> dict[tuple, list[tuple]]:
-        table: dict[tuple, list[tuple]] = {}
-        for key, row in keyed:
-            table.setdefault(key, []).append(row)
-        return table
 
     # -- execution -------------------------------------------------------
 
@@ -423,11 +404,13 @@ class ParallelHashJoin(Operator):
         ctx = self.ctx
         clock = ctx.clock
         p = ctx.params
-        build_keyed = self._build_rows(params)
+        build_keys = self.build_key_positions
+        table, build_count = build_hash_table(
+            self.build_op.materialize(params), build_keys)
+        ctx.charge_tuples(build_count)
         if clock.redirected:
             # Defensive serial fallback (fragments never nest): probe
             # every partition against the full build table inline.
-            table = self._hash_table(build_keyed)
             out: list[tuple] = []
             for op in self.probe_lane_ops:
                 self._probe_one(table, self._keyed_probe(op, params),
@@ -445,11 +428,12 @@ class ParallelHashJoin(Operator):
                              probe: Operator = probe) -> None:
                         with _span(ctx, "exec.lane", lane=index,
                                    parallel=True) as lane_span:
-                            # Receiving the broadcast copy + building.
-                            clock.charge(len(build_keyed)
+                            # Receiving the broadcast copy + building
+                            # (charged per lane; the table is read-only
+                            # and built once).
+                            clock.charge(build_count
                                          * (p.tuple_cpu_s
                                             + p.parallel_ship_tuple_s))
-                            table = self._hash_table(build_keyed)
                             self._probe_one(
                                 table, self._keyed_probe(probe, params),
                                 params, outputs[index])
@@ -457,8 +441,9 @@ class ParallelHashJoin(Operator):
                     lanes.run(index, work)
                 lanes.barrier()
             else:
-                build_shards = Repartition(ctx, degree, self.seed) \
-                    .route(iter(build_keyed))
+                build_shards = Repartition(ctx, degree, self.seed).route(
+                    (key, row) for key, bucket in table.items()
+                    for row in bucket)
                 shuffled: list[list[list[tuple[tuple, tuple]]]] = [
                     [[] for _ in range(degree)] for _ in range(degree)
                 ]
@@ -473,12 +458,12 @@ class ParallelHashJoin(Operator):
                 def probe_bucket(index: int) -> None:
                     with _span(ctx, "exec.lane", lane=index, phase=2,
                                parallel=True) as lane_span:
-                        table = self._hash_table(build_shards[index])
-                        clock.charge(len(build_shards[index])
-                                     * p.tuple_cpu_s)
+                        shard = [row for _key, row in build_shards[index]]
+                        shard_table, _ = build_hash_table(shard, build_keys)
+                        clock.charge(len(shard) * p.tuple_cpu_s)
                         for source in range(degree):
                             self._probe_one(
-                                table, iter(shuffled[source][index]),
+                                shard_table, iter(shuffled[source][index]),
                                 params, outputs[index])
                         lane_span.set(rows=len(outputs[index]))
 
@@ -494,7 +479,7 @@ class ParallelHashJoin(Operator):
             clock.charge(total * p.parallel_ship_tuple_s)
             fragment.set(lane_seconds=lanes.lane_seconds(),
                          skew=lanes.skew(), rows=total,
-                         build_rows=len(build_keyed))
+                         build_rows=build_count)
         for rows in outputs:
             yield from rows
 

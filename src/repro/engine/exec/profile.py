@@ -3,7 +3,9 @@
 ``attach_profile`` instruments a physical operator tree in place: each
 operator's ``rows()`` is shadowed by a wrapper that accounts, per
 ``next()`` pull, the inclusive simulated seconds, rows produced, and
-pages read (from the disk counters).  Parent measurements naturally
+pages read (from the disk counters); its ``materialize()`` is shadowed
+by the base drain through that wrapper, so a scan under a hash build
+keeps its entry.  Parent measurements naturally
 include child work — exclusive time falls out as inclusive minus the
 children's inclusive.
 
@@ -18,6 +20,7 @@ The wrapper only *reads* the clock and the metrics — it never charges
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Sequence
 
 from repro.engine.exec.base import Operator
@@ -128,6 +131,10 @@ def attach_profile(root: Operator, clock: SimulatedClock,
                 yield row
 
         op.rows = rows  # type: ignore[method-assign]
+        # a drain that bypassed ``rows`` would drop the operator from
+        # the profile: pin it to the row path while instrumented
+        op.materialize = partial(  # type: ignore[method-assign]
+            Operator.materialize, op)
         op._profile = profile  # type: ignore[attr-defined]
         for child in op.child_operators():
             profile.children.append(wrap(child, depth + 1))
@@ -140,7 +147,8 @@ def detach_profile(root: Operator) -> None:
     """Remove instrumentation installed by :func:`attach_profile`."""
     def unwrap(op: Operator) -> None:
         if getattr(op, "_profile", None) is not None:
-            del op.rows  # restore the class-level method
+            del op.rows  # restore the class-level methods
+            del op.materialize
             del op._profile
         for child in op.child_operators():
             unwrap(child)

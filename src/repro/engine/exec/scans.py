@@ -6,7 +6,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.expr import Compiled, Expr, OutputSchema
+from repro.engine.expr import Compiled, Expr, OutputSchema, SubqueryExpr
 from repro.engine.index import NULL_FIRST
 from repro.engine.table import Table
 
@@ -52,6 +52,41 @@ class SeqScan(Operator):
                     counts["exec.tuples"] += 1
                     if holds(row, params) is True:
                         yield row
+
+    @cached_property
+    def _charges_between_tuples(self) -> bool:
+        """A subquery in the predicate runs, and charges, per tuple."""
+        return self.predicate is not None and any(
+            isinstance(node, SubqueryExpr) for node in self.predicate.walk())
+
+    def materialize(self, params: Sequence[object]) -> list[tuple]:
+        """The scan a page at a time: both counters once per page and
+        one comprehension over the predicate.  Between two page accesses
+        the clock is owed the same number of tuple units as on the row
+        path, and the consumer adds none (DESIGN.md §21)."""
+        if self._charges_between_tuples:
+            return super().materialize(params)
+        holds = self._holds
+        counts = self.ctx.metrics.counts
+        counter = self.table.scanned_counter
+        out: list[tuple] = []
+        for _rowids, rows in self.table.store.scan():
+            if holds is None:
+                kept = rows
+            else:
+                try:
+                    kept = [row for row in rows if holds(row, params) is True]
+                except Exception:
+                    # count what the row path had counted when it raised
+                    for row in rows:
+                        counts[counter] += 1
+                        counts["exec.tuples"] += 1
+                        holds(row, params)
+                    raise
+            counts[counter] += len(rows)
+            counts["exec.tuples"] += len(rows)
+            out += kept
+        return out
 
     def describe(self) -> str:
         filt = " (filtered)" if self.predicate is not None else ""

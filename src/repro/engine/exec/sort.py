@@ -77,9 +77,9 @@ class Sort(Operator):
         self.keys = keys
 
     def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        materialized = list(self.child.rows(params))
         yield from sort_rows(
-            self.ctx, materialized, self.keys, len(self.schema)
+            self.ctx, self.child.materialize(params), self.keys,
+            len(self.schema)
         )
 
     def describe(self) -> str:
