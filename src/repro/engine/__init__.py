@@ -7,9 +7,9 @@ experiments are sensitive to:
 * a cost-based optimizer with table statistics, access-path selection,
   join ordering and join-method choice,
 * a volcano-style executor with full scans, index scans, nested-loop /
-  index-nested-loop / hash / sort-merge joins, sorting, grouping,
-  aggregation and DML,
-* page-based storage accounting, a buffer pool and B-tree/hash indexes,
+  index-nested-loop / hash joins, sorting, grouping, aggregation and
+  DML,
+* page-based storage accounting, a buffer pool and B-tree indexes,
 * parameterized queries with reusable cursors (the hook SAP's cursor
   caching depends on — and the hook that breaks selectivity estimation
   in the paper's Table 6).

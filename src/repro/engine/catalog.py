@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import CatalogError
-from repro.engine.index import BTreeIndex, HashIndex
+from repro.engine.index import BTreeIndex
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.sim.clock import SimulatedClock
@@ -100,15 +100,13 @@ class Catalog:
         table_name: str,
         column_names: list[str],
         unique: bool = False,
-        kind: str = "btree",
-    ) -> BTreeIndex | HashIndex:
+    ) -> BTreeIndex:
         table = self.table(table_name)
         lowered = index_name.lower()
         for existing in self._tables.values():
             if lowered in existing.indexes:
                 raise CatalogError(f"index {index_name} already exists")
-        cls = BTreeIndex if kind == "btree" else HashIndex
-        index = cls(
+        index = BTreeIndex(
             name=lowered,
             schema=table.schema,
             column_names=column_names,

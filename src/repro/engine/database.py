@@ -152,12 +152,11 @@ class Database:
         self.catalog = Catalog(self.buffer_pool, self.clock, self.metrics,
                                self.params, storage=storage, disk=self.disk)
         self.stats: dict[str, TableStats] = {}
-        self.ctx = ExecContext(self.clock, self.metrics, self.params,
-                               self.buffer_pool)
-        self._planner = Planner(self.catalog, self.stats, self.ctx)
         #: hierarchical span tracer (disabled by default, zero-overhead)
         self.tracer = Tracer(self.clock, self.metrics)
-        self.ctx.tracer = self.tracer
+        self.ctx = ExecContext(self.clock, self.metrics, self.params,
+                               self.buffer_pool, self.tracer)
+        self._planner = Planner(self.catalog, self.stats, self.ctx)
         #: plan roots instrumented while tracing; detached by the first
         #: untraced run so tracing costs nothing once it is switched off
         self._profiled_roots: list = []
@@ -329,10 +328,10 @@ class Database:
 
     def _plan(self, stmt: SelectStmt, sql: str | None = None) -> PlannedQuery:
         self.metrics.count("db.plans")
-        with self.monitor.layer("engine"):
+        with self.monitor.layer("engine"), \
+                self.tracer.span("db.plan", sql=sql):
             self.clock.charge(self.params.plan_cpu_s)
-            with self.tracer.span("db.plan", sql=sql):
-                return self._planner.plan_select(stmt)
+            return self._planner.plan_select(stmt)
 
     def _run_plan(self, plan: PlannedQuery, params: Sequence[object],
                   sql: str | None = None) -> Result:
@@ -442,8 +441,6 @@ class Database:
         best_index = None
         best_prefix = 0
         for index in table.indexes.values():
-            if not hasattr(index, "search_prefix"):
-                continue
             prefix = 0
             for column in index.column_names:
                 if column in eq_values:
@@ -681,8 +678,7 @@ class Database:
                     "name": index.name, "table": table.name,
                     "columns": list(index.column_names),
                     "unique": index.unique,
-                    "kind": ("hash" if type(index).__name__ == "HashIndex"
-                             else "btree"),
+                    "kind": "btree",
                 })
         catalog_payload = {
             "tables": [
@@ -720,7 +716,6 @@ class Database:
             self.catalog.create_index(
                 index_spec["name"], index_spec["table"],
                 list(index_spec["columns"]), unique=index_spec["unique"],
-                kind=index_spec.get("kind", "btree"),
             )
         for view_name, view_sql in sorted(image.catalog["views"].items()):
             self.create_view(view_name, view_sql)
@@ -736,7 +731,7 @@ class Database:
             spec = op[1]
             self.catalog.create_index(
                 spec["name"], spec["table"], list(spec["columns"]),
-                unique=spec["unique"], kind=spec.get("kind", "btree"),
+                unique=spec["unique"],
             )
         elif verb == "drop_index":
             self.drop_index(op[1])

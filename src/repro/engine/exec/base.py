@@ -10,6 +10,7 @@ from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
+from repro.trace.tracer import Tracer
 
 #: rough in-memory width used for spill decisions on derived rows
 ESTIMATED_COLUMN_BYTES = 16
@@ -24,15 +25,15 @@ class ExecContext:
         metrics: MetricsCollector,
         params: SimParams,
         buffer_pool: BufferPool,
+        tracer: Tracer | None = None,
     ) -> None:
         self.clock = clock
         self.metrics = metrics
         self.params = params
         self.buffer_pool = buffer_pool
-        #: the owning Database's tracer, installed post-construction so
-        #: parallel fragments can record lane spans; None outside a
-        #: Database (unit tests build bare contexts)
-        self.tracer = None
+        #: the owning Database's tracer: parallel fragments record lane
+        #: spans on it; a bare context gets a disabled one of its own
+        self.tracer = tracer or Tracer(clock, metrics)
         self._spill_counter = 0
         #: per-tuple CPU is charged lazily: an operator loop counts a
         #: tuple with ``counts["exec.tuples"] += 1`` on ``metrics.counts``

@@ -1,4 +1,4 @@
-"""Join operators: block nested loop, index nested loop, hash, merge."""
+"""Join operators: block nested loop, index nested loop, hash."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.exec.sort import sort_rows
 from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.engine.index import key_getter
 from repro.engine.table import Table
@@ -270,79 +269,6 @@ class HashJoin(Operator):
     def describe(self) -> str:
         side = "build=left" if self.build_left else "build=right"
         return f"HashJoin({side})"
-
-    def child_operators(self) -> list[Operator]:
-        return [self.left, self.right]
-
-
-class MergeJoin(Operator):
-    """Sort-merge equi-join (single-key); sorts both inputs first."""
-
-    def __init__(
-        self,
-        ctx: ExecContext,
-        left: Operator,
-        right: Operator,
-        left_key: int,
-        right_key: int,
-        residual: Expr | None = None,
-    ) -> None:
-        super().__init__(ctx, _joined_schema(left, right.schema))
-        self.left = left
-        self.right = right
-        self.left_key = left_key
-        self.right_key = right_key
-        self.residual = residual
-
-    _holds = compiled("residual")
-
-    def rows(self, params: Sequence[object]) -> Iterator[tuple]:
-        holds = self._holds
-        counts = self.ctx.metrics.counts
-        charge_comparisons = self.ctx.charge_comparisons
-        left_rows = sort_rows(
-            self.ctx, self.left.materialize(params),
-            [(self.left_key, False)], len(self.left.schema),
-        )
-        right_rows = sort_rows(
-            self.ctx, self.right.materialize(params),
-            [(self.right_key, False)], len(self.right.schema),
-        )
-        i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            lval = left_rows[i][self.left_key]
-            rval = right_rows[j][self.right_key]
-            if lval is None:
-                i += 1
-                continue
-            if rval is None:
-                j += 1
-                continue
-            charge_comparisons(1)
-            if lval < rval:
-                i += 1
-            elif lval > rval:
-                j += 1
-            else:
-                # Emit the cross product of the equal runs.
-                j_end = j
-                while (j_end < len(right_rows)
-                       and right_rows[j_end][self.right_key] == lval):
-                    j_end += 1
-                i_run = i
-                while (i_run < len(left_rows)
-                       and left_rows[i_run][self.left_key] == lval):
-                    for jj in range(j, j_end):
-                        combined = left_rows[i_run] + right_rows[jj]
-                        if holds is None or holds(combined, params) is True:
-                            counts["exec.tuples"] += 1
-                            yield combined
-                    i_run += 1
-                i = i_run
-                j = j_end
-
-    def describe(self) -> str:
-        return "MergeJoin"
 
     def child_operators(self) -> list[Operator]:
         return [self.left, self.right]

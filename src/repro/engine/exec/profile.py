@@ -58,10 +58,6 @@ class OperatorProfile:
     def exclusive_s(self) -> float:
         return self.inclusive_s - sum(c.inclusive_s for c in self.children)
 
-    @property
-    def exclusive_pages(self) -> float:
-        return self.pages_read - sum(c.pages_read for c in self.children)
-
     def walk(self) -> Iterator["OperatorProfile"]:
         yield self
         for child in self.children:

@@ -1,4 +1,4 @@
-"""B-tree and hash indexes.
+"""The B-tree index.
 
 The B-tree is modelled as a sorted array of ``(key, rowid)`` entries
 with page-accurate accounting: entries-per-page follows from the key
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import zlib
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -355,99 +354,3 @@ class BTreeIndex:
         return 1 + max(
             0, math.ceil(math.log(max(self.leaf_page_count, 1), self.entries_per_page))
         )
-
-
-def _bucket_page(key: tuple) -> int:
-    """The hash index page of a key.  Not ``hash(key)``: that is salted
-    per process for strings, and the page decides hits and misses."""
-    return zlib.crc32(repr(key).encode()) % 1024
-
-
-class HashIndex:
-    """Equality-only index (kept for completeness; catalog may create it)."""
-
-    def __init__(
-        self,
-        name: str,
-        schema: TableSchema,
-        column_names: list[str],
-        unique: bool,
-        buffer_pool: BufferPool,
-        clock: SimulatedClock,
-        metrics: MetricsCollector,
-        traverse_cpu_s: float,
-        page_size_bytes: int,
-    ) -> None:
-        self.name = name
-        self.table_name = schema.name
-        self.column_names = [c.lower() for c in column_names]
-        self.column_positions = [schema.column_index(c) for c in column_names]
-        self.unique = unique
-        self._buffer = buffer_pool
-        self._clock = clock
-        self._metrics = metrics
-        self._traverse_cpu_s = traverse_cpu_s
-        key_bytes = sum(
-            schema.columns[pos].byte_width for pos in self.column_positions
-        )
-        self.entry_byte_width = key_bytes + ENTRY_OVERHEAD_BYTES
-        self.entries_per_page = max(2, page_size_bytes // self.entry_byte_width)
-        self.key_of_row = key_getter(self.column_positions)
-        self._buckets: dict[tuple, list[int]] = {}
-        self._count = 0
-
-    def insert(self, row: tuple, rowid: int, bulk: bool = False) -> None:
-        key = self.key_of_row(row)
-        bucket = self._buckets.setdefault(key, [])
-        if self.unique and bucket:
-            raise self._violation()
-        bucket.append(rowid)
-        self._count += 1
-        if bulk and self._count % self.entries_per_page:
-            return
-        self._buffer.write(self._file_name, _bucket_page(key), fresh=bulk)
-
-    def check_unique(self, row: tuple, own_rowid: int | None = None) -> None:
-        """As ``BTreeIndex.check_unique``: uncharged, before mutation."""
-        if self.unique and any(
-                rowid != own_rowid
-                for rowid in self._buckets.get(self.key_of_row(row), ())):
-            raise self._violation()
-
-    def _violation(self) -> ExecutionError:
-        return ExecutionError(f"unique hash index {self.name} violated")
-
-    def delete(self, row: tuple, rowid: int) -> None:
-        key = self.key_of_row(row)
-        bucket = self._buckets.get(key)
-        if not bucket or rowid not in bucket:
-            raise ExecutionError(f"hash index {self.name}: missing {rowid}")
-        bucket.remove(rowid)
-        self._count -= 1
-        self._buffer.write(self._file_name, _bucket_page(key))
-
-    def search_eq(self, values: tuple) -> list[int]:
-        key = tuple(values)
-        self._clock.charge(self._traverse_cpu_s)
-        self._metrics.count("index.eq_lookups")
-        self._buffer.access(self._file_name, _bucket_page(key),
-                            sequential=False)
-        return list(self._buckets.get(key, []))
-
-    @property
-    def entry_count(self) -> int:
-        return self._count
-
-    @property
-    def size_bytes(self) -> int:
-        return self._count * self.entry_byte_width
-
-    @property
-    def page_count(self) -> int:
-        if not self._count:
-            return 0
-        return -(-self._count // self.entries_per_page)
-
-    @property
-    def _file_name(self) -> str:
-        return f"idx:{self.name}"

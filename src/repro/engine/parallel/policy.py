@@ -45,7 +45,6 @@ from repro.engine.exec.aggregate import GroupAggregate
 from repro.engine.exec.joins import (
     HashJoin,
     IndexNestedLoopJoin,
-    MergeJoin,
     NestedLoopJoin,
 )
 from repro.engine.exec.misc import Alias, Distinct, Filter, Limit, Project
@@ -197,7 +196,7 @@ class ParallelPolicy:
         if isinstance(op, (Project, Distinct, Limit, Alias, Sort)):
             op.child = self._rewrite(op.child)
             return op
-        if isinstance(op, (NestedLoopJoin, MergeJoin)):
+        if isinstance(op, NestedLoopJoin):
             op.left = self._rewrite(op.left)
             op.right = self._rewrite(op.right)
             return op

@@ -182,8 +182,6 @@ def choose_access_path(
     # Candidate A: composite equality prefix of some index.
     best_prefix: tuple[float, list[_Sarg], object, float] | None = None
     for index in table.indexes.values():
-        if not hasattr(index, "search_prefix"):
-            continue
         prefix_sargs: list[_Sarg] = []
         sel = 1.0
         for column in index.column_names:
@@ -211,11 +209,11 @@ def choose_access_path(
         if sarg is None:
             continue
         index = table.index_on(sarg.column)
-        if index is None or not hasattr(index, "search_range"):
+        if index is None:
             continue
         sel = _conjunct_selectivity(sarg, conjunct, stats)
         fetched = sel * row_count
-        leaf_pages = max(getattr(index, "leaf_page_count", 1), 1)
+        leaf_pages = max(index.leaf_page_count, 1)
         cost = (
             params.index_traverse_s
             + sel * leaf_pages * params.seq_read_s

@@ -629,8 +629,6 @@ class Planner:
                 pair_by_col.setdefault(inner_ref.name.lower(),
                                        (outer_ref, inner_ref))
             for index in unit.table.indexes.values():
-                if not hasattr(index, "search_prefix"):
-                    continue
                 key_plan: list[tuple[str, object]] = []
                 used_cols: list[str] = []
                 used_conjuncts: list[Expr] = []

@@ -31,7 +31,7 @@ measurable experiment (EXPERIMENTS.md §robustness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.engine.wal import (
     K_COMMIT,
@@ -68,24 +68,6 @@ class RecoveryReport:
     #: every committed journal payload in commit order; resume logic
     #: walks it backwards past undecodable (torn) entries
     app_journal_history: list[bytes] = field(default_factory=list)
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-ready summary (journal payloads reduced to counts)."""
-        return {
-            "image_lsn": self.image_lsn,
-            "max_lsn": self.max_lsn,
-            "records_scanned": self.records_scanned,
-            "segments_scanned": self.segments_scanned,
-            "torn_tail_dropped": self.torn_tail_dropped,
-            "committed_txns": self.committed_txns,
-            "loser_txns": self.loser_txns,
-            "redo_applied": self.redo_applied,
-            "undo_applied": self.undo_applied,
-            "ddl_replayed": self.ddl_replayed,
-            "log_pages_read": self.log_pages_read,
-            "recovery_s": self.recovery_s,
-            "app_journal_entries": len(self.app_journal_history),
-        }
 
 
 class RecoveryManager:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ConstraintError
-from repro.engine.index import BTreeIndex, HashIndex
+from repro.engine.index import BTreeIndex
 from repro.engine.lsm import LsmTree
 from repro.engine.schema import TableSchema
 from repro.engine.storage import HeapFile, StorageBackend
@@ -12,8 +12,6 @@ from repro.sim.clock import SimulatedClock
 from repro.sim.disk import DiskModel
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
-
-Index = BTreeIndex | HashIndex
 
 
 class Table:
@@ -57,7 +55,7 @@ class Table:
                                   buffer_pool, disk)
         else:
             raise ValueError(f"unknown storage backend {storage!r}")
-        self.indexes: dict[str, Index] = {}
+        self.indexes: dict[str, BTreeIndex] = {}
         self._pk_index: BTreeIndex | None = None
         #: the database's WriteAheadLog, or None when durability is off
         #: (the zero-touch default); set by Database at create time
@@ -65,10 +63,9 @@ class Table:
 
     # -- index management -------------------------------------------------
 
-    def attach_index(self, index: Index, is_primary: bool = False) -> None:
+    def attach_index(self, index: BTreeIndex, is_primary: bool = False) -> None:
         self.indexes[index.name.lower()] = index
         if is_primary:
-            assert isinstance(index, BTreeIndex)
             self._pk_index = index
         for rowid, row in self.store.rows():
             index.insert(row, rowid)
@@ -83,7 +80,7 @@ class Table:
     def primary_index(self) -> BTreeIndex | None:
         return self._pk_index
 
-    def index_on(self, column_name: str) -> Index | None:
+    def index_on(self, column_name: str) -> BTreeIndex | None:
         """An index whose *first* key column is ``column_name``."""
         column_name = column_name.lower()
         for index in self.indexes.values():
@@ -176,7 +173,7 @@ class Table:
         return pos
 
     def _check_unique(self, row: tuple, own_rowid: int | None = None,
-                      skip: Index | None = None) -> None:
+                      skip: BTreeIndex | None = None) -> None:
         """Probe the unique indexes before the first mutation, so that
         a violating statement leaves store and indexes as they were.
         The probes are uncharged: a statement that passes costs what it

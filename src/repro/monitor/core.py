@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.monitor.alerts import AlertEngine, default_alert_rules
+from repro.trace.tracer import NOOP_SPAN
 
 #: the layers a STAT record decomposes a dialog step into, in report order
 STEP_LAYERS = ("rollin", "rollout", "abap", "dbif", "engine", "commit")
@@ -63,20 +64,9 @@ _RATE_GAUGES = (
 _WHITESPACE = re.compile(r"\s+")
 
 
-class _NoopLayer:
-    """Shared do-nothing layer; the disabled-mode return of ``layer()``."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopLayer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-#: the singleton no-op layer (identity-testable, never allocates)
-NOOP_LAYER = _NoopLayer()
+#: the disabled-mode return of ``layer()``: the tracer's shared no-op
+#: (identity-testable, never allocates)
+NOOP_LAYER = NOOP_SPAN
 
 
 class _Layer:

@@ -222,6 +222,37 @@ class R3System:
 
     # -- logical writes (used by batch input and the loader) ---------------------
 
+    def render_rows(self, table_name: str, rows: list[tuple],
+                    cluster_key: tuple | None = None,
+                    ) -> tuple[str, list[tuple]]:
+        """Logical rows (without MANDT) of one table in physical form:
+        the name of the table that stores them and the rows it stores.
+
+        A transparent table stores each row behind its MANDT, a pool
+        container one VARKEY/VARDATA row per logical row.  The rows of
+        a cluster table are one cluster record: they need its
+        ``cluster_key`` and come back packed into pages — or, once the
+        table has been converted to transparent (3.0), row by row.
+        """
+        table = self.ddic.lookup(table_name)
+        if table.kind is TableKind.CLUSTER:
+            if cluster_key is None:
+                raise DDicError(
+                    f"{table.name}: cluster rows must be written per "
+                    f"cluster (insert_cluster)"
+                )
+            container = self.clusters[table.container]
+            return container.name, container.physical_rows(
+                self.client, cluster_key, rows)
+        full_rows = [(self.client,) + tuple(row) for row in rows]
+        if table.kind is TableKind.TRANSPARENT:
+            return table.name, full_rows
+        if cluster_key is not None:
+            raise DDicError(f"{table.name} is not a cluster table")
+        container = self.pools[table.container]
+        return container.name, [container.physical_row(table, row)
+                                for row in full_rows]
+
     def insert_logical(self, table_name: str, row: tuple,
                        bulk: bool = False) -> tuple[str, int]:
         """Insert one logical row (without MANDT) into a table.
@@ -229,24 +260,10 @@ class R3System:
         Returns the physical ``(table_name, rowid)`` of the stored row
         so callers that need crash rollback (batch input) can undo it.
         """
-        table = self.ddic.lookup(table_name)
-        full_row = (self.client,) + tuple(row)
-        if table.kind is TableKind.TRANSPARENT:
-            physical_name = table.name
-            rowid = self.db.catalog.table(table.name).insert(
-                full_row, bulk=bulk)
-        elif table.kind is TableKind.POOL:
-            container = self.pools[table.container]
-            physical = container.physical_row(table, full_row)
-            physical_name = container.name
-            rowid = self.db.catalog.table(container.name).insert(
-                physical, bulk=bulk)
-        else:
-            raise DDicError(
-                f"{table.name}: cluster rows must be written per cluster "
-                f"(insert_cluster)"
-            )
-        self.note_write(table.name)
+        physical_name, (physical,) = self.render_rows(table_name, [row])
+        rowid = self.db.catalog.table(physical_name).insert(
+            physical, bulk=bulk)
+        self.note_write(table_name.lower())
         return (physical_name, rowid)
 
     def insert_cluster(self, table_name: str, cluster_key: tuple,
@@ -258,20 +275,15 @@ class R3System:
         document-level write degrades gracefully to row-wise inserts.
         Returns the physical ``(table_name, rowid)`` pairs written.
         """
-        table = self.ddic.lookup(table_name)
-        if table.kind is TableKind.TRANSPARENT:
+        if self.ddic.lookup(table_name).kind is TableKind.TRANSPARENT:
             return [self.insert_logical(table_name, row, bulk=bulk)
                     for row in rows]
-        if table.kind is not TableKind.CLUSTER:
-            raise DDicError(f"{table.name} is not a cluster table")
-        container = self.clusters[table.container]
-        physical_table = self.db.catalog.table(container.name)
-        written = []
-        for physical in container.physical_rows(self.client, cluster_key,
-                                                rows):
-            rowid = physical_table.insert(physical, bulk=bulk)
-            written.append((container.name, rowid))
-        self.note_write(table.name)
+        physical_name, pages = self.render_rows(table_name, rows,
+                                                cluster_key)
+        physical_table = self.db.catalog.table(physical_name)
+        written = [(physical_name, physical_table.insert(page, bulk=bulk))
+                   for page in pages]
+        self.note_write(table_name.lower())
         return written
 
     def rollback_rows(self, undo: list[tuple[str, int]]) -> int:
@@ -351,8 +363,3 @@ class R3System:
 
     def table_count(self) -> int:
         return len(self.ddic.tables)
-
-    def encapsulated_count(self) -> int:
-        return sum(
-            1 for t in self.ddic.tables.values() if t.encapsulated
-        )

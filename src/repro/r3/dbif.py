@@ -33,7 +33,8 @@ it again.  On the happy path the breaker costs zero simulated ticks.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from repro.engine.database import PreparedStatement, Result
 from repro.engine.errors import (
@@ -156,70 +157,44 @@ class DatabaseInterface:
         self.cache_enabled = True
         #: simulated-seconds budget per statement (None = no timeout)
         self.statement_timeout_s: float | None = None
-        self.breaker = CircuitBreaker(
+        self.breaker = self._closed_breaker()
+
+    def _closed_breaker(self) -> CircuitBreaker:
+        r3 = self._r3
+        return CircuitBreaker(
             r3.clock, r3.metrics, tracer=r3.tracer,
             failure_threshold=r3.params.breaker_failure_threshold,
             cooldown_s=r3.params.breaker_cooldown_s,
             halfopen_probes=r3.params.breaker_halfopen_probes)
 
-    # -- parameterized path (Open SQL, cluster/pool physical reads) -------
-
-    def execute_param(self, sql: str, params: Sequence[object] = (),
-                      use_cursor_cache: bool = True) -> Result:
-        """Round trip with a parameterized statement (plan cached)."""
-        r3 = self._r3
-        monitor = r3.monitor
-        with r3.tracer.span("dbif.call", mode="param", sql=sql) as span, \
-                monitor.layer("dbif"):
-            started_at = r3.clock.now if monitor.enabled else 0.0
-            self.breaker.before_call()
-            try:
-                attempts = self._roundtrip()
-                if use_cursor_cache and self.cache_enabled:
-                    stmt = self._cursor_cache.get(sql)
-                    if stmt is None:
-                        r3.metrics.count("dbif.cursor_cache_misses")
-                        stmt = r3.db.prepare(sql)
-                        self._cursor_cache[sql] = stmt
-                        span.set(cursor="miss")
-                    else:
-                        r3.metrics.count("dbif.cursor_cache_hits")
-                        span.set(cursor="hit")
-                else:
-                    r3.metrics.count("dbif.cursor_cache_bypassed")
-                    stmt = r3.db.prepare(sql)
-                    span.set(cursor="bypass")
-                result = self._execute_timed(
-                    sql, lambda: stmt.execute(params))
-            except StatementTimeout:
-                raise  # slow ≠ down: never trips the breaker
-            except TransientError:
-                self.breaker.record_failure()
-                raise
-            self.breaker.record_success()
-            self._charge_shipping(result)
-            if monitor.enabled:
-                monitor.record_statement(
-                    sql, r3.clock.now - started_at, len(result.rows))
-            span.set(rows=len(result.rows), roundtrips=attempts)
-            return result
-
-    # -- literal path (Native SQL / EXEC SQL) --------------------------------
+    def execute_param(self, sql: str,
+                      params: Sequence[object] = ()) -> Result:
+        """Round trip with a parameterized statement (plan cached): the
+        path of Open SQL and of cluster/pool physical reads."""
+        return self._call("param", sql, params, self._cursor)
 
     def execute_literal(self, sql: str,
                         params: Sequence[object] = ()) -> Result:
-        """Round trip with literal SQL: planned fresh, literals visible
-        to the optimizer."""
+        """Round trip with literal SQL (Native SQL / EXEC SQL): planned
+        fresh, literals visible to the optimizer."""
+        return self._call("literal", sql, params,
+                          lambda sql, span: partial(self._r3.db.execute, sql))
+
+    def _call(self, mode: str, sql: str, params: Sequence[object],
+              obtain: Callable[..., Callable[..., Result]]) -> Result:
+        """One call across the interface.  ``obtain(sql, span)`` is paid
+        for after the round trip and outside the statement deadline; what
+        it returns executes the statement with ``params``."""
         r3 = self._r3
         monitor = r3.monitor
-        with r3.tracer.span("dbif.call", mode="literal", sql=sql) as span, \
+        with r3.tracer.span("dbif.call", mode=mode, sql=sql) as span, \
                 monitor.layer("dbif"):
             started_at = r3.clock.now if monitor.enabled else 0.0
             self.breaker.before_call()
             try:
                 attempts = self._roundtrip()
-                result = self._execute_timed(
-                    sql, lambda: r3.db.execute(sql, params))
+                execute = obtain(sql, span)
+                result = self._execute_timed(sql, lambda: execute(params))
             except StatementTimeout:
                 raise  # slow ≠ down: never trips the breaker
             except TransientError:
@@ -232,6 +207,23 @@ class DatabaseInterface:
                     sql, r3.clock.now - started_at, len(result.rows))
             span.set(rows=len(result.rows), roundtrips=attempts)
             return result
+
+    def _cursor(self, sql: str, span) -> Callable[..., Result]:
+        """``execute`` of the statement's cursor: reopened from the
+        cache, or prepared (and kept, unless caching is off)."""
+        r3 = self._r3
+        if not self.cache_enabled:
+            r3.metrics.count("dbif.cursor_cache_bypassed")
+            stmt = r3.db.prepare(sql)
+            span.set(cursor="bypass")
+        elif (stmt := self._cursor_cache.get(sql)) is None:
+            r3.metrics.count("dbif.cursor_cache_misses")
+            stmt = self._cursor_cache[sql] = r3.db.prepare(sql)
+            span.set(cursor="miss")
+        else:
+            r3.metrics.count("dbif.cursor_cache_hits")
+            span.set(cursor="hit")
+        return stmt.execute
 
     def flush_cursor_cache(self) -> None:
         self._cursor_cache.clear()
@@ -244,13 +236,8 @@ class DatabaseInterface:
         server comes back with empty caches and a fresh (closed) breaker.
         """
         self.flush_cursor_cache()
-        r3 = self._r3
-        r3.open_sql.flush_statements()
-        self.breaker = CircuitBreaker(
-            r3.clock, r3.metrics, tracer=r3.tracer,
-            failure_threshold=r3.params.breaker_failure_threshold,
-            cooldown_s=r3.params.breaker_cooldown_s,
-            halfopen_probes=r3.params.breaker_halfopen_probes)
+        self._r3.open_sql.flush_statements()
+        self.breaker = self._closed_breaker()
 
     # -- internals ------------------------------------------------------------
 

@@ -123,8 +123,9 @@ def order_transactions(data: TpcdData):
 
 def _load_tiny_master_data(r3: R3System, data: TpcdData) -> None:
     """Region/nation entered 'interactively' (5 + 25 records)."""
-    for table, rows in {**mapping.region_rows(data),
-                        **mapping.nation_rows(data)}.items():
+    for table, rows, _cluster_key in mapping.load_stream(data):
+        if table not in mapping.INTERACTIVE_TABLES:
+            break
         for row in rows:
             r3.insert_logical(table, row)
 
@@ -238,25 +239,13 @@ def load_sap_fast(r3: R3System, data: TpcdData,
     """Bulk-path load for experiment setup (simulator convenience)."""
     activate_sap_schema(r3)
     create_sap_join_views(r3)
-    _load_tiny_master_data(r3, data)
-    for table, rows in mapping.supplier_rows(data).items():
-        for row in rows:
-            r3.insert_logical(table, row, bulk=True)
-    for loader in (mapping.part_rows, mapping.partsupp_rows,
-                   mapping.customer_rows):
-        for table, rows in loader(data).items():
+    for table, rows, cluster_key in mapping.load_stream(data):
+        bulk = table not in mapping.INTERACTIVE_TABLES
+        if cluster_key is None:
             for row in rows:
-                r3.insert_logical(table, row, bulk=True)
-    for document in mapping.order_documents(data):
-        r3.insert_logical("vbak", document.vbak, bulk=True)
-        for row in document.vbap:
-            r3.insert_logical("vbap", row, bulk=True)
-        for row in document.vbep:
-            r3.insert_logical("vbep", row, bulk=True)
-        for row in document.stxl:
-            r3.insert_logical("stxl", row, bulk=True)
-        r3.insert_cluster("konv", document.konv_key, document.konv_rows,
-                          bulk=True)
+                r3.insert_logical(table, row, bulk=bulk)
+        else:
+            r3.insert_cluster(table, cluster_key, rows, bulk=bulk)
     if analyze:
         r3.db.analyze()
 
@@ -277,8 +266,6 @@ def load_sap_direct(r3: R3System, data: TpcdData,
     re-run.  Partial tables cannot survive a crash — nothing of an
     unsealed table is durable — so the skip check is exact.
     """
-    from repro.r3.ddic import TableKind
-
     if "lfa1" not in r3.ddic.tables:
         activate_sap_schema(r3)
         create_sap_join_views(r3)
@@ -286,46 +273,10 @@ def load_sap_direct(r3: R3System, data: TpcdData,
 
     physical: dict[str, list[tuple]] = {}
     logical_of: dict[str, set[str]] = {}
-
-    def add(logical_name: str, row: tuple) -> None:
-        table = r3.ddic.lookup(logical_name)
-        full_row = (r3.client,) + tuple(row)
-        if table.kind is TableKind.TRANSPARENT:
-            physical.setdefault(table.name, []).append(full_row)
-            logical_of.setdefault(table.name, set()).add(table.name)
-        else:
-            container = r3.pools[table.container]
-            physical.setdefault(container.name, []).append(
-                container.physical_row(table, full_row))
-            logical_of.setdefault(container.name, set()).add(table.name)
-
-    def add_cluster(logical_name: str, key: tuple,
-                    rows: list[tuple]) -> None:
-        table = r3.ddic.lookup(logical_name)
-        if table.kind is TableKind.TRANSPARENT:
-            for row in rows:
-                add(logical_name, row)
-            return
-        container = r3.clusters[table.container]
-        for phys in container.physical_rows(r3.client, key, rows):
-            physical.setdefault(container.name, []).append(phys)
-        logical_of.setdefault(container.name, set()).add(table.name)
-
-    for loader in (mapping.region_rows, mapping.nation_rows,
-                   mapping.supplier_rows, mapping.part_rows,
-                   mapping.partsupp_rows, mapping.customer_rows):
-        for logical_name, rows in loader(data).items():
-            for row in rows:
-                add(logical_name, row)
-    for document in mapping.order_documents(data):
-        add("vbak", document.vbak)
-        for row in document.vbap:
-            add("vbap", row)
-        for row in document.vbep:
-            add("vbep", row)
-        for row in document.stxl:
-            add("stxl", row)
-        add_cluster("konv", document.konv_key, document.konv_rows)
+    for table, rows, cluster_key in mapping.load_stream(data):
+        name, rendered = r3.render_rows(table, rows, cluster_key)
+        physical.setdefault(name, []).extend(rendered)
+        logical_of.setdefault(name, set()).add(table)
 
     start = r3.clock.now
     for name, rows in physical.items():

@@ -11,6 +11,7 @@ pricing document (VBAK.KNUMV).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.sapschema.tables import SAP_TABLE_INFO
 from repro.tpcd.dbgen import TpcdData
@@ -262,3 +263,27 @@ def order_documents(data: TpcdData) -> list[OrderDocument]:
             ))
         documents.append(document)
     return documents
+
+
+#: region and nation are "typed in interactively" (5 + 25 records): the
+#: first batches of the stream, never bulk loaded
+INTERACTIVE_TABLES = frozenset({"t005u", "t005", "t005t"})
+
+
+def load_stream(data: TpcdData) -> Iterator[tuple[str, list[tuple],
+                                                  tuple | None]]:
+    """A data set as SAP logical rows in load order, one
+    ``(table, rows, cluster_key)`` batch at a time: the master data
+    table by table, then each order document's VBAK, VBAP, VBEP and
+    STXL rows and its KONV cluster record (the only batch with a
+    ``cluster_key``)."""
+    for loader in (region_rows, nation_rows, supplier_rows, part_rows,
+                   partsupp_rows, customer_rows):
+        for table, rows in loader(data).items():
+            yield table, rows, None
+    for document in order_documents(data):
+        yield "vbak", [document.vbak], None
+        yield "vbap", document.vbap, None
+        yield "vbep", document.vbep, None
+        yield "stxl", document.stxl, None
+        yield "konv", document.konv_rows, document.konv_key

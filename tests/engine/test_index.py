@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError
-from repro.engine.index import BTreeIndex, HashIndex, make_key
+from repro.engine.index import BTreeIndex, make_key
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 from repro.sim.clock import SimulatedClock
@@ -104,28 +104,6 @@ class TestBTreeIndex:
         for i in range(index.entries_per_page + 1):
             index.insert((i, ""), i)
         assert index.leaf_page_count == 2
-
-
-class TestHashIndex:
-    def test_eq_only(self):
-        index = _index(cls=HashIndex)
-        index.insert((5, "x"), 10)
-        assert index.search_eq((5,)) == [10]
-        assert index.search_eq((6,)) == []
-        assert not hasattr(index, "search_range")
-
-    def test_delete(self):
-        index = _index(cls=HashIndex)
-        index.insert((5, "x"), 10)
-        index.delete((5, "x"), 10)
-        assert index.search_eq((5,)) == []
-        assert index.entry_count == 0
-
-    def test_unique(self):
-        index = _index(unique=True, cls=HashIndex)
-        index.insert((1, "x"), 0)
-        with pytest.raises(ExecutionError):
-            index.insert((1, "x"), 1)
 
 
 @settings(max_examples=50, deadline=None)

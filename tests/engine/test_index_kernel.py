@@ -11,16 +11,13 @@ descents are kept here as the reference for everything the one charges.
 import bisect
 import copy
 import datetime
-import os
 import pickle
-import subprocess
 import sys
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.engine.database import Database
 from repro.engine.errors import ConstraintError, ExecutionError
 from repro.engine.index import NULL_FIRST, make_key
@@ -242,43 +239,3 @@ def test_one_descent_charges_what_two_descents_charged(ops, ascending):
     assert one.metrics.all() == two.metrics.all()  # hits and misses too
     for name, index in one_t.indexes.items():
         assert list(index.scan_all()) == list(two_t.indexes[name].scan_all())
-
-
-# -- a hash index does not make the clock depend on PYTHONHASHSEED ----------
-
-HASH_INDEX_RUN = """
-from repro.engine.database import Database
-from repro.engine.schema import Column, TableSchema
-from repro.engine.types import SqlType
-from repro.sim.params import SimParams
-
-db = Database(SimParams(buffer_pool_bytes=32 * 8192))
-db.create_table(TableSchema("t", [
-    Column("k", SqlType.integer(), nullable=False),
-    Column("name", SqlType.char(12)),
-], primary_key=["k"]))
-db.catalog.create_index("h_name", "t", ["name"], kind="hash")
-table = db.catalog.table("t")
-for k in range(3000):
-    table.insert((k, f"N{k * 7919 % 3000:08d}"), bulk=k % 3 == 0)
-index = table.indexes["h_name"]
-found = sum(len(index.search_eq((f"N{k:08d}",))) for k in range(0, 3000, 7))
-for rowid in range(0, 3000, 11):
-    table.delete(rowid)
-print(found, repr(db.clock.now), db.metrics.get("buffer.misses"),
-      db.metrics.get("buffer.hits"))
-"""
-
-
-def test_hash_index_charges_the_same_under_any_hash_seed():
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    readings = []
-    for seed in ("1", "2"):
-        done = subprocess.run(
-            [sys.executable, "-c", HASH_INDEX_RUN], capture_output=True,
-            text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
-        assert done.returncode == 0, done.stderr
-        readings.append(done.stdout)
-    assert readings[0] == readings[1]
-    assert readings[0].startswith("429 ")  # every probe found its row

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.exec.aggregate import GroupAggregate
 from repro.engine.exec.base import ExecContext, Operator
-from repro.engine.exec.joins import HashJoin, MergeJoin, NestedLoopJoin
+from repro.engine.exec.joins import HashJoin, NestedLoopJoin
 from repro.engine.exec.misc import (
     Alias,
     Distinct,
@@ -144,18 +144,6 @@ class TestJoins:
         right = source(ctx, [(None, 7)], names=("r", "rx"))
         join = HashJoin(ctx, left, right, [0], [0])
         assert list(join.rows(())) == []
-
-    def test_merge_join(self, ctx):
-        left = source(ctx, [(3, 0), (1, 0), (2, 0)], names=("l", "lx"))
-        right = source(ctx, [(2, 7), (2, 8), (4, 9)], names=("r", "rx"))
-        join = MergeJoin(ctx, left, right, 0, 0)
-        assert sorted(join.rows(())) == [(2, 0, 2, 7), (2, 0, 2, 8)]
-
-    def test_merge_join_skips_nulls(self, ctx):
-        left = source(ctx, [(None, 0), (1, 0)], names=("l", "lx"))
-        right = source(ctx, [(None, 7), (1, 7)], names=("r", "rx"))
-        join = MergeJoin(ctx, left, right, 0, 0)
-        assert list(join.rows(())) == [(1, 0, 1, 7)]
 
     def test_hash_join_spill_charged(self, ctx):
         big = [(i, "x" * 4) for i in range(150000)]
