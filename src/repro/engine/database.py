@@ -515,10 +515,7 @@ class Database:
             assert wal is not None
             wal.begin()
         try:
-            count = 0
-            for row in rows:
-                table.insert(row, bulk=True)
-                count += 1
+            count = len(table.insert_rows(rows, bulk=True))
         finally:
             if own_txn:
                 assert wal is not None

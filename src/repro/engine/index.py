@@ -101,6 +101,7 @@ class BTreeIndex:
         self._buffer = buffer_pool
         self._clock = clock
         self._metrics = metrics
+        self._counts = metrics.counts
         self._traverse_cpu_s = traverse_cpu_s
         key_bytes = sum(
             schema.columns[pos].byte_width for pos in self.column_positions
@@ -123,31 +124,31 @@ class BTreeIndex:
 
     # -- maintenance -----------------------------------------------------
 
-    def _lower_bound(self, entry: tuple[tuple, int]) -> int:
-        """Where ``entry`` belongs in the sort order."""
-        entries = self._entries
-        if not entries or entries[-1] < entry:
-            # what sorted input (bulk load, direct path, ingest_sorted)
-            # delivers: the position a bisect would find, without one
-            return len(entries)
-        return bisect.bisect_left(entries, entry)
-
     def insert(self, row: tuple, rowid: int, bulk: bool = False,
                pos: int | None = None) -> None:
         """``pos`` is where :meth:`locate` put the row's key, when it
         found the key free and nothing has touched the index since: the
         insert of a probed row descends once, not twice."""
-        key = self.key_of_row(row)
+        key = self.columns_of_row(row)
+        if None in key:
+            key = make_key(key)
         entries = self._entries
+        entry = (key, rowid)
         if pos is None:
-            pos = self._lower_bound((key, rowid))
+            if not entries or entries[-1] < entry:
+                # what sorted input (bulk load, direct path,
+                # ingest_sorted) delivers: the position a bisect would
+                # find, without one
+                pos = len(entries)
+            else:
+                pos = bisect.bisect_left(entries, entry)
             # Entries of one key are adjacent and ``pos`` lies among
             # them.
             if self.unique and key != self._null_key and (
                     (pos < len(entries) and entries[pos][0] == key)
                     or (pos and entries[pos - 1][0] == key)):
                 raise self._violation(key)
-        entries.insert(pos, (key, rowid))
+        entries.insert(pos, entry)
         if bulk:
             # Deferred index build: page writes amortise over a full
             # leaf, as a bulk loader's sort-and-build pass would.
@@ -155,10 +156,10 @@ class BTreeIndex:
             if self._bulk_pending >= self.entries_per_page:
                 self._bulk_pending = 0
                 self._buffer.write(self._file_name,
-                                   self._leaf_page(pos), fresh=True)
+                                   pos // self.entries_per_page, fresh=True)
             return
         self._charge_traverse()
-        self._buffer.write(self._file_name, self._leaf_page(pos))
+        self._buffer.write(self._file_name, pos // self.entries_per_page)
 
     def delete(self, row: tuple, rowid: int) -> None:
         entry = (self.key_of_row(row), rowid)
@@ -202,27 +203,31 @@ class BTreeIndex:
     def locate(self, values: tuple) -> tuple[int, list[int]]:
         """``search_eq`` that also says where it looked: the position
         of the first entry not below ``values``, and the rowids."""
-        key = make_key(values)
+        key = make_key(values) if None in values else tuple(values)
         self._charge_traverse()
         entries = self._entries
-        lo = self._lower_bound((key, -1))
+        entries_per_page = self.entries_per_page
+        access, file_name = self._buffer.access, self._file_name
+        probe = (key, -1)
         out: list[int] = []
-        touched_pages: set[int] = set()
-        idx = lo
-        while idx < len(entries) and entries[idx][0] == key:
-            page = self._leaf_page(idx)
-            if page not in touched_pages:
-                touched_pages.add(page)
-                self._buffer.access(self._file_name, page, sequential=True)
-            out.append(entries[idx][1])
-            idx += 1
-        if not touched_pages:
-            self._buffer.access(
-                self._file_name,
-                self._leaf_page(min(lo, max(len(entries) - 1, 0))),
-                sequential=False,
-            )
-        self._metrics.count("index.eq_lookups")
+        if not entries or entries[-1] < probe:
+            # past the last entry, where an ascending load probes (and
+            # :meth:`insert` appends): nothing there to equal the key
+            lo = len(entries)
+            page = max(lo - 1, 0) // entries_per_page
+        else:
+            lo = idx = bisect.bisect_left(entries, probe)
+            page = -1
+            while idx < len(entries) and entries[idx][0] == key:
+                if idx // entries_per_page != page:
+                    page = idx // entries_per_page
+                    access(file_name, page, sequential=True)
+                out.append(entries[idx][1])
+                idx += 1
+            page = lo // entries_per_page  # of an entry: the last is no lower
+        if not out:
+            access(file_name, page, sequential=False)
+        self._counts["index.eq_lookups"] += 1
         return lo, out
 
     def search_prefix(self, values: tuple) -> Iterator[tuple[tuple, int]]:
@@ -314,10 +319,9 @@ class BTreeIndex:
 
     def _charge_traverse(self) -> None:
         self._clock.charge(self._traverse_cpu_s)
-        height = self.height
         # Touch the non-leaf levels (root is level 1); these are small
         # and almost always buffer-resident.
-        for level in range(max(0, height - 1)):
+        for level in range(self.height - 1):
             self._buffer.access(self._file_name, -(level + 1), sequential=False)
 
     # -- accounting ----------------------------------------------------------
@@ -349,8 +353,7 @@ class BTreeIndex:
 
     @property
     def height(self) -> int:
-        if not self._entries:
+        leaves = -(-len(self._entries) // self.entries_per_page)
+        if leaves <= 1:
             return 1
-        return 1 + max(
-            0, math.ceil(math.log(max(self.leaf_page_count, 1), self.entries_per_page))
-        )
+        return 1 + math.ceil(math.log(leaves, self.entries_per_page))

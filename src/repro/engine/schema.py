@@ -5,13 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.engine.errors import CatalogError
+from repro.engine.errors import CatalogError, ConstraintError
 from repro.engine.types import SqlType
 
 
 @dataclass(frozen=True)
 class Column:
-    """A named, typed column; ``nullable`` defaults to True."""
+    """A named, typed column; ``nullable`` defaults to True, and a
+    row with NULL in a ``nullable=False`` column does not validate."""
 
     name: str
     sql_type: SqlType
@@ -94,7 +95,9 @@ class TableSchema:
         One unrolled function: per cell the exact-type (and string
         length) test under which ``SqlType.validate`` would return the
         value as it is.  Only a cell that fails the test is handed to
-        ``SqlType.validate``, which alone defines coercion and errors.
+        ``SqlType.validate``, which alone defines coercion and errors —
+        behind the NULL check of a ``NOT NULL`` column: NULL never
+        passes an exact-type test, so a valid row pays nothing for it.
         """
         cells = [f"v{i}" for i in range(len(self.columns))]
         lines = ["def validate_cells(row):", f"    [{', '.join(cells)}] = row"]
@@ -102,7 +105,8 @@ class TableSchema:
         for cell, col in zip(cells, self.columns):
             sql_type = col.sql_type
             names[f"type_{cell}"] = sql_type.exact_type
-            names[f"validate_{cell}"] = sql_type.validate
+            names[f"validate_{cell}"] = sql_type.validate if col.nullable \
+                else self._not_null(col)
             test = f"type({cell}) is not type_{cell}"
             if sql_type.exact_type is str:
                 test += f" or len({cell}) > {sql_type.length}"
@@ -110,3 +114,15 @@ class TableSchema:
         lines.append(f"    return ({''.join(c + ', ' for c in cells)})")
         exec("\n".join(lines), names)
         return names["validate_cells"]
+
+    def _not_null(self, column: Column):
+        """``SqlType.validate`` of a ``NOT NULL`` column: NULL raises."""
+        validate = column.sql_type.validate
+        where = f"{self.name.lower()}.{column.name.lower()}"
+
+        def validate_not_null(value: object) -> object:
+            if value is None:
+                raise ConstraintError(f"NULL in NOT NULL column {where}")
+            return validate(value)
+
+        return validate_not_null

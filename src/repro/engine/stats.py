@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.engine.table import Table
 
@@ -42,16 +43,25 @@ MAX_DISTINCT_TRACKED = 100_000
 
 
 def analyze(table: Table) -> TableStats:
-    """Statistics collection (the engine's ANALYZE), column by column."""
+    """Statistics collection (the engine's ANALYZE): one C pass per
+    column, over the rows as they are — a transposed copy of a table is
+    a table's worth of memory.  Everything but the NULL count reads off
+    the column's set of distinct values, which keeps the first of equal
+    values (``1`` beside ``1.0``) as ``min`` and ``max`` over the rows
+    do; a SAP table is mostly constant filler columns."""
     stats = TableStats(row_count=table.row_count, analyzed=True)
     rows = [row for _rowid, row in table.store.rows()]
     for pos, column in enumerate(table.schema.columns):
-        values = [row[pos] for row in rows if row[pos] is not None]
+        distinct = set(map(itemgetter(pos), rows))
+        null_count = 0
+        if None in distinct:
+            distinct.remove(None)
+            null_count = [row[pos] for row in rows].count(None)
         stats.columns[column.name.lower()] = ColumnStats(
-            n_distinct=min(len(set(values)), MAX_DISTINCT_TRACKED),
-            min_value=min(values, default=None),
-            max_value=max(values, default=None),
-            null_count=len(rows) - len(values),
+            n_distinct=min(len(distinct), MAX_DISTINCT_TRACKED),
+            min_value=min(distinct, default=None),
+            max_value=max(distinct, default=None),
+            null_count=null_count,
         )
     return stats
 

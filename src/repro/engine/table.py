@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ConstraintError
 from repro.engine.index import BTreeIndex
@@ -57,6 +59,10 @@ class Table:
             raise ValueError(f"unknown storage backend {storage!r}")
         self.indexes: dict[str, BTreeIndex] = {}
         self._pk_index: BTreeIndex | None = None
+        #: what :meth:`insert_rows` asks of the indexes (the unique probes
+        #: and the inserts), resolved by the first batch after an index
+        #: came or went
+        self._insert_plan: tuple[list, list] | None = None
         #: the database's WriteAheadLog, or None when durability is off
         #: (the zero-touch default); set by Database at create time
         self.wal = None
@@ -67,6 +73,7 @@ class Table:
         self.indexes[index.name.lower()] = index
         if is_primary:
             self._pk_index = index
+        self._insert_plan = None
         for rowid, row in self.store.rows():
             index.insert(row, rowid)
 
@@ -74,6 +81,7 @@ class Table:
         index = self.indexes.pop(name.lower())
         if index is self._pk_index:
             self._pk_index = None
+        self._insert_plan = None
         self._buffer.invalidate_file(f"idx:{index.name}")
 
     @property
@@ -91,30 +99,71 @@ class Table:
     # -- DML ---------------------------------------------------------------
 
     def insert(self, row: tuple, bulk: bool = False) -> int:
-        """Validate, check PK, store, maintain indexes.
+        """:meth:`insert_rows` of one row."""
+        return self.insert_rows((row,), bulk)[0]
+
+    def insert_rows(self, rows: Iterable[tuple],
+                    bulk: bool = False) -> list[int]:
+        """Validate, check keys, store, maintain indexes and log each
+        row, in that order and row by row; returns the rowids.
+
+        What is per table is looked up once per batch; the charges fall
+        where a loop of one-row inserts puts them (the order is the
+        model), and a row that fails leaves the rows before it in place
+        and nothing of its own.
 
         ``bulk`` marks bulk-load inserts: page writes amortise across a
         page (the loader charges one write per filled page instead of
         one per row), which is exactly the advantage SAP's batch input
         forgoes in the paper's Table 3.
         """
-        row = self.schema.validate_row(row)
         pk = self._pk_index
-        pk_pos = self._check_primary_key(row)
-        # the charged probe above has just cleared the primary index
-        self._check_unique(row, skip=pk)
-        rowid = self.store.append(row, bulk)
-        self._counts[self.inserts_counter] += 1
-        for index in self.indexes.values():
-            if index is pk:
-                # the probe's descent is the insert's
-                pk.insert(row, rowid, bulk, pk_pos)
-            else:
-                index.insert(row, rowid, bulk=bulk)
-        if self.wal is not None:
-            self.wal.log_insert(self.name, rowid, row,
-                                self.store.page_of(rowid))
-        return rowid
+        if self._insert_plan is None:
+            # the charged probe clears the primary index; the others are
+            # probed before the first mutation, so that a violating row
+            # leaves store and indexes as they were, and uncharged: a row
+            # that passes costs what it cost before the probes existed
+            self._insert_plan = (
+                [index.check_unique for index in self.indexes.values()
+                 if index.unique and index is not pk],
+                [(index.insert, index is pk)
+                 for index in self.indexes.values()])
+        unique_checks, index_inserts = self._insert_plan
+        if pk is not None:
+            pk_columns, locate = pk.columns_of_row, pk.locate
+        validate_row = self.schema.validate_row
+        append = self.store.append
+        counts, counter = self._counts, self.inserts_counter
+        wal, name, page_of = self.wal, self.name, self.store.page_of
+        pos = None
+        rowids = []
+        for row in rows:
+            row = validate_row(row)
+            if pk is not None:
+                key = pk_columns(row)
+                if None in key:
+                    raise ConstraintError(
+                        f"NULL in primary key of {name}: {key}"
+                    )
+                pos, found = locate(key)
+                if found:
+                    raise ConstraintError(
+                        f"duplicate primary key in {name}: {key}"
+                    )
+            for check_unique in unique_checks:
+                check_unique(row)
+            rowid = append(row, bulk)
+            counts[counter] += 1
+            for insert, is_primary in index_inserts:
+                if is_primary:
+                    # the probe's descent is the insert's
+                    insert(row, rowid, bulk, pos)
+                else:
+                    insert(row, rowid, bulk)
+            if wal is not None:
+                wal.log_insert(name, rowid, row, page_of(rowid))
+            rowids.append(rowid)
+        return rowids
 
     def delete(self, rowid: int) -> None:
         row = self.store.fetch(rowid)
@@ -128,7 +177,9 @@ class Table:
 
     def update(self, rowid: int, new_row: tuple) -> None:
         new_row = self.schema.validate_row(new_row)
-        self._check_unique(new_row, own_rowid=rowid)
+        # probed before the first mutation, uncharged (see insert_rows)
+        for index in self.indexes.values():
+            index.check_unique(new_row, rowid)
         old_row = self.store.fetch(rowid)
         for index in self.indexes.values():
             index.delete(old_row, rowid)
@@ -153,34 +204,6 @@ class Table:
         self._counts[self.inserts_counter] += 1
         for index in self.indexes.values():
             index.insert(row, rowid)
-
-    def _check_primary_key(self, row: tuple) -> int | None:
-        """The charged primary-key probe; where the primary index will
-        put the row (None without one)."""
-        pk = self._pk_index
-        if pk is None:
-            return None
-        key = pk.columns_of_row(row)
-        if None in key:
-            raise ConstraintError(
-                f"NULL in primary key of {self.name}: {key}"
-            )
-        pos, rowids = pk.locate(key)
-        if rowids:
-            raise ConstraintError(
-                f"duplicate primary key in {self.name}: {key}"
-            )
-        return pos
-
-    def _check_unique(self, row: tuple, own_rowid: int | None = None,
-                      skip: BTreeIndex | None = None) -> None:
-        """Probe the unique indexes before the first mutation, so that
-        a violating statement leaves store and indexes as they were.
-        The probes are uncharged: a statement that passes costs what it
-        cost before they existed."""
-        for index in self.indexes.values():
-            if index is not skip:
-                index.check_unique(row, own_rowid)
 
     # -- access ---------------------------------------------------------------
 

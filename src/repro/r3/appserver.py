@@ -243,8 +243,9 @@ class R3System:
                 )
             container = self.clusters[table.container]
             return container.name, container.physical_rows(
-                self.client, cluster_key, rows)
-        full_rows = [(self.client,) + tuple(row) for row in rows]
+                self.client, cluster_key, rows, table.encode_cluster_row)
+        client = self.client
+        full_rows = [(client, *row) for row in rows]
         if table.kind is TableKind.TRANSPARENT:
             return table.name, full_rows
         if cluster_key is not None:
@@ -260,11 +261,35 @@ class R3System:
         Returns the physical ``(table_name, rowid)`` of the stored row
         so callers that need crash rollback (batch input) can undo it.
         """
-        physical_name, (physical,) = self.render_rows(table_name, [row])
-        rowid = self.db.catalog.table(physical_name).insert(
-            physical, bulk=bulk)
-        self.note_write(table_name.lower())
-        return (physical_name, rowid)
+        return self.insert_logical_rows(table_name, [row], bulk)[0]
+
+    def insert_logical_rows(self, table_name: str, rows: list[tuple],
+                            bulk: bool = False) -> list[tuple[str, int]]:
+        """Insert logical rows (without MANDT) of one table: rendered,
+        stored and noted as one batch.  Returns their physical
+        ``(table_name, rowid)`` pairs.
+
+        The table buffer is invalidated once per batch that stored a
+        row, also when a later row raised.  With a coherence layer
+        every row's write is a DDLOG append, charged before the next
+        row is stored: there the batch is row by row.
+        """
+        physical_name, rendered = self.render_rows(table_name, rows)
+        physical = self.db.catalog.table(physical_name)
+        name = table_name.lower()
+        if self.coherence is not None:
+            rowids = []
+            for row in rendered:
+                rowids += physical.insert_rows((row,), bulk)
+                self.note_write(name)
+        else:
+            stored = physical.row_count
+            try:
+                rowids = physical.insert_rows(rendered, bulk)
+            finally:
+                if physical.row_count != stored:
+                    self.note_write(name)
+        return [(physical_name, rowid) for rowid in rowids]
 
     def insert_cluster(self, table_name: str, cluster_key: tuple,
                        rows: list[tuple],
@@ -276,15 +301,13 @@ class R3System:
         Returns the physical ``(table_name, rowid)`` pairs written.
         """
         if self.ddic.lookup(table_name).kind is TableKind.TRANSPARENT:
-            return [self.insert_logical(table_name, row, bulk=bulk)
-                    for row in rows]
+            return self.insert_logical_rows(table_name, rows, bulk)
         physical_name, pages = self.render_rows(table_name, rows,
                                                 cluster_key)
-        physical_table = self.db.catalog.table(physical_name)
-        written = [(physical_name, physical_table.insert(page, bulk=bulk))
-                   for page in pages]
+        rowids = self.db.catalog.table(physical_name).insert_rows(
+            pages, bulk)
         self.note_write(table_name.lower())
-        return written
+        return [(physical_name, rowid) for rowid in rowids]
 
     def rollback_rows(self, undo: list[tuple[str, int]]) -> int:
         """Undo physical inserts (crash recovery / failed batch).
@@ -326,9 +349,7 @@ class R3System:
         container_name = table.container
         self.ddic.convert_to_transparent(table.name)
         self.db.create_table(table.to_table_schema())
-        physical = self.db.catalog.table(table.name)
-        for row in rows:
-            physical.insert(row, bulk=True)
+        self.db.catalog.table(table.name).insert_rows(rows, bulk=True)
         self.metrics.count(f"r3.converted.{table.name}")
         # The old encoded rows stay in the shared container for other
         # logical tables; purge this table's rows from a pool container.

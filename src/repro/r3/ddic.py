@@ -26,7 +26,7 @@ from typing import Callable
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 from repro.r3.errors import DDicError
-from repro.r3.pools import row_decoder
+from repro.r3.pools import row_decoder, row_encoder
 
 #: the client column present on every client-dependent SAP table
 MANDT = "mandt"
@@ -50,7 +50,7 @@ class DDicField:
 class DDicTable:
     """One logical SAP table definition.  ``fields`` is fixed (a
     conversion flips ``kind`` and ``container`` only): what derives from
-    it — names, key, positions, row decoders — is derived once."""
+    it — names, key, positions, row codecs — is derived once."""
 
     name: str
     kind: TableKind
@@ -90,6 +90,17 @@ class DDicTable:
     def decode_pool_row(self) -> Callable[[str], tuple]:
         """Encoded row -> logical row with its leading MANDT."""
         return row_decoder([DDicField(MANDT, MANDT_TYPE)] + self.fields,
+                           self.name)
+
+    @cached_property
+    def encode_cluster_row(self) -> Callable[[tuple], str]:
+        """Logical row -> encoded row; cluster rows carry no MANDT."""
+        return row_encoder(self.fields, self.name)
+
+    @cached_property
+    def encode_pool_row(self) -> Callable[[tuple], str]:
+        """Logical row with its leading MANDT -> encoded row."""
+        return row_encoder([DDicField(MANDT, MANDT_TYPE)] + self.fields,
                            self.name)
 
     @property

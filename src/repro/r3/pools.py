@@ -14,7 +14,8 @@ application server and why converting it to a transparent table
 
 Encoded rows can only be interpreted with the data dictionary; each
 decoded logical row charges the app server's decode CPU cost.  The
-dictionary generates one decoder per table (:func:`row_decoder`).
+dictionary generates one decoder and one encoder per table
+(:func:`row_decoder`, :func:`row_encoder`).
 """
 
 from __future__ import annotations
@@ -61,6 +62,31 @@ def encode_row(values: tuple) -> str:
         NULL_MARK if v is None
         else v.isoformat() if isinstance(v, datetime.date) else str(v)
         for v in values])
+
+
+def row_encoder(fields: Sequence[DDicField],
+                table: str | None = None) -> Callable[[tuple], str]:
+    """Generate ``encode(row)``, which is :func:`encode_row` for a row
+    of ``fields``: per field the text of a value of the field's own
+    type; any other value, NULL among them, goes to
+    :func:`encode_value`."""
+    cells = [f"v{i}" for i in range(len(fields))]
+    # ``str`` of a date (not of a datetime) is its ISO format
+    encoded = ", ".join(
+        f"{v if t is str else f'str({v})'} "
+        f"if type({v}) is {t.__name__} else encode_value({v})"
+        for v, t in zip(cells, (f.sql_type.exact_type for f in fields)))
+    source = (f"def encode(row):\n"
+              f" try:\n"
+              f"  [{', '.join(cells)}] = row\n"
+              f" except ValueError:\n"
+              f"  raise DDicError(f'{table or 'row'}: {{len(row)}} values, '\n"
+              f"                  f'{len(fields)} fields expected') from None\n"
+              f" return FIELD_SEP.join([{encoded}])\n")
+    names = {"FIELD_SEP": FIELD_SEP, "encode_value": encode_value,
+             "date": datetime.date, "DDicError": DDicError}
+    exec(compile(source, "<generated>/repro/r3/pools.py", "exec"), names)
+    return names["encode"]
 
 
 def row_decoder(fields: Sequence[DDicField],
@@ -133,7 +159,8 @@ class PoolContainer:
         ])
 
     def physical_row(self, table: DDicTable, row: tuple) -> tuple:
-        return (table.name, self.varkey_of(table, row), encode_row(row))
+        return (table.name, self.varkey_of(table, row),
+                table.encode_pool_row(row))
 
     @staticmethod
     def decode(table: DDicTable, vardata: str) -> tuple:
@@ -168,8 +195,11 @@ class ClusterContainer:
         return TableSchema(self.name, columns, primary_key=keys)
 
     def physical_rows(self, mandt: str, cluster_key: tuple,
-                      logical_rows: list[tuple]) -> list[tuple]:
-        """Pack logical rows (without MANDT) into physical page rows."""
+                      logical_rows: list[tuple],
+                      encode: Callable[[tuple], str] = encode_row,
+                      ) -> list[tuple]:
+        """Pack logical rows (without MANDT) into physical page rows;
+        ``encode`` is the rows' table's ``encode_cluster_row``."""
         pages: list[tuple] = []
         current: list[str] = []
         current_len = 0
@@ -186,7 +216,7 @@ class ClusterContainer:
                 current_len = 0
 
         for row in logical_rows:
-            encoded = encode_row(row)
+            encoded = encode(row)
             if current_len + len(encoded) + 1 > CLUSTER_PAGE_CHARS:
                 flush()
             current.append(encoded)

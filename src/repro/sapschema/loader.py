@@ -242,8 +242,7 @@ def load_sap_fast(r3: R3System, data: TpcdData,
     for table, rows, cluster_key in mapping.load_stream(data):
         bulk = table not in mapping.INTERACTIVE_TABLES
         if cluster_key is None:
-            for row in rows:
-                r3.insert_logical(table, row, bulk=bulk)
+            r3.insert_logical_rows(table, rows, bulk=bulk)
         else:
             r3.insert_cluster(table, cluster_key, rows, bulk=bulk)
     if analyze:

@@ -1,15 +1,23 @@
-"""Column-wise ANALYZE against the row-wise loop it replaced.
+"""Column-wise ANALYZE against the loops it replaced.
 
 ``reference_analyze`` is the per-cell implementation ``stats.analyze``
-had before it went column by column; it stays here as the oracle.
+had before it went column by column, ``listwise_analyze`` the one it
+had before it read everything off a column's set of distinct values;
+both stay here as oracles.
 """
 
 import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import Column, Database, SqlType, TableSchema
-from repro.engine.stats import ColumnStats, TableStats, analyze
+from repro.engine.stats import (
+    MAX_DISTINCT_TRACKED,
+    ColumnStats,
+    TableStats,
+    analyze,
+)
 
 
 def reference_analyze(table) -> TableStats:
@@ -34,6 +42,22 @@ def reference_analyze(table) -> TableStats:
         stats.columns[name] = ColumnStats(
             n_distinct=len(distinct[pos]), min_value=mins[pos],
             max_value=maxs[pos], null_count=nulls[pos])
+    return stats
+
+
+def listwise_analyze(table) -> TableStats:
+    """One list of non-NULL values per column, ``min`` and ``max`` over
+    the list."""
+    stats = TableStats(row_count=table.row_count, analyzed=True)
+    rows = [row for _rowid, row in table.store.rows()]
+    for pos, column in enumerate(table.schema.columns):
+        values = [row[pos] for row in rows if row[pos] is not None]
+        stats.columns[column.name.lower()] = ColumnStats(
+            n_distinct=min(len(set(values)), MAX_DISTINCT_TRACKED),
+            min_value=min(values, default=None),
+            max_value=max(values, default=None),
+            null_count=len(rows) - len(values),
+        )
     return stats
 
 
@@ -98,3 +122,52 @@ class TestColumnWiseAnalyze:
         db, table = _table(storage, _mixed_rows(100))
         db.analyze("t")
         assert db.stats["t"] == reference_analyze(table)
+
+
+# -- the distinct set against the list ---------------------------------------
+
+day0 = datetime.date(1995, 1, 1)
+#: per column a small domain, so that equal values meet: ints beside
+#: equal floats (``1`` and ``1.0`` are one distinct value, and which of
+#: them is the minimum is "the first"), dates, strings, NULLs
+cells = st.tuples(
+    st.one_of(st.none(), st.integers(-2, 2),
+              st.integers(-2, 2).map(float), st.just(0.5)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "b", "ab"])),
+    st.one_of(st.none(), st.integers(0, 3).map(
+        lambda n: day0 + datetime.timedelta(days=n))),
+    st.one_of(st.none(), st.just(7.0)),
+)
+
+
+@pytest.mark.parametrize("storage", ["heap", "lsm"])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(cells, max_size=40), st.integers(0, 3))
+def test_set_wise_equals_list_wise(storage, rows, all_null):
+    rows = [row[:all_null] + (None,) + row[all_null + 1:] for row in rows]
+    db, table = _table(storage, [])
+    for row in rows:  # unvalidated: an int stays beside an equal float
+        table.store.append(row, bulk=True)
+    expected = listwise_analyze(table)
+    # ``repr``: 1 == 1.0, and which of the two is reported is the point
+    assert repr(analyze(table)) == repr(expected)
+    assert repr(reference_analyze(table)) == repr(expected)
+    assert expected.row_count == len(rows)
+
+
+@pytest.mark.parametrize("upgraded", [False, True], ids=["2.2", "3.0"])
+def test_every_table_of_a_loaded_sap_system(upgraded):
+    from repro.r3.appserver import R3System, R3Version
+    from repro.r3.upgrade import upgrade_to_30
+    from repro.sapschema.loader import load_sap_fast
+    from repro.tpcd.dbgen import generate
+
+    r3 = R3System(R3Version.V22)
+    load_sap_fast(r3, generate(0.0005), analyze=False)
+    if upgraded:
+        upgrade_to_30(r3)
+    r3.db.analyze()
+    assert len(r3.db.catalog.table_names) > 15
+    for name in r3.db.catalog.table_names:
+        table = r3.db.catalog.table(name)
+        assert repr(r3.db.stats[name]) == repr(listwise_analyze(table)), name

@@ -107,23 +107,29 @@ def old_load_sap_direct(r3, data):
 # -- (a) the stream ---------------------------------------------------------
 
 def _record_inserts(r3):
-    """Every ``insert_logical`` / ``insert_cluster`` call, in order."""
+    """Every ``insert_logical`` / ``insert_logical_rows`` /
+    ``insert_cluster`` call, in order; a batch as one ``"row"`` entry
+    per row."""
     calls = []
-    insert_logical, insert_cluster = r3.insert_logical, r3.insert_cluster
+    originals = {name: getattr(r3, name) for name in (
+        "insert_logical", "insert_logical_rows", "insert_cluster")}
 
-    def logical(table, row, bulk=False):
-        calls.append(("row", table, row, bulk))
-        return insert_logical(table, row, bulk=bulk)
+    def recorded(name, entries):
+        def shadow(*args, bulk=False):
+            calls.extend(entries(*args, bulk))
+            shadows = {name: vars(r3).pop(name) for name in originals}
+            try:  # what an insert calls in turn is not a loader call
+                return originals[name](*args, bulk=bulk)
+            finally:
+                vars(r3).update(shadows)
+        setattr(r3, name, shadow)
 
-    def cluster(table, key, rows, bulk=False):
-        calls.append(("cluster", table, (key, rows), bulk))
-        inner, r3.insert_logical = r3.insert_logical, insert_logical
-        try:  # a converted table's row-wise writes are not loader calls
-            return insert_cluster(table, key, rows, bulk=bulk)
-        finally:
-            r3.insert_logical = inner
-
-    r3.insert_logical, r3.insert_cluster = logical, cluster
+    recorded("insert_logical", lambda table, row, bulk:
+             [("row", table, row, bulk)])
+    recorded("insert_logical_rows", lambda table, rows, bulk:
+             [("row", table, row, bulk) for row in rows])
+    recorded("insert_cluster", lambda table, key, rows, bulk:
+             [("cluster", table, (key, rows), bulk)])
     return calls
 
 
