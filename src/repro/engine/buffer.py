@@ -50,6 +50,14 @@ class BufferPool:
             self._pages.popitem(last=False)
         return False
 
+    def hit_again(self, n: int) -> None:
+        """``n`` more accesses of the page the last :meth:`access`
+        touched, nothing touched in between: certain hits on the most
+        recently used page, which no LRU move can change — the hits
+        counted and one clock addition each (DESIGN.md §24)."""
+        self._counts["buffer.hits"] += n
+        self._clock.charge_each(self._hit_cpu_s, n)
+
     def write(self, file_name: str, page_no: int,
               fresh: bool = False) -> None:
         """Dirty-page write-through (simplified: charge immediately).

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
 from repro.engine.expr import Compiled, Expr, OutputSchema
-from repro.engine.index import key_getter
 from repro.engine.table import Table
 
 
@@ -16,29 +17,40 @@ def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
     return left.schema.concat(right_schema)
 
 
+def hash_key(positions: list[int]) -> Callable[[tuple], object]:
+    """``row -> its hash-table key``: the value itself for one column,
+    the tuple of the values for several, taken at C speed."""
+    return itemgetter(*positions)
+
+
 def build_hash_table(
     rows: list[tuple], key_positions: list[int]
-) -> tuple[dict[tuple, Sequence[tuple]], int]:
-    """The build side of every hash join: ``(buckets, build_count)``.
+) -> tuple[dict, int, bool]:
+    """The build side of every hash join: ``(table, build_count,
+    unique)``, keyed by :func:`hash_key`.
 
     A row whose key has a NULL part joins nothing and is neither stored
-    nor counted; a bucket keeps its rows in input order.  Unique keys —
-    a primary or foreign-key parent side — make the whole table in three
-    C loops, each bucket a 1-tuple.
+    nor counted.  Unique keys — a primary or foreign-key parent side —
+    make the table in C, each row its own entry (``unique``); otherwise
+    an entry is the list of the key's rows in input order.
     """
-    keys = list(map(key_getter(key_positions), rows))
-    if None not in chain.from_iterable(keys):
-        unique = dict(zip(keys, zip(rows)))
-        if len(unique) == len(rows):
-            return unique, len(rows)
-    buckets: dict[tuple, list[tuple]] = {}
-    build_count = 0
-    for key, row in zip(keys, rows):
-        if None in key:
-            continue
-        buckets.setdefault(key, []).append(row)
-        build_count += 1
-    return buckets, build_count
+    keys = list(map(hash_key(key_positions), rows))
+    composite = len(key_positions) > 1
+    pairs: Iterable[tuple[object, tuple]]
+    if None in (chain.from_iterable(keys) if composite else keys):
+        pairs = [(key, row) for key, row in zip(keys, rows)
+                 if ((None not in key) if composite else (key is not None))]
+        build_count = len(pairs)
+    else:
+        table = dict(zip(keys, rows))
+        if len(table) == len(rows):
+            return table, len(rows), True
+        pairs, build_count = zip(keys, rows), len(rows)
+    buckets: defaultdict[object, list[tuple]] = defaultdict(list)
+    for key, row in pairs:
+        buckets[key].append(row)
+    buckets.default_factory = None  # a probe's miss adds no bucket
+    return buckets, build_count, False
 
 
 class NestedLoopJoin(Operator):
@@ -236,8 +248,9 @@ class HashJoin(Operator):
             build_op, probe_op = self.right, self.left
             build_keys, probe_keys = (self.right_key_positions,
                                       self.left_key_positions)
-        probe_key = key_getter(probe_keys)
-        buckets, build_count = build_hash_table(
+        probe_key = hash_key(probe_keys)
+        composite = len(probe_keys) > 1
+        table, build_count, unique = build_hash_table(
             build_op.materialize(params), build_keys)
         ctx.charge_tuples(build_count)
         build_bytes = build_count * ctx.row_bytes(len(build_op.schema))
@@ -250,10 +263,20 @@ class HashJoin(Operator):
         for probe_row in probe_op.rows(params):
             probe_count += 1
             key = probe_key(probe_row)
-            if None in key:
+            if (None in key) if composite else (key is None):
                 continue
             counts["exec.tuples"] += 1
-            for build_row in buckets.get(key, ()):
+            if unique:
+                build_row = table.get(key)
+                if build_row is None:
+                    continue
+                combined = build_row + probe_row if build_left \
+                    else probe_row + build_row
+                if holds is None or holds(combined, params) is True:
+                    counts["exec.tuples"] += 1
+                    yield combined
+                continue
+            for build_row in table.get(key, ()):
                 if build_left:
                     combined = build_row + probe_row
                 else:

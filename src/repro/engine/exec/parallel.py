@@ -32,11 +32,12 @@ fragment's elapsed time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 from repro.engine.exec.aggregate import GroupAggregate, _AggState
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.exec.joins import build_hash_table
+from repro.engine.exec.joins import build_hash_table, hash_key
 from repro.engine.expr import AggCall, Expr, OutputSchema
 from repro.engine.index import key_getter
 from repro.engine.parallel.lanes import LaneSet
@@ -361,7 +362,8 @@ class ParallelHashJoin(Operator):
 
     def _probe_one(
         self,
-        buckets: dict[tuple, Sequence[tuple]],
+        table: dict,
+        unique: bool,
         probe_rows: Iterator[tuple[tuple, tuple]],
         params: Sequence[object],
         out: list[tuple],
@@ -369,9 +371,13 @@ class ParallelHashJoin(Operator):
         holds = self._holds
         probe_is_left = self.probe_is_left
         counts = self.ctx.metrics.counts
-        for key, probe_row in probe_rows:
+        table_key = hash_key(self.probe_key_positions)
+        for _route_key, probe_row in probe_rows:
             counts["exec.tuples"] += 1
-            for build_row in buckets.get(key, ()):
+            found = table.get(table_key(probe_row))
+            if found is None:
+                continue
+            for build_row in (found,) if unique else found:
                 if probe_is_left:
                     combined = probe_row + build_row
                 else:
@@ -382,7 +388,9 @@ class ParallelHashJoin(Operator):
 
     def _keyed_probe(self, op: Operator, params: Sequence[object]) \
             -> Iterator[tuple[tuple, tuple]]:
-        """``(key, row)`` for every row of ``op`` whose key has no NULL."""
+        """``(key, row)`` for every row of ``op`` whose key has no NULL;
+        the key is the tuple of the key values, the form lanes are
+        routed by."""
         key_of = key_getter(self.probe_key_positions)
         for row in op.rows(params):
             key = key_of(row)
@@ -396,7 +404,7 @@ class ParallelHashJoin(Operator):
         clock = ctx.clock
         p = ctx.params
         build_keys = self.build_key_positions
-        table, build_count = build_hash_table(
+        table, build_count, unique = build_hash_table(
             self.build_op.materialize(params), build_keys)
         ctx.charge_tuples(build_count)
         if clock.redirected:
@@ -404,8 +412,8 @@ class ParallelHashJoin(Operator):
             # every partition against the full build table inline.
             out: list[tuple] = []
             for op in self.probe_lane_ops:
-                self._probe_one(table, self._keyed_probe(op, params),
-                                params, out)
+                self._probe_one(table, unique,
+                                self._keyed_probe(op, params), params, out)
             yield from out
             return
         degree = self.degree
@@ -427,15 +435,20 @@ class ParallelHashJoin(Operator):
                                          * (p.tuple_cpu_s
                                             + p.parallel_ship_tuple_s))
                             self._probe_one(
-                                table, self._keyed_probe(probe, params),
+                                table, unique,
+                                self._keyed_probe(probe, params),
                                 params, outputs[index])
                             lane_span.set(rows=len(outputs[index]))
                     lanes.run(index, work)
                 lanes.barrier()
             else:
+                # routed by the tuple form of the key, in the old bucket
+                # order, whichever form the table holds the rows in
+                route_key = key_getter(build_keys)
+                build_rows = table.values() if unique \
+                    else chain.from_iterable(table.values())
                 build_shards = Repartition(ctx, degree, self.seed).route(
-                    (key, row) for key, bucket in table.items()
-                    for row in bucket)
+                    (route_key(row), row) for row in build_rows)
                 shuffled: list[list[list[tuple[tuple, tuple]]]] = [
                     [[] for _ in range(degree)] for _ in range(degree)
                 ]
@@ -451,11 +464,13 @@ class ParallelHashJoin(Operator):
                     with ctx.tracer.span("exec.lane", lane=index, phase=2,
                                          parallel=True) as lane_span:
                         shard = [row for _key, row in build_shards[index]]
-                        shard_table, _ = build_hash_table(shard, build_keys)
+                        shard_table, _, shard_unique = build_hash_table(
+                            shard, build_keys)
                         clock.charge(len(shard) * p.tuple_cpu_s)
                         for source in range(degree):
                             self._probe_one(
-                                shard_table, iter(shuffled[source][index]),
+                                shard_table, shard_unique,
+                                iter(shuffled[source][index]),
                                 params, outputs[index])
                         lane_span.set(rows=len(outputs[index]))
 

@@ -6,7 +6,13 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.expr import Compiled, Expr, OutputSchema, SubqueryExpr
+from repro.engine.expr import (
+    Compiled,
+    Expr,
+    OutputSchema,
+    PageFilter,
+    SubqueryExpr,
+)
 from repro.engine.index import NULL_FIRST
 from repro.engine.table import Table
 
@@ -59,23 +65,28 @@ class SeqScan(Operator):
         return self.predicate is not None and any(
             isinstance(node, SubqueryExpr) for node in self.predicate.walk())
 
+    @cached_property
+    def _page(self) -> PageFilter | None:
+        return None if self.predicate is None \
+            else self.predicate.compile_filter()
+
     def materialize(self, params: Sequence[object]) -> list[tuple]:
         """The scan a page at a time: both counters once per page and
-        one comprehension over the predicate.  Between two page accesses
-        the clock is owed the same number of tuple units as on the row
-        path, and the consumer adds none (DESIGN.md §21)."""
+        one call of the generated page filter.  Between two page
+        accesses the clock is owed the same number of tuple units as on
+        the row path, and the consumer adds none (DESIGN.md §21, §24)."""
         if self._charges_between_tuples:
             return super().materialize(params)
-        holds = self._holds
+        page, holds = self._page, self._holds
         counts = self.ctx.metrics.counts
         counter = self.table.scanned_counter
         out: list[tuple] = []
         for _rowids, rows in self.table.store.scan():
-            if holds is None:
+            if page is None:
                 kept = rows
             else:
                 try:
-                    kept = [row for row in rows if holds(row, params) is True]
+                    kept = page(rows, params)
                 except Exception:
                     # count what the row path had counted when it raised
                     for row in rows:

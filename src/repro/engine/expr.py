@@ -85,6 +85,9 @@ class OutputSchema:
 #: a compiled expression: ``fn(row, params) -> value``
 Compiled = Callable[[tuple, Sequence[object]], object]
 
+#: a compiled filter: ``page(rows, params) -> the rows it holds for``
+PageFilter = Callable[[Sequence[tuple], Sequence[object]], list[tuple]]
+
 
 #: numbers the generated sources.  Each reports a file name of its own
 #: (``pstats`` keeps one entry per file, line and function name) that
@@ -101,8 +104,9 @@ _VARIES = object()
 def _factory(source: str) -> Callable[..., Compiled]:
     """``exec`` a generated ``make(c0, c1, ...)`` once per source text.
 
-    ``make`` returns ``fn(row, params)`` closed over its arguments, the
-    bound constants of one expression.  Expressions of one shape share
+    ``make`` returns ``fn(row, params)`` (or a predicate's
+    ``page(rows, params)``, :meth:`_Source.filter`) closed over its
+    arguments, the bound constants of one expression.  Expressions of one shape share
     the text, hence the code object; the cold paths that compile per
     execution (:meth:`Expr.eval`, prepared DML) pay this lookup, not an
     ``exec``.  The code runs in this module's namespace: that is where
@@ -129,11 +133,15 @@ class _Source:
     so that its guards can be decided while emitting.
     """
 
-    def __init__(self, root: "Expr | None") -> None:
+    def __init__(self, root: "Expr | None", page: bool = False) -> None:
         self.root = root
+        #: emitting the loop body of ``page(rows, params)``, not ``fn``
+        self.page = page
         self.constants: dict[str, object] = {}
+        #: parameter index -> the name a page function reads it into
+        self._params: dict[int, str] = {}
         self._lines: list[str] = []
-        self._indent = "  "
+        self._indent = "   " if page else "  "
         self._temps = 0
 
     def line(self, text: str) -> None:
@@ -215,11 +223,44 @@ class _Source:
             expression = f"None if {' or '.join(tests)} else {expression}"
         return self.hold(expression)
 
+    def param(self, index: int) -> str:
+        """The name a page function reads parameter ``index`` into,
+        once per call, before its loop."""
+        return self._params.setdefault(index, f"p{index:d}")
+
+    def decided(self, dominant: bool) -> None:
+        """The root connective found its value: ``fn`` returns it, the
+        page loop keeps the row (``True``) or drops it and goes on."""
+        if not self.page:
+            self.line(f"return {dominant}")
+            return
+        if dominant:
+            self.line("keep(row)")
+        self.line("continue")
+
     def function(self, result: str) -> Compiled:
         source = (f"def make({', '.join(self.constants)}):\n"
                   f" def fn(row, params):\n{''.join(self._lines)}"
                   f"  return {result}\n return fn\n")
         return _factory(source)(*self.constants.values())
+
+    def filter(self, result: str, fn: Compiled) -> PageFilter:
+        """``page(rows, params)``: the rows ``fn`` holds for, in order.
+        A missing parameter hands the page to ``fn``, which raises at
+        the row that first reads it, as a row at a time would."""
+        reads = "".join(f"   {name} = params[{index:d}]\n"
+                        for index, name in self._params.items())
+        if reads:
+            reads = (f"  try:\n{reads}  except IndexError:\n"
+                     f"   return [row for row in rows"
+                     f" if fn(row, params) is True]\n")
+        source = (f"def make({', '.join(['fn', *self.constants])}):\n"
+                  f" def page(rows, params):\n{reads}"
+                  f"  kept = []\n  keep = kept.append\n"
+                  f"  for row in rows:\n{''.join(self._lines)}"
+                  f"   if {result} is True:\n    keep(row)\n"
+                  f"  return kept\n return page\n")
+        return _factory(source)(fn, *self.constants.values())
 
 
 class Expr:
@@ -236,6 +277,14 @@ class Expr:
         """
         src = _Source(self)
         return src.function(self.emit(src))
+
+    def compile_filter(self) -> PageFilter:
+        """``page(rows, params)``: the rows of a page for which the
+        function of :meth:`compile` returns ``True``, in order, from one
+        call — the same emitted body inside one loop, the parameters
+        read once (DESIGN.md §24)."""
+        src = _Source(self, page=True)
+        return src.filter(self.emit(src), self.compile())
 
     def emit(self, src: _Source) -> str:
         """Append the statements computing this node; return its atom."""
@@ -279,6 +328,8 @@ class ParamRef(Expr):
         return self
 
     def emit(self, src: _Source) -> str:
+        if src.page:
+            return src.param(self.index)
         result = src.temp()
         with src.block("try:"):
             src.line(f"{result} = params[{self.index:d}]")
@@ -435,9 +486,10 @@ class BinOp(Expr):
         """Kleene AND (``dominant`` False) / OR (True) over the operands.
 
         They run left to right and stop at the first dominant value, as
-        the nested two-operand form does: the root of a predicate
-        returns there, a nested connective skips what is left (and in
-        :func:`compile_row` none is the root: its value is one of many).
+        the nested two-operand form does: the root of a predicate is
+        decided there (:meth:`_Source.decided`), a nested connective
+        skips what is left (and in :func:`compile_row` none is the root:
+        its value is one of many).
         """
         returns = src.root is self
         result = src.temp()
@@ -447,8 +499,10 @@ class BinOp(Expr):
                            if index and not returns else None):
                 value = src.name(part)
                 with src.block(f"if {value} is {dominant}:"):
-                    src.line(f"return {dominant}" if returns
-                             else f"{result} = {dominant}")
+                    if returns:
+                        src.decided(dominant)
+                    else:
+                        src.line(f"{result} = {dominant}")
                 with src.block(f"elif {value} is None:"):
                     src.line(f"{result} = None")
         return result

@@ -230,12 +230,27 @@ class BTreeIndex:
         self._counts["index.eq_lookups"] += 1
         return lo, out
 
+    def prefix_run(self, values: tuple) -> tuple[int, list[int]]:
+        """Where :meth:`search_prefix` starts its leaf walk and the
+        rowids it yields, found by two bisects on the plain keys without
+        touching the clock, a counter or the buffer pool."""
+        prefix = make_key(values)
+        entries, width = self._entries, len(prefix)
+        lo = bisect.bisect_left(entries, (prefix, -1))
+        hi = bisect.bisect_right(entries, prefix, lo,
+                                 key=lambda entry: entry[0][:width])
+        return lo, [rowid for _key, rowid in entries[lo:hi]]
+
+    def charge_prefix_scan(self) -> None:
+        """What :meth:`search_prefix` charges before its first entry."""
+        self._charge_traverse()
+        self._counts["index.prefix_scans"] += 1
+
     def search_prefix(self, values: tuple) -> Iterator[tuple[tuple, int]]:
         """All entries whose key starts with ``values`` (prefix match)."""
         prefix = make_key(values)
-        self._charge_traverse()
+        self.charge_prefix_scan()
         lo = bisect.bisect_left(self._entries, (prefix, -1))
-        self._metrics.count("index.prefix_scans")
         width, entries_per_page = len(prefix), self.entries_per_page
         touched_page = -1
         # its own leaf walk: two calls an entry less than the helper

@@ -110,6 +110,17 @@ class StorageBackend(abc.ABC):
     def get(self, rowid: int) -> tuple | None:
         """The row at ``rowid``, or ``None`` for a tombstone."""
 
+    def get_many(self, rowids: Sequence[int]) -> list[tuple | None]:
+        """:meth:`get` of each rowid, in order."""
+        return list(map(self.get, rowids))
+
+    #: the buffer-pool file of a backend whose :meth:`read` of a live row
+    #: is one buffer access of page ``rowid // rows_per_page`` of it and
+    #: charges nothing else, so that a caller may replay a run of reads
+    #: as their accesses (DESIGN.md §24); ``None``, the default, for a
+    #: backend whose reads only :meth:`read` itself can price
+    read_file: str | None = None
+
     # -- checkpoint / recovery ------------------------------------------
 
     @abc.abstractmethod
@@ -171,6 +182,8 @@ class HeapFile(StorageBackend):
         self._disk = disk
         self._rows: list[tuple | None] = []
         self._live = 0
+        #: a read is one buffer access of its page (see :meth:`read`)
+        self.read_file = self._file
         self.rows_per_page = max(1, page_size_bytes // schema.row_byte_width)
         #: bumped on every mutation; partition overlays key their caches
         #: on it to detect a stale rowid snapshot
@@ -274,6 +287,12 @@ class HeapFile(StorageBackend):
         if 0 <= rowid < len(self._rows):
             return self._rows[rowid]
         return None
+
+    def get_many(self, rowids: Sequence[int]) -> list[tuple | None]:
+        # no call per rowid: what a run of index entries costs (§24)
+        slots, count = self._rows, len(self._rows)
+        return [slots[rowid] if 0 <= rowid < count else None
+                for rowid in rowids]
 
     def _slot_live(self, rowid: int) -> bool:
         return 0 <= rowid < len(self._rows) and self._rows[rowid] is not None

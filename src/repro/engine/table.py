@@ -177,6 +177,13 @@ class Table:
 
     def update(self, rowid: int, new_row: tuple) -> None:
         new_row = self.schema.validate_row(new_row)
+        pk = self._pk_index
+        if pk is not None:
+            key = pk.columns_of_row(new_row)
+            if None in key:
+                raise ConstraintError(
+                    f"NULL in primary key of {self.name}: {key}"
+                )
         # probed before the first mutation, uncharged (see insert_rows)
         for index in self.indexes.values():
             index.check_unique(new_row, rowid)

@@ -187,6 +187,36 @@ class SimulatedClock:
         self._counts[self._unit_name] += count
         self._settled += count
 
+    @property
+    def deadline_armed(self) -> bool:
+        """True while a ``charge`` can fire a deadline: one is armed
+        and charges reach global time."""
+        return bool(self._deadlines) and self._sink is None
+
+    def charge_each(self, seconds: float, n: int) -> None:
+        """``n`` calls of ``charge(seconds)`` in one: the same ``n``
+        additions, in the same order, onto the same value.  A deadline
+        fires at the addition that crosses it, as the ``charge`` making
+        that addition would; the additions after it are not made."""
+        if seconds < 0:
+            raise ValueError(f"cannot charge negative time: {seconds}")
+        if self._counts.get(self._unit_name, 0) != self._settled:
+            self._settle()
+        sink = self._sink
+        if sink is None and self._deadlines:
+            for _ in range(n):
+                self._now += seconds
+                self._check_deadlines()
+            return
+        # one addition each, as in :meth:`_settle`
+        total = self._now if sink is None else sink.seconds
+        for _ in range(n):
+            total += seconds
+        if sink is None:
+            self._now = total
+        else:
+            sink.seconds = total
+
     def _settle(self) -> None:
         """Replay the unit charges counted since the last settle: one
         addition each, onto what ``charge`` would add to right now —

@@ -49,6 +49,13 @@ def reference_hash_table(rows, key_positions):
     return buckets, build_count
 
 
+def as_buckets(table, unique, key_positions):
+    """A built table in the reference's form: tuple keys, row lists."""
+    return {key if len(key_positions) > 1 else (key,):
+            [rows] if unique else list(rows)
+            for key, rows in table.items()}
+
+
 def reference_join(probe_rows, probe_positions, buckets):
     """The probe loop's output order (probe row + build row)."""
     out = []
@@ -163,11 +170,12 @@ def test_drained_build_equals_the_per_row_build(storage, case):
                         if threshold is None or row[0] >= threshold]
 
     # the table: same buckets in the same order, rows in input order
-    buckets, build_count = build_hash_table(got, positions)
+    table, build_count, unique = build_hash_table(got, positions)
     reference, reference_count = reference_hash_table(expected, positions)
     assert build_count == reference_count
+    buckets = as_buckets(table, unique, positions)
     assert list(buckets) == list(reference)
-    assert {key: list(bucket) for key, bucket in buckets.items()} == reference
+    assert buckets == reference
 
     # the join: same output order, same clock after the probe
     probe_schema = OutputSchema([(None, "pa"), (None, "pb")])
@@ -188,18 +196,21 @@ def test_drained_build_equals_the_per_row_build(storage, case):
 
 def test_unique_and_duplicate_keys_take_different_paths_to_one_answer():
     unique = [(1, "a"), (2, "b"), (3, "c")]
-    buckets, count = build_hash_table(unique, [0])
-    assert (buckets, count) == ({(1,): ((1, "a"),), (2,): ((2, "b"),),
-                                 (3,): ((3, "c"),)}, 3)
+    built = build_hash_table(unique, [0])
+    assert built == ({1: (1, "a"), 2: (2, "b"), 3: (3, "c")}, 3, True)
+    assert as_buckets(built[0], True, [0]) == \
+        reference_hash_table(unique, [0])[0]
     # 1 == 1.0 == True: one bucket, first key kept, input order inside
     mixed = [(1, "a"), (None, "n"), (1.0, "b"), (True, "c"), (2, "d")]
-    buckets, count = build_hash_table(mixed, [0])
-    assert count == 4
-    assert {key: list(rows) for key, rows in buckets.items()} == \
-        {(1,): [(1, "a"), (1.0, "b"), (True, "c")], (2,): [(2, "d")]}
-    assert build_hash_table([], [0, 1]) == ({}, 0)
+    table, count, is_unique = build_hash_table(mixed, [0])
+    assert (count, is_unique) == (4, False)
+    assert table == {1: [(1, "a"), (1.0, "b"), (True, "c")], 2: [(2, "d")]}
+    assert as_buckets(table, False, [0]) == reference_hash_table(mixed, [0])[0]
+    assert build_hash_table([], [0, 1]) == ({}, 0, True)
     # a NULL in any key part, unique keys or not
     assert build_hash_table([(1, None), (2, 2)], [0, 1]) == \
+        ({(2, 2): [(2, 2)]}, 1, False)
+    assert reference_hash_table([(1, None), (2, 2)], [0, 1]) == \
         ({(2, 2): [(2, 2)]}, 1)
 
 
@@ -311,14 +322,27 @@ def test_a_timeout_in_the_middle_of_a_build_leaves_the_same_partial_clock():
 def test_a_filtered_build_row_costs_the_predicate_call_and_no_other():
     # As in test_compiled_plans.py, in calls, not in seconds, on rows as
     # narrow as there (a page costs six calls whichever way it is read).
-    db = joined(pad=1)
-    stmt = db.prepare("select x from u join t on x = a where b < ?")
-    assert _build_scan(stmt, "t").predicate is not None
-    assert len(stmt.execute((5,)).rows) == 0  # a = 7, 8: b = 7, 8
-    rows = []
-    calls = _python_calls(lambda: rows.extend(stmt.execute((9,)).rows))
-    assert rows == [(7,), (7,), (8,), (8,), (8,), (8,)]
-    assert calls <= 1 * 1000 + 100, calls / 1000
+    # The predicate is one call of the generated page filter a page, not
+    # one a row: a filtered build costs what an unfiltered one costs
+    # plus one call a page.
+    calls = {}
+    for pad in (1, 200):  # 1000 rows on 3 pages, on 28 pages
+        for sql, params in (("select x from u join t on x = a", ()),
+                            ("select x from u join t on x = a "
+                             "where b < ?", (9,))):
+            db = joined(pad=pad)
+            stmt = db.prepare(sql)
+            assert (_build_scan(stmt, "t").predicate is None) == \
+                (params == ())
+            assert len(stmt.execute(params).rows) == 6  # compiled, warm
+            rows = []
+            calls[pad, bool(params)] = _python_calls(
+                lambda: rows.extend(stmt.execute(params).rows))
+            assert rows == [(7,), (7,), (8,), (8,), (8,), (8,)]
+        pages = db.catalog.table("t").store.page_count
+        assert calls[pad, True] <= calls[pad, False] + pages + 10, \
+            (calls, pages)
+    assert calls[1, True] <= 100, calls
 
 
 def test_an_unfiltered_build_row_costs_no_python_call():
