@@ -26,7 +26,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.exec.base import ExecContext
-from repro.engine.expr import Expr, OutputSchema, SubqueryExpr
+from repro.engine.expr import Compiled, Expr, OutputSchema, SubqueryExpr
 from repro.engine.parallel import ParallelPolicy, PartitionManager
 from repro.engine.plan.binder import bind_expr
 from repro.engine.plan.planner import PlannedQuery, Planner
@@ -458,7 +458,8 @@ class Database:
                 eq_values[column].eval((), params)
                 for column in best_index.column_names[:best_prefix]
             )
-            matches = self._fetch_run(table, best_index, key, where, params)
+            matches = self._fetch_run(table, best_index, key, where, holds,
+                                      params)
             if matches is not None:
                 return matches
             matches = []
@@ -480,33 +481,36 @@ class Database:
         return matches
 
     def _fetch_run(self, table, index, key: tuple, where: Expr,
-                   params: Sequence[object]) -> list[int] | None:
-        """What the row path — ``fetch_row`` and ``where`` per entry of
-        ``index.search_prefix(key)`` — matches and charges, by the run,
-        or ``None`` where only the row path can tell (DESIGN.md §24).
+                   holds: Compiled, params: Sequence[object]) \
+            -> list[int] | None:
+        """What the row path — ``fetch_row`` and ``holds`` (``where``
+        compiled) per entry of ``index.search_prefix(key)`` — matches
+        and charges, by the run, or ``None`` where only the row path can
+        tell (DESIGN.md §24).
 
         A pure phase finds the entries with two bisects, reads their
         rows through the probe surface and filters them with one call;
         it touches no clock, counter or buffer page, so the row path can
         still be taken: for a store whose read is not one buffer access,
-        a subquery (it charges between two rows), a dead rowid (its read
-        raises once charged) or a predicate that raises (at the row the
-        row path reaches it).  The charge phase then pays the row path's
-        accesses in its order: a leaf page when it changes, a heap page
-        per entry — as a certain hit on the page just touched, when it
-        is that page (:meth:`BufferPool.hit_again`).
+        an armed deadline (it fires between two charges), a subquery (it
+        charges between two rows), a dead rowid (its read raises once
+        charged) or a predicate that raises (at the row the row path
+        reaches it).  The charge phase then pays the row path's accesses
+        in its order: a leaf page when it changes, a heap page per entry
+        — as a certain hit on the page just touched, when it is that
+        page (:meth:`BufferPool.hit_again`).
         """
         store = table.store
         heap_file = store.read_file
-        if heap_file is None or any(isinstance(node, SubqueryExpr)
-                                    for node in where.walk()):
+        if heap_file is None or self.clock.deadline_armed or any(
+                isinstance(node, SubqueryExpr) for node in where.walk()):
             return None
         lo, rowids = index.prefix_run(key)
         rows = store.get_many(rowids)
         if None in rows:
             return None
         try:
-            kept = where.compile_filter()(rows, params)
+            kept = where.compile_filter(holds)(rows, params)
         except Exception:
             return None
         matches = []
@@ -518,23 +522,8 @@ class Database:
                     matches.append(rowid)
                     want = next(wanted, None)
         index.charge_prefix_scan()
-        if not rowids:
-            return matches
         counts, fetched = self.metrics.counts, table.fetched_counter
         access, hit_again = self.buffer_pool.access, self.buffer_pool.hit_again
-        one_by_one = self.clock.deadline_armed
-
-        def fetch_again(n: int) -> None:
-            if one_by_one:
-                # a deadline can fire between two hits: the counts must
-                # be the row path's when it does
-                for _ in range(n):
-                    counts[fetched] += 1
-                    hit_again(1)
-            else:
-                counts[fetched] += n
-                hit_again(n)
-
         leaf_file, per_leaf = index._file_name, index.entries_per_page
         per_page = store.rows_per_page
         leaf = page = -1
@@ -544,7 +533,8 @@ class Database:
                 again += 1
                 continue
             if again:
-                fetch_again(again)
+                counts[fetched] += again
+                hit_again(again)
                 again = 0
             if position // per_leaf != leaf:
                 leaf = position // per_leaf
@@ -553,7 +543,8 @@ class Database:
             counts[fetched] += 1
             access(heap_file, page, sequential=False)
         if again:
-            fetch_again(again)
+            counts[fetched] += again
+            hit_again(again)
         return matches
 
     def _run_delete(self, stmt: DeleteStmt, params: Sequence[object]) -> Result:

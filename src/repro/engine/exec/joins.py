@@ -6,7 +6,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.engine.exec.base import ExecContext, Operator, compiled
 from repro.engine.expr import Compiled, Expr, OutputSchema
@@ -17,24 +17,19 @@ def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
     return left.schema.concat(right_schema)
 
 
-def hash_key(positions: list[int]) -> Callable[[tuple], object]:
-    """``row -> its hash-table key``: the value itself for one column,
-    the tuple of the values for several, taken at C speed."""
-    return itemgetter(*positions)
-
-
 def build_hash_table(
     rows: list[tuple], key_positions: list[int]
 ) -> tuple[dict, int, bool]:
     """The build side of every hash join: ``(table, build_count,
-    unique)``, keyed by :func:`hash_key`.
+    unique)``, keyed by ``itemgetter(*key_positions)`` — the value
+    itself for one column, the tuple of the values for several.
 
     A row whose key has a NULL part joins nothing and is neither stored
     nor counted.  Unique keys — a primary or foreign-key parent side —
     make the table in C, each row its own entry (``unique``); otherwise
     an entry is the list of the key's rows in input order.
     """
-    keys = list(map(hash_key(key_positions), rows))
+    keys = list(map(itemgetter(*key_positions), rows))
     composite = len(key_positions) > 1
     pairs: Iterable[tuple[object, tuple]]
     if None in (chain.from_iterable(keys) if composite else keys):
@@ -248,7 +243,7 @@ class HashJoin(Operator):
             build_op, probe_op = self.right, self.left
             build_keys, probe_keys = (self.right_key_positions,
                                       self.left_key_positions)
-        probe_key = hash_key(probe_keys)
+        probe_key = itemgetter(*probe_keys)
         composite = len(probe_keys) > 1
         table, build_count, unique = build_hash_table(
             build_op.materialize(params), build_keys)
@@ -266,17 +261,17 @@ class HashJoin(Operator):
             if (None in key) if composite else (key is None):
                 continue
             counts["exec.tuples"] += 1
-            if unique:
-                build_row = table.get(key)
-                if build_row is None:
-                    continue
-                combined = build_row + probe_row if build_left \
-                    else probe_row + build_row
+            found = table.get(key)
+            if found is None:
+                continue
+            if unique:  # one row, no inner loop
+                combined = found + probe_row if build_left \
+                    else probe_row + found
                 if holds is None or holds(combined, params) is True:
                     counts["exec.tuples"] += 1
                     yield combined
                 continue
-            for build_row in table.get(key, ()):
+            for build_row in found:
                 if build_left:
                     combined = build_row + probe_row
                 else:

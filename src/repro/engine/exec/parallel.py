@@ -32,12 +32,11 @@ fragment's elapsed time.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Sequence
 
 from repro.engine.exec.aggregate import GroupAggregate, _AggState
 from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.exec.joins import build_hash_table, hash_key
+from repro.engine.exec.joins import build_hash_table
 from repro.engine.expr import AggCall, Expr, OutputSchema
 from repro.engine.index import key_getter
 from repro.engine.parallel.lanes import LaneSet
@@ -371,13 +370,20 @@ class ParallelHashJoin(Operator):
         holds = self._holds
         probe_is_left = self.probe_is_left
         counts = self.ctx.metrics.counts
-        table_key = hash_key(self.probe_key_positions)
-        for _route_key, probe_row in probe_rows:
+        composite = len(self.probe_key_positions) > 1
+        for route_key, probe_row in probe_rows:
             counts["exec.tuples"] += 1
-            found = table.get(table_key(probe_row))
+            found = table.get(route_key if composite else route_key[0])
             if found is None:
                 continue
-            for build_row in (found,) if unique else found:
+            if unique:  # one row, no inner loop
+                combined = probe_row + found if probe_is_left \
+                    else found + probe_row
+                if holds is None or holds(combined, params) is True:
+                    counts["exec.tuples"] += 1
+                    out.append(combined)
+                continue
+            for build_row in found:
                 if probe_is_left:
                     combined = probe_row + build_row
                 else:
@@ -442,13 +448,16 @@ class ParallelHashJoin(Operator):
                     lanes.run(index, work)
                 lanes.barrier()
             else:
-                # routed by the tuple form of the key, in the old bucket
-                # order, whichever form the table holds the rows in
-                route_key = key_getter(build_keys)
-                build_rows = table.values() if unique \
-                    else chain.from_iterable(table.values())
+                # routed by the tuple form of the table's key (a bucket's
+                # first key), in bucket order, as when buckets held
+                # tuple keys: lane assignment does not depend on the form
+                composite = len(build_keys) > 1
+                entries = table.items() if unique else (
+                    (key, row) for key, bucket in table.items()
+                    for row in bucket)
                 build_shards = Repartition(ctx, degree, self.seed).route(
-                    (route_key(row), row) for row in build_rows)
+                    (key if composite else (key,), row)
+                    for key, row in entries)
                 shuffled: list[list[list[tuple[tuple, tuple]]]] = [
                     [[] for _ in range(degree)] for _ in range(degree)
                 ]

@@ -68,7 +68,7 @@ class SeqScan(Operator):
     @cached_property
     def _page(self) -> PageFilter | None:
         return None if self.predicate is None \
-            else self.predicate.compile_filter()
+            else self.predicate.compile_filter(self._holds)
 
     def materialize(self, params: Sequence[object]) -> list[tuple]:
         """The scan a page at a time: both counters once per page and

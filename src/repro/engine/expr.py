@@ -278,13 +278,13 @@ class Expr:
         src = _Source(self)
         return src.function(self.emit(src))
 
-    def compile_filter(self) -> PageFilter:
-        """``page(rows, params)``: the rows of a page for which the
-        function of :meth:`compile` returns ``True``, in order, from one
-        call — the same emitted body inside one loop, the parameters
-        read once (DESIGN.md §24)."""
+    def compile_filter(self, fn: Compiled) -> PageFilter:
+        """``page(rows, params)``: the rows of a page for which ``fn``,
+        what :meth:`compile` returned for this tree, returns ``True``,
+        in order, from one call — the same emitted body inside one loop,
+        the parameters read once (DESIGN.md §24)."""
         src = _Source(self, page=True)
-        return src.filter(self.emit(src), self.compile())
+        return src.filter(self.emit(src), fn)
 
     def emit(self, src: _Source) -> str:
         """Append the statements computing this node; return its atom."""

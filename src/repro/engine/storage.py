@@ -110,15 +110,12 @@ class StorageBackend(abc.ABC):
     def get(self, rowid: int) -> tuple | None:
         """The row at ``rowid``, or ``None`` for a tombstone."""
 
-    def get_many(self, rowids: Sequence[int]) -> list[tuple | None]:
-        """:meth:`get` of each rowid, in order."""
-        return list(map(self.get, rowids))
-
     #: the buffer-pool file of a backend whose :meth:`read` of a live row
     #: is one buffer access of page ``rowid // rows_per_page`` of it and
     #: charges nothing else, so that a caller may replay a run of reads
-    #: as their accesses (DESIGN.md §24); ``None``, the default, for a
-    #: backend whose reads only :meth:`read` itself can price
+    #: as their accesses (DESIGN.md §24) — such a backend also offers
+    #: ``get_many(rowids)``, :meth:`get` of each; ``None``, the default,
+    #: for a backend whose reads only :meth:`read` itself can price
     read_file: str | None = None
 
     # -- checkpoint / recovery ------------------------------------------

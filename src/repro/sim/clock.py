@@ -195,19 +195,18 @@ class SimulatedClock:
 
     def charge_each(self, seconds: float, n: int) -> None:
         """``n`` calls of ``charge(seconds)`` in one: the same ``n``
-        additions, in the same order, onto the same value.  A deadline
-        fires at the addition that crosses it, as the ``charge`` making
-        that addition would; the additions after it are not made."""
+        additions, in the same order, onto the same value.  While a
+        deadline is armed they *are* ``n`` calls of ``charge``: it fires
+        at the one that crosses it, and the rest are not made."""
+        if self.deadline_armed:
+            for _ in range(n):
+                self.charge(seconds)
+            return
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         if self._counts.get(self._unit_name, 0) != self._settled:
             self._settle()
         sink = self._sink
-        if sink is None and self._deadlines:
-            for _ in range(n):
-                self._now += seconds
-                self._check_deadlines()
-            return
         # one addition each, as in :meth:`_settle`
         total = self._now if sink is None else sink.seconds
         for _ in range(n):

@@ -7,8 +7,8 @@ used to walk ``search_prefix`` and fetch and test one entry at a time;
 database running the reference, every statement must leave the same
 matches, the same ``repr(clock.now)``, every counter, the buffer pool's
 LRU order and the same WAL bytes — also where only the row path can say
-what happens: a predicate raising at candidate *k*, a deadline firing in
-the middle of the run, a lane sink, a dead rowid, a subquery, LSM.
+what happens: a predicate raising at candidate *k*, a deadline armed
+over the statement, a lane sink, a dead rowid, a subquery, LSM.
 """
 
 import bisect
@@ -268,6 +268,23 @@ def test_a_predicate_raising_at_candidate_k_raises_there(storage):
     assert observed(run_db) == observed(row_db)
 
 
+def test_an_armed_deadline_takes_the_row_path_before_any_charge():
+    db, _row_db = loaded(KEY_ORDER, set())
+    table = db.catalog.table("t")
+    where = parse_sql("DELETE FROM t WHERE m = ? AND obj = ?").where
+    bind_expr(where, OutputSchema(
+        [(table.name, c.name) for c in table.schema.columns]))
+    args = (table, table.indexes["pk_t"], ("100", "VBBP"), where,
+            where.compile(), ("100", "VBBP"))
+    token = db.clock.push_deadline(db.clock.now + 1e9,
+                                   lambda: StatementTimeout(""))
+    before = observed(db)
+    assert db._fetch_run(*args) is None
+    assert observed(db) == before
+    db.clock.pop_deadline(token)
+    assert len(db._fetch_run(*args)) == len(KEY_ORDER)
+
+
 def test_a_deadline_fires_at_the_same_access_with_the_same_counts():
     """Swept across the whole statement: every budget stops both twins
     at the same addition — a leaf page, a heap miss or one of the hits
@@ -367,9 +384,8 @@ def test_a_subquery_in_the_predicate_keeps_the_row_path():
     assert observed(run_db) == observed(row_db)
 
 
-@pytest.mark.parametrize("storage", ["heap", "lsm"])
-def test_get_many_is_get_of_each_rowid(storage):
-    db = make_db(storage, wal=False)
+def test_get_many_is_get_of_each_rowid():
+    db = make_db(wal=False)
     table = db.catalog.table("t")
     rowids = table.insert_rows(KEY_ORDER[:40])
     for rowid in rowids[5:30:3]:

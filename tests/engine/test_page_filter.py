@@ -1,7 +1,7 @@
 """The generated page filter against the row function it is emitted beside.
 
-``Expr.compile_filter()`` is the body of ``Expr.compile()``'s function
-inside one loop: ``page(rows, params)`` must keep exactly
+``Expr.compile_filter(fn)`` is the body of ``fn``, ``Expr.compile()``'s
+function, inside one loop: ``page(rows, params)`` must keep exactly
 ``[row for row in rows if fn(row, params) is True]``, in order, and
 raise what the first raising row raises — the reference is that
 comprehension, over the predicates ``test_expr.py`` generates (NULLs,
@@ -61,7 +61,8 @@ def bound(spec):
 def test_page_keeps_what_the_row_function_holds_for(spec, rows, params,
                                                     given_params):
     expr = bound(spec)
-    fn, page = expr.compile(), expr.compile_filter()
+    fn = expr.compile()
+    page = expr.compile_filter(fn)
     # all three parameters, or fewer: a missing one raises at the row
     # that first reads it, or never when no row does
     params = params[:given_params]
@@ -85,7 +86,7 @@ def test_each_root_connective_decides_rows_the_row_function_decides(root):
     rows = [(x, y) for x in (0, 1, None) for y in (0, 5, None)]
     fn = expr.compile()
     for params in ((3,), (None,)):
-        assert expr.compile_filter()(rows, params) == \
+        assert expr.compile_filter(fn)(rows, params) == \
             reference_filter(fn, rows, params)
 
 
@@ -95,7 +96,7 @@ def test_a_raising_row_raises_from_the_page_as_from_the_row(shape, bad):
     build, unreached_row, value, reached_row = LAZY_SHAPES[shape]
     make_bad, message = BAD_NODES[bad]
     expr = build(make_bad()).bind(SCHEMA)
-    page = expr.compile_filter()
+    page = expr.compile_filter(expr.compile())
     kept = [unreached_row] if value is True else []
     assert page([unreached_row] * 3, ()) == kept * 3
     with pytest.raises(ExecutionError) as caught:
@@ -119,7 +120,7 @@ def test_parameters_are_read_once_a_call_and_the_row_function_per_row():
     rows = [(n,) for n in range(100)]
     params = CountingParams((10, 20))
     CountingParams.reads = 0
-    assert expr.compile_filter()(rows, params) == rows[11:20]
+    assert expr.compile_filter(expr.compile())(rows, params) == rows[11:20]
     assert CountingParams.reads == 2
     CountingParams.reads = 0
     assert reference_filter(expr.compile(), rows, params) == rows[11:20]
@@ -129,8 +130,9 @@ def test_parameters_are_read_once_a_call_and_the_row_function_per_row():
 
 def test_one_text_one_factory_entry():
     # expressions of one shape share the generated page source
-    first = BinOp("=", InputRef(0), Literal(1)).compile_filter()
-    second = BinOp("=", InputRef(0), Literal(2)).compile_filter()
+    first, second = (expr.compile_filter(expr.compile()) for expr in (
+        BinOp("=", InputRef(0), Literal(1)),
+        BinOp("=", InputRef(0), Literal(2))))
     assert first.__code__ is second.__code__
     assert first([(1,), (2,)], ()) == [(1,)]
     assert second([(1,), (2,)], ()) == [(2,)]
