@@ -17,6 +17,7 @@ from repro.engine.expr import (
     AggCall,
     Compiled,
     Expr,
+    KernelSource,
     Literal,
     OutputSchema,
     compile_row,
@@ -49,14 +50,26 @@ class _AggState:
                 return
             self.seen.add(value)
         self.count += 1
-        if self.func in ("SUM", "AVG"):
-            self.total += value
-        elif self.func == "MIN":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func == "MAX":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
+        try:
+            if self.func in ("SUM", "AVG"):
+                self.total += value
+            elif self.func == "MIN":
+                if self.minimum is None or value < self.minimum:
+                    self.minimum = value
+            elif self.func == "MAX":
+                if self.maximum is None or value > self.maximum:
+                    self.maximum = value
+        except TypeError as exc:
+            raise ExecutionError(self.refusal(value)) from exc
+
+    def refusal(self, value: object) -> str:
+        """What :meth:`add` raises for ``value``, which does not add to
+        the total or compare with the bound, worded as ``BinOp``'s."""
+        if self.func == "MIN":
+            return f"cannot compare {value!r} < {self.minimum!r}"
+        if self.func == "MAX":
+            return f"cannot compare {value!r} > {self.maximum!r}"
+        return f"cannot evaluate {self.total!r} + {value!r}"
 
     def result(self) -> object:
         if self.func == "COUNT":
@@ -122,10 +135,77 @@ class GroupAggregate(Operator):
         return [_AggState(call.func, call.distinct)
                 for call in self.agg_calls]
 
+    @cached_property
+    def _pipeline(self):
+        # joins imports this module
+        from repro.engine.exec.joins import Pipeline
+        return Pipeline.of(self)
+
+    def consume(self, src: KernelSource, columns: Sequence[str]) -> None:
+        """The innermost body of the pipeline kernel this aggregate
+        consumes (DESIGN.md §26): the group's states from the dict
+        ``out``, then ``_AggState.add`` of every call, inline and in
+        order, on the arguments evaluated left to right."""
+        key = src.values(self.group_exprs, columns)
+        src.line(f"key = ({''.join(atom + ', ' for atom in key)})")
+        with src.block("try:"):
+            src.line("acc = out[key]")
+        with src.block("except KeyError:"):
+            src.line(f"acc = out[key] = {src.constant(self._new_states)}()")
+        args = iter(src.values([call.arg for call in self.agg_calls
+                                if call.arg is not None], columns))
+        held: dict[str, str] = {}  # SUM(x) and AVG(x) read x once
+        states = [f"a{i:d}" for i in range(len(self.agg_calls))]
+        if states:
+            src.line(f"{''.join(state + ', ' for state in states)}= acc")
+        for call, state in zip(self.agg_calls, states):
+            if call.arg is None:
+                src.line(f"{state}.count += 1")
+                continue
+            atom = next(args)
+            if atom not in held:
+                held[atom] = src.hold(atom)
+            value = held[atom]
+            if value == "None":  # a NULL literal adds nothing
+                continue
+            with src.guard(None if value in src.constants
+                           else f"{value} is not None"):
+                self._emit_add(src, call, state, value)
+
+    @staticmethod
+    def _emit_add(src: KernelSource, call: AggCall, state: str,
+                  value: str) -> None:
+        """``state.add(value)`` for a ``value`` that is not NULL."""
+        with src.guard(f"{value} not in {state}.seen" if call.distinct
+                       else None):
+            if call.distinct:
+                src.line(f"{state}.seen.add({value})")
+            src.line(f"{state}.count += 1")
+            if call.func == "COUNT":
+                return
+            with src.block("try:"):
+                if call.func in ("SUM", "AVG"):
+                    src.line(f"{state}.total += {value}")
+                else:
+                    bound, compare = ("minimum", "<") \
+                        if call.func == "MIN" else ("maximum", ">")
+                    with src.block(f"if {state}.{bound} is None or "
+                                   f"{value} {compare} {state}.{bound}:"):
+                        src.line(f"{state}.{bound} = {value}")
+            with src.block("except TypeError as exc:"):
+                src.line(f"raise ExecutionError({state}.refusal({value}))"
+                         f" from exc")
+
     def _accumulate(
         self, params: Sequence[object]
     ) -> dict[tuple, list[_AggState]]:
-        """Fold the child's rows into per-group states, first-seen order."""
+        """Fold the child's rows into per-group states, first-seen order:
+        the pipeline's kernel, unless the plan is instrumented or a
+        parameter is missing, else a row at a time."""
+        pipeline = self._pipeline
+        if pipeline is not None and len(params) >= pipeline.arity \
+                and "_profile" not in vars(self):
+            return pipeline.run(params)
         groups: dict[tuple, list[_AggState]] = {}
         group_key, agg_args = self._group_key, self._agg_args
         counts = self.ctx.metrics.counts

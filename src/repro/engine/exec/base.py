@@ -115,8 +115,10 @@ class Operator:
         tuple unit, while it pulls: a hash build, a sort, a nested-loop
         inner.  For such a consumer an override may count a page's
         tuples in one addition (DESIGN.md §21).  A consumer that counts
-        or charges per row it pulls (``Project``, ``GroupAggregate``, a
-        probe loop) is not one: it calls ``rows``."""
+        or charges per row it pulls (a probe loop, ``Limit``) is not
+        one: it calls ``rows``; ``Project`` and ``GroupAggregate`` run
+        the pipeline under them as one generated loop that counts what
+        the row path does (§25, §26), or call ``rows``."""
         return list(self.rows(params))
 
     def explain(self, indent: int = 0) -> str:

@@ -9,6 +9,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.engine.exec.aggregate import GroupAggregate
 from repro.engine.exec.base import (
     ExecContext,
     Operator,
@@ -321,15 +322,17 @@ class HashJoin(PipelineTop, Operator):
 class Pipeline:
     """Hash joins followed along their probe sides (through ``Alias``,
     with the ``Filter``s between them) down to a ``SeqScan``, under at
-    most one ``Project``: drained, one generated loop a probe page,
-    depth first, that keeps a row as its parts — the scan row and one
-    build row a join — and makes no tuple but the one it outputs
-    (DESIGN.md §25).  ``rows`` stays the row path."""
+    most one ``Project`` or ``GroupAggregate``: drained, one generated
+    loop a probe page, depth first, that keeps a row as its parts — the
+    scan row and one build row a join — and makes no tuple but the one
+    it outputs (DESIGN.md §25), or none at all when the aggregate
+    consumes it (§26).  ``rows`` stays the row path."""
 
-    def __init__(self, project: Project | None, stages: list[Operator],
+    def __init__(self, top: Operator, stages: list[Operator],
                  scan: SeqScan, arity: int) -> None:
-        self.top = project or stages[-1]
-        self.project = project
+        self.top = top
+        self.project = top if type(top) is Project else None
+        self.aggregate = top if type(top) is GroupAggregate else None
         #: the joins and filters, innermost first
         self.stages = stages
         self.joins = [stage for stage in stages
@@ -337,38 +340,50 @@ class Pipeline:
         self.scan = scan
         #: the parameters the kernel reads
         self.arity = arity
-        self._kernels: dict[tuple, Callable[..., list[tuple]]] = {}
+        self._kernels: dict[tuple, Callable[..., None]] = {}
 
     @classmethod
     def of(cls, top: Operator) -> "Pipeline | None":
         """The pipeline ``top`` tops, or None for any other shape, or
-        for one with a subquery, which charges between two rows."""
-        project = top if type(top) is Project else None
-        op = top.child if project else top
+        for one with a subquery, which charges between two rows.  Under
+        a ``GroupAggregate`` (not a lane's ``PartialAggregate``) a scan
+        with no join is one too."""
+        consumer = type(top) in (Project, GroupAggregate)
+        op = top.child if consumer else top
         stages: list[Operator] = []
         while type(op) in (Alias, Filter, HashJoin):
             if type(op) is not Alias:
                 stages.append(op)
             op = op.probe_op if type(op) is HashJoin else op.child
-        if type(op) is not SeqScan or not any(
-                type(stage) is HashJoin for stage in stages):
+        if type(op) is not SeqScan or not (
+                type(top) is GroupAggregate
+                or any(type(stage) is HashJoin for stage in stages)):
             return None
-        exprs = [*(project.exprs if project else ()), *(
+        exprs = [op.predicate, *(
             stage.residual if type(stage) is HashJoin else stage.predicate
-            for stage in stages), op.predicate]
+            for stage in stages)]
+        if type(top) is Project:
+            exprs += top.exprs
+        elif type(top) is GroupAggregate:
+            exprs += [*top.group_exprs,
+                      *(call.arg for call in top.agg_calls)]
         nodes = [node for expr in exprs if expr is not None
                  for node in expr.walk()]
         if any(isinstance(node, SubqueryExpr) for node in nodes):
             return None
         arity = max((node.index + 1 for node in nodes
                      if isinstance(node, ParamRef)), default=0)
-        return cls(project, stages[::-1], op, arity)
+        return cls(top, stages[::-1], op, arity)
 
-    def run(self, params: Sequence[object]) -> list[tuple]:
+    def run(self, params: Sequence[object]) -> list[tuple] | dict:
         """The builds, outermost first; the probe pages; the probe
         spills, innermost first — the row path's charges, in its order.
-        A page whose filter or body raises is replayed row by row, and
-        raises at the row the row path does, with its counts."""
+        The output rows, or the aggregate's groups.  A page whose
+        filter raises is replayed row by row, and raises at the row the
+        row path does, with its counts; a kernel that raises at kept row
+        *j* has made the row path's counts and states up to that row:
+        the scan counts up to the row that kept it are added, and it
+        raises again."""
         if len(params) < self.arity:  # the row path raises per row
             return Operator.materialize(self.top, params)
         built = [join.build(params) for join in reversed(self.joins)][::-1]
@@ -379,25 +394,34 @@ class Pipeline:
         page, holds = scan._page, scan._holds
         counts = scan.ctx.metrics.counts
         counter = scan.table.scanned_counter
-        tally, probes = [0], [0] * len(built)
-        out: list[tuple] = []
+        tally, probes = [0, 0], [0] * len(built)
+        out: list[tuple] | dict = {} if self.aggregate else []
         for _rowids, rows in scan.table.store.scan():
             if not rows:
                 continue
             try:
                 kept = rows if page is None else page(rows, params)
-                out += kernel(kept, params, tally, probes, *tables)
             except Exception:
                 for row in rows:
                     counts[counter] += 1
                     counts["exec.tuples"] += 1
-                    if holds is None or holds(row, params) is True:
+                    if holds(row, params) is True:
                         try:
-                            out += kernel((row,), params, tally, probes,
-                                          *tables)
+                            kernel((row,), params, tally, probes, out,
+                                   *tables)
                         finally:
                             counts["exec.tuples"] += tally[0]
-                continue
+                raise
+            try:
+                kernel(kept, params, tally, probes, out, *tables)
+            except Exception:
+                positions = range(len(rows)) if page is None else [
+                    i for i, row in enumerate(rows)
+                    if holds(row, params) is True]
+                scanned = positions[tally[1]] + 1
+                counts[counter] += scanned
+                counts["exec.tuples"] += scanned + tally[0]
+                raise
             size = len(rows)
             counts[counter] += size
             counts["exec.tuples"] += size + tally[0]
@@ -407,13 +431,15 @@ class Pipeline:
                 join.spill_probe(count)
         return out
 
-    def _compile(self, flags: tuple) -> Callable[..., list[tuple]]:
-        """``kernel(rows, params, tally, probes, h1, …)``: the output of
-        ``rows``, which passed the scan; ``tally[0]`` the tuples it
-        counted, also when it raises; ``probes[i]`` plus the probe rows
-        of join ``i`` when it spills.  ``flags`` is ``(unique,
-        spilling)`` a join, innermost first, as are the hash tables
-        ``h1, …``, probed with ``in`` and a subscript: no call a row."""
+    def _compile(self, flags: tuple) -> Callable[..., None]:
+        """``kernel(rows, params, tally, probes, out, h1, …)``: appends
+        the output of ``rows``, which passed the scan, to ``out``, or
+        adds it to the aggregate's groups there; ``tally`` is the tuples
+        it counted and the position in ``rows`` it got to, also when it
+        raises; ``probes[i]`` plus the probe rows of join ``i`` when it
+        spills.  ``flags`` is ``(unique, spilling)`` a join, innermost
+        first, as are the hash tables ``h1, …``, probed with ``in`` and
+        a subscript: no call a row."""
         src = KernelSource()
         columns = [f"r0[{i:d}]" for i in range(len(self.scan.schema))]
         parts = ["r0"]
@@ -425,16 +451,16 @@ class Pipeline:
                 src.line(f"n += {counted:d}")
             counted = 0
 
-        src.line("n = 0")
-        src.line("out = []")
-        src.line("emit = out.append")
+        src.line("n = j = 0")
+        if self.aggregate is None:
+            src.line("emit = out.append")
         spills = [level for level, (_u, spilling) in enumerate(flags, 1)
                   if spilling and level > 1]
         for level in spills:
             src.line(f"s{level} = 0")
         with ExitStack() as loops:
             loops.enter_context(src.block("try:"))
-            loops.enter_context(src.block("for r0 in rows:"))
+            loops.enter_context(src.block("for j, r0 in enumerate(rows):"))
             level = 0
             for stage in self.stages:
                 if type(stage) is Filter:
@@ -476,24 +502,27 @@ class Pipeline:
                 if stage.residual is not None:
                     src.require(stage.residual, columns)
                 counted += 1
-            if self.project is None:
+            if self.project is None and self.aggregate is None:
                 count()
                 src.line(f"emit({' + '.join(parts)})")
             else:
                 counted += 1
                 count()
-                atoms = src.values(self.project.exprs, columns)
-                src.line(f"emit(({''.join(atom + ', ' for atom in atoms)}))")
+                if self.aggregate is not None:
+                    self.aggregate.consume(src, columns)
+                else:
+                    atoms = src.values(self.project.exprs, columns)
+                    src.line(f"emit(({''.join(a + ', ' for a in atoms)}))")
         with src.block("finally:"):
-            src.line("tally[0] = n")
-        if flags[0][1]:
+            src.line("tally[0], tally[1] = n, j")
+        if flags and flags[0][1]:
             src.line("probes[0] += len(rows)")
         for level in spills:
             src.line(f"probes[{level - 1:d}] += s{level}")
-        src.line("return out")
-        signature = ", ".join(["rows", "params", "tally", "probes",
+        signature = ", ".join(["rows", "params", "tally", "probes", "out",
                                *(f"h{level}" for level in range(
                                    1, len(flags) + 1))])
-        kernel = src.kernel(signature, "repro/engine/exec/joins.py")
+        home = "joins" if self.aggregate is None else "aggregate"
+        kernel = src.kernel(signature, f"repro/engine/exec/{home}.py")
         self._kernels[flags] = kernel
         return kernel

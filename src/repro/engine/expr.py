@@ -199,7 +199,9 @@ class _Source:
 
         A subtree that fails to evaluate varies: the error belongs to
         run time, where it is raised per row and only if a row arrives
-        (``WHERE 1/0 = 1`` over an empty table is not an error).
+        (``WHERE 1/0 = 1`` over an empty table is not an error).  The
+        value is kept on the node, ``(value,)`` or ``()``: one plan
+        emits a row function, a page filter and a kernel of one tree.
         """
         if isinstance(node, Literal):
             return node.value
@@ -207,10 +209,14 @@ class _Source:
             return node
         if not _is_literal(node):
             return _VARIES
-        try:
-            return node.compile()((), ())
-        except Exception:  # raised again by the emitted code, per row
-            return _VARIES
+        memo = getattr(node, "_folded", None)
+        if memo is None:
+            try:
+                memo = (node.compile()((), ()),)
+            except Exception:  # raised again by the emitted code, per row
+                memo = ()
+            node._folded = memo  # type: ignore[attr-defined]
+        return memo[0] if memo else _VARIES
 
     def value(self, node: "Expr") -> str:
         """The atom of ``node``: its folded value or its emitted code."""

@@ -5,9 +5,10 @@ single, composite and repeated keys, NULL keys, self-joins, and extra
 ``WHERE`` conjuncts (``IS [NOT] NULL``, ``OR``, arithmetic across
 tables) — run on this engine and on the standard library's SQLite, and
 the answers are compared as multisets.  Columns are integers only and
-there is no ``/`` or ``SUM``, where the two engines' arithmetic would
-differ; NULL logic is SQL's in both.  Heap and LSM storage, one lane
-and four.
+there is no ``/``, where the two engines' arithmetic would differ; NULL
+logic is SQL's in both.  ``GROUP BY`` queries over such joins compare
+their numbers as floats: this engine's ``SUM`` is one.  Heap and LSM
+storage, one lane and four.
 """
 
 import random
@@ -108,3 +109,52 @@ def test_joins_agree_with_sqlite(storage, degree):
         assert got == expected, sql
         answered += bool(expected)
     assert answered > QUERIES // 2  # most queries have rows to compare
+
+
+def _grouped(rng: random.Random) -> str:
+    """``GROUP BY`` zero to three columns of a join of one to four
+    aliased tables, each edge one equality; ``COUNT``, ``COUNT
+    (DISTINCT)``, ``SUM``, ``MIN`` and ``MAX`` of columns or products."""
+    count = rng.randint(1, 4)
+    aliases = [f"x{n}" for n in range(count)]
+    tables = [rng.choice(TABLES) for _ in aliases]
+
+    def ref(alias=None):
+        return f"{alias or rng.choice(aliases)}.{rng.choice(COLUMNS)}"
+
+    conjuncts = [f"{ref(aliases[n])} = {ref(aliases[rng.randrange(n)])}"
+                 for n in range(1, count)]
+    if rng.random() < 0.5:
+        conjuncts.append(rng.choice((f"{ref()} IS NOT NULL",
+                                     f"{ref()} < {rng.randrange(5)}")))
+    groups = [ref() for _ in range(rng.randint(0, 3))]
+    aggregates = [rng.choice(("COUNT(*)", f"COUNT({ref()})",
+                              f"COUNT(DISTINCT {ref()})", f"SUM({ref()})",
+                              f"SUM({ref()} * {ref()})", f"MIN({ref()})",
+                              f"MAX({ref()} + {ref()})"))
+                  for _ in range(rng.randint(1, 3))]
+    sources = ", ".join(f"{table} {alias}"
+                        for table, alias in zip(tables, aliases))
+    where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
+    group = f" GROUP BY {', '.join(groups)}" if groups else ""
+    return (f"SELECT {', '.join(groups + aggregates)} FROM {sources}"
+            f"{where}{group}")
+
+
+def _numbers(rows) -> Counter:
+    """Rows as a multiset, every number a float: the engine's ``SUM``
+    is a float, SQLite's an integer (DESIGN.md §6)."""
+    return Counter(tuple(None if value is None else float(value)
+                         for value in row) for row in rows)
+
+
+@pytest.mark.parametrize("degree", [1, 4])
+@pytest.mark.parametrize("storage", ["heap", "lsm"])
+def test_group_by_agrees_with_sqlite(storage, degree):
+    rng = random.Random(f"group-{storage}-{degree}")
+    rows = _rows(rng)
+    db, oracle = _engine(rows, storage, degree), _oracle(rows)
+    for _ in range(QUERIES):
+        sql = _grouped(rng)
+        got = _numbers(db.execute(sql).rows)
+        assert got == _numbers(oracle.execute(sql).fetchall()), sql

@@ -8,7 +8,9 @@ row path (``list(op.rows())``, what the operator profile does): the same
 rows in the same order, the same ``repr(clock.now)``, every counter, the
 LRU order of the buffer pool and the spill pages — also when an
 expression raises at row *k*, a parameter is missing or a deadline fires
-part of the way through.
+part of the way through.  A ``GroupAggregate`` consumes such a loop too,
+scan-only pipelines included (§26); its reference sets ``_pipeline`` to
+None as well, since the aggregate runs the kernel from ``rows``.
 """
 
 import sys
@@ -19,11 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, StatementTimeout
+from repro.engine.exec.aggregate import GroupAggregate
 from repro.engine.exec.base import Operator
 from repro.engine.exec.joins import HashJoin, Pipeline
 from repro.engine.exec.misc import Alias, Filter, Project
 from repro.engine.exec.scans import IndexEqScan, SeqScan
 from repro.engine.expr import (
+    AggCall,
     BinOp,
     ColumnRef,
     IsNullExpr,
@@ -416,12 +420,14 @@ def test_a_traced_run_keeps_the_row_path(kernel_tops):
 
 
 @pytest.mark.parametrize("sql", [
-    "select x, count(*) from t group by x",  # an aggregate pulls rows
+    "select x, count(*) from t group by x",  # the aggregate consumes it
     "select t.k from t, u where t.x = u.x limit 3",  # a lazy consumer
 ])
 def test_other_shapes_and_lazy_consumers_keep_the_row_path(kernel_tops, sql):
-    assert _three_joins().execute(sql).rows
-    assert kernel_tops == []
+    stmt = _three_joins().prepare(sql)
+    assert stmt.execute(()).rows
+    assert kernel_tops == [op for op in _operators(stmt._plan.operator)
+                           if type(op) is GroupAggregate]
 
 
 def test_an_index_scan_probe_keeps_the_row_path():
@@ -498,4 +504,265 @@ def test_calls_grow_with_pages_not_with_rows_times_levels():
     # a row and a level; the kernel makes one call a page, and what the
     # scan and the buffer make for the page
     assert row_per_page >= 8 * 5, row_per_page
+    assert per_page <= 15, (per_page, row_per_page)
+
+
+# -- the aggregate as the pipeline's consumer (DESIGN.md §26) ----------------
+
+def pin_everything(root: Operator) -> None:
+    """The row path everywhere: the drains, and the aggregate's fold."""
+    pin_row_path(root)
+    for op in _operators(root):
+        op._pipeline = None
+
+
+def aggregate_plan(db: Database, spec: dict) -> GroupAggregate:
+    """``plan`` of the spec under a ``GroupAggregate`` of its
+    ``groups`` and ``calls`` — ``(function, argument or None,
+    distinct)`` — whose expressions ``plan`` binds as a projection."""
+    args = [arg for _func, arg, _distinct in spec["calls"] if arg is not None]
+    project = plan(db, {**spec, "project": [*spec["groups"], *args]})
+    exprs = iter(project.exprs)
+    groups = [next(exprs) for _ in spec["groups"]]
+    return GroupAggregate(db.ctx, project.child, groups, [
+        AggCall(func, None if arg is None else next(exprs), distinct)
+        for func, arg, distinct in spec["calls"]])
+
+
+def aggregate_twins(spec, storage="heap"):
+    """As ``twins``, for the aggregate of the spec; the rows by
+    ``repr``, where ``1``, ``1.0`` and ``True`` differ."""
+    results = []
+    for pinned in (False, True):
+        db = make_db(spec["tables"], storage, spec["work_mem"])
+        top = aggregate_plan(db, spec)
+        if pinned:
+            pin_everything(top)
+        else:
+            assert top._pipeline is not None
+        got = outcome(lambda: repr(top.materialize(())))
+        results.append((got, observed(db)))
+    return results
+
+
+@st.composite
+def aggregates(draw):
+    levels = draw(st.integers(0, 3))
+    tables = {"p": draw(st.lists(ROW, max_size=40))}  # empty input too
+    joins = []
+    for level in range(1, levels + 1):
+        tables[f"u{level}"] = draw(st.lists(ROW, max_size=10))
+        width = draw(st.integers(1, 2))
+        joined = [col(table, name) for table in range(level + 1)
+                  for name in COLUMNS]
+        joins.append({
+            "probe": [col(draw(st.integers(0, level - 1)),
+                          draw(st.sampled_from("abc")))
+                      for _ in range(width)],
+            "build": [draw(st.sampled_from("abc")) for _ in range(width)],
+            "build_left": draw(st.booleans()),
+            "residual": draw(st.none() | _predicate(joined)),
+            "filter": draw(st.none() | _predicate(joined))
+            if level < levels else None,
+        })
+    refs = [col(table, name) for table in range(levels + 1)
+            for name in COLUMNS]
+    # a, b and a predicate group 1, 1.0 and True together; NULL keys too
+    value = _arith(refs)
+    call = st.one_of(
+        st.just(("COUNT", None, False)),
+        st.tuples(st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+                  value, st.booleans()))
+    calls = draw(st.lists(call, min_size=1, max_size=4))
+    groups = draw(st.lists(value | _predicate(refs), max_size=3))
+    # a third of the time 1 / (x - k) in a key or an argument: it raises
+    # at the first row where x = k, if one arrives
+    if draw(st.sampled_from([False, False, True])):
+        breaks = ("/", ("lit", 1), ("-", draw(st.sampled_from(refs)),
+                                      ("lit", draw(st.integers(0, 2)))))
+        if draw(st.booleans()):
+            groups.insert(draw(st.integers(0, len(groups))), breaks)
+        else:
+            calls.insert(draw(st.integers(0, len(calls))),
+                         (draw(st.sampled_from(["SUM", "MAX"])), breaks,
+                          draw(st.booleans())))
+    return {
+        "tables": tables, "joins": joins,
+        "aliased": set(draw(st.lists(st.integers(0, levels), max_size=2))),
+        "scan": draw(st.none() | _predicate([col(0, n) for n in COLUMNS])),
+        "filter": draw(st.none() | _predicate(refs)),
+        "groups": groups, "calls": calls,
+        "work_mem": draw(st.sampled_from([10**9, 200, 700, 1500])),
+    }
+
+
+@pytest.mark.parametrize("storage", ["heap", "lsm"])
+@settings(max_examples=150, deadline=None)
+@given(spec=aggregates())
+def test_the_aggregate_kernel_is_the_row_path(storage, spec):
+    (got, kernel_ledger), (expected, row_ledger) = \
+        aggregate_twins(spec, storage)
+    assert got == expected
+    assert kernel_ledger == row_ledger
+
+
+def _sql_twins(sql, params=(), **tables):
+    """The statement on twin databases of ``tables`` (default: p of
+    ``_chain``), the row path pinned on the second."""
+    tables = tables or {"p": [(n % 4, n % 5, n) for n in range(40)]}
+    results = []
+    for pinned in (False, True):
+        db = make_db(tables)
+        stmt = db.prepare(sql)
+        aggregate, = [op for op in _operators(stmt._plan.operator)
+                      if type(op) is GroupAggregate]
+        if pinned:
+            pin_everything(stmt._plan.operator)
+        else:
+            assert aggregate._pipeline is not None
+        got = outcome(lambda: repr(stmt.execute(params).rows))
+        results.append((got, observed(db)))
+    return results
+
+
+@pytest.mark.parametrize("sql", [
+    "select a, count(*) from p where 1 / (c - 21) > -5 group by a",
+    "select 1 / (c - 21), count(*) from p group by 1 / (c - 21)",
+    "select a, sum(1 / (c - 21)) from p group by a",
+    "select p.a, max(u1.k) from p, u1 where p.a = u1.a "
+    "group by p.a having sum(1 / (p.c - 21)) > 0",
+])
+def test_a_division_by_zero_at_row_k_in_the_aggregate(sql):
+    (got, kernel_ledger), (expected, row_ledger) = _sql_twins(
+        sql, p=[(n % 4, n % 5, n) for n in range(40)],
+        u1=[(a, a, a) for a in range(4)])
+    assert got == expected == ("ExecutionError", "division by zero")
+    assert kernel_ledger == row_ledger
+    assert kernel_ledger[1]["table.p.tuples_scanned"] == 22
+
+
+@pytest.mark.parametrize("sql, error", [
+    ("select sum(pad) from p", "cannot evaluate 0.0 + 'ppp"),
+    ("select min(case when k = 5 then a else pad end) from p",
+     "cannot compare 5 < 'ppp"),
+    # a replay of the page would find row 3's value seen, and go on
+    ("select sum(distinct case when k = 3 then pad else a end) from p",
+     "cannot evaluate 3.0 + 'ppp"),
+    ("select max(case when k = 5 then pad else b end) from p",
+     "cannot compare 'ppp"),
+])
+def test_values_that_do_not_add_or_compare_raise_a_typed_error(sql, error):
+    (got, kernel_ledger), (expected, row_ledger) = _sql_twins(
+        sql, p=[(n, n % 3, n) for n in range(40)])
+    assert got == expected and got[0] == "ExecutionError"
+    assert got[1].startswith(error), got
+    assert kernel_ledger == row_ledger
+
+
+@pytest.mark.parametrize("sql", [
+    "select a, sum(c + ?) from p group by a",
+    "select count(*), max(c) from p group by a + ?",
+    "select a, count(*) from p where c > ? group by a",
+])
+def test_a_missing_parameter_in_the_aggregate(sql):
+    (got, kernel_ledger), (expected, row_ledger) = _sql_twins(sql)
+    assert got == expected == \
+        ("ExecutionError", "missing value for parameter 1")
+    assert kernel_ledger == row_ledger
+
+
+GROUPED = ("select u.y, count(*), sum(t.k + v.k), min(w.y), avg(v.y) "
+           "from t, u, v, w where t.x = u.x and t.y = v.x and u.y = w.x "
+           "and w.y < 5 group by u.y")
+
+
+def test_a_deadline_fires_at_the_same_access_in_an_aggregate():
+    dry = _three_joins()
+    start = dry.clock.now
+    assert dry.prepare(GROUPED).execute(()).rows
+    total = dry.clock.now - start
+    fired = 0
+    for step in range(1, 40):
+        ledgers = []
+        for pinned in (False, True):
+            db = _three_joins()
+            stmt = db.prepare(GROUPED)
+            if pinned:
+                pin_everything(stmt._plan.operator)
+            db.clock.push_deadline(db.clock.now + total * step / 40,
+                                   lambda: StatementTimeout("timed out"))
+            try:
+                result = ("ok", stmt.execute(()).rows)
+            except StatementTimeout as exc:
+                result = ("timeout", str(exc))
+            ledgers.append((result, observed(db)))
+        assert ledgers[0] == ledgers[1], step
+        fired += ledgers[0][0][0] == "timeout"
+    assert fired > 20
+
+
+def test_a_traced_aggregate_keeps_the_row_path(kernel_tops):
+    db = _three_joins()
+    stmt = db.prepare(GROUPED)
+    expected = stmt.execute(()).rows
+    assert GroupAggregate in [type(top) for top in kernel_tops]
+    kernel_tops.clear()
+    db.tracer.enable()
+    assert stmt.execute(()).rows == expected
+    aggregate, = [op for op in _operators(stmt._plan.operator)
+                  if type(op) is GroupAggregate]
+    assert aggregate._profile.rows_out == len(expected)
+    assert aggregate.child._profile.rows_out > 0
+    assert kernel_tops == []
+
+
+def test_a_partial_aggregate_lane_keeps_the_row_path(kernel_tops):
+    rows = [(n % 4, n % 5, n) for n in range(200)]
+    sql = "select a, count(*), sum(c), max(b) from p group by a"
+    answers = []
+    for degree in (4, 1):
+        params = SimParams(page_size_bytes=1024)
+        params.parallel_min_rows_per_lane = 10
+        db = Database(params, degree=degree)
+        db.create_table(TableSchema("p", [
+            Column("k", SqlType.integer(), nullable=False),
+            *(Column(column, SqlType.integer()) for column in "abc"),
+        ], primary_key=["k"]))
+        db.bulk_load("p", [(k, *row) for k, row in enumerate(rows)])
+        db.analyze()
+        answers.append(sorted(db.execute(sql).rows))
+        if degree == 4:
+            assert "PartialAggregate" in db.explain(sql)
+            assert kernel_tops == []
+    assert answers[0] == answers[1]
+    assert [type(top) for top in kernel_tops] == [GroupAggregate]
+
+
+def _grouped_scan(pages: int, pinned: bool) -> int:
+    rows = [(n % 5, n % 4, n % 3) for n in range(8 * pages)]
+    db = make_db({"p": rows})
+    assert db.catalog.table("p").store.page_count == pages
+    top = aggregate_plan(db, {
+        "tables": {"p": rows}, "joins": [], "aliased": set(), "scan": None,
+        "filter": None, "work_mem": 10**9,
+        "groups": [col(0, "a")],
+        "calls": [("COUNT", None, False), ("SUM", ("+", col(0, "b"),
+                                                   col(0, "c")), False),
+                  ("MIN", col(0, "k"), False), ("AVG", col(0, "b"), False)],
+    })
+    if pinned:
+        pin_everything(top)
+    assert len(top.materialize(())) == 5  # compiled, warm
+    return _events(lambda: top.materialize(()))
+
+
+def test_an_aggregate_makes_calls_a_page_not_a_row():
+    kernel = {pages: _grouped_scan(pages, False) for pages in (10, 40)}
+    row_path = {pages: _grouped_scan(pages, True) for pages in (10, 40)}
+    per_page = (kernel[40] - kernel[10]) / 30
+    row_per_page = (row_path[40] - row_path[10]) / 30
+    # eight rows a page, each a generator resumption, a key, the
+    # arguments and four ``add``s on the row path; the kernel makes one
+    # call a page, and what the scan and the buffer make for the page
+    assert row_per_page >= 8 * 6, row_per_page
     assert per_page <= 15, (per_page, row_per_page)
