@@ -113,12 +113,13 @@ class Operator:
         """Every output row, for a consumer that pulls the operator dry
         before it does anything else and charges nothing, not even a
         tuple unit, while it pulls: a hash build, a sort, a nested-loop
-        inner.  For such a consumer an override may count a page's
-        tuples in one addition (DESIGN.md §21).  A consumer that counts
-        or charges per row it pulls (a probe loop, ``Limit``) is not
-        one: it calls ``rows``; ``Project`` and ``GroupAggregate`` run
-        the pipeline under them as one generated loop that counts what
-        the row path does (§25, §26), or call ``rows``."""
+        inner, the plan root.  For such a consumer a ``PipelineTop``
+        runs the pipeline it tops as one generated loop a page, which
+        counts what the row path does (DESIGN.md §21, §25).  A consumer
+        that counts or charges per row it pulls (a probe loop,
+        ``Limit``) is not one: it calls ``rows``; ``GroupAggregate``
+        runs the pipeline under it as its consumer (§26), or calls
+        ``rows``."""
         return list(self.rows(params))
 
     def explain(self, indent: int = 0) -> str:
@@ -136,10 +137,10 @@ class Operator:
 
 
 class PipelineTop:
-    """Mixed into the operators that can top a hash-join pipeline
-    (``Project``, ``Filter``, ``HashJoin``): drained, one runs the
-    pipeline's generated loop; of any other shape, the row path
-    (DESIGN.md §25)."""
+    """Mixed into the operators that can top a pipeline (``Project``,
+    ``Filter``, ``HashJoin``, ``SeqScan``: a bare scan is the zero-join
+    one): drained, one runs the pipeline's generated loop; of any other
+    shape, the row path (DESIGN.md §25)."""
 
     @cached_property
     def _pipeline(self):

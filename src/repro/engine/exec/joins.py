@@ -322,11 +322,13 @@ class HashJoin(PipelineTop, Operator):
 class Pipeline:
     """Hash joins followed along their probe sides (through ``Alias``,
     with the ``Filter``s between them) down to a ``SeqScan``, under at
-    most one ``Project`` or ``GroupAggregate``: drained, one generated
-    loop a probe page, depth first, that keeps a row as its parts — the
-    scan row and one build row a join — and makes no tuple but the one
-    it outputs (DESIGN.md §25), or none at all when the aggregate
-    consumes it (§26).  ``rows`` stays the row path."""
+    most one ``Project`` or ``GroupAggregate`` — a bare scan is the
+    zero-join pipeline: drained, one generated loop a page, depth
+    first, whose first step is the scan predicate, and which keeps a
+    row as its parts — the scan row and one build row a join — and
+    makes no tuple but the one it outputs (DESIGN.md §25), or none at
+    all when the aggregate consumes it (§26).  ``rows`` stays the row
+    path."""
 
     def __init__(self, top: Operator, stages: list[Operator],
                  scan: SeqScan, arity: int) -> None:
@@ -345,9 +347,7 @@ class Pipeline:
     @classmethod
     def of(cls, top: Operator) -> "Pipeline | None":
         """The pipeline ``top`` tops, or None for any other shape, or
-        for one with a subquery, which charges between two rows.  Under
-        a ``GroupAggregate`` (not a lane's ``PartialAggregate``) a scan
-        with no join is one too."""
+        for one with a subquery, which charges between two rows."""
         consumer = type(top) in (Project, GroupAggregate)
         op = top.child if consumer else top
         stages: list[Operator] = []
@@ -355,9 +355,7 @@ class Pipeline:
             if type(op) is not Alias:
                 stages.append(op)
             op = op.probe_op if type(op) is HashJoin else op.child
-        if type(op) is not SeqScan or not (
-                type(top) is GroupAggregate
-                or any(type(stage) is HashJoin for stage in stages)):
+        if type(op) is not SeqScan:
             return None
         exprs = [op.predicate, *(
             stage.residual if type(stage) is HashJoin else stage.predicate
@@ -376,55 +374,29 @@ class Pipeline:
         return cls(top, stages[::-1], op, arity)
 
     def run(self, params: Sequence[object]) -> list[tuple] | dict:
-        """The builds, outermost first; the probe pages; the probe
-        spills, innermost first — the row path's charges, in its order.
-        The output rows, or the aggregate's groups.  A page whose
-        filter raises is replayed row by row, and raises at the row the
-        row path does, with its counts; a kernel that raises at kept row
-        *j* has made the row path's counts and states up to that row:
-        the scan counts up to the row that kept it are added, and it
-        raises again."""
+        """The builds, outermost first; the pages; the probe spills,
+        innermost first — the row path's charges, in its order.  The
+        output rows, or the aggregate's groups.  After each page, also
+        when the kernel raises, the page's scan counts up to the row it
+        got to and the tuples it counted are added: the row path's
+        counts (and states) at the row where it raises."""
         if len(params) < self.arity:  # the row path raises per row
             return Operator.materialize(self.top, params)
         built = [join.build(params) for join in reversed(self.joins)][::-1]
         flags = tuple((unique, spilling) for _t, unique, spilling in built)
         kernel = self._kernels.get(flags) or self._compile(flags)
         tables = [table for table, _unique, _spilling in built]
-        scan = self.scan
-        page, holds = scan._page, scan._holds
-        counts = scan.ctx.metrics.counts
-        counter = scan.table.scanned_counter
+        counts = self.scan.ctx.metrics.counts
+        counter = self.scan.table.scanned_counter
         tally, probes = [0, 0], [0] * len(built)
         out: list[tuple] | dict = {} if self.aggregate else []
-        for _rowids, rows in scan.table.store.scan():
-            if not rows:
-                continue
+        for _rowids, rows in self.scan.table.store.scan():
             try:
-                kept = rows if page is None else page(rows, params)
-            except Exception:
-                for row in rows:
-                    counts[counter] += 1
-                    counts["exec.tuples"] += 1
-                    if holds(row, params) is True:
-                        try:
-                            kernel((row,), params, tally, probes, out,
-                                   *tables)
-                        finally:
-                            counts["exec.tuples"] += tally[0]
-                raise
-            try:
-                kernel(kept, params, tally, probes, out, *tables)
-            except Exception:
-                positions = range(len(rows)) if page is None else [
-                    i for i, row in enumerate(rows)
-                    if holds(row, params) is True]
-                scanned = positions[tally[1]] + 1
+                kernel(rows, params, tally, probes, out, *tables)
+            finally:
+                scanned = tally[1] + 1
                 counts[counter] += scanned
                 counts["exec.tuples"] += scanned + tally[0]
-                raise
-            size = len(rows)
-            counts[counter] += size
-            counts["exec.tuples"] += size + tally[0]
         for join, (_table, _unique, spilling), count in zip(
                 self.joins, built, probes):
             if spilling:
@@ -433,13 +405,14 @@ class Pipeline:
 
     def _compile(self, flags: tuple) -> Callable[..., None]:
         """``kernel(rows, params, tally, probes, out, h1, …)``: appends
-        the output of ``rows``, which passed the scan, to ``out``, or
-        adds it to the aggregate's groups there; ``tally`` is the tuples
-        it counted and the position in ``rows`` it got to, also when it
-        raises; ``probes[i]`` plus the probe rows of join ``i`` when it
-        spills.  ``flags`` is ``(unique, spilling)`` a join, innermost
-        first, as are the hash tables ``h1, …``, probed with ``in`` and
-        a subscript: no call a row."""
+        the output of the page ``rows`` to ``out``, or adds it to the
+        aggregate's groups there; ``tally`` is the tuples it counted
+        past the scan and the position in ``rows`` it got to, also when
+        it raises; ``probes[i]`` plus the probe rows of join ``i`` when
+        it spills.  ``flags`` is ``(unique, spilling)`` a join,
+        innermost first, as are the hash tables ``h1, …``, probed with
+        ``in`` and a subscript: no call a row.  An unfiltered bare scan
+        has no loop: its output is the page."""
         src = KernelSource()
         columns = [f"r0[{i:d}]" for i in range(len(self.scan.schema))]
         parts = ["r0"]
@@ -451,16 +424,25 @@ class Pipeline:
                 src.line(f"n += {counted:d}")
             counted = 0
 
-        src.line("n = j = 0")
-        if self.aggregate is None:
+        bare = self.top is self.scan and self.scan.predicate is None
+        src.line("n = 0")
+        src.line("j = -1")
+        if self.aggregate is None and not bare:
             src.line("emit = out.append")
         spills = [level for level, (_u, spilling) in enumerate(flags, 1)
-                  if spilling and level > 1]
+                  if spilling]
         for level in spills:
             src.line(f"s{level} = 0")
         with ExitStack() as loops:
             loops.enter_context(src.block("try:"))
-            loops.enter_context(src.block("for j, r0 in enumerate(rows):"))
+            if bare:  # the page is the output: no loop
+                src.line("out += rows")
+                src.line("j = len(rows) - 1")
+            else:
+                loops.enter_context(
+                    src.block("for j, r0 in enumerate(rows):"))
+            if self.scan.predicate is not None:
+                src.require(self.scan.predicate, columns)
             level = 0
             for stage in self.stages:
                 if type(stage) is Filter:
@@ -470,7 +452,7 @@ class Pipeline:
                     continue
                 level += 1
                 unique, spilling = flags[level - 1]
-                if level in spills:
+                if spilling:
                     src.line(f"s{level} += 1")
                 keys = [columns[i] for i in stage.probe_keys]
                 if len(keys) == 1:
@@ -502,27 +484,27 @@ class Pipeline:
                 if stage.residual is not None:
                     src.require(stage.residual, columns)
                 counted += 1
-            if self.project is None and self.aggregate is None:
-                count()
-                src.line(f"emit({' + '.join(parts)})")
-            else:
+            if self.aggregate is not None:
                 counted += 1
                 count()
-                if self.aggregate is not None:
-                    self.aggregate.consume(src, columns)
-                else:
-                    atoms = src.values(self.project.exprs, columns)
-                    src.line(f"emit(({''.join(a + ', ' for a in atoms)}))")
+                self.aggregate.consume(src, columns)
+            elif self.project is not None:
+                counted += 1
+                count()
+                atoms = src.values(self.project.exprs, columns)
+                src.line(f"emit(({''.join(a + ', ' for a in atoms)}))")
+            elif not bare:
+                count()
+                src.line(f"emit({' + '.join(parts)})")
         with src.block("finally:"):
             src.line("tally[0], tally[1] = n, j")
-        if flags and flags[0][1]:
-            src.line("probes[0] += len(rows)")
         for level in spills:
             src.line(f"probes[{level - 1:d}] += s{level}")
         signature = ", ".join(["rows", "params", "tally", "probes", "out",
                                *(f"h{level}" for level in range(
                                    1, len(flags) + 1))])
-        home = "joins" if self.aggregate is None else "aggregate"
+        home = "aggregate" if self.aggregate else \
+            "joins" if self.joins else "scans"
         kernel = src.kernel(signature, f"repro/engine/exec/{home}.py")
         self._kernels[flags] = kernel
         return kernel

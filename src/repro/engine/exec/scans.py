@@ -5,14 +5,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from repro.engine.exec.base import ExecContext, Operator, compiled
-from repro.engine.expr import (
-    Compiled,
-    Expr,
-    OutputSchema,
-    PageFilter,
-    SubqueryExpr,
-)
+from repro.engine.exec.base import ExecContext, Operator, PipelineTop, compiled
+from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.engine.index import NULL_FIRST
 from repro.engine.table import Table
 
@@ -24,8 +18,9 @@ def table_schema(table: Table, alias: str | None) -> OutputSchema:
     )
 
 
-class SeqScan(Operator):
-    """Full sequential scan with an optional pushed-down filter."""
+class SeqScan(PipelineTop, Operator):
+    """Full sequential scan with an optional pushed-down filter; drained,
+    the zero-join pipeline (DESIGN.md §21, §25)."""
 
     def __init__(
         self,
@@ -58,46 +53,6 @@ class SeqScan(Operator):
                     counts["exec.tuples"] += 1
                     if holds(row, params) is True:
                         yield row
-
-    @cached_property
-    def _charges_between_tuples(self) -> bool:
-        """A subquery in the predicate runs, and charges, per tuple."""
-        return self.predicate is not None and any(
-            isinstance(node, SubqueryExpr) for node in self.predicate.walk())
-
-    @cached_property
-    def _page(self) -> PageFilter | None:
-        return None if self.predicate is None \
-            else self.predicate.compile_filter(self._holds)
-
-    def materialize(self, params: Sequence[object]) -> list[tuple]:
-        """The scan a page at a time: both counters once per page and
-        one call of the generated page filter.  Between two page
-        accesses the clock is owed the same number of tuple units as on
-        the row path, and the consumer adds none (DESIGN.md §21, §24)."""
-        if self._charges_between_tuples:
-            return super().materialize(params)
-        page, holds = self._page, self._holds
-        counts = self.ctx.metrics.counts
-        counter = self.table.scanned_counter
-        out: list[tuple] = []
-        for _rowids, rows in self.table.store.scan():
-            if page is None:
-                kept = rows
-            else:
-                try:
-                    kept = page(rows, params)
-                except Exception:
-                    # count what the row path had counted when it raised
-                    for row in rows:
-                        counts[counter] += 1
-                        counts["exec.tuples"] += 1
-                        holds(row, params)
-                    raise
-            counts[counter] += len(rows)
-            counts["exec.tuples"] += len(rows)
-            out += kept
-        return out
 
     def describe(self) -> str:
         filt = " (filtered)" if self.predicate is not None else ""

@@ -105,10 +105,9 @@ def _factory(source: str,
              home: str = "repro/engine/expr.py") -> Callable[..., Compiled]:
     """``exec`` a generated ``make(c0, c1, ...)`` once per source text.
 
-    ``make`` returns ``fn(row, params)`` (or a predicate's
-    ``page(rows, params)``, :meth:`_Source.filter`; or a pipeline
-    kernel, :class:`KernelSource`) closed over its
-    arguments, the bound constants of one expression.  Expressions of one shape share
+    ``make`` returns ``fn(row, params)`` (or a kernel,
+    :class:`KernelSource`) closed over its arguments, the bound
+    constants of one expression.  Expressions of one shape share
     the text, hence the code object; the cold paths that compile per
     execution (:meth:`Expr.eval`, prepared DML) pay this lookup, not an
     ``exec``.  The code runs in this module's namespace: that is where
@@ -136,15 +135,11 @@ class _Source:
     so that its guards can be decided while emitting.
     """
 
-    def __init__(self, root: "Expr | None", page: bool = False) -> None:
+    def __init__(self, root: "Expr | None") -> None:
         self.root = root
-        #: emitting the loop body of ``page(rows, params)``, not ``fn``
-        self.page = page
         self.constants: dict[str, object] = {}
-        #: parameter index -> the name a page function reads it into
-        self._params: dict[int, str] = {}
         self._lines: list[str] = []
-        self._indent = "   " if page else "  "
+        self._indent = "  "
         self._temps = 0
         #: column position -> its atom, for a row kept as its parts
         #: (:class:`KernelSource`); None: a subscript of ``row``
@@ -201,7 +196,7 @@ class _Source:
         run time, where it is raised per row and only if a row arrives
         (``WHERE 1/0 = 1`` over an empty table is not an error).  The
         value is kept on the node, ``(value,)`` or ``()``: one plan
-        emits a row function, a page filter and a kernel of one tree.
+        emits the row function and the kernel of one tree.
         """
         if isinstance(node, Literal):
             return node.value
@@ -242,43 +237,25 @@ class _Source:
         return self.hold(expression)
 
     def param(self, index: int) -> str:
-        """The name a page function reads parameter ``index`` into,
-        once per call, before its loop."""
-        return self._params.setdefault(index, f"p{index:d}")
+        """The atom of parameter ``index``, read where the row needs it;
+        a missing one raises then."""
+        result = self.temp()
+        with self.block("try:"):
+            self.line(f"{result} = params[{index:d}]")
+        with self.block("except IndexError:"):
+            self.line(f"raise ExecutionError('missing value for parameter "
+                      f"{index + 1}') from None")
+        return result
 
     def decided(self, dominant: bool) -> None:
-        """The root connective found its value: ``fn`` returns it, the
-        page loop keeps the row (``True``) or drops it and goes on."""
-        if not self.page:
-            self.line(f"return {dominant}")
-            return
-        if dominant:
-            self.line("keep(row)")
-        self.line("continue")
+        """The root connective found its value: ``fn`` returns it."""
+        self.line(f"return {dominant}")
 
     def function(self, result: str) -> Compiled:
         source = (f"def make({', '.join(self.constants)}):\n"
                   f" def fn(row, params):\n{''.join(self._lines)}"
                   f"  return {result}\n return fn\n")
         return _factory(source)(*self.constants.values())
-
-    def filter(self, result: str, fn: Compiled) -> PageFilter:
-        """``page(rows, params)``: the rows ``fn`` holds for, in order.
-        A missing parameter hands the page to ``fn``, which raises at
-        the row that first reads it, as a row at a time would."""
-        reads = "".join(f"   {name} = params[{index:d}]\n"
-                        for index, name in self._params.items())
-        if reads:
-            reads = (f"  try:\n{reads}  except IndexError:\n"
-                     f"   return [row for row in rows"
-                     f" if fn(row, params) is True]\n")
-        source = (f"def make({', '.join(['fn', *self.constants])}):\n"
-                  f" def page(rows, params):\n{reads}"
-                  f"  kept = []\n  keep = kept.append\n"
-                  f"  for row in rows:\n{''.join(self._lines)}"
-                  f"   if {result} is True:\n    keep(row)\n"
-                  f"  return kept\n return page\n")
-        return _factory(source)(fn, *self.constants.values())
 
 
 class Expr:
@@ -299,10 +276,20 @@ class Expr:
     def compile_filter(self, fn: Compiled) -> PageFilter:
         """``page(rows, params)``: the rows of a page for which ``fn``,
         what :meth:`compile` returned for this tree, returns ``True``,
-        in order, from one call — the same emitted body inside one loop,
-        the parameters read once (DESIGN.md §24)."""
-        src = _Source(self, page=True)
-        return src.filter(self.emit(src), fn)
+        in order, from one call — a kernel that requires this tree in
+        one loop, the parameters read once (DESIGN.md §24).  A missing
+        parameter hands the page to ``fn``, which raises at the row
+        that first reads it, as a row at a time would."""
+        src = KernelSource()
+        src.line("kept = []")
+        src.line("keep = kept.append")
+        with src.block("for row in rows:"):
+            src.require(self, None)
+            src.line("keep(row)")
+        src.line("return kept")
+        return src.kernel("rows, params", "repro/engine/expr.py", missing=(
+            f"[row for row in rows if {src.constant(fn)}(row, params)"
+            f" is True]"))
 
     def emit(self, src: _Source) -> str:
         """Append the statements computing this node; return its atom."""
@@ -346,15 +333,7 @@ class ParamRef(Expr):
         return self
 
     def emit(self, src: _Source) -> str:
-        if src.page:
-            return src.param(self.index)
-        result = src.temp()
-        with src.block("try:"):
-            src.line(f"{result} = params[{self.index:d}]")
-        with src.block("except IndexError:"):
-            src.line(f"raise ExecutionError('missing value for parameter "
-                     f"{self.index + 1}') from None")
-        return result
+        return src.param(self.index)
 
     def __repr__(self) -> str:
         return f"ParamRef({self.index})"
@@ -999,18 +978,26 @@ def compile_row(exprs: Sequence[Expr]) -> Compiled:
 
 
 class KernelSource(_Source):
-    """The source of a pipeline kernel (DESIGN.md §25): loops that its
-    caller writes with :meth:`line` and :meth:`block`, and in them the
-    code of expressions over a row kept as its parts, each column the
-    atom :attr:`columns` names (``b3[5]``, not ``row[117]``).  As in a
-    page filter, the parameters are read once, before the loops: the
-    caller runs the kernel only with every one it reads present."""
+    """The source of a kernel (DESIGN.md §25): loops that its caller
+    writes with :meth:`line` and :meth:`block`, and in them the code of
+    expressions over a row kept as its parts, each column the atom
+    :attr:`columns` names (``b3[5]``, not ``row[117]``), or over
+    ``row``.  The parameters are read once, before the loops."""
 
     def __init__(self) -> None:
-        super().__init__(None, page=True)
-        self._indent = "  "
+        super().__init__(None)
+        #: parameter index -> the name the kernel reads it into
+        self._params: dict[int, str] = {}
 
-    def require(self, predicate: Expr, columns: Sequence[str]) -> None:
+    def param(self, index: int) -> str:
+        return self._params.setdefault(index, f"p{index:d}")
+
+    def decided(self, dominant: bool) -> None:
+        """The root AND of :meth:`require` is FALSE: the next row."""
+        self.line("continue")
+
+    def require(self, predicate: Expr,
+                columns: Sequence[str] | None) -> None:
         """Go on only where ``predicate`` is TRUE, else ``continue``; a
         root AND stops at its first FALSE, where its row function
         returns."""
@@ -1026,9 +1013,18 @@ class KernelSource(_Source):
         self.columns, self.root = columns, None
         return [self.value(expr) for expr in exprs]
 
-    def kernel(self, signature: str, home: str) -> Callable[..., object]:
-        reads = "".join(f"  {name} = params[{index:d}]\n"
+    def kernel(self, signature: str, home: str,
+               missing: str | None = None) -> Callable[..., object]:
+        """``kernel(signature)``, its code under a file name ending in
+        ``home``.  Without ``missing`` the caller runs it only with
+        every parameter it reads present; with it, a missing one makes
+        the kernel return ``missing`` instead."""
+        pad = "  " if missing is None else "   "
+        reads = "".join(f"{pad}{name} = params[{index:d}]\n"
                         for index, name in self._params.items())
+        if reads and missing is not None:
+            reads = (f"  try:\n{reads}"
+                     f"  except IndexError:\n   return {missing}\n")
         source = (f"def make({', '.join(self.constants)}):\n"
                   f" def kernel({signature}):\n{reads}{''.join(self._lines)}"
                   f" return kernel\n")
