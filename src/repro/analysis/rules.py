@@ -49,7 +49,6 @@ from repro.analysis.extractor import (
 )
 from repro.engine.errors import EngineError
 from repro.engine.expr import ColumnRef
-from repro.engine.plan.fingerprint import fingerprint
 from repro.engine.sql.parser import parse_select
 from repro.r3.ddic import TableKind
 from repro.r3.errors import R3Error
@@ -266,7 +265,7 @@ def predicate_fingerprint(stmt: OSSelect,
     Runs the statement through the real translator (every literal and
     host variable becomes a ``?`` marker), re-parses the backend SQL
     with the engine parser, pseudo-binds column references to stable
-    positions, and fingerprints via :mod:`repro.engine.plan`.  Two
+    positions, and fingerprints with :meth:`Expr.fingerprint`.  Two
     sites that would share a cursor-cache plan share a fingerprint.
     """
     def field_names_of(table: str) -> list[str]:
@@ -286,10 +285,7 @@ def predicate_fingerprint(stmt: OSSelect,
         if isinstance(node, ColumnRef):
             key = (node.qualifier, node.name)
             node._position = positions.setdefault(key, len(positions))
-    try:
-        return fingerprint(where)
-    except EngineError:
-        return None
+    return where.fingerprint()
 
 
 # -- the rules -------------------------------------------------------------

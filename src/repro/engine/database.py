@@ -26,7 +26,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.exec.base import ExecContext
-from repro.engine.expr import Compiled, Expr, OutputSchema, SubqueryExpr
+from repro.engine.expr import Compiled, Expr, OutputSchema
 from repro.engine.parallel import ParallelPolicy, PartitionManager
 from repro.engine.plan.binder import bind_expr
 from repro.engine.plan.planner import PlannedQuery, Planner
@@ -472,8 +472,8 @@ class Database:
         counts, counter = self.metrics.counts, table.scanned_counter
         for rowids, rows in table.store.scan():
             for rowid, row in zip(rowids, rows):
-                # per row, not per page: a subquery in the predicate
-                # charges the clock between two tuples
+                # per row, not per page: a predicate that raises at a
+                # row has counted every row up to it
                 counts[counter] += 1
                 counts["exec.tuples"] += 1
                 if holds(row, params) is True:
@@ -492,18 +492,16 @@ class Database:
         rows through the probe surface and filters them with one call;
         it touches no clock, counter or buffer page, so the row path can
         still be taken: for a store whose read is not one buffer access,
-        an armed deadline (it fires between two charges), a subquery (it
-        charges between two rows), a dead rowid (its read raises once
-        charged) or a predicate that raises (at the row the row path
-        reaches it).  The charge phase then pays the row path's accesses
-        in its order: a leaf page when it changes, a heap page per entry
-        — as a certain hit on the page just touched, when it is that
-        page (:meth:`BufferPool.hit_again`).
+        an armed deadline (it fires between two charges), a dead rowid
+        (its read raises once charged) or a predicate that raises (at
+        the row the row path reaches it).  The charge phase then pays
+        the row path's accesses in its order: a leaf page when it
+        changes, a heap page per entry — as a certain hit on the page
+        just touched, when it is that page (:meth:`BufferPool.hit_again`).
         """
         store = table.store
         heap_file = store.read_file
-        if heap_file is None or self.clock.deadline_armed or any(
-                isinstance(node, SubqueryExpr) for node in where.walk()):
+        if heap_file is None or self.clock.deadline_armed:
             return None
         lo, rowids = index.prefix_run(key)
         rows = store.get_many(rowids)

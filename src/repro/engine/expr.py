@@ -51,21 +51,23 @@ class OutputSchema:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def resolve(self, qualifier: str | None, name: str) -> int:
-        """Return the tuple position of a column reference."""
+    def positions(self, qualifier: str | None, name: str) -> list[int]:
+        """Every tuple position a column reference matches."""
         name = name.lower()
         qualifier = qualifier.lower() if qualifier else None
-        matches = [
+        return [
             i
             for i, (q, n) in enumerate(self.entries)
             if n == name and (qualifier is None or q == qualifier)
         ]
-        if not matches:
+
+    def resolve(self, qualifier: str | None, name: str) -> int:
+        """Return the tuple position of a column reference."""
+        matches = self.positions(qualifier, name)
+        if len(matches) != 1:
+            problem = "ambiguous" if matches else "unknown"
             ref = f"{qualifier}.{name}" if qualifier else name
-            raise PlanError(f"unknown column {ref}")
-        if len(matches) > 1:
-            ref = f"{qualifier}.{name}" if qualifier else name
-            raise PlanError(f"ambiguous column {ref}")
+            raise PlanError(f"{problem} column {ref.lower()}")
         return matches[0]
 
     def try_resolve(self, qualifier: str | None, name: str) -> int | None:
@@ -259,11 +261,69 @@ class _Source:
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    A node class declares its shape once (DESIGN.md §27): ``parts``
+    names the attributes that hold its subexpressions, in order — each
+    an ``Expr``, a list of them, a list of ``(Expr, Expr)`` pairs or
+    ``None`` —, ``tag`` and ``attrs`` what tells two nodes with equal
+    parts apart.  :meth:`children`, :meth:`walk`, :meth:`bind`,
+    :meth:`map_parts` and :meth:`fingerprint` follow from it.
+    """
+
+    tag = ""
+    attrs: tuple[str, ...] = ()
+    parts: tuple[str, ...] = ()
+
+    def children(self) -> list["Expr"]:
+        """The subexpressions, in the order of ``parts``."""
+        out: list[Expr] = []
+        for name in self.parts:
+            part = getattr(self, name)
+            if isinstance(part, Expr):
+                out.append(part)
+            elif part is not None:
+                for item in part:
+                    if isinstance(item, tuple):
+                        out.extend(item)
+                    else:
+                        out.append(item)
+        return out
+
+    def walk(self):
+        """Yield this node and all descendants, pre-order."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
 
     def bind(self, schema: OutputSchema) -> "Expr":
-        """Resolve column references; returns self for chaining."""
-        raise NotImplementedError
+        """Resolve every column reference against ``schema``, as a
+        statement binds (:meth:`ColumnRef.bind_or_outer`, with no outer
+        query); returns self for chaining."""
+        for node in self.walk():
+            if isinstance(node, ColumnRef):
+                node.bind_or_outer(schema, None, None)
+        return self
+
+    def map_parts(self, fn: Callable[["Expr"], "Expr"]) -> None:
+        """Replace each subexpression ``part`` by ``fn(part)``, in place."""
+        for name in self.parts:
+            part = getattr(self, name)
+            if isinstance(part, Expr):
+                setattr(self, name, fn(part))
+            elif part is not None:
+                setattr(self, name, [
+                    tuple(map(fn, item)) if isinstance(item, tuple)
+                    else fn(item) for item in part])
+
+    def fingerprint(self) -> tuple:
+        """Hashable structural key of a bound tree: ``(tag, *attrs,
+        *parts)``, a subexpression keyed by its fingerprint, a list or
+        a pair by a tuple of theirs.  A SELECT term that is a GROUP BY
+        key or a repeated aggregate has the key of its twin; two report
+        sites with one key share a cursor-cache plan (rule R004)."""
+        return (self.tag, *(getattr(self, name) for name in self.attrs),
+                *(_part_key(getattr(self, name)) for name in self.parts))
 
     def compile(self) -> Compiled:
         """Function ``fn(row, params)`` evaluating this (bound) tree.
@@ -299,22 +359,27 @@ class Expr:
         """Compile and evaluate once (plan-time folding, INSERT values)."""
         return self.compile()(row, params)
 
-    def children(self) -> list["Expr"]:
-        return []
 
-    def walk(self):
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+def _part_key(part: object) -> object:
+    """The :meth:`Expr.fingerprint` of one declared part."""
+    if part is None:
+        return None
+    if isinstance(part, Expr):
+        return part.fingerprint()
+    return tuple(_part_key(item) for item in part)
 
 
 class Literal(Expr):
+    tag, attrs = "lit", ("value", "kind")
+
     def __init__(self, value: object) -> None:
         self.value = value
 
-    def bind(self, schema: OutputSchema) -> "Literal":
-        return self
+    @property
+    def kind(self) -> type:
+        """The value's type: ``1``, ``1.0`` and ``TRUE`` are equal in
+        Python, not in SQL, so they are three fingerprints."""
+        return type(self.value)
 
     def emit(self, src: _Source) -> str:
         return src.constant(self.value)
@@ -326,11 +391,10 @@ class Literal(Expr):
 class ParamRef(Expr):
     """A ``?`` parameter marker; ``index`` is its 0-based position."""
 
+    tag, attrs = "param", ("index",)
+
     def __init__(self, index: int) -> None:
         self.index = index
-
-    def bind(self, schema: OutputSchema) -> "ParamRef":
-        return self
 
     def emit(self, src: _Source) -> str:
         return src.param(self.index)
@@ -356,11 +420,6 @@ class ColumnRef(Expr):
         self._outer_cell: CorrelationCell | None = None
         self._outer_position: int | None = None
 
-    def bind(self, schema: OutputSchema) -> "ColumnRef":
-        self._position = schema.resolve(self.qualifier, self.name)
-        self._outer_cell = None
-        return self
-
     def bind_or_outer(
         self,
         schema: OutputSchema,
@@ -369,16 +428,19 @@ class ColumnRef(Expr):
     ) -> bool:
         """Bind against ``schema``; fall back to the outer query's schema.
 
-        Returns True when the reference turned out to be correlated.
-        A reference already pinned to an outer row (by the planner's
-        correlated-sarg extraction) stays pinned.
+        The one column resolver.  Returns True when the reference turned
+        out to be correlated.  A name that matches several columns of
+        ``schema`` is ambiguous, never an outer reference.  A reference
+        already pinned to an outer row (by the planner's correlated-sarg
+        extraction) stays pinned.
         """
         if self._outer_cell is not None:
             return True
-        position = schema.try_resolve(self.qualifier, self.name)
-        if position is not None:
-            self._position = position
-            self._outer_cell = None
+        matches = schema.positions(self.qualifier, self.name)
+        if len(matches) > 1:
+            raise PlanError(f"ambiguous column {self.display_name}")
+        if matches:
+            self._position = matches[0]
             return False
         if outer_schema is not None and cell is not None:
             outer_position = outer_schema.try_resolve(self.qualifier, self.name)
@@ -387,6 +449,11 @@ class ColumnRef(Expr):
                 self._outer_position = outer_position
                 return True
         raise PlanError(f"unknown column {self.display_name}")
+
+    def fingerprint(self) -> tuple:
+        if self._outer_cell is not None:
+            return ("outercol", self._outer_position)
+        return ("col", self._position)
 
     def emit(self, src: _Source) -> str:
         if self._outer_cell is not None:
@@ -410,11 +477,10 @@ class ColumnRef(Expr):
 class InputRef(Expr):
     """Direct positional reference (used after planner rewrites)."""
 
+    tag, attrs = "col", ("position",)
+
     def __init__(self, position: int) -> None:
         self.position = position
-
-    def bind(self, schema: OutputSchema) -> "InputRef":
-        return self
 
     def emit(self, src: _Source) -> str:
         return src.column(self.position)
@@ -449,18 +515,12 @@ _BINARY_OPERATORS: dict[str, tuple[str, str]] = {
 class BinOp(Expr):
     """Binary operator: comparison, arithmetic, AND/OR."""
 
+    tag, attrs, parts = "bin", ("op",), ("left", "right")
+
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
         self.op = op.upper() if op.upper() in ("AND", "OR") else op
         self.left = left
         self.right = right
-
-    def bind(self, schema: OutputSchema) -> "BinOp":
-        self.left = self.left.bind(schema)
-        self.right = self.right.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.left, self.right]
 
     def emit(self, src: _Source) -> str:
         op = self.op
@@ -516,15 +576,10 @@ def _operands(expr: Expr, op: str) -> list[Expr]:
 
 
 class NotExpr(Expr):
+    tag, parts = "not", ("operand",)
+
     def __init__(self, operand: Expr) -> None:
         self.operand = operand
-
-    def bind(self, schema: OutputSchema) -> "NotExpr":
-        self.operand = self.operand.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
@@ -532,15 +587,10 @@ class NotExpr(Expr):
 
 
 class NegExpr(Expr):
+    tag, parts = "neg", ("operand",)
+
     def __init__(self, operand: Expr) -> None:
         self.operand = operand
-
-    def bind(self, schema: OutputSchema) -> "NegExpr":
-        self.operand = self.operand.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
@@ -548,16 +598,11 @@ class NegExpr(Expr):
 
 
 class IsNullExpr(Expr):
+    tag, attrs, parts = "isnull", ("negated",), ("operand",)
+
     def __init__(self, operand: Expr, negated: bool = False) -> None:
         self.operand = operand
         self.negated = negated
-
-    def bind(self, schema: OutputSchema) -> "IsNullExpr":
-        self.operand = self.operand.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
     def emit(self, src: _Source) -> str:
         test = "is not" if self.negated else "is"
@@ -565,21 +610,15 @@ class IsNullExpr(Expr):
 
 
 class BetweenExpr(Expr):
+    tag, attrs = "between", ("negated",)
+    parts = ("operand", "low", "high")
+
     def __init__(self, operand: Expr, low: Expr, high: Expr,
                  negated: bool = False) -> None:
         self.operand = operand
         self.low = low
         self.high = high
         self.negated = negated
-
-    def bind(self, schema: OutputSchema) -> "BetweenExpr":
-        self.operand = self.operand.bind(schema)
-        self.low = self.low.bind(schema)
-        self.high = self.high.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand, self.low, self.high]
 
     def emit(self, src: _Source) -> str:
         value, low, high = [src.name(part) for part in self.children()]
@@ -601,19 +640,13 @@ def _membership(value: object, candidates: Iterable[object],
 
 
 class InListExpr(Expr):
+    tag, attrs, parts = "inlist", ("negated",), ("operand", "items")
+
     def __init__(self, operand: Expr, items: list[Expr],
                  negated: bool = False) -> None:
         self.operand = operand
         self.items = items
         self.negated = negated
-
-    def bind(self, schema: OutputSchema) -> "InListExpr":
-        self.operand = self.operand.bind(schema)
-        self.items = [item.bind(schema) for item in self.items]
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand, *self.items]
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
@@ -663,19 +696,13 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
 
 
 class LikeExpr(Expr):
+    tag, attrs, parts = "like", ("negated",), ("operand", "pattern")
+
     def __init__(self, operand: Expr, pattern: Expr,
                  negated: bool = False) -> None:
         self.operand = operand
         self.pattern = pattern
         self.negated = negated
-
-    def bind(self, schema: OutputSchema) -> "LikeExpr":
-        self.operand = self.operand.bind(schema)
-        self.pattern = self.pattern.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand, self.pattern]
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
@@ -698,27 +725,12 @@ class LikeExpr(Expr):
 class CaseExpr(Expr):
     """Searched CASE: WHEN cond THEN value ... [ELSE value] END."""
 
+    tag, parts = "case", ("branches", "default")
+
     def __init__(self, branches: list[tuple[Expr, Expr]],
                  default: Expr | None) -> None:
         self.branches = branches
         self.default = default
-
-    def bind(self, schema: OutputSchema) -> "CaseExpr":
-        self.branches = [
-            (cond.bind(schema), value.bind(schema))
-            for cond, value in self.branches
-        ]
-        if self.default is not None:
-            self.default = self.default.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        out: list[Expr] = []
-        for cond, value in self.branches:
-            out.extend((cond, value))
-        if self.default is not None:
-            out.append(self.default)
-        return out
 
     def emit(self, src: _Source) -> str:
         result, undecided = src.temp(), src.temp()
@@ -741,6 +753,7 @@ class ExtractExpr(Expr):
     """EXTRACT(YEAR|MONTH|DAY FROM date_expr)."""
 
     FIELDS = ("YEAR", "MONTH", "DAY")
+    tag, attrs, parts = "extract", ("field",), ("operand",)
 
     def __init__(self, field: str, operand: Expr) -> None:
         field = field.upper()
@@ -748,13 +761,6 @@ class ExtractExpr(Expr):
             raise PlanError(f"unsupported EXTRACT field {field}")
         self.field = field
         self.operand = operand
-
-    def bind(self, schema: OutputSchema) -> "ExtractExpr":
-        self.operand = self.operand.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
@@ -772,6 +778,7 @@ class IntervalLiteral(Expr):
     """INTERVAL 'n' DAY|MONTH|YEAR — only usable with +/- on dates."""
 
     UNITS = ("DAY", "MONTH", "YEAR")
+    tag, attrs = "interval", ("amount", "unit")
 
     def __init__(self, amount: int, unit: str) -> None:
         unit = unit.upper().rstrip("S")
@@ -779,9 +786,6 @@ class IntervalLiteral(Expr):
             raise PlanError(f"unsupported interval unit {unit}")
         self.amount = amount
         self.unit = unit
-
-    def bind(self, schema: OutputSchema) -> "IntervalLiteral":
-        return self
 
     def emit(self, src: _Source) -> str:
         return src.constant(self)
@@ -811,18 +815,13 @@ def _days_in_month(year: int, month: int) -> int:
 class DateArithExpr(Expr):
     """date ± interval (produced by the parser for +/- with intervals)."""
 
+    tag, attrs, parts = "datearith", ("sign",), ("date_expr", "interval")
+
     def __init__(self, date_expr: Expr, interval: IntervalLiteral,
                  sign: int) -> None:
         self.date_expr = date_expr
         self.interval = interval
         self.sign = sign
-
-    def bind(self, schema: OutputSchema) -> "DateArithExpr":
-        self.date_expr = self.date_expr.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.date_expr]
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.date_expr)
@@ -859,16 +858,11 @@ _FUNCTIONS: dict[str, Callable[[list], object]] = {
 class FuncCall(Expr):
     """Scalar function call (SUBSTRING, UPPER, LOWER, ABS, ROUND, CONCAT)."""
 
+    tag, attrs, parts = "fn", ("name",), ("args",)
+
     def __init__(self, name: str, args: list[Expr]) -> None:
         self.name = name.upper()
         self.args = args
-
-    def bind(self, schema: OutputSchema) -> "FuncCall":
-        self.args = [arg.bind(schema) for arg in self.args]
-        return self
-
-    def children(self) -> list[Expr]:
-        return list(self.args)
 
     def emit(self, src: _Source) -> str:
         args = [src.name(arg) for arg in self.args]
@@ -889,6 +883,7 @@ class AggCall(Expr):
     """
 
     FUNCTIONS = ("SUM", "AVG", "COUNT", "MIN", "MAX")
+    tag, attrs, parts = "agg", ("func", "distinct"), ("arg",)
 
     def __init__(self, func: str, arg: Expr | None,
                  distinct: bool = False) -> None:
@@ -898,14 +893,6 @@ class AggCall(Expr):
         self.func = func
         self.arg = arg  # None means COUNT(*)
         self.distinct = distinct
-
-    def bind(self, schema: OutputSchema) -> "AggCall":
-        if self.arg is not None:
-            self.arg = self.arg.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.arg] if self.arg is not None else []
 
     def emit(self, src: _Source) -> str:
         return src.hold(src.failure(
@@ -927,6 +914,7 @@ class SubqueryExpr(Expr):
     """
 
     MODES = ("scalar", "exists", "in")
+    parts = ("operand",)
 
     def __init__(self, query: object, mode: str,
                  operand: Expr | None = None, negated: bool = False) -> None:
@@ -938,13 +926,9 @@ class SubqueryExpr(Expr):
         self.negated = negated
         self.executor: Callable[[tuple, Sequence[object]], object] | None = None
 
-    def bind(self, schema: OutputSchema) -> "SubqueryExpr":
-        if self.operand is not None:
-            self.operand = self.operand.bind(schema)
-        return self
-
-    def children(self) -> list[Expr]:
-        return [self.operand] if self.operand is not None else []
+    def fingerprint(self) -> tuple:
+        # by identity: two textual twins are distinct (a missed dedup)
+        return ("subq", id(self))
 
     def emit(self, src: _Source) -> str:
         if self.executor is None:

@@ -46,7 +46,6 @@ from repro.engine.expr import (
 )
 from repro.engine.plan.access import choose_access_path
 from repro.engine.plan.binder import bind_expr, referenced_bindings
-from repro.engine.plan.fingerprint import fingerprint
 from repro.engine.plan.rewrite import (
     AggRegistry,
     contains_aggregate,
@@ -682,10 +681,8 @@ class Planner:
                     key_sources.append(("const", payload))
                     continue
                 outer_ref, inner_ref = payload
-                outer_ref_bound = ColumnRef(outer_ref.qualifier,
-                                            outer_ref.name)
-                outer_ref_bound.bind(top.schema)
-                key_sources.append(("outer", outer_ref_bound._position))
+                key_sources.append(("outer", top.schema.resolve(
+                    outer_ref.qualifier, outer_ref.name)))
                 used_pairs.append(payload)
             used_ids = {id(c) for c in used_conjuncts}
             inner_filter = conjoin(
@@ -861,11 +858,11 @@ class Planner:
         names = self._output_names(items)
 
         # Build extended projection: visible items + hidden sort keys.
-        item_fps = [fingerprint(e) for e in item_exprs]
+        item_fps = [e.fingerprint() for e in item_exprs]
         sort_spec: list[tuple[int, bool]] = []
         hidden: list[Expr] = []
         for order, expr in zip(stmt.order_by, order_exprs):
-            fp = fingerprint(expr)
+            fp = expr.fingerprint()
             if fp in item_fps:
                 sort_spec.append((item_fps.index(fp), order.descending))
             else:
@@ -899,7 +896,7 @@ class Planner:
         for expr in group_exprs:
             self._bind(expr, top.schema, pctx)
         group_positions = {
-            fingerprint(expr): i for i, expr in enumerate(group_exprs)
+            expr.fingerprint(): i for i, expr in enumerate(group_exprs)
         }
         registry = AggRegistry(len(group_exprs))
 

@@ -11,25 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.engine.errors import PlanError
-from repro.engine.expr import (
-    AggCall,
-    BetweenExpr,
-    BinOp,
-    CaseExpr,
-    ColumnRef,
-    DateArithExpr,
-    Expr,
-    ExtractExpr,
-    FuncCall,
-    InListExpr,
-    InputRef,
-    IsNullExpr,
-    LikeExpr,
-    NegExpr,
-    NotExpr,
-    SubqueryExpr,
-)
-from repro.engine.plan.fingerprint import fingerprint
+from repro.engine.expr import AggCall, ColumnRef, Expr, InputRef
 
 Mapper = Callable[[Expr], Expr | None]
 
@@ -39,35 +21,7 @@ def rewrite(expr: Expr, mapper: Mapper) -> Expr:
     replacement = mapper(expr)
     if replacement is not None:
         return replacement
-    if isinstance(expr, BinOp):
-        expr.left = rewrite(expr.left, mapper)
-        expr.right = rewrite(expr.right, mapper)
-    elif isinstance(expr, (NotExpr, NegExpr, IsNullExpr, ExtractExpr)):
-        expr.operand = rewrite(expr.operand, mapper)
-    elif isinstance(expr, BetweenExpr):
-        expr.operand = rewrite(expr.operand, mapper)
-        expr.low = rewrite(expr.low, mapper)
-        expr.high = rewrite(expr.high, mapper)
-    elif isinstance(expr, InListExpr):
-        expr.operand = rewrite(expr.operand, mapper)
-        expr.items = [rewrite(item, mapper) for item in expr.items]
-    elif isinstance(expr, LikeExpr):
-        expr.operand = rewrite(expr.operand, mapper)
-        expr.pattern = rewrite(expr.pattern, mapper)
-    elif isinstance(expr, CaseExpr):
-        expr.branches = [
-            (rewrite(cond, mapper), rewrite(value, mapper))
-            for cond, value in expr.branches
-        ]
-        if expr.default is not None:
-            expr.default = rewrite(expr.default, mapper)
-    elif isinstance(expr, DateArithExpr):
-        expr.date_expr = rewrite(expr.date_expr, mapper)
-    elif isinstance(expr, FuncCall):
-        expr.args = [rewrite(arg, mapper) for arg in expr.args]
-    elif isinstance(expr, SubqueryExpr):
-        if expr.operand is not None:
-            expr.operand = rewrite(expr.operand, mapper)
+    expr.map_parts(lambda part: rewrite(part, mapper))
     return expr
 
 
@@ -80,7 +34,7 @@ class AggRegistry:
         self._by_fingerprint: dict[tuple, int] = {}
 
     def position_of(self, call: AggCall) -> int:
-        key = fingerprint(call)
+        key = call.fingerprint()
         index = self._by_fingerprint.get(key)
         if index is None:
             index = len(self.calls)
@@ -103,7 +57,7 @@ def rewrite_for_aggregation(
     """
 
     def mapper(node: Expr) -> Expr | None:
-        key_position = group_positions.get(fingerprint(node))
+        key_position = group_positions.get(node.fingerprint())
         if key_position is not None and not isinstance(node, AggCall):
             return InputRef(key_position)
         if isinstance(node, AggCall):

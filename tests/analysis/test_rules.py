@@ -273,6 +273,10 @@ def test_predicate_fingerprint_matches_shared_plan(schema):
         predicate_fingerprint(hi, schema)
     assert predicate_fingerprint(hi, schema) == \
         predicate_fingerprint(literal_93, schema)
+    # the plan_fingerprint string R004 publishes (client, then audat)
+    assert repr(predicate_fingerprint(lo, schema)) == (
+        "('bin', 'AND', ('bin', '=', ('col', 0), ('param', 0)), "
+        "('bin', '>=', ('col', 1), ('param', 1)))")
     different = parse_open_sql(
         "SELECT vbeln FROM vbak WHERE audat >= :lo AND netwr > :n")
     assert predicate_fingerprint(different, schema) != \

@@ -52,7 +52,7 @@ class TestColumnResolution:
 
     def test_ambiguous_column(self):
         schema = OutputSchema([("x", "k"), ("y", "k")])
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="ambiguous column k"):
             ColumnRef(None, "k").bind(schema)
 
     def test_qualified_disambiguates(self):

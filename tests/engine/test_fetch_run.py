@@ -8,7 +8,7 @@ database running the reference, every statement must leave the same
 matches, the same ``repr(clock.now)``, every counter, the buffer pool's
 LRU order and the same WAL bytes — also where only the row path can say
 what happens: a predicate raising at candidate *k*, a deadline armed
-over the statement, a lane sink, a dead rowid, a subquery, LSM.
+over the statement, a lane sink, a dead rowid, LSM.
 """
 
 import bisect
@@ -22,9 +22,10 @@ from repro.engine import Column, Database, SqlType, TableSchema
 from repro.engine.errors import (
     ConstraintError,
     ExecutionError,
+    PlanError,
     StatementTimeout,
 )
-from repro.engine.expr import OutputSchema, SubqueryExpr, split_conjuncts
+from repro.engine.expr import OutputSchema, split_conjuncts
 from repro.engine.index import make_key
 from repro.engine.plan.access import eq_sarg_value
 from repro.engine.plan.binder import bind_expr
@@ -359,28 +360,14 @@ def test_a_dead_rowid_in_the_run_raises_where_its_read_does(sql, params):
 
 
 def test_a_subquery_in_the_predicate_keeps_the_row_path():
+    # DML binds its predicate without a subquery compiler, so a subquery
+    # fails the statement before either path fetches or charges a row
     run_db, row_db = loaded(KEY_ORDER, set())
-    counts = []
+    sql = "DELETE FROM t WHERE m = ? AND obj = ? AND EXISTS (SELECT 1 FROM t)"
     for db in (run_db, row_db):
-        table = db.catalog.table("t")
-        stmt = parse_sql("DELETE FROM t WHERE m = ? AND obj = ? "
-                         "AND EXISTS (SELECT 1 FROM t)")
-        subquery, = [node for node in stmt.where.walk()
-                     if isinstance(node, SubqueryExpr)]
-        seen = []
-
-        def executor(row, params, db=db, seen=seen):
-            # what a subquery plan does between two rows: read the clock
-            seen.append((db.metrics.get("table.t.tuples_fetched"),
-                         repr(db.clock.now)))
-            return row[2] < "n0003"
-
-        subquery.executor = executor
-        matches = db._matching_rowids(table, stmt.where, ("100", "VBBP"))
-        assert matches == [0, 1, 2]
-        counts.append(seen)
-    assert counts[0] == counts[1]
-    assert [fetched for fetched, _now in counts[0]] == list(range(1, 201))
+        with pytest.raises(PlanError, match="without a compiler"):
+            db.execute(sql, ("100", "VBBP"))
+        assert db.metrics.get("table.t.tuples_fetched") == 0
     assert observed(run_db) == observed(row_db)
 
 

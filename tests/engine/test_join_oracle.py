@@ -158,3 +158,7 @@ def test_group_by_agrees_with_sqlite(storage, degree):
         sql = _grouped(rng)
         got = _numbers(db.execute(sql).rows)
         assert got == _numbers(oracle.execute(sql).fetchall()), sql
+    # two aggregates apart only by a literal's type: no SUM, so the
+    # numbers keep their types
+    sql = "SELECT MAX(a * 1), MAX(a * 1.0) FROM t1"
+    assert repr(db.execute(sql).rows) == repr(oracle.execute(sql).fetchall())
