@@ -161,7 +161,8 @@ class Database:
         #: untraced run so tracing costs nothing once it is switched off
         self._profiled_roots: list = []
         #: always-on workload monitor (disabled by default, zero-tick)
-        self.monitor = WorkloadMonitor(self.clock, self.metrics)
+        self.monitor = WorkloadMonitor(self.clock, self.metrics,
+                                       tracer=self.tracer)
         #: version-checked partition overlays for parallel scans
         self.partitions = PartitionManager(self.ctx)
         self._partition_choices: dict[str, tuple[str, str]] = {}
@@ -177,9 +178,8 @@ class Database:
             #: remembered so Database.open reopens with the same backend
             wal_store.storage = storage
             self.wal = WriteAheadLog(wal_store, self.clock, self.metrics,
-                                     self.disk, self.params)
+                                     self.disk, self.params, self.tracer)
             self.wal.snapshot_provider = self._snapshot_for_checkpoint
-            self.wal.monitor = self.monitor
         if storage == "lsm":
             # Monitor gauge: pending L0 segments across all tables.
             # Only attached for LSM databases, so heap-only runs stay
@@ -328,8 +328,7 @@ class Database:
 
     def _plan(self, stmt: SelectStmt, sql: str | None = None) -> PlannedQuery:
         self.metrics.count("db.plans")
-        with self.monitor.layer("engine"), \
-                self.tracer.span("db.plan", sql=sql):
+        with self.tracer.span("db.plan", layer="engine", sql=sql):
             self.clock.charge(self.params.plan_cpu_s)
             return self._planner.plan_select(stmt)
 
@@ -344,7 +343,7 @@ class Database:
                 for root in self._profiled_roots:
                     detach_profile(root)
                 self._profiled_roots.clear()
-            with self.monitor.layer("engine"):
+            with tracer.layer("engine"):
                 rows = plan.operator.materialize(params)
             return Result(plan.column_names, rows)
         # EXPLAIN ANALYZE mode: instrument the plan (idempotent; the
@@ -354,8 +353,7 @@ class Database:
         if getattr(plan.operator, "_profile", None) is None:
             self._profiled_roots.append(plan.operator)
         profile = attach_profile(plan.operator, self.clock, self.metrics)
-        with tracer.span("db.query", sql=sql) as span, \
-                self.monitor.layer("engine"):
+        with tracer.span("db.query", layer="engine", sql=sql) as span:
             rows = list(plan.operator.rows(params))
             span.set(rows=len(rows), profile=profile)
         return Result(plan.column_names, rows)
@@ -364,9 +362,8 @@ class Database:
 
     def _execute_dml(self, stmt, params: Sequence[object],
                      sql: str | None = None) -> Result:
-        with self.tracer.span("db.dml", sql=sql,
-                              kind=type(stmt).__name__) as span, \
-                self.monitor.layer("engine"):
+        with self.tracer.span("db.dml", layer="engine", sql=sql,
+                              kind=type(stmt).__name__) as span:
             wal = self.wal
             if wal is not None and not wal.in_txn and not wal.dead \
                     and not wal.recovering:

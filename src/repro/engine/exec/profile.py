@@ -33,12 +33,11 @@ _PAGE_COUNTERS = ("disk.seq_reads", "disk.random_reads")
 class OperatorProfile:
     """Accumulated execution statistics for one plan operator."""
 
-    __slots__ = ("label", "depth", "loops", "rows_out", "pages_read",
+    __slots__ = ("label", "loops", "rows_out", "pages_read",
                  "inclusive_s", "children")
 
-    def __init__(self, label: str, depth: int) -> None:
+    def __init__(self, label: str) -> None:
         self.label = label
-        self.depth = depth
         #: times the operator was opened (executions of the plan, or
         #: rescans when a parent re-opens its input)
         self.loops = 0
@@ -75,17 +74,6 @@ class OperatorProfile:
             "children": [child.to_dict() for child in self.children],
         }
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [
-            f"{pad}{self.label}  loops={self.loops} rows={self.rows_out} "
-            f"pages={self.pages_read:g} incl={self.inclusive_s:.6f}s "
-            f"excl={self.exclusive_s:.6f}s"
-        ]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
-
 
 def _pages(metrics: MetricsCollector) -> float:
     return sum(metrics.get(name) for name in _PAGE_COUNTERS)
@@ -98,8 +86,8 @@ def attach_profile(root: Operator, clock: SimulatedClock,
     if existing is not None:
         return existing
 
-    def wrap(op: Operator, depth: int) -> OperatorProfile:
-        profile = OperatorProfile(op.describe(), depth)
+    def wrap(op: Operator) -> OperatorProfile:
+        profile = OperatorProfile(op.describe())
         original_rows = op.rows
 
         def rows(params: Sequence[object],
@@ -133,10 +121,10 @@ def attach_profile(root: Operator, clock: SimulatedClock,
             Operator.materialize, op)
         op._profile = profile  # type: ignore[attr-defined]
         for child in op.child_operators():
-            profile.children.append(wrap(child, depth + 1))
+            profile.children.append(wrap(child))
         return profile
 
-    return wrap(root, 0)
+    return wrap(root)
 
 
 def detach_profile(root: Operator) -> None:

@@ -47,6 +47,7 @@ from repro.sim.clock import SimulatedClock
 from repro.sim.disk import DiskModel
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
+from repro.trace.tracer import Tracer
 
 # -- record kinds ------------------------------------------------------------
 
@@ -395,6 +396,7 @@ class WriteAheadLog:
         metrics: MetricsCollector,
         disk: DiskModel,
         params: SimParams,
+        tracer: Tracer,
     ) -> None:
         self.store = store
         self._clock = clock
@@ -403,8 +405,8 @@ class WriteAheadLog:
         self._params = params
         #: optional FaultInjector; drives crash/torn-write injection
         self.faults = None
-        #: optional WorkloadMonitor; flushes run under its commit layer
-        self.monitor = None
+        #: flushes run under its ``commit`` layer
+        self.tracer = tracer
         #: set once a SimulatedCrash killed this engine instance
         self.dead = False
         #: set while recovery replays history (suppresses re-logging)
@@ -553,11 +555,8 @@ class WriteAheadLog:
         """
         if self.dead or not self._buffer:
             return
-        if self.monitor is None:
+        with self.tracer.layer("commit"):
             self._flush_buffer()
-        else:
-            with self.monitor.layer("commit"):
-                self._flush_buffer()
 
     def _flush_buffer(self) -> None:
         buffered = self._buffer

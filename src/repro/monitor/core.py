@@ -4,8 +4,10 @@ One :class:`WorkloadMonitor` lives on every engine (and is shared by
 the R/3 system wrapped around it, exactly like the clock and metrics).
 Three collection surfaces:
 
-* **Layer accounting** — instrumented code wraps its work in
-  ``with monitor.layer("dbif"):`` blocks.  Attribution is *exclusive*
+* **Layer accounting** — the monitor reads the layer stack of the
+  Database's :class:`~repro.trace.tracer.Tracer` (instrumented code
+  declares ``tracer.span(..., layer="dbif")`` or
+  ``tracer.layer("rollin")``).  Attribution is *exclusive*
   top-of-stack: at any simulated instant the elapsed ticks belong to
   the innermost open layer, so nesting (engine inside DBIF inside the
   dialog step's base ABAP layer, WAL commit inside engine) decomposes a
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.monitor.alerts import AlertEngine, default_alert_rules
-from repro.trace.tracer import NOOP_SPAN
+from repro.trace.tracer import Tracer
 
 #: the layers a STAT record decomposes a dialog step into, in report order
 STEP_LAYERS = ("rollin", "rollout", "abap", "dbif", "engine", "commit")
@@ -63,29 +65,6 @@ _RATE_GAUGES = (
 
 _WHITESPACE = re.compile(r"\s+")
 
-
-#: the disabled-mode return of ``layer()``: the tracer's shared no-op
-#: (identity-testable, never allocates)
-NOOP_LAYER = NOOP_SPAN
-
-
-class _Layer:
-    """Reusable push/pop token for one layer name (state lives in the
-    monitor, so one token per name serves arbitrarily nested blocks)."""
-
-    __slots__ = ("_monitor", "_name")
-
-    def __init__(self, monitor: "WorkloadMonitor", name: str) -> None:
-        self._monitor = monitor
-        self._name = name
-
-    def __enter__(self) -> "_Layer":
-        self._monitor._push(self._name)
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self._monitor._pop(self._name)
-        return False
 
 
 @dataclass
@@ -253,9 +232,12 @@ class WorkloadMonitor:
                  series_capacity: int = 512,
                  statement_capacity: int = 512,
                  sample_interval_s: float = 1.0,
-                 rules=None) -> None:
+                 rules=None, tracer: Tracer | None = None) -> None:
         self._clock = clock
         self._metrics = metrics
+        #: the layer stack the STAT records read (the Database's tracer;
+        #: a bare monitor makes its own)
+        self.tracer = tracer if tracer is not None else Tracer(clock, metrics)
         self.enabled = False
         self.stat_capacity = stat_capacity
         self.series_capacity = series_capacity
@@ -266,10 +248,6 @@ class WorkloadMonitor:
         self.series: dict[str, RingSeries] = {}
         self.alerts = AlertEngine(
             list(rules) if rules is not None else default_alert_rules())
-        self._tokens: dict[str, _Layer] = {}
-        self._stack: list[str] = []
-        self._last_mark = 0.0
-        self._totals: dict[str, float] = {}
         self._step: _OpenStep | None = None
         self._seq = 0
         self._window_snap = None
@@ -280,17 +258,20 @@ class WorkloadMonitor:
 
     def enable(self) -> "WorkloadMonitor":
         if not self.enabled:
+            self.tracer._start()
+            self.tracer.monitored = True
             self.enabled = True
-            self._last_mark = self._clock.now
             self._window_snap = self._metrics.snapshot()
             self._last_sample_t = self._clock.now
         return self
 
     def disable(self) -> "WorkloadMonitor":
-        """Stop collecting.  Open layer state is discarded; a step that
-        is still open is abandoned (its record is never written)."""
+        """Stop collecting.  A step that is still open is abandoned (its
+        record is never written); the open layers are discarded unless
+        the tracer, still enabled, reads them."""
         self.enabled = False
-        self._stack.clear()
+        self.tracer.monitored = False
+        self.tracer._stop()
         self._step = None
         return self
 
@@ -304,40 +285,6 @@ class WorkloadMonitor:
         """
         self._sources[name] = fn
 
-    # -- layer accounting ------------------------------------------------
-
-    def layer(self, name: str):
-        """Context manager attributing enclosed ticks to ``name``."""
-        if not self.enabled:
-            return NOOP_LAYER
-        token = self._tokens.get(name)
-        if token is None:
-            token = self._tokens[name] = _Layer(self, name)
-        return token
-
-    def _settle(self) -> None:
-        now = self._clock.now
-        if self._stack:
-            elapsed = now - self._last_mark
-            if elapsed:
-                top = self._stack[-1]
-                self._totals[top] = self._totals.get(top, 0.0) + elapsed
-        self._last_mark = now
-
-    def _push(self, name: str) -> None:
-        self._settle()
-        self._stack.append(name)
-
-    def _pop(self, name: str) -> None:
-        self._settle()
-        if self._stack and self._stack[-1] == name:
-            self._stack.pop()
-        elif name in self._stack:
-            # Unbalanced exit (an exception unwound past an inner
-            # layer): drop everything above, keep accounting sane.
-            while self._stack.pop() != name:
-                pass
-
     # -- STAT records ----------------------------------------------------
 
     def begin_step(self, task: str, label: str, stream: int = 0,
@@ -348,9 +295,10 @@ class WorkloadMonitor:
         are suppressed so the outer record owns the whole window)."""
         if not self.enabled or self._step is not None:
             return None
-        self._push("abap")
+        tracer = self.tracer
+        tracer._push("abap")
         step = _OpenStep(task, label, stream, wp, queue_wait_s,
-                         self._clock.now, dict(self._totals),
+                         self._clock.now, dict(tracer.totals),
                          server=server)
         self._step = step
         return step
@@ -359,12 +307,13 @@ class WorkloadMonitor:
         """Close a step, append its :class:`StatRecord` to the ring."""
         if step is None or step is not self._step:
             return None
-        self._pop("abap")
+        tracer = self.tracer
+        tracer._pop("abap")
         self._step = None
         now = self._clock.now
         base = step.base
         deltas = {
-            name: self._totals.get(name, 0.0) - base.get(name, 0.0)
+            name: tracer.totals.get(name, 0.0) - base.get(name, 0.0)
             for name in STEP_LAYERS
         }
         self._seq += 1

@@ -187,8 +187,8 @@ class DatabaseInterface:
         it returns executes the statement with ``params``."""
         r3 = self._r3
         monitor = r3.monitor
-        with r3.tracer.span("dbif.call", mode=mode, sql=sql) as span, \
-                monitor.layer("dbif"):
+        with r3.tracer.span("dbif.call", layer="dbif", mode=mode,
+                            sql=sql) as span:
             started_at = r3.clock.now if monitor.enabled else 0.0
             self.breaker.before_call()
             try:

@@ -80,7 +80,7 @@ class WorkProcess:
         span = r3.clock.span()
         try:
             if rollin_s:
-                with r3.monitor.layer("rollin"):
+                with r3.tracer.layer("rollin"):
                     r3.clock.charge(rollin_s)
                 r3.metrics.count("dispatcher.rollin_s", rollin_s)
             if r3.faults is not None:
@@ -92,7 +92,7 @@ class WorkProcess:
                     raise
             value = fn()
             if rollout_s:
-                with r3.monitor.layer("rollout"):
+                with r3.tracer.layer("rollout"):
                     r3.clock.charge(rollout_s)
                 r3.metrics.count("dispatcher.rollout_s", rollout_s)
         except WorkProcessCrash:

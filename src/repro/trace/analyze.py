@@ -4,27 +4,27 @@ The :class:`TraceAnalyzer` turns a raw span tree into the paper-style
 decomposition: for every ``power.query`` span it splits the inclusive
 simulated time into
 
-* **app-server** — ABAP interpreter, decode, internal tables, report
-  logic (everything above the database interface),
+* **engine** — planning, plan execution and WAL commit inside the
+  RDBMS (the span's ``engine`` and ``commit`` layer seconds),
 * **DBIF** — round-trip latency, cursor cache, tuple shipping, backoff
-  (``dbif.call`` time minus the engine work nested inside it),
-* **engine** — planning + plan execution inside the RDBMS
-  (``db.plan`` / ``db.query`` / ``db.dml`` spans), and
+  (its ``dbif`` layer seconds),
+* **app-server** — ABAP interpreter, decode, internal tables, report
+  logic: the remainder, everything above the database interface, and
 * **disk** — the page-transfer seconds charged by the disk model (a
   sub-component of engine time, reported from span counter deltas).
 
-``app + dbif + engine == total`` holds exactly by construction; disk
-is informational ("of which disk").  On top of the per-query rows the
-analyzer aggregates the EXPLAIN ANALYZE operator profiles attached to
-``db.query`` spans into a top-N hottest-operator list.
+The layer seconds are the tracer's layer stack read at the span's
+entry and exit — the stack the monitor's STAT records read — so the
+two decompositions are one.  ``app + dbif + engine == total`` holds by
+construction; disk is informational ("of which disk").  On top of the
+per-query rows the analyzer aggregates the EXPLAIN ANALYZE operator
+profiles attached to ``db.query`` spans into a top-N hottest-operator
+list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: engine-tier span names (never nested inside each other)
-_DB_SPAN_NAMES = frozenset({"db.query", "db.plan", "db.dml"})
 
 
 @dataclass
@@ -83,14 +83,6 @@ class OperatorTotals:
         }
 
 
-@dataclass
-class _LayerSums:
-    dbif_incl: float = 0.0
-    db_under_dbif: float = 0.0
-    db_direct: float = 0.0
-    dbif_calls: int = 0
-
-
 class TraceAnalyzer:
     """Aggregations over one tracer's span tree."""
 
@@ -106,72 +98,25 @@ class TraceAnalyzer:
         for span in self.tracer.iter_spans():
             if span.name != "power.query":
                 continue
-            sums = _LayerSums()
-            self._collect_children(span.children, False, sums)
+            layers = span.layers
             total = span.elapsed_s
-            engine = sums.db_under_dbif + sums.db_direct
-            dbif = sums.dbif_incl - sums.db_under_dbif
-            app = total - sums.dbif_incl - sums.db_direct
+            engine = layers.get("engine", 0.0) + layers.get("commit", 0.0)
+            dbif = layers.get("dbif", 0.0)
             out.append(QueryBreakdown(
                 name=str(span.attrs.get("name", "?")),
                 variant=str(span.attrs.get("variant", "?")),
                 total_s=total,
-                app_s=app,
+                app_s=total - engine - dbif,
                 dbif_s=dbif,
                 engine_s=engine,
                 disk_s=span.counters.get("disk.time_s", 0.0),
                 roundtrips=span.counters.get("dbif.roundtrips", 0),
-                dbif_calls=sums.dbif_calls,
+                dbif_calls=sum(1 for s in span.walk()
+                               if s.name == "dbif.call"),
                 tuples_shipped=span.counters.get("dbif.tuples_shipped", 0),
                 failed=bool(span.attrs.get("failed", False)),
             ))
         return out
-
-    def _collect(self, span, inside_dbif: bool, sums: _LayerSums) -> None:
-        if span.name == "dbif.call":
-            sums.dbif_incl += span.elapsed_s
-            sums.dbif_calls += 1
-            inside_dbif = True
-        elif span.name in _DB_SPAN_NAMES:
-            if inside_dbif:
-                sums.db_under_dbif += span.elapsed_s
-            else:
-                sums.db_direct += span.elapsed_s
-            # db spans never nest in each other; no need to recurse for
-            # layer accounting, but keep walking for dbif sanity.
-            return
-        self._collect_children(span.children, inside_dbif, sums)
-
-    def _collect_children(self, children, inside_dbif: bool,
-                          sums: _LayerSums) -> None:
-        """Walk child spans; concurrent siblings contribute max, not sum.
-
-        Worker-lane spans (``parallel=True``) under one parent ran
-        concurrently on the simulated time axis, so adding their layer
-        seconds would overcount against the parent's wall-clock.  Lane
-        siblings are grouped by their ``phase`` attribute (a barrier
-        separates phases, making phases sequential) and each group
-        folds its per-lane time fields via max — the straggler lane
-        sets the group's contribution — while discrete counts such as
-        ``dbif_calls`` still add across lanes.
-        """
-        lane_groups: dict[object, list] = {}
-        for child in children:
-            if child.attrs.get("parallel"):
-                lane_groups.setdefault(
-                    child.attrs.get("phase"), []).append(child)
-            else:
-                self._collect(child, inside_dbif, sums)
-        for lanes in lane_groups.values():
-            per_lane = []
-            for lane in lanes:
-                lane_sums = _LayerSums()
-                self._collect(lane, inside_dbif, lane_sums)
-                per_lane.append(lane_sums)
-            sums.dbif_incl += max(s.dbif_incl for s in per_lane)
-            sums.db_under_dbif += max(s.db_under_dbif for s in per_lane)
-            sums.db_direct += max(s.db_direct for s in per_lane)
-            sums.dbif_calls += sum(s.dbif_calls for s in per_lane)
 
     # -- operator profiles -------------------------------------------------
 

@@ -68,8 +68,8 @@ def unmonitored():
 class TestLayerAccounting:
     def test_disabled_layer_is_the_noop_singleton(self):
         monitor, _clock, _metrics = _bare_monitor()
-        assert monitor.layer("dbif") is NOOP_LAYER
-        assert monitor.layer("engine") is NOOP_LAYER
+        assert monitor.tracer.layer("dbif") is NOOP_LAYER
+        assert monitor.tracer.layer("engine") is NOOP_LAYER
 
     def test_begin_step_disabled_returns_none(self):
         monitor, _clock, _metrics = _bare_monitor()
@@ -81,11 +81,11 @@ class TestLayerAccounting:
         monitor.enable()
         step = monitor.begin_step("dialog", "q1", wp="D0")
         clock.charge(1.0)                    # abap
-        with monitor.layer("dbif"):
+        with monitor.tracer.layer("dbif"):
             clock.charge(2.0)                # dbif
-            with monitor.layer("engine"):
+            with monitor.tracer.layer("engine"):
                 clock.charge(3.0)            # engine
-                with monitor.layer("commit"):
+                with monitor.tracer.layer("commit"):
                     clock.charge(0.25)       # commit
             clock.charge(1.0)                # dbif again
         clock.charge(0.5)                    # abap again
@@ -105,9 +105,9 @@ class TestLayerAccounting:
         step = monitor.begin_step("dialog", "q", queue_wait_s=0.1)
         for amount in (0.1, 0.2, 0.3, 0.7, 1e-9, 0.111111):
             clock.charge(amount)
-            with monitor.layer("dbif"):
+            with monitor.tracer.layer("dbif"):
                 clock.charge(amount / 3)
-                with monitor.layer("engine"):
+                with monitor.tracer.layer("engine"):
                     clock.charge(amount / 7)
         record = monitor.end_step(step)
         assert record.decomposed_s() == record.response_s
@@ -125,11 +125,11 @@ class TestLayerAccounting:
     def test_unbalanced_exit_recovers_stack(self):
         monitor, clock, _metrics = _bare_monitor()
         monitor.enable()
-        monitor._push("dbif")
-        monitor._push("engine")
+        monitor.tracer._push("dbif")
+        monitor.tracer._push("engine")
         clock.charge(1.0)
-        monitor._pop("dbif")  # exception unwound past "engine"
-        assert monitor._stack == []
+        monitor.tracer._pop("dbif")  # exception unwound past "engine"
+        assert monitor.tracer._stack == []
 
     def test_disable_mid_step_abandons_the_record(self):
         monitor, clock, metrics = _bare_monitor()

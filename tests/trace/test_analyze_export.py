@@ -1,22 +1,23 @@
-"""TraceAnalyzer layer algebra and the JSON/Chrome exporters."""
+"""TraceAnalyzer layer breakdowns and the JSON/Chrome exporters."""
 
 import pytest
 
 from repro.engine.exec.profile import OperatorProfile
-from repro.sim.clock import LaneSink, SimulatedClock
+from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 from repro.trace import TraceAnalyzer, Tracer, to_chrome, to_json
 
 
 def traced_query(with_profile=False):
     """A hand-built power.query: ABAP work, one DBIF call wrapping
-    engine work, and one direct engine call (the rdbms idiom)."""
+    engine work, and one direct engine call (the rdbms idiom).  Each
+    span declares its layer, as the program's spans do."""
     clock = SimulatedClock()
     metrics = MetricsCollector()
     tracer = Tracer(clock, metrics, enabled=True)
     profile = None
     if with_profile:
-        profile = OperatorProfile("SeqScan(lineitem)", 0)
+        profile = OperatorProfile("SeqScan(lineitem)")
         profile.loops = 1
         profile.rows_out = 50
         profile.pages_read = 8.0
@@ -24,15 +25,15 @@ def traced_query(with_profile=False):
     with tracer.span("power.query", capture_metrics=True,
                      name="Q3", variant="open"):
         clock.charge(1.0)                      # app-server work
-        with tracer.span("dbif.call", mode="param"):
+        with tracer.span("dbif.call", layer="dbif", mode="param"):
             clock.charge(0.5)                  # shipping / latency
-            with tracer.span("db.query") as dbspan:
+            with tracer.span("db.query", layer="engine") as dbspan:
                 metrics.count("disk.time_s", 1.5)
                 clock.charge(2.5)              # engine incl. disk
                 if profile is not None:
                     dbspan.set(profile=profile)
             clock.charge(0.25)                 # more DBIF overhead
-        with tracer.span("db.query"):          # direct (no DBIF)
+        with tracer.span("db.query", layer="engine"):  # direct (no DBIF)
             clock.charge(0.75)
         clock.charge(0.5)                      # app-server epilogue
         metrics.count("dbif.roundtrips", 3)
@@ -52,60 +53,6 @@ class TestLayerAlgebra:
         assert b.disk_s == pytest.approx(1.5)
         assert b.roundtrips == 3
         assert b.dbif_calls == 1
-
-    def test_parallel_lane_siblings_fold_as_max(self):
-        """Concurrent worker-lane spans contribute their slowest lane,
-        not their sum — the layer identity must survive parallelism."""
-        clock = SimulatedClock()
-        metrics = MetricsCollector()
-        tracer = Tracer(clock, metrics, enabled=True)
-        lane_costs = ((0.2, 0.6), (0.1, 0.3))  # (dbif ship, engine) per lane
-        with tracer.span("power.query", name="Q6", variant="rdbms"):
-            clock.charge(1.0)                  # app-server prologue
-            with tracer.span("exec.fragment", operator="Gather"):
-                sinks = []
-                for index, (ship, engine) in enumerate(lane_costs):
-                    sink = LaneSink()
-                    sinks.append(sink)
-                    with clock.redirect(sink):
-                        with tracer.span("exec.lane", lane=index,
-                                         parallel=True):
-                            with tracer.span("dbif.call"):
-                                clock.charge(ship)
-                                with tracer.span("db.query"):
-                                    clock.charge(engine)
-                clock.charge(max(s.seconds for s in sinks))  # barrier
-            clock.charge(0.2)                  # app-server epilogue
-        analyzer = TraceAnalyzer(tracer)
-        b, = analyzer.query_breakdowns()
-        assert b.total_s == pytest.approx(2.0)     # 1.0 + max(0.8) + 0.2
-        assert b.engine_s == pytest.approx(0.6)    # slowest lane's engine
-        assert b.dbif_s == pytest.approx(0.2)      # slowest lane's shipping
-        assert b.dbif_calls == 2                   # discrete counts still add
-        # The identity holds even though the lanes overlap on the time
-        # axis; summing the lanes would have produced app + dbif +
-        # engine = 2.9 against a 2.0 total.
-        assert b.app_s + b.dbif_s + b.engine_s == pytest.approx(b.total_s)
-
-    def test_sequential_phases_fold_per_phase(self):
-        """Lane groups with distinct phase attrs (a barrier between
-        them) contribute the sum of per-phase maxima."""
-        clock = SimulatedClock()
-        tracer = Tracer(clock, MetricsCollector(), enabled=True)
-        with tracer.span("power.query", name="Q3", variant="rdbms"):
-            with tracer.span("exec.fragment", operator="ParallelHashJoin"):
-                for phase, costs in ((1, (0.4, 0.1)), (2, (0.1, 0.3))):
-                    for index, cost in enumerate(costs):
-                        with clock.redirect(LaneSink()):
-                            with tracer.span("exec.lane", lane=index,
-                                             phase=phase, parallel=True):
-                                with tracer.span("db.query"):
-                                    clock.charge(cost)
-                    clock.charge(max(costs))   # per-phase barrier
-        b, = TraceAnalyzer(tracer).query_breakdowns()
-        assert b.total_s == pytest.approx(0.7)
-        assert b.engine_s == pytest.approx(0.7)    # max(phase1) + max(phase2)
-        assert b.app_s == pytest.approx(0.0)
 
     def test_summary_totals(self):
         summary = TraceAnalyzer(traced_query()).summary()

@@ -1,12 +1,10 @@
 """The tracer and the monitor decompose one run the same way.
 
-Both read the same clock around the same blocks: the span tree
-(``TraceAnalyzer.query_breakdowns``) and the exclusive layer stack (one
-STAT record per step) must put every simulated second of a power-test
-step in the same layer.  They did not while ``Database._plan`` charged
-the plan CPU inside the monitor's ``engine`` layer but before it opened
-the ``db.plan`` span: every plan moved ``plan_cpu_s`` from the engine to
-the DBIF (or, without an R/3 system, to the application) in the trace.
+Both read one layer stack, the tracer's: the span tree
+(``TraceAnalyzer.query_breakdowns``) and the STAT records (one per
+step) must put every simulated second of a power-test step in the same
+layer, exactly, serial or parallel.  A tracer-alone run counts the same
+layers, so its breakdowns are the traced-and-monitored run's.
 """
 
 import pytest
@@ -18,6 +16,12 @@ from repro.trace import TraceAnalyzer
 
 SF = 0.0005
 VARIANTS = ("rdbms", "native", "open")
+#: (release, degree); the serial cases keep their ids
+CASES = pytest.mark.parametrize(
+    "version, degree",
+    [(R3Version.V22, 1), (R3Version.V30, 1),
+     (R3Version.V22, 4), (R3Version.V30, 4)],
+    ids=["2.2", "3.0", "2.2-degree4", "3.0-degree4"])
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +29,25 @@ def tiny_data():
     return generate(SF)
 
 
-@pytest.mark.parametrize("version", [R3Version.V22, R3Version.V30],
-                         ids=["2.2", "3.0"])
-def test_trace_and_stat_agree_on_every_step(tiny_data, version):
-    result = run_power_test(SF, version, variants=VARIANTS, data=tiny_data,
-                            tracing=True, monitoring=True)
+@pytest.fixture(scope="module")
+def power_runs(tiny_data):
+    """One power test per (release, degree, monitoring), run once."""
+    runs = {}
+
+    def run(version, degree, monitoring):
+        key = (version, degree, monitoring)
+        if key not in runs:
+            runs[key] = run_power_test(
+                SF, version, variants=VARIANTS, data=tiny_data,
+                degree=degree, tracing=True, monitoring=monitoring)
+        return runs[key]
+
+    return run
+
+
+@CASES
+def test_trace_and_stat_agree_on_every_step(power_runs, version, degree):
+    result = power_runs(version, degree, True)
     for variant in VARIANTS:
         breakdowns = TraceAnalyzer(result.traces[variant]) \
             .query_breakdowns()
@@ -37,14 +55,26 @@ def test_trace_and_stat_agree_on_every_step(tiny_data, version):
         assert [b.name for b in breakdowns] == [s.label for s in stats]
         assert len(breakdowns) >= 17
         for trace, stat in zip(breakdowns, stats):
-            step = (version.value, variant, trace.name)
-            assert trace.engine_s == pytest.approx(
-                stat.engine_s + stat.commit_s, abs=1e-9), step
-            assert trace.dbif_s == pytest.approx(
-                stat.dbif_s, abs=1e-9), step
-            assert trace.app_s == pytest.approx(
-                stat.abap_s + stat.rollin_s + stat.rollout_s,
-                abs=1e-9), step
+            step = (version.value, degree, variant, trace.name)
+            assert trace.engine_s == stat.engine_s + stat.commit_s, step
+            assert trace.dbif_s == stat.dbif_s, step
+            assert trace.app_s == \
+                stat.abap_s + stat.rollin_s + stat.rollout_s, step
         # the spans that used to have no length hold the plan CPU now
         plan_spans = result.traces[variant].find("db.plan")
         assert plan_spans and all(s.elapsed_s > 0 for s in plan_spans)
+    if degree > 1:
+        assert any(result.traces[variant].find("exec.lane")
+                   for variant in VARIANTS)
+
+
+@CASES
+def test_tracer_alone_splits_as_when_monitored(power_runs, version, degree):
+    alone = power_runs(version, degree, False)
+    monitored = power_runs(version, degree, True)
+    assert not alone.monitors
+    for variant in VARIANTS:
+        assert [b.to_dict() for b in
+                TraceAnalyzer(alone.traces[variant]).query_breakdowns()] \
+            == [b.to_dict() for b in
+                TraceAnalyzer(monitored.traces[variant]).query_breakdowns()]
