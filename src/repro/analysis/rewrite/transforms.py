@@ -65,7 +65,7 @@ INSTALLATION_KEY_CONSTANTS: dict[str, dict[str, object]] = {
 #: bytes granted to a table buffer activated by a full_key rewrite
 BUFFER_BYTES = 1 << 22
 
-_CHARGE_METHODS = {"charge_abap", "charge_decode"}
+_CHARGE_METHODS = {"charge_abap"}
 
 
 @dataclass

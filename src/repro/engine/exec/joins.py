@@ -321,21 +321,20 @@ class HashJoin(PipelineTop, Operator):
 
 class Pipeline:
     """Hash joins followed along their probe sides (through ``Alias``,
-    with the ``Filter``s between them) down to a ``SeqScan``, under at
-    most one ``Project`` or ``GroupAggregate`` — a bare scan is the
-    zero-join pipeline: drained, one generated loop a page, depth
+    with the ``Filter``s and ``Project``s between them) down to a
+    ``SeqScan``, under at most one ``GroupAggregate`` — a bare scan is
+    the zero-join pipeline: drained, one generated loop a page, depth
     first, whose first step is the scan predicate, and which keeps a
-    row as its parts — the scan row and one build row a join — and
-    makes no tuple but the one it outputs (DESIGN.md §25), or none at
-    all when the aggregate consumes it (§26).  ``rows`` stays the row
-    path."""
+    row as its parts — the scan row and one build row a join, or the
+    last projection's values — and makes no tuple but the one it
+    outputs (DESIGN.md §25), or none at all when the aggregate consumes
+    it (§26).  ``rows`` stays the row path."""
 
     def __init__(self, top: Operator, stages: list[Operator],
                  scan: SeqScan, arity: int) -> None:
         self.top = top
-        self.project = top if type(top) is Project else None
         self.aggregate = top if type(top) is GroupAggregate else None
-        #: the joins and filters, innermost first
+        #: the joins, filters and projections, innermost first
         self.stages = stages
         self.joins = [stage for stage in stages
                       if isinstance(stage, HashJoin)]
@@ -348,21 +347,22 @@ class Pipeline:
     def of(cls, top: Operator) -> "Pipeline | None":
         """The pipeline ``top`` tops, or None for any other shape, or
         for one with a subquery, which charges between two rows."""
-        consumer = type(top) in (Project, GroupAggregate)
-        op = top.child if consumer else top
+        op = top.child if type(top) is GroupAggregate else top
         stages: list[Operator] = []
-        while type(op) in (Alias, Filter, HashJoin):
+        while type(op) in (Alias, Filter, HashJoin, Project):
             if type(op) is not Alias:
                 stages.append(op)
             op = op.probe_op if type(op) is HashJoin else op.child
         if type(op) is not SeqScan:
             return None
-        exprs = [op.predicate, *(
-            stage.residual if type(stage) is HashJoin else stage.predicate
-            for stage in stages)]
-        if type(top) is Project:
-            exprs += top.exprs
-        elif type(top) is GroupAggregate:
+        exprs = [op.predicate]
+        for stage in stages:
+            if type(stage) is Project:
+                exprs += stage.exprs
+            else:
+                exprs.append(stage.residual if type(stage) is HashJoin
+                             else stage.predicate)
+        if type(top) is GroupAggregate:
             exprs += [*top.group_exprs,
                       *(call.arg for call in top.agg_calls)]
         nodes = [node for expr in exprs if expr is not None
@@ -450,6 +450,12 @@ class Pipeline:
                     count()
                     src.require(stage.predicate, columns)
                     continue
+                if type(stage) is Project:  # counted as its row arrives
+                    counted += 1
+                    count()
+                    columns = src.values(stage.exprs, columns)
+                    parts = [f"({''.join(a + ', ' for a in columns)})"]
+                    continue
                 level += 1
                 unique, spilling = flags[level - 1]
                 if spilling:
@@ -488,11 +494,6 @@ class Pipeline:
                 counted += 1
                 count()
                 self.aggregate.consume(src, columns)
-            elif self.project is not None:
-                counted += 1
-                count()
-                atoms = src.values(self.project.exprs, columns)
-                src.line(f"emit(({''.join(a + ', ' for a in atoms)}))")
             elif not bare:
                 count()
                 src.line(f"emit({' + '.join(parts)})")

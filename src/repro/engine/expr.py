@@ -430,7 +430,8 @@ class ColumnRef(Expr):
 
         The one column resolver.  Returns True when the reference turned
         out to be correlated.  A name that matches several columns of
-        ``schema`` is ambiguous, never an outer reference.  A reference
+        ``schema`` is ambiguous, never an outer reference; so is one that
+        matches none there and several in the outer query.  A reference
         already pinned to an outer row (by the planner's correlated-sarg
         extraction) stays pinned.
         """
@@ -443,10 +444,12 @@ class ColumnRef(Expr):
             self._position = matches[0]
             return False
         if outer_schema is not None and cell is not None:
-            outer_position = outer_schema.try_resolve(self.qualifier, self.name)
-            if outer_position is not None:
+            outer = outer_schema.positions(self.qualifier, self.name)
+            if len(outer) > 1:
+                raise PlanError(f"ambiguous column {self.display_name}")
+            if outer:
                 self._outer_cell = cell
-                self._outer_position = outer_position
+                self._outer_position = outer[0]
                 return True
         raise PlanError(f"unknown column {self.display_name}")
 

@@ -10,6 +10,7 @@ clock, as in the paper's single-machine configuration.
 from __future__ import annotations
 
 import enum
+from typing import Callable, Iterable
 
 from repro.engine.database import Database
 from repro.r3.buffers import TableBufferManager
@@ -163,11 +164,32 @@ class R3System:
             self.clock.charge(self.params.abap_row_s * rows)
             self.metrics.count("abap.rows_processed", rows)
 
-    def charge_decode(self, rows: int = 1) -> None:
-        """Pool/cluster decode cost for ``rows`` logical records."""
-        if rows:
-            self.clock.charge(self.params.pool_decode_s * rows)
-            self.metrics.count("abap.rows_decoded", rows)
+    def charge_abap_each(self, rows: int) -> None:
+        """``rows`` calls of ``charge_abap(1)`` in one: a run of equal
+        additions and one count (DESIGN.md §24)."""
+        self.clock.charge_each(self.params.abap_row_s, rows,
+                               self.metrics.counts, "abap.rows_processed")
+
+    def charge_decode_each(self, rows: int) -> None:
+        """Pool/cluster decode cost for ``rows`` logical records: one
+        addition of ``pool_decode_s`` each, as :meth:`charge_abap_each`."""
+        self.clock.charge_each(self.params.pool_decode_s, rows,
+                               self.metrics.counts, "abap.rows_decoded")
+
+    def decode_each(self, decode: Callable[[str], tuple],
+                    records: Iterable[str]) -> list[tuple]:
+        """``decode`` of each pool record, each charged a decode before
+        it is decoded: one run, or, when record *i* raises, the *i* + 1
+        records up to it."""
+        decoded: list[tuple] = []
+        try:
+            for record in records:
+                decoded.append(decode(record))
+        except BaseException:
+            self.charge_decode_each(len(decoded) + 1)
+            raise
+        self.charge_decode_each(len(decoded))
+        return decoded
 
     # -- schema activation -----------------------------------------------------
 
@@ -367,17 +389,18 @@ class R3System:
                 f"SELECT vardata FROM {container.name} WHERE tabname = ?",
                 (table.name,),
             )
-            for (vardata,) in result.rows:
-                self.charge_decode()
-                yield PoolContainer.decode(table, vardata)
+            yield from self.decode_each(
+                table.decode_pool_row,
+                (vardata for (vardata,) in result.rows))
         else:
             container = self.clusters[table.container]
             result = self.dbif.execute_param(
                 f"SELECT mandt, vardata FROM {container.name}", ()
             )
             for mandt, vardata in result.rows:
-                for logical in ClusterContainer.decode_page(table, vardata):
-                    self.charge_decode()
+                page = ClusterContainer.decode_page(table, vardata)
+                self.charge_decode_each(len(page))  # a page is decoded whole
+                for logical in page:
                     yield (mandt,) + logical
 
     # -- introspection ------------------------------------------------------------

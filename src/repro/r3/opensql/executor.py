@@ -11,7 +11,8 @@ are never available on encapsulated tables — the reports must do that
 work in ABAP, which is precisely the overhead the paper measures.
 
 A text is *compiled* once (:class:`_Statement`, DESIGN.md §19); a call
-binds host variables and charges the simulated clock row by row.
+binds host variables, and an encapsulated read charges its decodes and
+ABAP rows as runs, a page or a result at a time (§24).
 """
 
 from __future__ import annotations
@@ -256,16 +257,14 @@ class OpenSql:
                     [r3.client] + [str(bound[name]) for name in probe_key])
                 params = (table.name, varkey)
             result = r3.dbif.execute_param(sql, params)
-            rows = []
             with r3.tracer.span("opensql.decode", kind="pool",
                                 table=table.name) as span:
-                client, decode = r3.client, table.decode_pool_row
-                charge_decode = r3.charge_decode
-                for (vardata,) in result.rows:
-                    charge_decode()
-                    full = decode(vardata)
-                    if full[0] == client:
-                        rows.append(full[1:])  # strip MANDT
+                client = r3.client
+                rows = [full[1:]  # strip MANDT
+                        for full in r3.decode_each(
+                            table.decode_pool_row,
+                            (vardata for (vardata,) in result.rows))
+                        if full[0] == client]
                 span.set(records=len(result.rows), rows=len(rows))
             return finish(rows, host_vars)
 
@@ -291,12 +290,12 @@ class OpenSql:
             rows = []
             with r3.tracer.span("opensql.decode", kind="cluster",
                                 table=table.name) as span:
-                decode_page, charge_decode = \
-                    ClusterContainer.decode_page, r3.charge_decode
+                decode_page, charge_decode_each = \
+                    ClusterContainer.decode_page, r3.charge_decode_each
                 for (vardata,) in result.rows:
-                    for logical in decode_page(table, vardata):
-                        charge_decode()
-                        rows.append(logical)
+                    page = decode_page(table, vardata)
+                    charge_decode_each(len(page))  # a page is decoded whole
+                    rows += page
                 span.set(pages=len(result.rows), rows=len(rows))
             return finish(rows, host_vars)
 
@@ -317,12 +316,21 @@ class OpenSql:
         limit = 1 if stmt.single else stmt.up_to
 
         def finish(rows: list[tuple], host_vars: dict) -> OSResult:
-            charge_abap = r3.charge_abap
-            filtered = []
-            for row in rows:
-                charge_abap(1)
-                if holds is None or holds(row, host_vars):
-                    filtered.append(row)
+            filtered = rows
+            if holds is not None:
+                try:
+                    filtered = [row for row in rows if holds(row, host_vars)]
+                except BaseException:
+                    # ``holds`` is pure: find the row it raises at, which
+                    # the row loop charged before it tested it
+                    for i, row in enumerate(rows):
+                        try:
+                            holds(row, host_vars)
+                        except BaseException:
+                            r3.charge_abap_each(i + 1)
+                            raise
+                    raise
+            r3.charge_abap_each(len(rows))
             if order_by:
                 # The engine's rule (exec/sort.py), so a text sorts alike on
                 # both paths: NULL first ascending, last descending; stable.
@@ -331,7 +339,7 @@ class OpenSql:
                         key=lambda row: (row[position] is not None,
                                          row[position]),
                         reverse=descending)
-                charge_abap(len(filtered))
+                r3.charge_abap(len(filtered))
             projected = filtered if project is None \
                 else list(map(project, filtered))
             if limit is not None:

@@ -193,14 +193,20 @@ class SimulatedClock:
         and charges reach global time."""
         return bool(self._deadlines) and self._sink is None
 
-    def charge_each(self, seconds: float, n: int) -> None:
+    def charge_each(self, seconds: float, n: int,
+                    counts: dict[str, float] | None = None,
+                    name: str = "") -> None:
         """``n`` calls of ``charge(seconds)`` in one: the same ``n``
-        additions, in the same order, onto the same value.  While a
-        deadline is armed they *are* ``n`` calls of ``charge``: it fires
-        at the one that crosses it, and the rest are not made."""
+        additions, in the same order, onto the same value.  With
+        ``counts``, each call is followed by ``counts[name] += 1``: one
+        add of ``n``.  While a deadline is armed they *are* ``n`` calls
+        of ``charge``: it fires at the one that crosses it, the rest are
+        not made, and only the calls before it are counted."""
         if self.deadline_armed:
             for _ in range(n):
                 self.charge(seconds)
+                if counts is not None:
+                    counts[name] += 1
             return
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
@@ -215,6 +221,8 @@ class SimulatedClock:
             self._now = total
         else:
             sink.seconds = total
+        if counts is not None and n:
+            counts[name] += n
 
     def _settle(self) -> None:
         """Replay the unit charges counted since the last settle: one

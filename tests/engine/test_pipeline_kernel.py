@@ -807,3 +807,116 @@ def test_an_aggregate_makes_calls_a_page_not_a_row():
     # call a page, and what the scan and the buffer make for the page
     assert row_per_page >= 8 * 6, row_per_page
     assert per_page <= 14, (per_page, row_per_page)
+
+
+# -- a join view: its projection is a stage (DESIGN.md §25) ------------------
+
+def _view(db: Database, work_mem: int, broken: bool) -> Alias:
+    """The view ``v(k, q, r, a)`` over ``_chain``'s two joins: p's
+    ``k``, ``1 / (c - 21)`` when ``broken`` — it raises at the 22nd
+    probe row — else ``c - 21``, u2's ``k`` and p's ``a``."""
+    q = BREAKS if broken else ("-", col(0, "c"), ("lit", 21))
+    inner = plan(db, _chain(work_mem=work_mem, project=[
+        col(0, "k"), q, col(2, "k"), col(0, "a")]))
+    return Alias(db.ctx, inner, "v", ["k", "q", "r", "a"])
+
+
+def _over_view(db: Database, shape: str, broken: bool) -> Operator:
+    """``shape`` of plan over the view: a projection of a filter
+    (``top``), an aggregate, or the probe side of a further join to u2,
+    whose builds all spill in ``spilling``."""
+    ctx = db.ctx
+    view = _view(db, 200 if shape == "spilling" else 10**9, broken)
+
+    def ref(name, schema=view.schema):
+        return ColumnRef("v", name).bind(schema)
+
+    if shape == "top":
+        kept = Filter(ctx, view, BinOp("<", ref("r"), Literal(6))
+                      .bind(view.schema))
+        return Project(ctx, kept, [ref("k"), BinOp("+", ref("q"), ref("r"))
+                                   .bind(view.schema)], ["k", "e"])
+    if shape == "aggregate":
+        return GroupAggregate(ctx, view, [ref("a")], [
+            AggCall("COUNT", None, False), AggCall("SUM", ref("q"), False),
+            AggCall("MAX", ref("r"), False)])
+    build = SeqScan(ctx, db.catalog.table("u2"))
+    join = HashJoin(ctx, view, build, [view.schema.resolve("v", "a")],
+                    [build.schema.resolve("u2", "a")])
+    return Project(ctx, join, [ref("k", join.schema),
+                               ColumnRef("u2", "k").bind(join.schema)],
+                   ["k", "u"])
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["ok", "raises"])
+@pytest.mark.parametrize("shape", ["top", "aggregate", "probe", "spilling"])
+def test_a_view_is_a_stage_of_the_kernel(shape, broken):
+    ledgers = []
+    for pinned in (False, True):
+        db = make_db(_chain()["tables"], work_mem=200 if shape == "spilling"
+                     else 10**9)
+        top = _over_view(db, shape, broken)
+        if pinned:
+            pin_everything(top)
+        else:  # the view's projection is a stage, not the top
+            view, = [op for op in _operators(top) if type(op) is Alias]
+            assert view.child in top._pipeline.stages
+            assert view.child is not top._pipeline.top
+        got = outcome(lambda: repr(top.materialize(())))
+        ledgers.append((got, observed(db)))
+    assert ledgers[0] == ledgers[1]
+    (got, (_clock, counts, _resident)), _row_path = ledgers
+    if broken:
+        assert got == ("ExecutionError", "division by zero")
+        assert counts["table.p.tuples_scanned"] == 22
+    else:
+        assert got[0] == "ok" and got[1] != "[]"
+    assert (counts.get("exec.spill_pages", 0) > 0) == (shape == "spilling")
+
+
+def test_a_subquery_in_a_views_projection_keeps_the_row_path():
+    db = make_db(_chain()["tables"])
+    top = _over_view(db, "top", False)
+    assert Pipeline.of(top) is not None
+    view, = [op for op in _operators(top) if type(op) is Alias]
+    subquery = SubqueryExpr(None, "exists")
+    subquery.executor = lambda row, params: True
+    view.child.exprs = [*view.child.exprs[:-1], subquery]
+    assert Pipeline.of(top) is None
+
+
+def test_the_join_view_reads_of_an_open22_pass_run_as_kernels(
+        r3_22, kernel_tops, monkeypatch):
+    """Each read of ``wvbapep`` (VBAP ⋈ VBEP) in an Open SQL 2.2 pass —
+    eight, at this scale and at SF 0.002 — is one kernel, the view's
+    projection a stage in it."""
+    from repro.reports import open22
+    from tests.conftest import SF
+
+    stmt = r3_22.db.prepare("SELECT vbeln FROM wvbapep WHERE posnr > ?")
+    top = stmt._plan.operator
+    assert [type(op).__name__ for op in _operators(top)][:5] == [
+        "Project", "Filter", "Alias", "Project", "HashJoin"]
+    assert Pipeline.of(top) is not None
+    reads = []
+    execute_param = r3_22.dbif.execute_param
+
+    def spied(sql, params):
+        reads.append("wvbapep" in sql)
+        return execute_param(sql, params)
+    monkeypatch.setattr(r3_22.dbif, "execute_param", spied)
+    suite = open22.make_queries(SF)
+    for number in sorted(suite):
+        suite[number](r3_22)
+
+    def tables(pipeline):
+        builds = [join.left if join.build_left else join.right
+                  for join in pipeline.joins]
+        return {pipeline.scan.table.name,
+                *(op.table.name for op in builds if type(op) is SeqScan)}
+
+    views = [top._pipeline for top in kernel_tops
+             if any(type(stage) is Project and stage is not top
+                    for stage in top._pipeline.stages)]
+    assert [tables(view) for view in views].count({"vbap", "vbep"}) == \
+        reads.count(True) >= 8

@@ -4,7 +4,8 @@ Two clocks run one script: one makes each run of equal charges with one
 ``charge_each``, the other with a loop of ``charge``.  They must read
 the same bits at every step — with tuple units pending, inside a lane
 sink, and when an armed deadline fires part of the way into a run (both
-raise, at the same addition).
+raise, at the same addition).  Each charge of a run is counted, as a
+caller counts a row after charging it: the counters agree too.
 """
 
 import pytest
@@ -55,9 +56,14 @@ def test_one_call_makes_the_additions_of_n_charges(script):
         if kind in ("run", "charge"):
             seconds, n = op[1], op[2] if kind == "run" else 1
             results = []
-            for clock, run in ((each, lambda: each.charge_each(seconds, n)),
-                               (loop, lambda: [loop.charge(seconds)
-                                               for _ in range(n)])):
+            def charges():  # each followed by its count
+                for _ in range(n):
+                    loop.charge(seconds)
+                    loop_metrics.counts["runs"] += 1
+
+            for clock, run in ((each, lambda: each.charge_each(
+                    seconds, n, each_metrics.counts, "runs")),
+                               (loop, charges)):
                 try:
                     run()
                     results.append("ok")
