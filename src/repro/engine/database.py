@@ -12,13 +12,16 @@ catalog, statistics and planner behind a DB-API-flavoured interface:
 ``prepare()`` returns a reusable parameterized statement planned
 *once*, with parameter-blind selectivity estimates — the engine-level
 hook SAP's cursor caching uses (and the mechanism behind the paper's
-Table 6 optimizer trap).
+Table 6 optimizer trap).  ``execute()`` keeps the plan of a SELECT
+text too, but only while what the planner read is unchanged, and
+charges it as planned fresh (DESIGN.md §29).
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,6 +77,17 @@ class Result:
         return self.rows[0][0]
 
 
+@dataclass
+class _CachedPlan:
+    """A SELECT text's plan, the names of the tables and views planning
+    it resolved, and what the planner read of them then."""
+
+    plan: PlannedQuery
+    tables: tuple[str, ...]
+    views: tuple[str, ...]
+    inputs: tuple
+
+
 class PreparedStatement:
     """A statement planned once and executable many times.
 
@@ -97,7 +111,8 @@ class PreparedStatement:
     def execute(self, params: Sequence[object] = ()) -> Result:
         self.executions += 1
         if self._plan is not None:
-            return self._database._run_plan(self._plan, params, sql=self.sql)
+            return self._database._run_plan(self._plan, params, sql=self.sql,
+                                            cursor=True)
         assert self._stmt is not None
         return self._database._execute_dml(copy.deepcopy(self._stmt), params,
                                            sql=self.sql)
@@ -168,6 +183,12 @@ class Database:
         self._partition_choices: dict[str, tuple[str, str]] = {}
         #: view name -> CREATE VIEW select text (for checkpoint images)
         self._view_sql: dict[str, str] = {}
+        #: SELECT text -> its plan, which ``execute`` reuses while what
+        #: the planner read is unchanged: one entry a distinct text
+        self._plan_cache: dict[str, _CachedPlan] = {}
+        #: executions that reused a cached plan (not a metrics counter:
+        #: a hit charges and counts what planning afresh does)
+        self.plan_cache_hits = 0
         if durability not in ("off", "wal"):
             raise PlanError(f"unknown durability mode {durability!r}")
         #: the write-ahead log, or None with durability off
@@ -311,11 +332,31 @@ class Database:
     # -- query execution ---------------------------------------------------
 
     def execute(self, sql: str, params: Sequence[object] = ()) -> Result:
-        stmt = parse_sql(sql)
-        if isinstance(stmt, SelectStmt):
+        """Run one statement with literals visible to the optimizer.
+
+        A SELECT text is parsed and planned once: executed again while
+        every table, index, statistic, view text, cost constant and
+        parallel setting the planner read is unchanged, it reuses its
+        plan, else it is planned anew.  Either way it counts in
+        ``db.plans`` and is charged ``plan_cpu_s``, as if planned fresh
+        (DESIGN.md §29).  DML is parsed at every execution.
+        """
+        cached = self._plan_cache.get(sql)
+        if cached is not None and cached.inputs == self._plan_inputs(
+                cached.tables, cached.views):
+            self.plan_cache_hits += 1
+            with self._planning(sql):
+                plan = cached.plan
+        else:
+            stmt = parse_sql(sql)
+            if not isinstance(stmt, SelectStmt):
+                return self._execute_dml(stmt, params, sql=sql)
             plan = self._plan(stmt, sql=sql)
-            return self._run_plan(plan, params, sql=sql)
-        return self._execute_dml(stmt, params, sql=sql)
+            tables = tuple(self._planner.tables_read)
+            views = tuple(self._planner.views_read)
+            self._plan_cache[sql] = _CachedPlan(
+                plan, tables, views, self._plan_inputs(tables, views))
+        return self._run_plan(plan, params, sql=sql)
 
     def prepare(self, sql: str) -> PreparedStatement:
         return PreparedStatement(self, sql)
@@ -327,14 +368,48 @@ class Database:
         return self._plan(stmt).operator.explain()
 
     def _plan(self, stmt: SelectStmt, sql: str | None = None) -> PlannedQuery:
+        with self._planning(sql):
+            return self._planner.plan_select(stmt)
+
+    @contextmanager
+    def _planning(self, sql: str | None):
+        """What planning a statement costs, in a ``db.plan`` span."""
         self.metrics.count("db.plans")
         with self.tracer.span("db.plan", layer="engine", sql=sql):
             self.clock.charge(self.params.plan_cpu_s)
-            return self._planner.plan_select(stmt)
+            yield
+
+    def _plan_inputs(self, tables: tuple[str, ...],
+                     views: tuple[str, ...]) -> tuple:
+        """What the planner reads to plan a statement that resolves
+        ``tables`` and ``views``: each table, its row and page counts,
+        its indexes with their leaf pages and its statistics; each
+        view's text; the cost constants and the parallel setting.  A
+        table or view gone reads as ``None``."""
+        catalog, stats = self.catalog, self.stats
+        inputs: list = [tuple(vars(self.params).values()),
+                        self._planner.parallel,
+                        tuple(self._partition_choices.items())]
+        for name in tables:
+            if not catalog.has_table(name):
+                inputs.append(None)
+                continue
+            table = catalog.table(name)
+            inputs.append((
+                table, table.row_count, table.store.page_count,
+                tuple((index, index.leaf_page_count)
+                      for index in table.indexes.values()),
+                stats.get(name)))
+        inputs.extend(self._view_sql.get(name) for name in views)
+        return tuple(inputs)
 
     def _run_plan(self, plan: PlannedQuery, params: Sequence[object],
-                  sql: str | None = None) -> Result:
+                  sql: str | None = None, cursor: bool = False) -> Result:
+        """Execute ``plan``.  What it keeps for one execution (a scalar
+        subquery's value, the operator profile) is the execution's own;
+        a prepared statement's (``cursor``) profile accumulates."""
         self.metrics.count("db.queries")
+        self.ctx.execution += 1
         tracer = self.tracer
         if not tracer.enabled:
             if self._profiled_roots:
@@ -346,12 +421,14 @@ class Database:
             with tracer.layer("engine"):
                 rows = plan.operator.materialize(params)
             return Result(plan.column_names, rows)
-        # EXPLAIN ANALYZE mode: instrument the plan (idempotent; the
-        # profile accumulates across executions of a cached cursor).
-        from repro.engine.exec.profile import attach_profile
+        # EXPLAIN ANALYZE mode: instrument the plan, afresh unless it
+        # is a cursor's, whose profile accumulates across executions.
+        from repro.engine.exec.profile import attach_profile, detach_profile
 
         if getattr(plan.operator, "_profile", None) is None:
             self._profiled_roots.append(plan.operator)
+        elif not cursor:
+            detach_profile(plan.operator)
         profile = attach_profile(plan.operator, self.clock, self.metrics)
         with tracer.span("db.query", layer="engine", sql=sql) as span:
             rows = list(plan.operator.rows(params))

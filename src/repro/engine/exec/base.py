@@ -35,6 +35,9 @@ class ExecContext:
         #: spans on it; a bare context gets a disabled one of its own
         self.tracer = tracer or Tracer(clock, metrics)
         self._spill_counter = 0
+        #: numbers the top-level executions of plans: what a plan keeps
+        #: for one execution only is keyed by it (DESIGN.md §29)
+        self.execution = 0
         #: per-tuple CPU is charged lazily: an operator loop counts a
         #: tuple with ``counts["exec.tuples"] += 1`` on ``metrics.counts``
         #: and the clock replays the additions (see ``sim.clock``)

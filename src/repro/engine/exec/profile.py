@@ -9,10 +9,12 @@ keeps its entry.  Parent measurements naturally
 include child work — exclusive time falls out as inclusive minus the
 children's inclusive.
 
-The profile accumulates across executions of the same plan, which is
-exactly what a cursor-cached prepared statement needs: a nested SELECT
-loop re-executes one plan thousands of times, and the aggregate
-profile shows the total cost of each operator over the whole loop.
+A prepared statement's profile accumulates across its executions,
+which is exactly what a cursor cache needs: a nested SELECT loop
+re-executes one plan thousands of times, and the aggregate profile
+shows the total cost of each operator over the whole loop.  A plan
+that ``Database.execute`` reuses gets a new profile each execution,
+as a fresh plan would (DESIGN.md §29).
 
 The wrapper only *reads* the clock and the metrics — it never charges
 — so profiling changes simulated durations by zero ticks.

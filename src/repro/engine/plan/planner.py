@@ -60,6 +60,7 @@ from repro.engine.sql.ast import (
     TableRef,
 )
 from repro.engine.stats import TableStats
+from repro.engine.table import Table
 
 
 @dataclass
@@ -116,6 +117,11 @@ class Planner:
         #: must stay serial — fragments never nest inside lanes)
         self.parallel = None
         self._depth = 0
+        #: the names of the tables and of the views the last statement
+        #: resolved, through its subqueries and view bodies too: what a
+        #: plan cache checks before it reuses the plan (DESIGN.md §29)
+        self.tables_read: dict[str, None] = {}
+        self.views_read: dict[str, None] = {}
 
     # ------------------------------------------------------------------
     # entry point
@@ -127,6 +133,8 @@ class Planner:
         outer_schema: OutputSchema | None = None,
         cell: CorrelationCell | None = None,
     ) -> PlannedQuery:
+        if self._depth == 0:
+            self.tables_read, self.views_read = {}, {}
         self._depth += 1
         try:
             planned = self._plan_select_serial(stmt, outer_schema, cell)
@@ -227,7 +235,7 @@ class Planner:
             leaf_tables[binding] = None
             pctx.join_leaf_plans[binding] = unit.operator
             return
-        table = self.catalog.table(item.name)
+        table = self._table(item.name)
         leaf_schemas[binding] = OutputSchema(
             [(binding, c.name) for c in table.schema.columns]
         )
@@ -241,6 +249,7 @@ class Planner:
             import copy
 
             view_ast = copy.deepcopy(self.catalog.view(ref.name))
+            self.views_read[ref.name.lower()] = None
             sub = self.plan_select(view_ast, pctx.outer_schema, pctx.cell)
             if sub.correlated:
                 pctx.correlated = True
@@ -251,7 +260,7 @@ class Planner:
                 operator=aliased,
                 estimated_rows=max(aliased.estimated_rows, 1.0),
             )
-        table = self.catalog.table(ref.name)
+        table = self._table(ref.name)
         schema = OutputSchema(
             [(binding, c.name) for c in table.schema.columns]
         )
@@ -262,6 +271,12 @@ class Planner:
             alias=ref.alias or None,
             estimated_rows=max(table.row_count, 1.0),
         )
+
+    def _table(self, name: str) -> Table:
+        """The table ``name``, recorded as read."""
+        table = self.catalog.table(name)
+        self.tables_read[table.name] = None
+        return table
 
     def _plan_join_tree(
         self,
@@ -783,16 +798,18 @@ class Planner:
         metrics = self.ctx.metrics
 
         if node.mode == "scalar" and not correlated:
-            cache: dict[tuple, object] = {}
+            # once per top-level execution, not once per plan: a plan
+            # outlives the rows it read (DESIGN.md §29)
+            ctx = self.ctx
+            memo: list = [None, None]  # [execution, value]
 
             def run_cached(outer_row: tuple, params: Sequence[object]):
-                key = tuple(params)
-                if key not in cache:
+                if memo[0] != ctx.execution:
                     metrics.count("plan.subquery_executions")
-                    rows_iter = operator.rows(params)
-                    first = next(rows_iter, None)
-                    cache[key] = first[0] if first is not None else None
-                return cache[key]
+                    first = next(operator.rows(params), None)
+                    memo[:] = ctx.execution, \
+                        first[0] if first is not None else None
+                return memo[1]
 
             node.executor = run_cached
             return

@@ -175,8 +175,10 @@ class DatabaseInterface:
 
     def execute_literal(self, sql: str,
                         params: Sequence[object] = ()) -> Result:
-        """Round trip with literal SQL (Native SQL / EXEC SQL): planned
-        fresh, literals visible to the optimizer."""
+        """Round trip with literal SQL (Native SQL / EXEC SQL): charged
+        as planned fresh, literals visible to the optimizer; the engine
+        re-plans the text only when what its plan read has changed
+        (DESIGN.md §29)."""
         return self._call("literal", sql, params,
                           lambda sql, span: partial(self._r3.db.execute, sql))
 
