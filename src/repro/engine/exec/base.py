@@ -115,14 +115,16 @@ class Operator:
     def materialize(self, params: Sequence[object]) -> list[tuple]:
         """Every output row, for a consumer that pulls the operator dry
         before it does anything else and charges nothing, not even a
-        tuple unit, while it pulls: a hash build, a sort, a nested-loop
-        inner, the plan root.  For such a consumer a ``PipelineTop``
-        runs the pipeline it tops as one generated loop a page, which
-        counts what the row path does (DESIGN.md §21, §25).  A consumer
-        that counts or charges per row it pulls (a probe loop,
-        ``Limit``) is not one: it calls ``rows``; ``GroupAggregate``
-        runs the pipeline under it as its consumer (§26), or calls
-        ``rows``."""
+        tuple unit, while it pulls: a sort, a nested-loop inner, the
+        plan root, a hash build (``build_hash_table`` over the rows).
+        For such a consumer a ``PipelineTop`` runs the pipeline it tops
+        as one generated loop a page, which counts what the row path
+        does (DESIGN.md §21, §25).  A consumer that counts or charges
+        per row it pulls (a probe loop, ``Limit``) is not one: it calls
+        ``rows``; ``GroupAggregate`` runs the pipeline under it as its
+        consumer (§26), or calls ``rows``, and so does a ``HashJoin``
+        whose build side is a pipeline other than an unfiltered bare
+        scan: the loop fills its hash table (§30)."""
         return list(self.rows(params))
 
     def explain(self, indent: int = 0) -> str:

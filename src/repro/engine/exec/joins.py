@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import ExitStack
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.engine.exec.aggregate import GroupAggregate
 from repro.engine.exec.base import (
@@ -34,11 +34,13 @@ def _joined_schema(left: Operator, right_schema: OutputSchema) -> OutputSchema:
 
 
 def build_hash_table(
-    rows: list[tuple], key_positions: list[int]
+    rows: list[tuple], key_positions: Sequence[int]
 ) -> tuple[dict, int, bool]:
-    """The build side of every hash join: ``(table, build_count,
-    unique)``, keyed by ``itemgetter(*key_positions)`` — the value
-    itself for one column, the tuple of the values for several.
+    """The build side of a hash join, from its rows: ``(table,
+    build_count, unique)``, keyed by ``itemgetter(*key_positions)`` —
+    the value itself for one column, the tuple of the values for
+    several.  A pipelined build side builds the same table in its
+    kernel instead (``Pipeline``, DESIGN.md §30).
 
     A row whose key has a NULL part joins nothing and is neither stored
     nor counted.  Unique keys — a primary or foreign-key parent side —
@@ -47,21 +49,18 @@ def build_hash_table(
     """
     keys = list(map(itemgetter(*key_positions), rows))
     composite = len(key_positions) > 1
-    pairs: Iterable[tuple[object, tuple]]
     if None in (chain.from_iterable(keys) if composite else keys):
-        pairs = [(key, row) for key, row in zip(keys, rows)
-                 if ((None not in key) if composite else (key is not None))]
-        build_count = len(pairs)
-    else:
-        table = dict(zip(keys, rows))
-        if len(table) == len(rows):
-            return table, len(rows), True
-        pairs, build_count = zip(keys, rows), len(rows)
+        live = [(None not in key) if composite else (key is not None)
+                for key in keys]
+        keys, rows = list(compress(keys, live)), list(compress(rows, live))
+    table = dict(zip(keys, rows))
+    if len(table) == len(rows):
+        return table, len(rows), True
     buckets: defaultdict[object, list[tuple]] = defaultdict(list)
-    for key, row in pairs:
+    for key, row in zip(keys, rows):
         buckets[key].append(row)
     buckets.default_factory = None  # a probe's miss adds no bucket
-    return buckets, build_count, False
+    return buckets, len(rows), False
 
 
 class NestedLoopJoin(Operator):
@@ -255,14 +254,45 @@ class HashJoin(PipelineTop, Operator):
         return self.right_key_positions if self.build_left \
             else self.left_key_positions
 
+    @property
+    def build_side(self) -> tuple[Operator, list[int]]:
+        """The build input and its key positions."""
+        return (self.left, self.left_key_positions) if self.build_left \
+            else (self.right, self.right_key_positions)
+
+    @cached_property
+    def _build_pipeline(self) -> "tuple[list[Operator], Pipeline] | None":
+        """The pipeline the build side tops, its consumer this join's
+        hash table (DESIGN.md §30), and the operators whose
+        ``materialize`` a drain of the build side passes through — the
+        build input and the ``Alias``es under it.  None for any other
+        shape, or for a bare unfiltered scan, whose kernel is ``out +=
+        rows``: ``build_hash_table``'s three passes in C beat a loop."""
+        build_op, build_keys = self.build_side
+        drained = [build_op]
+        while type(drained[-1]) is Alias:
+            drained.append(drained[-1].child)
+        if not isinstance(drained[-1], PipelineTop):
+            return None
+        pipeline = Pipeline.of(drained[-1], build_keys)
+        if pipeline is None or pipeline.bare:
+            return None
+        return drained, pipeline
+
     def build(self, params: Sequence[object]) -> tuple[dict, bool, bool]:
         """Drain and hash the build side, charging it: ``(table,
-        unique, spilling)``."""
+        unique, spilling)``.  A pipelined build side fills the table in
+        its kernel, unless a drain it passes through is shadowed on the
+        instance (the operator profile pins it to the row path)."""
         ctx = self.ctx
-        build_op, build_keys = (self.left, self.left_key_positions) \
-            if self.build_left else (self.right, self.right_key_positions)
-        table, build_count, unique = build_hash_table(
-            build_op.materialize(params), build_keys)
+        build_op, build_keys = self.build_side
+        drained, pipeline = self._build_pipeline or ((), None)
+        if pipeline is None or any("materialize" in vars(op)
+                                   for op in drained):
+            table, build_count, unique = build_hash_table(
+                build_op.materialize(params), build_keys)
+        else:
+            table, build_count, unique = pipeline.run(params)
         ctx.charge_tuples(build_count)
         build_bytes = build_count * ctx.row_bytes(len(build_op.schema))
         spilling = build_bytes > ctx.params.work_mem_bytes
@@ -328,12 +358,19 @@ class Pipeline:
     row as its parts — the scan row and one build row a join, or the
     last projection's values — and makes no tuple but the one it
     outputs (DESIGN.md §25), or none at all when the aggregate consumes
-    it (§26).  ``rows`` stays the row path."""
+    it (§26).  With ``keys``, the pipeline is a hash join's build side
+    and its consumer is the hash table on those output positions
+    (§30).  ``rows`` stays the row path."""
 
     def __init__(self, top: Operator, stages: list[Operator],
-                 scan: SeqScan, arity: int) -> None:
+                 scan: SeqScan, arity: int,
+                 keys: Sequence[int] | None = None) -> None:
         self.top = top
         self.aggregate = top if type(top) is GroupAggregate else None
+        #: the output positions the consumer hashes on, or None
+        self.keys = None if keys is None else tuple(keys)
+        #: an unfiltered bare scan: its kernel has no loop
+        self.bare = top is scan and scan.predicate is None
         #: the joins, filters and projections, innermost first
         self.stages = stages
         self.joins = [stage for stage in stages
@@ -344,9 +381,11 @@ class Pipeline:
         self._kernels: dict[tuple, Callable[..., None]] = {}
 
     @classmethod
-    def of(cls, top: Operator) -> "Pipeline | None":
-        """The pipeline ``top`` tops, or None for any other shape, or
-        for one with a subquery, which charges between two rows."""
+    def of(cls, top: Operator,
+           keys: Sequence[int] | None = None) -> "Pipeline | None":
+        """The pipeline ``top`` tops, its consumer the hash table on
+        ``keys`` if given, or None for any other shape, or for one with
+        a subquery, which charges between two rows."""
         op = top.child if type(top) is GroupAggregate else top
         stages: list[Operator] = []
         while type(op) in (Alias, Filter, HashJoin, Project):
@@ -371,28 +410,35 @@ class Pipeline:
             return None
         arity = max((node.index + 1 for node in nodes
                      if isinstance(node, ParamRef)), default=0)
-        return cls(top, stages[::-1], op, arity)
+        return cls(top, stages[::-1], op, arity, keys)
 
-    def run(self, params: Sequence[object]) -> list[tuple] | dict:
+    def run(self, params: Sequence[object]) \
+            -> list[tuple] | dict | tuple[dict, int, bool]:
         """The builds, outermost first; the pages; the probe spills,
         innermost first — the row path's charges, in its order.  The
-        output rows, or the aggregate's groups.  After each page, also
+        output rows, the aggregate's groups, or ``build_hash_table``'s
+        ``(table, build_count, unique)`` of them.  After each page, also
         when the kernel raises, the page's scan counts up to the row it
         got to and the tuples it counted are added: the row path's
         counts (and states) at the row where it raises."""
         if len(params) < self.arity:  # the row path raises per row
-            return Operator.materialize(self.top, params)
+            rows = Operator.materialize(self.top, params)
+            return rows if self.keys is None \
+                else build_hash_table(rows, self.keys)
         built = [join.build(params) for join in reversed(self.joins)][::-1]
         flags = tuple((unique, spilling) for _t, unique, spilling in built)
         kernel = self._kernels.get(flags) or self._compile(flags)
-        tables = [table for table, _unique, _spilling in built]
         counts = self.scan.ctx.metrics.counts
         counter = self.scan.table.scanned_counter
         tally, probes = [0, 0], [0] * len(built)
-        out: list[tuple] | dict = {} if self.aggregate else []
+        out: list[tuple] | dict = [] if self.aggregate is None \
+            and self.keys is None else {}
+        dups: list[tuple[object, tuple]] = []  # (key, row) of a seen key
+        args = (out, *(() if self.keys is None else (dups,)),
+                *(table for table, _unique, _spilling in built))
         for _rowids, rows in self.scan.table.store.scan():
             try:
-                kernel(rows, params, tally, probes, out, *tables)
+                kernel(rows, params, tally, probes, *args)
             finally:
                 scanned = tally[1] + 1
                 counts[counter] += scanned
@@ -401,18 +447,30 @@ class Pipeline:
                 self.joins, built, probes):
             if spilling:
                 join.spill_probe(count)
-        return out
+        if self.keys is None:
+            return out
+        if not dups:
+            return out, len(out), True
+        # the first row of a key, then the others in input order
+        buckets = {key: [row] for key, row in out.items()}
+        for key, row in dups:
+            buckets[key].append(row)
+        return buckets, len(out) + len(dups), False
 
     def _compile(self, flags: tuple) -> Callable[..., None]:
-        """``kernel(rows, params, tally, probes, out, h1, …)``: appends
-        the output of the page ``rows`` to ``out``, or adds it to the
-        aggregate's groups there; ``tally`` is the tuples it counted
-        past the scan and the position in ``rows`` it got to, also when
-        it raises; ``probes[i]`` plus the probe rows of join ``i`` when
-        it spills.  ``flags`` is ``(unique, spilling)`` a join,
-        innermost first, as are the hash tables ``h1, …``, probed with
-        ``in`` and a subscript: no call a row.  An unfiltered bare scan
-        has no loop: its output is the page."""
+        """``kernel(rows, params, tally, probes, out, [dups,] h1, …)``:
+        the output of the page ``rows`` goes to its consumer — appended
+        to the list ``out``, added to the aggregate's groups there, or,
+        with ``keys``, stored in the hash table ``out`` as ``out[k] =
+        row`` for a new key and appended to ``dups`` as ``(k, row)``
+        for a key already there, a row with a NULL key part neither;
+        ``tally`` is the tuples it counted past the scan and the
+        position in ``rows`` it got to, also when it raises;
+        ``probes[i]`` plus the probe rows of join ``i`` when it spills.
+        ``flags`` is ``(unique, spilling)`` a join, innermost first, as
+        are the hash tables ``h1, …``, probed with ``in`` and a
+        subscript: no call a row.  An unfiltered bare scan has no loop:
+        its output is the page."""
         src = KernelSource()
         columns = [f"r0[{i:d}]" for i in range(len(self.scan.schema))]
         parts = ["r0"]
@@ -424,11 +482,23 @@ class Pipeline:
                 src.line(f"n += {counted:d}")
             counted = 0
 
-        bare = self.top is self.scan and self.scan.predicate is None
+        def key(name: str, positions: Sequence[int]) -> str:
+            """``name = `` the key at ``positions`` of the row; its
+            test for a NULL part."""
+            atoms = [columns[i] for i in positions]
+            if len(atoms) == 1:
+                src.line(f"{name} = {atoms[0]}")
+                return f"{name} is None"
+            atoms = [src.hold(atom) for atom in atoms]
+            src.line(f"{name} = ({', '.join(atoms)})")
+            return " or ".join(f"{atom} is None" for atom in atoms)
+
+        bare = self.bare
         src.line("n = 0")
         src.line("j = -1")
         if self.aggregate is None and not bare:
-            src.line("emit = out.append")
+            src.line("emit = out.append" if self.keys is None
+                     else "emit = dups.append")
         spills = [level for level, (_u, spilling) in enumerate(flags, 1)
                   if spilling]
         for level in spills:
@@ -460,14 +530,7 @@ class Pipeline:
                 unique, spilling = flags[level - 1]
                 if spilling:
                     src.line(f"s{level} += 1")
-                keys = [columns[i] for i in stage.probe_keys]
-                if len(keys) == 1:
-                    src.line(f"k{level} = {keys[0]}")
-                    null = f"k{level} is None"
-                else:
-                    keys = [src.hold(key) for key in keys]
-                    src.line(f"k{level} = ({', '.join(keys)})")
-                    null = " or ".join(f"{key} is None" for key in keys)
+                null = key(f"k{level}", stage.probe_keys)
                 count()
                 with src.block(f"if {null}:"):
                     src.line("continue")
@@ -494,6 +557,15 @@ class Pipeline:
                 counted += 1
                 count()
                 self.aggregate.consume(src, columns)
+            elif self.keys is not None:
+                count()
+                with src.block(f"if {key('k', self.keys)}:"):
+                    src.line("continue")
+                row = " + ".join(parts)
+                with src.block("if k in out:"):
+                    src.line(f"emit((k, {row}))")
+                with src.block("else:"):
+                    src.line(f"out[k] = {row}")
             elif not bare:
                 count()
                 src.line(f"emit({' + '.join(parts)})")
@@ -501,9 +573,10 @@ class Pipeline:
             src.line("tally[0], tally[1] = n, j")
         for level in spills:
             src.line(f"probes[{level - 1:d}] += s{level}")
-        signature = ", ".join(["rows", "params", "tally", "probes", "out",
-                               *(f"h{level}" for level in range(
-                                   1, len(flags) + 1))])
+        signature = ", ".join([
+            "rows", "params", "tally", "probes", "out",
+            *(() if self.keys is None else ("dups",)),
+            *(f"h{level}" for level in range(1, len(flags) + 1))])
         home = "aggregate" if self.aggregate else \
             "joins" if self.joins else "scans"
         kernel = src.kernel(signature, f"repro/engine/exec/{home}.py")

@@ -683,8 +683,9 @@ class InListExpr(Expr):
 def like_to_regex(pattern: str) -> re.Pattern[str]:
     """Compile a SQL LIKE pattern (``%``, ``_``) to an anchored regex.
 
-    Memoised: a parameterised ``LIKE ?`` asks for the same pattern once
-    per row.
+    Anchored at the very end (``\\Z``): ``$`` would also match before
+    a trailing newline, so that ``'ab\\n' LIKE 'ab'`` held.  Memoised: a
+    parameterised ``LIKE ?`` asks for the same pattern once per row.
     """
     out = ["^"]
     for ch in pattern:
@@ -694,7 +695,7 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
             out.append(".")
         else:
             out.append(re.escape(ch))
-    out.append("$")
+    out.append(r"\Z")
     return re.compile("".join(out), re.DOTALL)
 
 
@@ -840,10 +841,15 @@ def _shift(value: object, interval: IntervalLiteral, sign: int) -> object:
 
 
 def _substring(values: list) -> object:
-    text, begin = values[0], int(values[1]) - 1
-    if len(values) > 2:
-        return text[begin:begin + int(values[2])]
-    return text[begin:]
+    """The characters at positions ``max(start, 1)`` to ``start +
+    length - 1`` (counting from 1), or to the end without a length."""
+    text, start = values[0], int(values[1])
+    if len(values) == 2:
+        return text[max(start, 1) - 1:]
+    length = int(values[2])
+    if length < 0:
+        raise ExecutionError(f"negative substring length {length}")
+    return text[max(start, 1) - 1:max(start + length - 1, 0)]
 
 
 #: scalar function name -> implementation over the (non-NULL) arguments
@@ -871,10 +877,20 @@ class FuncCall(Expr):
         args = [src.name(arg) for arg in self.args]
         function = _FUNCTIONS.get(self.name)
         if function is None:
-            call = src.failure(f"unknown function {self.name}")
-        else:
-            call = f"{src.constant(function)}([{', '.join(args)}])"
-        return src.unless_null(args, call)
+            return src.unless_null(
+                args, src.failure(f"unknown function {self.name}"))
+        if "None" in args:
+            return "None"
+        with src.block("try:"):
+            result = src.unless_null(
+                args, f"{src.constant(function)}([{', '.join(args)}])")
+        # a value of a type the function does not take
+        with src.block("except (AttributeError, TypeError, ValueError) "
+                       "as exc:"):
+            shown = ", ".join(f"{{{arg}!r}}" for arg in args)
+            src.line(f"raise ExecutionError(f'cannot evaluate "
+                     f"{self.name}({shown})') from exc")
+        return result
 
 
 class AggCall(Expr):

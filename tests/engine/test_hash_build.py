@@ -207,9 +207,12 @@ def test_unique_and_duplicate_keys_take_different_paths_to_one_answer():
     assert table == {1: [(1, "a"), (1.0, "b"), (True, "c")], 2: [(2, "d")]}
     assert as_buckets(table, False, [0]) == reference_hash_table(mixed, [0])[0]
     assert build_hash_table([], [0, 1]) == ({}, 0, True)
-    # a NULL in any key part, unique keys or not
+    # a NULL in any key part: neither stored nor counted, and the keys
+    # of the rows kept decide whether the table is unique
     assert build_hash_table([(1, None), (2, 2)], [0, 1]) == \
-        ({(2, 2): [(2, 2)]}, 1, False)
+        ({(2, 2): (2, 2)}, 1, True)
+    assert build_hash_table([(1, None), (2, 2), (2, 2)], [0, 1]) == \
+        ({(2, 2): [(2, 2), (2, 2)]}, 2, False)
     assert reference_hash_table([(1, None), (2, 2)], [0, 1]) == \
         ({(2, 2): [(2, 2)]}, 1)
 
