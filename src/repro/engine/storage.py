@@ -179,6 +179,9 @@ class HeapFile(StorageBackend):
         self._disk = disk
         self._rows: list[tuple | None] = []
         self._live = 0
+        #: pages that may hold a tombstone (a superset): :meth:`scan`
+        #: looks for one on these pages only
+        self._tombstone_pages: set[int] = set()
         #: a read is one buffer access of its page (see :meth:`read`)
         self.read_file = self._file
         self.rows_per_page = max(1, page_size_bytes // schema.row_byte_width)
@@ -208,6 +211,7 @@ class HeapFile(StorageBackend):
         self._rows[rowid] = None
         self._live -= 1
         self.version += 1
+        self._tombstone_pages.add(rowid // self.rows_per_page)
         self._buffer.write(self._file, rowid // self.rows_per_page)
 
     def update(self, rowid: int, row: tuple) -> None:
@@ -234,14 +238,16 @@ class HeapFile(StorageBackend):
     def scan(self) -> Iterator[tuple[Sequence[int], Sequence[tuple]]]:
         """Heap-order scan: one sequential buffer access per page, paid
         before the page is handed out (an all-tombstone page is never
-        charged and never handed out)."""
+        charged and never handed out).  Only a page that may hold a
+        tombstone is looked through for one."""
         access = self._buffer.access
         file_name = self._file
         rows_per_page = self.rows_per_page
+        tombstone_pages = self._tombstone_pages
         for first in range(0, len(self._rows), rows_per_page):
             rows = self._rows[first:first + rows_per_page]
             rowids: Sequence[int] = range(first, first + len(rows))
-            if None in rows:
+            if first // rows_per_page in tombstone_pages and None in rows:
                 rowids = [rowid for rowid, row in zip(rowids, rows)
                           if row is not None]
                 if not rowids:
@@ -303,6 +309,11 @@ class HeapFile(StorageBackend):
         self._rows = list(slots)
         self._live = sum(1 for row in self._rows if row is not None)
         self.version += 1
+        # in place: a scan in flight reads the set it bound
+        self._tombstone_pages.clear()
+        self._tombstone_pages.update(
+            rowid // self.rows_per_page
+            for rowid, row in enumerate(self._rows) if row is None)
 
     def restore_slot(self, rowid: int, row: tuple) -> None:
         """Redo an insert at its original position.
@@ -319,6 +330,10 @@ class HeapFile(StorageBackend):
                 )
             self._rows[rowid] = row
         else:
+            if rowid > len(self._rows):
+                per_page = self.rows_per_page
+                self._tombstone_pages.update(range(
+                    len(self._rows) // per_page, (rowid - 1) // per_page + 1))
             self._rows.extend([None] * (rowid - len(self._rows)))
             self._rows.append(row)
         self._live += 1
@@ -330,6 +345,8 @@ class HeapFile(StorageBackend):
             raise ExecutionError(f"put_slot of unknown rowid {rowid}")
         was_live = self._rows[rowid] is not None
         self._rows[rowid] = row
+        if row is None:
+            self._tombstone_pages.add(rowid // self.rows_per_page)
         self._live += (row is not None) - was_live
         self.version += 1
 

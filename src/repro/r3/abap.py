@@ -54,6 +54,15 @@ class InternalTable:
         self.rows.append(row)
         self._sorted_keys = None
 
+    def extract_each(self, rows: list[tuple]) -> None:
+        """:meth:`extract` of each of ``rows``, charged as one run: the
+        rows are already materialised, so no charge comes between."""
+        r3 = self._r3
+        r3.clock.charge_each(r3.params.abap_extract_s, len(rows),
+                             r3.metrics.counts, "abap.extracts")
+        self.rows.extend(rows)
+        self._sorted_keys = None
+
     def extend(self, rows: Iterable[tuple]) -> None:
         for row in rows:
             self.append(row)
@@ -96,29 +105,6 @@ class InternalTable:
             self._r3.charge_abap(1)
             yield row
 
-    def group_loop(
-        self, key_fn: Callable[[tuple], tuple]
-    ) -> Iterator[tuple[tuple, list[tuple]]]:
-        """LOOP with AT END OF: yield (key, rows) per group, in order.
-
-        The table must already be sorted by a key compatible with
-        ``key_fn`` (as in Figure 4's SORT before the LOOP).
-        """
-        group_key: tuple | None = None
-        group_rows: list[tuple] = []
-        for row in self.rows:
-            self._r3.charge_abap(1)
-            key = key_fn(row)
-            if group_key is None:
-                group_key = key
-            elif key != group_key:
-                yield group_key, group_rows
-                group_key = key
-                group_rows = []
-            group_rows.append(row)
-        if group_key is not None:
-            yield group_key, group_rows
-
     def read_binary(self, key: tuple) -> tuple | None:
         """READ TABLE ... BINARY SEARCH: first row whose sort key
         starts with ``key`` (table must be sorted by a prefix key)."""
@@ -152,19 +138,33 @@ class InternalTable:
 
 def group_aggregate(
     r3,
-    records: Iterable[tuple],
+    records: list[tuple],
     key_fn: Callable[[tuple], tuple],
     fold_fn: Callable[[tuple, list[tuple]], tuple],
 ) -> list[tuple]:
     """The complete Figure 4 idiom: EXTRACT → SORT (via disk) → LOOP
-    with AT END, folding each group with ``fold_fn(key, rows)``."""
+    with AT END, folding each group with ``fold_fn(key, rows)``.
+
+    The LOOP charges each row before it reads the row's key (the SORT's
+    keys), so when it reaches AT END of a group it has charged the next
+    group's first row too: one run of charges a group, of the rows read
+    since the last fold, before the fold (DESIGN.md §31)."""
     with r3.tracer.span("abap.group_aggregate") as span:
         itab = InternalTable(r3)
-        for record in records:
-            itab.extract(record)
+        itab.extract_each(records)
         itab.sort(key_fn)
+        rows, keys = itab.rows, itab._sorted_keys
+        assert keys is not None
         out: list[tuple] = []
-        for key, rows in itab.group_loop(key_fn):
-            out.append(fold_fn(key, rows))
+        start = charged = 0
+        for at in range(1, len(keys)):
+            if keys[at] != keys[start]:
+                r3.charge_abap_each(at + 1 - charged)
+                charged = at + 1
+                out.append(fold_fn(keys[start], rows[start:at]))
+                start = at
+        if rows:
+            r3.charge_abap_each(len(rows) - charged)
+            out.append(fold_fn(keys[start], rows[start:]))
         span.set(records=len(itab), groups=len(out))
     return out

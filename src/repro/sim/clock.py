@@ -22,13 +22,74 @@ clock replays the counted additions one by one before anything can
 observe or interleave with them: a ``charge``, a read of ``now``, a lane
 switch, a reset.  The same float additions in the same order give the
 same bits whenever they are made.
+
+A run of equal additions is made in closed form where that gives the
+loop's bits (DESIGN.md §31): inside one binade — the floats between two
+neighbouring powers of two, all one ulp apart — each addition of the
+same step adds the same multiple of the ulp once a tie has settled on
+even, so after three real additions the rest is one exact product.
 """
 
 from __future__ import annotations
 
+from math import frexp, ldexp
 from typing import Callable
 
 from repro.sim.metrics import MetricsCollector
+
+#: the smallest normal float: below it, zero and the subnormals are all
+#: one spacing apart, so they count as one binade
+_TINY = 2.2250738585072014e-308
+
+
+def _binade(x: float) -> tuple[float, float]:
+    """``[low, high)``: the binade holding ``x`` (``x`` >= 0)."""
+    if x < _TINY:
+        return 0.0, _TINY
+    low = ldexp(0.5, frexp(x)[1])
+    return low, low * 2.0  # inf above the largest binade, no raise
+
+
+class RunAdder:
+    """Makes runs of equal float additions; keeps the binade ``[low,
+    high)`` the last run ended in (none yet), so that the next run
+    inside it makes no call — a hot caller can test it inline."""
+
+    __slots__ = ("low", "high")
+
+    def __init__(self) -> None:
+        self.low = self.high = 0.0
+
+    def add_each(self, total: float, seconds: float, n: int) -> float:
+        """``total`` after ``n`` additions of ``seconds`` (>= 0), one by
+        one: the loop's bits, in closed form where it is exact
+        (DESIGN.md §31).  Three real additions settle a tie on even; if
+        the first of them and the run's end lie in one binade, every
+        later addition adds the third's step, and ``n`` steps are one
+        exact product.  A run that leaves the binade is cut at its last
+        addition inside it, and the rest goes on in the next one."""
+        while n > 3:
+            t1 = total + seconds
+            t2 = t1 + seconds
+            total = t2 + seconds
+            n -= 3
+            step = total - t2
+            end = total + n * step
+            if self.low <= t1 and end < self.high:
+                return end
+            if not (self.low <= t1 and total < self.high):
+                self.low, self.high = _binade(total)
+                continue
+            # step > 0: the end is not inside; stop one step short of
+            # the top (the quotient may round up to the next integer)
+            inside = int((self.high - total) / step) - 1
+            if inside > 0:
+                total += inside * step
+                n -= inside
+        while n > 0:
+            total += seconds
+            n -= 1
+        return total
 
 
 class LaneSink:
@@ -107,6 +168,8 @@ class SimulatedClock:
         self._unit_name = ""
         self._unit_s = 0.0
         self._settled = 0
+        #: makes the runs of equal additions onto the clock
+        self._runs = RunAdder()
 
     @property
     def now(self) -> float:
@@ -183,6 +246,8 @@ class SimulatedClock:
         """Count and charge ``count`` bound units in **one** addition:
         the product differs from ``count`` additions in the last bits,
         and a site that has always charged a batch keeps its bits."""
+        if self._metrics is None:
+            raise ValueError("no unit charge is bound to the clock")
         self.charge(self._unit_s * count)
         self._counts[self._unit_name] += count
         self._settled += count
@@ -202,6 +267,8 @@ class SimulatedClock:
         add of ``n``.  While a deadline is armed they *are* ``n`` calls
         of ``charge``: it fires at the one that crosses it, the rest are
         not made, and only the calls before it are counted."""
+        if n < 0:
+            raise ValueError(f"cannot charge a negative run: {n}")
         if self.deadline_armed:
             for _ in range(n):
                 self.charge(seconds)
@@ -213,14 +280,11 @@ class SimulatedClock:
         if self._counts.get(self._unit_name, 0) != self._settled:
             self._settle()
         sink = self._sink
-        # one addition each, as in :meth:`_settle`
-        total = self._now if sink is None else sink.seconds
-        for _ in range(n):
-            total += seconds
+        add_each = self._runs.add_each
         if sink is None:
-            self._now = total
+            self._now = add_each(self._now, seconds, n)
         else:
-            sink.seconds = total
+            sink.seconds = add_each(sink.seconds, seconds, n)
         if counts is not None and n:
             counts[name] += n
 
@@ -228,14 +292,30 @@ class SimulatedClock:
         """Replay the unit charges counted since the last settle: one
         addition each, onto what ``charge`` would add to right now —
         what an eager ``charge`` per unit would have done.  Never
-        ``pending * unit``, never ``sum()`` (compensated since CPython
-        3.12): either changes the bits."""
+        ``sum()`` (compensated since CPython 3.12), and a product only
+        where it is exact: the run's last additions are one, inside the
+        binade the run stays in (:meth:`RunAdder.add_each`).  The common
+        case — a run inside the cached binade — makes no call."""
         # ``.get``: a read must not create the counter
         counted = self._counts.get(self._unit_name, 0)
+        n = counted - self._settled
         unit_s, sink = self._unit_s, self._sink
         total = self._now if sink is None else sink.seconds
-        for _ in range(counted - self._settled):
-            total += unit_s
+        if n > 3:
+            # ``RunAdder.add_each``'s first step, inline
+            runs = self._runs
+            t1 = total + unit_s
+            t2 = t1 + unit_s
+            total = t2 + unit_s
+            end = total + (n - 3) * (total - t2)
+            if runs.low <= t1 and end < runs.high:
+                total = end
+            else:
+                total = runs.add_each(total, unit_s, n - 3)
+        else:
+            while n > 0:
+                total += unit_s
+                n -= 1
         if sink is None:
             self._now = total
         else:

@@ -49,11 +49,10 @@ class TestInternalTable:
         assert r3.metrics.get("abap.sort_spills") == before
         assert [row[0] for row in itab.rows] == [1, 2, 3]
 
-    def test_group_loop_at_end_semantics(self, r3):
-        itab = InternalTable(r3)
-        itab.extend([("a", 1), ("a", 2), ("b", 3)])
-        itab.sort(lambda row: (row[0],), via_disk=False)
-        groups = list(itab.group_loop(lambda row: (row[0],)))
+    def test_group_aggregate_at_end_semantics(self, r3):
+        groups = group_aggregate(r3, [("b", 3), ("a", 1), ("a", 2)],
+                                 lambda row: (row[0],),
+                                 lambda key, rows: (key, rows))
         assert groups == [(("a",), [("a", 1), ("a", 2)]),
                           (("b",), [("b", 3)])]
 

@@ -22,9 +22,8 @@ from repro.sapschema.mapping import KeyCodec
 from repro.tpcd.answers import rows_match
 from repro.tpcd.dbgen import generate, generate_update_pairs
 from repro.tpcd.queries import build_queries
-from repro.tpcd.schema import table_schemas
 
-from tests.tpcd.test_sqlite_oracle import _oracle, _sqlite
+from tests.tpcd.test_sqlite_oracle import _oracle, _sqlite, apply_updates
 
 SF = 0.002
 SEED = 19970601
@@ -40,24 +39,8 @@ def worlds():
     assert run_uf1_sap(r3, refresh) > 0
     assert run_uf2_sap(r3, doomed) == len(doomed)
     conn = _sqlite(data)
-    for name in ("orders", "lineitem"):
-        schema, = [s for s in table_schemas() if s.name == name]
-        width = len(schema.columns)
-        conn.executemany(
-            f"INSERT INTO {name} VALUES ({', '.join('?' * width)})",
-            [tuple(to_sqlite_value(value) for value in row)
-             for row in refresh.table(name)])
-    marks = ", ".join("?" * len(doomed))
-    conn.execute(f"DELETE FROM lineitem WHERE l_orderkey IN ({marks})",
-                 doomed)
-    conn.execute(f"DELETE FROM orders WHERE o_orderkey IN ({marks})",
-                 doomed)
+    apply_updates(conn, refresh, doomed)
     return r3, conn, refresh, doomed
-
-
-def to_sqlite_value(value: object) -> object:
-    """A date as ISO text, as ``_sqlite`` loads it."""
-    return value.isoformat() if hasattr(value, "isoformat") else value
 
 
 def test_the_refresh_reached_both_engines(worlds):
