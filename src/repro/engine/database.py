@@ -318,7 +318,10 @@ class Database:
     # -- statistics -----------------------------------------------------------
 
     def analyze(self, table_name: str | None = None) -> None:
-        """Collect optimizer statistics (full pass, charges a scan)."""
+        """Collect optimizer statistics (full pass, charges a scan).
+
+        The deferred entries of a bulk load are merged into each index
+        here, so that a query's first index read does not pay for it."""
         names = (
             [table_name.lower()] if table_name else self.catalog.table_names
         )
@@ -327,6 +330,8 @@ class Database:
             # ANALYZE reads the whole table once.
             for rowids, _rows in table.store.scan():
                 self.metrics.counts[table.scanned_counter] += len(rowids)
+            for index in table.indexes.values():
+                index.merge()
             self.stats[name] = analyze(table)
 
     # -- query execution ---------------------------------------------------
@@ -682,6 +687,7 @@ class Database:
         """
         table = self.catalog.table(table_name)
         validated = [table.schema.validate_row(row) for row in rows]
+        table.check_keys(validated)
         wal = self.wal
         bypassed = False
         if wal is not None and not wal.dead and not wal.recovering:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -29,6 +30,10 @@ from repro.sim.metrics import MetricsCollector
 
 #: bytes per entry beyond the key itself (rowid + slot overhead)
 ENTRY_OVERHEAD_BYTES = 8
+
+#: sorted runs of deferred bulk entries an index keeps before it merges
+#: them into one (DESIGN.md §32)
+MAX_RUNS = 32
 
 
 class _NullFirst:
@@ -114,8 +119,14 @@ class BTreeIndex:
         # the all-NULL key, which a unique index admits any number of
         self._null_key = (NULL_FIRST,) * len(self.column_positions)
         # ``(key, rowid)`` entries in sort order
-        self._entries: list[tuple[tuple, int]] = []
+        self._sorted: list[tuple[tuple, int]] = []
         self._bulk_pending = 0
+        # bulk entries not yet in ``_sorted`` (DESIGN.md §32): the
+        # unsorted ones since the last leaf write, and sorted runs; the
+        # first reader of ``_entries`` merges them
+        self._tail: list[tuple[tuple, int]] = []
+        self._runs: list[list[tuple[tuple, int]]] = []
+        self._deferred = 0
 
     def key_of_row(self, row: tuple) -> tuple:
         """The indexed columns of a row as :func:`make_key` has them."""
@@ -128,19 +139,37 @@ class BTreeIndex:
                pos: int | None = None) -> None:
         """``pos`` is where :meth:`locate` put the row's key, when it
         found the key free and nothing has touched the index since: the
-        insert of a probed row descends once, not twice."""
+        insert of a probed row descends once, not twice.
+
+        A bulk insert into a non-unique index that cannot append is
+        deferred: it joins the unsorted tail, and the leaf write of every
+        ``entries_per_page``-th bulk insert goes to the page of the rank
+        :meth:`_cut_run` finds, which is the position a bisect of the
+        sorted array would have found."""
         key = self.columns_of_row(row)
         if None in key:
             key = make_key(key)
-        entries = self._entries
+        entries = self._sorted
         entry = (key, rowid)
         if pos is None:
-            if not entries or entries[-1] < entry:
+            if not self._deferred and (not entries or entries[-1] < entry):
                 # what sorted input (bulk load, direct path,
                 # ingest_sorted) delivers: the position a bisect would
                 # find, without one
                 pos = len(entries)
+            elif bulk and not self.unique:
+                self._tail.append(entry)
+                self._deferred += 1
+                self._bulk_pending += 1
+                if self._bulk_pending >= self.entries_per_page:
+                    self._bulk_pending = 0
+                    self._buffer.write(
+                        self._file_name,
+                        self._cut_run() // self.entries_per_page, fresh=True)
+                return
             else:
+                if self._deferred:
+                    self.merge()
                 pos = bisect.bisect_left(entries, entry)
             # Entries of one key are adjacent and ``pos`` lies among
             # them.
@@ -161,14 +190,55 @@ class BTreeIndex:
         self._charge_traverse()
         self._buffer.write(self._file_name, pos // self.entries_per_page)
 
+    def _cut_run(self) -> int:
+        """Sort the tail into a run and return the rank of the tail's
+        last entry among all entries, deferred ones included: the number
+        of entries below it, which is what ``bisect_left`` over the one
+        sorted array counts, summed over the tail, ``_sorted`` and each
+        run.  Where the entry lies past a sorted list's end, as rising
+        keys do, the count is its length, found without a bisect."""
+        tail, entries, runs = self._tail, self._sorted, self._runs
+        last = tail[-1]
+        tail.sort()
+        rank = len(tail) - 1 if tail[-1] is last \
+            else bisect.bisect_left(tail, last)
+        for run in (entries, *runs):
+            rank += len(run) if not run or run[-1] < last \
+                else bisect.bisect_left(run, last)
+        self._tail = []
+        if not runs and (not entries or entries[-1] < tail[0]):
+            entries += tail  # past the end: merged as it stands
+            self._deferred = 0
+        else:
+            runs.append(tail)
+            if len(runs) > MAX_RUNS:  # a rank bisects each run: one again
+                runs[:] = [sorted(chain.from_iterable(runs))]
+        return rank
+
+    def merge(self) -> None:
+        """Put the deferred bulk entries into ``_sorted``, in order.
+        Touches nothing simulated."""
+        if self._deferred:
+            self._sorted += chain(self._tail, *self._runs)
+            self._sorted.sort()
+            self._tail, self._runs, self._deferred = [], [], 0
+
+    @property
+    def _entries(self) -> list[tuple[tuple, int]]:
+        """Every ``(key, rowid)`` entry in sort order: what each reader
+        reads, the deferred entries merged in first."""
+        if self._deferred:
+            self.merge()
+        return self._sorted
+
     def delete(self, row: tuple, rowid: int) -> None:
-        entry = (self.key_of_row(row), rowid)
-        pos = bisect.bisect_left(self._entries, entry)
-        if pos >= len(self._entries) or self._entries[pos] != entry:
+        entry, entries = (self.key_of_row(row), rowid), self._entries
+        pos = bisect.bisect_left(entries, entry)
+        if pos >= len(entries) or entries[pos] != entry:
             raise ExecutionError(
                 f"index {self.name}: missing entry for rowid {rowid}"
             )
-        del self._entries[pos]
+        del entries[pos]
         self._charge_traverse()
         self._buffer.write(self._file_name, self._leaf_page(pos))
 
@@ -250,12 +320,13 @@ class BTreeIndex:
         """All entries whose key starts with ``values`` (prefix match)."""
         prefix = make_key(values)
         self.charge_prefix_scan()
-        lo = bisect.bisect_left(self._entries, (prefix, -1))
+        entries = self._entries
+        lo = bisect.bisect_left(entries, (prefix, -1))
         width, entries_per_page = len(prefix), self.entries_per_page
         touched_page = -1
         # its own leaf walk: two calls an entry less than the helper
-        for idx in range(lo, len(self._entries)):
-            key, rowid = self._entries[idx]
+        for idx in range(lo, len(entries)):
+            key, rowid = entries[idx]
             if key[:width] != prefix:
                 break
             page = idx // entries_per_page
@@ -306,9 +377,10 @@ class BTreeIndex:
     # -- internals ---------------------------------------------------------
 
     def _advance_past(self, low_key: tuple) -> int:
-        idx = bisect.bisect_left(self._entries, (low_key, -1))
-        while idx < len(self._entries) and \
-                self._entries[idx][0][: len(low_key)] == low_key:
+        entries = self._entries
+        idx = bisect.bisect_left(entries, (low_key, -1))
+        while idx < len(entries) and \
+                entries[idx][0][: len(low_key)] == low_key:
             idx += 1
         return idx
 
@@ -318,9 +390,9 @@ class BTreeIndex:
         return 0
 
     def _walk_leaves_while(self, start: int, predicate) -> Iterator[tuple[tuple, int]]:
-        touched_page = -1
-        for idx in range(start, len(self._entries)):
-            key, rowid = self._entries[idx]
+        touched_page, entries = -1, self._entries
+        for idx in range(start, len(entries)):
+            key, rowid = entries[idx]
             if not predicate(key):
                 break
             page = self._leaf_page(idx)
@@ -341,15 +413,15 @@ class BTreeIndex:
 
     # -- accounting ----------------------------------------------------------
 
+    # Counts include the deferred entries and merge nothing.
+
     @property
     def entry_count(self) -> int:
-        return len(self._entries)
+        return len(self._sorted) + self._deferred
 
     @property
     def leaf_page_count(self) -> int:
-        if not self._entries:
-            return 0
-        return -(-len(self._entries) // self.entries_per_page)
+        return -(-self.entry_count // self.entries_per_page)
 
     @property
     def page_count(self) -> int:
@@ -364,11 +436,12 @@ class BTreeIndex:
 
     @property
     def size_bytes(self) -> int:
-        return len(self._entries) * self.entry_byte_width
+        return self.entry_count * self.entry_byte_width
 
     @property
     def height(self) -> int:
-        leaves = -(-len(self._entries) // self.entries_per_page)
+        leaves = -(-(len(self._sorted) + self._deferred)
+                   // self.entries_per_page)
         if leaves <= 1:
             return 1
         return 1 + math.ceil(math.log(leaves, self.entries_per_page))

@@ -97,15 +97,13 @@ class SSTable:
         self.rows_per_block = rows_per_block
         self.min_key = entries[0][0]
         self.max_key = entries[-1][0]
+        rowids = [rowid for rowid, _row in entries]
         #: first rowid of each block — the sparse index
-        self.block_fence: list[int] = [
-            entries[i][0] for i in range(0, len(entries), rows_per_block)
-        ]
+        self.block_fence: list[int] = rowids[::rows_per_block]
         self.bloom = BloomFilter(len(entries))
-        self._offsets: dict[int, int] = {}
-        for pos, (rowid, _row) in enumerate(entries):
+        for rowid in rowids:
             self.bloom.add(rowid)
-            self._offsets[rowid] = pos
+        self._offsets: dict[int, int] = dict(zip(rowids, range(len(rowids))))
 
     @property
     def block_count(self) -> int:
@@ -350,12 +348,10 @@ class LsmTree(StorageBackend):
         )
         for start in range(0, len(rows), rows_per_run):
             chunk = rows[start:start + rows_per_run]
-            entries: list[tuple[int, tuple | None]] = []
-            for row in chunk:
-                rowid = self._next_rowid
-                self._next_rowid += 1
-                entries.append((rowid, row))
-                rowids.append(rowid)
+            fresh = range(self._next_rowid, self._next_rowid + len(chunk))
+            self._next_rowid += len(chunk)
+            entries: list[tuple[int, tuple | None]] = list(zip(fresh, chunk))
+            rowids += fresh
             segment = SSTable(entries, self.rows_per_page, self.schema.name)
             pages = self._pages_for_entries(len(entries))
             for _ in range(pages):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from repro.engine.buffer import BufferPool
@@ -164,6 +165,43 @@ class Table:
                 wal.log_insert(name, rowid, row, page_of(rowid))
             rowids.append(rowid)
         return rowids
+
+    def check_keys(self, rows: list[tuple]) -> None:
+        """Raise what :meth:`insert_rows` raises at the first of the
+        validated ``rows`` whose key it refuses: a NULL in the primary
+        key, or a key that an index entry or an earlier row of the batch
+        already holds.  Touches no clock, counter, page or entry."""
+        pk = self._pk_index
+        secondaries = [index for index in self.indexes.values()
+                       if index.unique and index is not pk]
+        checked = secondaries if pk is None else [pk, *secondaries]
+        for index in checked:
+            keys = list(map(index.columns_of_row, rows))
+            if index.entry_count or len(set(keys)) < len(keys) or (
+                    index is pk and None in chain.from_iterable(keys)):
+                break
+        else:
+            return  # a fresh table, no key twice, no NULL in the primary
+        seen: dict[BTreeIndex, set] = {index: set() for index in checked}
+        for row in rows:
+            if pk is not None:
+                key = pk.columns_of_row(row)
+                if None in key:
+                    raise ConstraintError(
+                        f"NULL in primary key of {self.name}: {key}"
+                    )
+                if key in seen[pk] or pk.prefix_run(key)[1]:
+                    raise ConstraintError(
+                        f"duplicate primary key in {self.name}: {key}"
+                    )
+                seen[pk].add(key)
+            for index in secondaries:
+                index.check_unique(row)
+                key = index.key_of_row(row)
+                if key != index._null_key:
+                    if key in seen[index]:
+                        raise index._violation(key)
+                    seen[index].add(key)
 
     def delete(self, rowid: int) -> None:
         row = self.store.fetch(rowid)
