@@ -29,7 +29,18 @@ from repro.engine.catalog import Catalog
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.exec.base import ExecContext
-from repro.engine.expr import Compiled, Expr, OutputSchema
+from repro.engine.expr import (
+    ColumnRef,
+    Compiled,
+    Expr,
+    LikeExpr,
+    Literal,
+    OutputSchema,
+    ParamRef,
+    _total,
+    plain,
+    split_conjuncts,
+)
 from repro.engine.parallel import ParallelPolicy, PartitionManager
 from repro.engine.plan.binder import bind_expr
 from repro.engine.plan.planner import PlannedQuery, Planner
@@ -121,6 +132,46 @@ class PreparedStatement:
         if self._plan is None:
             return f"DML({self.sql})"
         return self._plan.operator.explain()
+
+
+def _like_window(table, index, width: int, where: Expr,
+                 params: Sequence[object]) -> str | None:
+    """The text every entry WHERE can hold for starts its key column
+    ``width`` with — the one after the equality prefix —, or None.
+
+    A conjunct ``col LIKE p`` on that column, a string column, with a
+    string ``p`` that starts with a text before its first ``%`` or
+    ``_``: an entry whose ``col`` does not start with it makes the
+    conjunct FALSE or NULL, and when every other conjunct is total
+    (:func:`_total`, with every parameter present and plain) nothing
+    else about it can make WHERE TRUE or raise (DESIGN.md §33)."""
+    if width >= len(index.column_names) or not plain(params) or any(
+            type(node) is ParamRef and node.index >= len(params)
+            for node in where.walk()):  # a missing one raises
+        return None
+    position = index.column_positions[width]
+    if table.schema.columns[position].sql_type.exact_type is not str:
+        return None
+    conjuncts = split_conjuncts(where)
+    for like in conjuncts:
+        if type(like) is not LikeExpr or like.negated \
+                or type(like.operand) is not ColumnRef \
+                or like.operand.fingerprint() != ("col", position):
+            continue
+        pattern = like.pattern
+        if type(pattern) is Literal:
+            text = pattern.value
+        elif type(pattern) is ParamRef:
+            text = params[pattern.index]
+        else:
+            continue
+        if not isinstance(text, str):
+            continue
+        text = text.split("%", 1)[0].split("_", 1)[0]
+        if text and all(_total(other) for other in conjuncts
+                        if other is not like):
+            return text
+    return None
 
 
 class Database:
@@ -509,7 +560,6 @@ class Database:
         bind_expr(where, schema)
         # Index-assisted path: cover a prefix of some index with the
         # equality conjuncts, then re-check the full predicate.
-        from repro.engine.expr import split_conjuncts
         from repro.engine.plan.access import eq_sarg_value
 
         eq_values: dict[str, object] = {}
@@ -577,6 +627,10 @@ class Database:
         the row path's accesses in its order: a leaf page when it
         changes, a heap page per entry — as a certain hit on the page
         just touched, when it is that page (:meth:`BufferPool.hit_again`).
+        Where WHERE holds only for entries whose next key column starts
+        with a known text (:func:`_like_window`), the filter sees those
+        alone; the dead-rowid check and the charges cover the whole run
+        (DESIGN.md §33).
         """
         store = table.store
         heap_file = store.read_file
@@ -586,15 +640,22 @@ class Database:
         rows = store.get_many(rowids)
         if None in rows:
             return None
+        candidates, window = rowids, rows
+        text = _like_window(table, index, len(key), where, params)
+        if text is not None:
+            start, stop = index.starting_with(lo, lo + len(rowids), len(key),
+                                              text)
+            candidates = rowids[start - lo:stop - lo]
+            window = rows[start - lo:stop - lo]
         try:
-            kept = where.compile_filter(holds)(rows, params)
+            kept = where.compile_filter(holds)(window, params)
         except Exception:
             return None
         matches = []
         if kept:
             wanted = iter(kept)
             want = next(wanted)
-            for rowid, row in zip(rowids, rows):
+            for rowid, row in zip(candidates, window):
                 if row is want:
                     matches.append(rowid)
                     want = next(wanted, None)

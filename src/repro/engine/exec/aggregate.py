@@ -168,8 +168,8 @@ class GroupAggregate(Operator):
             value = held[atom]
             if value == "None":  # a NULL literal adds nothing
                 continue
-            with src.guard(None if value in src.constants
-                           else f"{value} is not None"):
+            with src.guard(f"{value} is not None" if src.nullable(value)
+                           else None):
                 self._emit_add(src, call, state, value)
 
     @staticmethod
@@ -200,10 +200,10 @@ class GroupAggregate(Operator):
         self, params: Sequence[object]
     ) -> dict[tuple, list[_AggState]]:
         """Fold the child's rows into per-group states, first-seen order:
-        the pipeline's kernel, unless the plan is instrumented or a
-        parameter is missing, else a row at a time."""
+        the pipeline's kernel, unless the plan is instrumented or the
+        kernel does not accept the parameters, else a row at a time."""
         pipeline = self._pipeline
-        if pipeline is not None and len(params) >= pipeline.arity \
+        if pipeline is not None and pipeline.accepts(params) \
                 and "_profile" not in vars(self):
             return pipeline.run(params)
         groups: dict[tuple, list[_AggState]] = {}

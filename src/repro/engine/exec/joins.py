@@ -25,6 +25,7 @@ from repro.engine.expr import (
     OutputSchema,
     ParamRef,
     SubqueryExpr,
+    plain,
 )
 from repro.engine.table import Table
 
@@ -412,6 +413,12 @@ class Pipeline:
                      if isinstance(node, ParamRef)), default=0)
         return cls(top, stages[::-1], op, arity, keys)
 
+    def accepts(self, params: Sequence[object]) -> bool:
+        """Whether the kernel may run with ``params``: it reads each of
+        them (the row path raises per row at a missing one), and what it
+        has proved holds for plain values only (:func:`plain`)."""
+        return len(params) >= self.arity and plain(params[:self.arity])
+
     def run(self, params: Sequence[object]) \
             -> list[tuple] | dict | tuple[dict, int, bool]:
         """The builds, outermost first; the pages; the probe spills,
@@ -421,7 +428,7 @@ class Pipeline:
         when the kernel raises, the page's scan counts up to the row it
         got to and the tuples it counted are added: the row path's
         counts (and states) at the row where it raises."""
-        if len(params) < self.arity:  # the row path raises per row
+        if not self.accepts(params):
             rows = Operator.materialize(self.top, params)
             return rows if self.keys is None \
                 else build_hash_table(rows, self.keys)
@@ -473,6 +480,11 @@ class Pipeline:
         its output is the page."""
         src = KernelSource()
         columns = [f"r0[{i:d}]" for i in range(len(self.scan.schema))]
+        table_columns = self.scan.table.schema.columns
+        assert len(columns) == len(table_columns)
+        # storage holds no NULL in a NOT NULL column (``validate_row``)
+        src.not_null.update(atom for atom, column in zip(columns, table_columns)
+                            if not column.nullable)
         parts = ["r0"]
         counted = 0  # tuples counted since the last ``n +=``
 
@@ -482,16 +494,17 @@ class Pipeline:
                 src.line(f"n += {counted:d}")
             counted = 0
 
-        def key(name: str, positions: Sequence[int]) -> str:
+        def key(name: str, positions: Sequence[int]) -> str | None:
             """``name = `` the key at ``positions`` of the row; its
-            test for a NULL part."""
+            test for a NULL part, None for a key that cannot have one."""
             atoms = [columns[i] for i in positions]
             if len(atoms) == 1:
                 src.line(f"{name} = {atoms[0]}")
-                return f"{name} is None"
+                return f"{name} is None" if src.nullable(atoms[0]) else None
             atoms = [src.hold(atom) for atom in atoms]
             src.line(f"{name} = ({', '.join(atoms)})")
-            return " or ".join(f"{atom} is None" for atom in atoms)
+            return " or ".join(f"{atom} is None" for atom in atoms
+                               if src.nullable(atom)) or None
 
         bare = self.bare
         src.line("n = 0")
@@ -531,9 +544,10 @@ class Pipeline:
                 if spilling:
                     src.line(f"s{level} += 1")
                 null = key(f"k{level}", stage.probe_keys)
-                count()
-                with src.block(f"if {null}:"):
-                    src.line("continue")
+                if null:
+                    count()
+                    with src.block(f"if {null}:"):
+                        src.line("continue")
                 counted += 1
                 count()
                 with src.block(f"if k{level} not in h{level}:"):
@@ -559,8 +573,10 @@ class Pipeline:
                 self.aggregate.consume(src, columns)
             elif self.keys is not None:
                 count()
-                with src.block(f"if {key('k', self.keys)}:"):
-                    src.line("continue")
+                null = key("k", self.keys)
+                if null:
+                    with src.block(f"if {null}:"):
+                        src.line("continue")
                 row = " + ".join(parts)
                 with src.block("if k in out:"):
                     src.line(f"emit((k, {row}))")

@@ -101,6 +101,15 @@ _serial = itertools.count(1)
 #: parameters
 _VARIES = object()
 
+#: the value types a kernel's proofs (:func:`_total`) hold for: a
+#: parameter of any other type sends its statement to the row path
+PLAIN_TYPES = frozenset({type(None), bool, int, float, str, datetime.date})
+
+
+def plain(values: Iterable[object]) -> bool:
+    """True when every value has one of the :data:`PLAIN_TYPES`."""
+    return PLAIN_TYPES.issuperset(map(type, values))
+
 
 @functools.lru_cache(maxsize=1024)
 def _factory(source: str,
@@ -134,7 +143,8 @@ class _Source:
     *atom*, a side-effect-free Python expression for its value: the
     name of a temporary (``t3``), of a bound constant (``c0``), a
     subscript of the row, or ``None`` — a literal NULL is never bound,
-    so that its guards can be decided while emitting.
+    so that its guards can be decided while emitting.  An atom that
+    cannot be NULL (:meth:`nullable`) gets no NULL test.
     """
 
     def __init__(self, root: "Expr | None") -> None:
@@ -146,6 +156,14 @@ class _Source:
         #: column position -> its atom, for a row kept as its parts
         #: (:class:`KernelSource`); None: a subscript of ``row``
         self.columns: Sequence[str] | None = None
+        #: atoms besides the constants that cannot be NULL: the columns
+        #: of a ``NOT NULL`` column (seeded by the kernel's author) and
+        #: what :meth:`hold` and :meth:`unless_null` derive from them
+        self.not_null: set[str] = set()
+
+    def nullable(self, atom: str) -> bool:
+        """False for an atom that cannot be NULL: no test for it."""
+        return atom not in self.constants and atom not in self.not_null
 
     def column(self, position: int) -> str:
         """The atom of the input row's column ``position``."""
@@ -189,6 +207,8 @@ class _Source:
             return atom
         name = self.temp()
         self.line(f"{name} = {atom}")
+        if atom in self.not_null:
+            self.not_null.add(name)
         return name
 
     def fold(self, node: "Expr") -> object:
@@ -228,15 +248,21 @@ class _Source:
         """An expression that raises ``message`` if a row evaluates it."""
         return f"_fail({self.constant(message)})"
 
-    def unless_null(self, operands: Sequence[str], expression: str) -> str:
-        """The atom of ``expression``, NULL when an operand is NULL."""
+    def unless_null(self, operands: Sequence[str], expression: str,
+                    strict: bool = False) -> str:
+        """The atom of ``expression``, NULL when an operand is NULL.
+        ``strict``: ``expression`` is never ``None`` (arithmetic, a
+        comparison), so neither is the atom when no operand can be."""
         if "None" in operands:
             return "None"
         tests = [f"{atom} is None" for atom in operands
-                 if atom not in self.constants]
+                 if self.nullable(atom)]
         if tests:
             expression = f"None if {' or '.join(tests)} else {expression}"
-        return self.hold(expression)
+        result = self.hold(expression)
+        if strict and not tests:
+            self.not_null.add(result)
+        return result
 
     def param(self, index: int) -> str:
         """The atom of parameter ``index``, read where the row needs it;
@@ -252,6 +278,12 @@ class _Source:
     def decided(self, dominant: bool) -> None:
         """The root connective found its value: ``fn`` returns it."""
         self.line(f"return {dominant}")
+
+    def fused_from(self, parts: Sequence["Expr"]) -> int:
+        """The first part of the root connective that may end the row
+        without its NULL being carried to the end: none here, where the
+        root returns its value."""
+        return len(parts)
 
     def function(self, result: str) -> Compiled:
         source = (f"def make({', '.join(self.constants)}):\n"
@@ -339,7 +371,8 @@ class Expr:
         in order, from one call — a kernel that requires this tree in
         one loop, the parameters read once (DESIGN.md §24).  A missing
         parameter hands the page to ``fn``, which raises at the row
-        that first reads it, as a row at a time would."""
+        that first reads it, as a row at a time would; so does one that
+        is not :func:`plain`, for which the kernel's proofs do not hold."""
         src = KernelSource()
         src.line("kept = []")
         src.line("keep = kept.append")
@@ -498,6 +531,11 @@ def _divide(left: object, right: object) -> object:
     return left / right
 
 
+#: the comparisons that cannot raise over plain values
+_EQUALITIES = ("=", "<>", "!=")
+#: every comparison
+_COMPARISONS = (*_EQUALITIES, "<", "<=", ">", ">=")
+
 #: operator symbol -> (Python expression over the two operand atoms,
 #: verb of the TypeError message)
 _BINARY_OPERATORS: dict[str, tuple[str, str]] = {
@@ -536,11 +574,37 @@ class BinOp(Expr):
         if "None" in (a, b):
             return "None"
         with src.block("try:"):
-            result = src.unless_null((a, b), apply.format(a, b))
+            result = src.unless_null((a, b), apply.format(a, b), strict=True)
         with src.block("except TypeError as exc:"):
             src.line(f"raise ExecutionError(f'cannot {verb} {{{a}!r}} {op} "
                      f"{{{b}!r}}') from exc")
         return result
+
+    def emit_skip(self, src: "KernelSource") -> None:
+        """``continue`` unless this comparison is TRUE, in one test: the
+        NULL tests of the operands that can be NULL, then the operator.
+        For ``=`` one operand that cannot be NULL makes the NULL tests
+        moot — a plain value never equals ``None`` — and one test does
+        for two.  Only an ordering operator can raise ``TypeError``."""
+        a, b = src.value(self.left), src.value(self.right)
+        if "None" in (a, b):
+            src.line("continue")
+            return
+        nullable = [atom for atom in (a, b) if src.nullable(atom)]
+        if self.op == "=":
+            nullable = nullable[:len(nullable) - 1]
+        test = " or ".join([*(f"{atom} is None" for atom in nullable),
+                            f"not {_BINARY_OPERATORS[self.op][0].format(a, b)}"])
+        if self.op in _EQUALITIES:
+            with src.block(f"if {test}:"):
+                src.line("continue")
+            return
+        with src.block("try:"):
+            with src.block(f"if {test}:"):
+                src.line("continue")
+        with src.block("except TypeError as exc:"):
+            src.line(f"raise ExecutionError(f'cannot compare {{{a}!r}} "
+                     f"{self.op} {{{b}!r}}') from exc")
 
     def _emit_connective(self, src: _Source, dominant: bool) -> str:
         """Kleene AND (``dominant`` False) / OR (True) over the operands.
@@ -549,12 +613,22 @@ class BinOp(Expr):
         the nested two-operand form does: the root of a predicate is
         decided there (:meth:`_Source.decided`), a nested connective
         skips what is left (and in :func:`compile_row` none is the root:
-        its value is one of many).
+        its value is one of many).  A kernel's root AND ends the row at
+        a part that is not TRUE, NULL included, from the part
+        :meth:`KernelSource.fused_from` names on: nothing after it can
+        raise, so nothing after it can change what the row path does.
         """
         returns = src.root is self
-        result = src.temp()
-        src.line(f"{result} = {not dominant}")
-        for index, part in enumerate(_operands(self, self.op)):
+        parts = _operands(self, self.op)
+        fused = src.fused_from(parts) if returns else len(parts)
+        # with every part one test, the AND is TRUE after them
+        result = src.temp() if fused else "True"
+        if fused:
+            src.line(f"{result} = {not dominant}")
+        for index, part in enumerate(parts):
+            if index >= fused:
+                src.skip_unless(part)
+                continue
             with src.guard(f"{result} is not {dominant}"
                            if index and not returns else None):
                 value = src.name(part)
@@ -586,7 +660,7 @@ class NotExpr(Expr):
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
-        return src.unless_null([value], f"not {value}")
+        return src.unless_null([value], f"not {value}", strict=True)
 
 
 class NegExpr(Expr):
@@ -597,7 +671,14 @@ class NegExpr(Expr):
 
     def emit(self, src: _Source) -> str:
         value = src.name(self.operand)
-        return src.unless_null([value], f"-{value}")
+        if value == "None":
+            return "None"
+        with src.block("try:"):
+            result = src.unless_null([value], f"-{value}", strict=True)
+        with src.block("except TypeError as exc:"):
+            src.line(f"raise ExecutionError(f'cannot evaluate -{{{value}!r}}')"
+                     f" from exc")
+        return result
 
 
 class IsNullExpr(Expr):
@@ -609,7 +690,9 @@ class IsNullExpr(Expr):
 
     def emit(self, src: _Source) -> str:
         test = "is not" if self.negated else "is"
-        return src.hold(f"{src.value(self.operand)} {test} None")
+        result = src.hold(f"{src.value(self.operand)} {test} None")
+        src.not_null.add(result)
+        return result
 
 
 class BetweenExpr(Expr):
@@ -625,9 +708,27 @@ class BetweenExpr(Expr):
 
     def emit(self, src: _Source) -> str:
         value, low, high = [src.name(part) for part in self.children()]
+        if "None" in (value, low, high):
+            return "None"
         test = f"{low} <= {value} <= {high}"
-        return src.unless_null((value, low, high),
-                               f"not {test}" if self.negated else test)
+        with src.block("try:"):
+            result = src.unless_null(
+                (value, low, high), f"not {test}" if self.negated else test,
+                strict=True)
+        with src.block("except TypeError as exc:"):
+            src.line(f"raise ExecutionError(_refuse_between({value}, {low}, "
+                     f"{high})) from exc")
+        return result
+
+
+def _refuse_between(value: object, low: object, high: object) -> str:
+    """What ``low <= value <= high`` raises: ``BinOp``'s message for the
+    one of its two comparisons that fails."""
+    try:
+        low <= value  # type: ignore[operator]
+    except TypeError:
+        return f"cannot compare {low!r} <= {value!r}"
+    return f"cannot compare {value!r} <= {high!r}"
 
 
 def _membership(value: object, candidates: Iterable[object],
@@ -712,18 +813,35 @@ class LikeExpr(Expr):
         value = src.name(self.operand)
         test = "is" if self.negated else "is not"
         pattern = src.fold(self.pattern)
+        if value == "None":
+            return "None"
         if isinstance(pattern, str):
             match = src.constant(like_to_regex(pattern).match)
-            return src.unless_null([value], f"{match}({value}) {test} None")
+            with src.block("try:"):
+                result = src.unless_null(
+                    [value], f"{match}({value}) {test} None", strict=True)
+            self._refuse(src, value, src.constant(pattern))
+            return result
         # the pattern is not looked at under a NULL operand
         result = src.temp()
         src.line(f"{result} = None")
-        with src.block(f"if {value} is not None:"):
+        with src.guard(f"{value} is not None" if src.nullable(value)
+                       else None):
             text = src.name(self.pattern)
             with src.block(f"if {text} is not None:"):
-                src.line(f"{result} = like_to_regex({text}).match({value}) "
-                         f"{test} None")
+                with src.block("try:"):
+                    src.line(f"{result} = like_to_regex({text})"
+                             f".match({value}) {test} None")
+                self._refuse(src, value, text)
         return result
+
+    def _refuse(self, src: _Source, value: str, pattern: str) -> None:
+        """The ``except`` of a match: a value or a pattern that is not a
+        string raises as a comparison does."""
+        like = "NOT LIKE" if self.negated else "LIKE"
+        with src.block("except TypeError as exc:"):
+            src.line(f"raise ExecutionError(f'cannot compare {{{value}!r}} "
+                     f"{like} {{{pattern}!r}}') from exc")
 
 
 class CaseExpr(Expr):
@@ -972,6 +1090,29 @@ def _is_literal(node: Expr) -> bool:
         and all(_is_literal(part) for part in parts)
 
 
+def _total(node: Expr) -> bool:
+    """True when evaluating ``node`` in a kernel cannot raise: a plain
+    literal, a parameter (a kernel runs only with plain ones), a bound
+    column, and ``=`` / ``<>``, ``IS [NOT] NULL``, a literal ``IN`` list
+    and ``AND`` / ``OR`` over such nodes.  Ordering, arithmetic,
+    ``BETWEEN``, ``LIKE``, functions, ``CASE`` and subqueries can."""
+    if isinstance(node, Literal):
+        return type(node.value) in PLAIN_TYPES
+    if isinstance(node, (ParamRef, InputRef)):
+        return True
+    if isinstance(node, ColumnRef):
+        return node._position is not None and node._outer_cell is None
+    if isinstance(node, BinOp):
+        return node.op in (*_EQUALITIES, "AND", "OR") \
+            and _total(node.left) and _total(node.right)
+    if isinstance(node, IsNullExpr):
+        return _total(node.operand)
+    if isinstance(node, InListExpr):
+        return _total(node.operand) and all(
+            isinstance(item, Literal) and _total(item) for item in node.items)
+    return False
+
+
 def compile_row(exprs: Sequence[Expr]) -> Compiled:
     """One function ``fn(row, params) -> tuple`` of all ``exprs``,
     evaluated left to right; an error belongs to the row it is raised by."""
@@ -999,16 +1140,36 @@ class KernelSource(_Source):
         """The root AND of :meth:`require` is FALSE: the next row."""
         self.line("continue")
 
+    def fused_from(self, parts: Sequence[Expr]) -> int:
+        """The first conjunct of the root AND after which every one is
+        total (:func:`_total`): from it on, a conjunct that is not TRUE
+        is the next row (:meth:`skip_unless`).  Before it a NULL is
+        carried to the end, as the row function does: a conjunct after
+        it could still raise."""
+        return max((index for index, part in enumerate(parts)
+                    if not _total(part)), default=0)
+
+    def skip_unless(self, node: Expr) -> None:
+        """``continue`` unless ``node`` is TRUE; a comparison that does
+        not fold in one test (:meth:`BinOp.emit_skip`)."""
+        if isinstance(node, BinOp) and node.op in _COMPARISONS \
+                and self.fold(node) is _VARIES:
+            node.emit_skip(self)
+            return
+        value = self.value(node)
+        if value != "True":
+            with self.block(f"if {value} is not True:"):
+                self.line("continue")
+
     def require(self, predicate: Expr,
                 columns: Sequence[str] | None) -> None:
         """Go on only where ``predicate`` is TRUE, else ``continue``; a
         root AND stops at its first FALSE, where its row function
-        returns."""
+        returns, and at a NULL after which nothing can raise."""
         self.columns = columns
         self.root = predicate if isinstance(predicate, BinOp) \
             and predicate.op == "AND" else None
-        with self.block(f"if {self.value(predicate)} is not True:"):
-            self.line("continue")
+        self.skip_unless(predicate)
 
     def values(self, exprs: Sequence[Expr],
                columns: Sequence[str]) -> list[str]:
@@ -1020,14 +1181,17 @@ class KernelSource(_Source):
                missing: str | None = None) -> Callable[..., object]:
         """``kernel(signature)``, its code under a file name ending in
         ``home``.  Without ``missing`` the caller runs it only with
-        every parameter it reads present; with it, a missing one makes
-        the kernel return ``missing`` instead."""
+        every parameter it reads present and plain (:func:`plain`);
+        with it, a missing one or one of another type makes the kernel
+        return ``missing`` instead."""
         pad = "  " if missing is None else "   "
         reads = "".join(f"{pad}{name} = params[{index:d}]\n"
                         for index, name in self._params.items())
         if reads and missing is not None:
+            names = "".join(f"{name}, " for name in self._params.values())
             reads = (f"  try:\n{reads}"
-                     f"  except IndexError:\n   return {missing}\n")
+                     f"  except IndexError:\n   return {missing}\n"
+                     f"  if not plain(({names})):\n   return {missing}\n")
         source = (f"def make({', '.join(self.constants)}):\n"
                   f" def kernel({signature}):\n{reads}{''.join(self._lines)}"
                   f" return kernel\n")

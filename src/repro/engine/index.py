@@ -311,6 +311,22 @@ class BTreeIndex:
                                  key=lambda entry: entry[0][:width])
         return lo, [rowid for _key, rowid in entries[lo:hi]]
 
+    def starting_with(self, lo: int, hi: int, width: int,
+                      text: str) -> tuple[int, int]:
+        """Of the entries ``[lo, hi)``, a run of one ``width``-column key
+        prefix (:meth:`prefix_run`), the positions ``[start, stop)`` of
+        those whose next key column starts with ``text``: one bisect on
+        that column, then a walk past them, without touching the clock,
+        a counter or the buffer pool.  The column holds strings or NULL
+        (``NULL_FIRST``, below every string)."""
+        entries = self._entries
+        start = bisect.bisect_left(entries, text, lo, hi,
+                                   key=lambda entry: entry[0][width])
+        stop = start
+        while stop < hi and entries[stop][0][width].startswith(text):
+            stop += 1
+        return start, stop
+
     def charge_prefix_scan(self) -> None:
         """What :meth:`search_prefix` charges before its first entry."""
         self._charge_traverse()

@@ -433,3 +433,183 @@ def test_a_candidate_entry_costs_at_most_four_calls(path):
         assert per_candidate <= 4, per_candidate
     else:  # what the budget is measured against
         assert per_candidate > 8, per_candidate
+
+
+# -- the LIKE window ------------------------------------------------------------
+
+def stxl_db(wal=True):
+    """``tdname`` is nullable and the index's column after ``(m, obj)``;
+    the heap order is not the key order.  1 KB pages, a small pool."""
+    params = SimParams(page_size_bytes=1024, buffer_pool_bytes=6 * 1024)
+    db = Database(params, durability="wal" if wal else "off")
+    db.create_table(TableSchema("s", [
+        Column("id", SqlType.integer(), nullable=False),
+        Column("m", SqlType.char(3), nullable=False),
+        Column("obj", SqlType.char(4), nullable=False),
+        Column("tdname", SqlType.varchar(8)),
+        Column("note", SqlType.varchar(8)),
+        Column("v", SqlType.integer()),
+        Column("pad", SqlType.char(100)),
+    ], primary_key=["id"]))
+    db.create_index("i_name", "s", ["m", "obj", "tdname"])
+    return db
+
+
+#: names around the prefixes ``abc`` and ``ab``: shorter, longer, equal,
+#: next to them in key order, and NULL; ``v`` is NULL exactly where
+#: ``tdname`` starts with ``abc``
+NAMES_AROUND = ["ab", "abb", "abbz", "abc", "abcd", "abc0", "ab_c", "abxc",
+                "abd", "b", "", None, "abcabc", "a", "abc%", None]
+WINDOW_ROWS = [
+    (n, "100", obj, name, name, None if (name or "").startswith("abc")
+     else n % 3, "")
+    for n, (obj, name) in enumerate(
+        (obj, name) for _ in range(3) for obj in ("VBBP", "VBBK")
+        for name in reversed(NAMES_AROUND))]
+
+
+def window_twins(dead=()):
+    twins = stxl_db(), on_row_path(stxl_db())
+    for db in twins:
+        table = db.catalog.table("s")
+        rowids = table.insert_rows(WINDOW_ROWS)
+        for k in dead:
+            table.store.delete(rowids[k])  # the index still points here
+    return twins
+
+
+def window_observed(db):
+    table = db.catalog.table("s")
+    return {
+        "now": repr(db.clock.now),
+        "counters": db.metrics.all(),
+        "resident": resident(db),
+        "rows": list(table.store.rows()),
+        "entries": list(table.indexes["i_name"]._entries),
+    }
+
+
+@pytest.fixture()
+def filtered(monkeypatch):
+    """The number of rows each page filter of a run was given."""
+    from repro.engine.expr import Expr
+    sizes = []
+    compile_filter = Expr.compile_filter
+
+    def recording(self, fn):
+        page = compile_filter(self, fn)
+
+        def counted(rows, params):
+            sizes.append(len(rows))
+            return page(rows, params)
+        return counted
+    monkeypatch.setattr(Expr, "compile_filter", recording)
+    return sizes
+
+
+LIKE_SQL = ["DELETE FROM s WHERE m = ? AND obj = ? AND tdname LIKE ?",
+            "UPDATE s SET v = 7, tdname = 'zz' WHERE m = ? AND obj = ? "
+            "AND tdname LIKE ?",
+            "DELETE FROM s WHERE tdname LIKE ? AND obj = ? AND m = ? "
+            "AND v IS NULL"]
+
+
+def _like_params(sql, pattern):
+    return (pattern, "VBBP", "100") if sql.startswith("DELETE FROM s WHERE "
+                                                     "tdname") \
+        else ("100", "VBBP", pattern)
+
+
+#: the entries of one ``(m, obj)`` run
+RUN = 3 * len(NAMES_AROUND)
+
+
+@pytest.mark.parametrize("sql", LIKE_SQL)
+@pytest.mark.parametrize("pattern, text", [
+    ("abc%", "abc"), ("ab_c%", "ab"), ("abc", "abc"), ("abc_", "abc"),
+    ("abc%abc", "abc"), ("%x", None), ("", None), ("_bc%", None),
+    (None, None)])
+def test_the_window_is_the_row_loop(filtered, sql, pattern, text):
+    run_db, row_db = window_twins()
+    params = _like_params(sql, pattern)
+    assert outcome(lambda: run_db.execute(sql, params)) == \
+        outcome(lambda: row_db.execute(sql, params))
+    assert window_observed(run_db) == window_observed(row_db)
+    # the entries whose name starts with the text before the first
+    # wildcard, or the whole run
+    window = RUN if text is None else 3 * sum(
+        1 for name in NAMES_AROUND if name and name.startswith(text))
+    assert filtered == [window]
+    assert window < RUN or text is None
+
+
+def test_a_pattern_that_is_not_a_string_raises_as_the_row_path_does(
+        filtered):
+    sql = LIKE_SQL[0]
+    run_db, row_db = window_twins()
+    outcomes = [outcome(lambda: db.execute(sql, ("100", "VBBP", 5)))
+                for db in (run_db, row_db)]
+    assert outcomes[0] == outcomes[1] == (
+        "ExecutionError", "cannot compare '' LIKE 5")  # NULLs come first
+    assert window_observed(run_db) == window_observed(row_db)
+    assert filtered == [RUN]  # no window, and the filter raises
+
+
+@pytest.mark.parametrize("sql, params", [
+    # the LIKE column is not the one after the equality prefix
+    ("DELETE FROM s WHERE m = ? AND note LIKE ?", ("100", "abc%")),
+    ("DELETE FROM s WHERE m = ? AND tdname LIKE ?", ("100", "abc%")),
+    # NOT LIKE holds outside the window
+    ("DELETE FROM s WHERE m = ? AND obj = ? AND tdname NOT LIKE ?",
+     ("100", "VBBP", "abc%")),
+    # a conjunct that is not total: ``v > 'x'`` raises where ``v`` is
+    # not NULL, which is everywhere outside the window
+    ("DELETE FROM s WHERE m = ? AND obj = ? AND tdname LIKE ? AND v > ?",
+     ("100", "VBBP", "abc%", "x")),
+    ("UPDATE s SET v = 1 WHERE m = ? AND obj = ? AND tdname LIKE ? "
+     "AND (v IS NULL OR note < ?)", ("100", "VBBP", "abc%", 3)),
+    # a missing parameter raises at the first NULL ``tdname``, although
+    # no name starts with ``zzz``
+    ("DELETE FROM s WHERE m = ? AND obj = ? AND tdname LIKE ? AND v = ?",
+     ("100", "VBBP", "zzz%")),
+    # a parameter of a type the proofs do not cover
+    ("DELETE FROM s WHERE m = ? AND obj = ? AND tdname LIKE ? AND v = ?",
+     ("100", "VBBP", "abc%", 2.5j)),
+])
+def test_no_window_where_an_entry_outside_it_could_matter(
+        filtered, sql, params):
+    run_db, row_db = window_twins()
+    assert outcome(lambda: run_db.execute(sql, params)) == \
+        outcome(lambda: row_db.execute(sql, params))
+    assert window_observed(run_db) == window_observed(row_db)
+    # the whole run: one ``(m, obj)`` prefix, or both
+    assert all(size in (RUN, 2 * RUN) for size in filtered)
+
+
+@pytest.mark.parametrize("sql", LIKE_SQL[:2])
+def test_a_dead_rowid_outside_the_window_still_raises(filtered, sql):
+    # a ``b`` entry of the VBBP run, far from the ``abc`` window
+    dead = next(n for n, row in enumerate(WINDOW_ROWS)
+                if row[2] == "VBBP" and row[3] == "b")
+    run_db, row_db = window_twins(dead=[dead])
+    outcomes = [outcome(lambda: db.execute(sql, ("100", "VBBP", "abc%")))
+                for db in (run_db, row_db)]
+    assert outcomes[0] == outcomes[1] == (
+        "ExecutionError", f"fetch of dead rowid {dead}")
+    assert window_observed(run_db) == window_observed(row_db)
+    assert filtered == []  # found before the filter runs
+
+
+def test_every_run_entry_is_charged_whatever_the_window(filtered):
+    """The window narrows the filter only: the leaf pages and the heap
+    page of every entry of the run are charged, as the row loop does."""
+    sql = LIKE_SQL[0]
+    costs = []
+    for pattern in ("abc%", "%"):
+        db = stxl_db()
+        db.catalog.table("s").insert_rows(WINDOW_ROWS)
+        before = db.metrics.get("table.s.tuples_fetched")
+        db.execute(sql, ("100", "VBBP", pattern))
+        costs.append(db.metrics.get("table.s.tuples_fetched") - before)
+    assert costs == [RUN, RUN]
+    assert filtered[0] < filtered[1] == RUN
