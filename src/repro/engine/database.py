@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -429,9 +429,17 @@ class Database:
 
     @contextmanager
     def _planning(self, sql: str | None):
-        """What planning a statement costs, in a ``db.plan`` span."""
+        """What planning a statement costs, in a ``db.plan`` span while
+        traced, in the engine layer while only monitored (DESIGN.md §34)."""
         self.metrics.count("db.plans")
-        with self.tracer.span("db.plan", layer="engine", sql=sql):
+        tracer = self.tracer
+        if tracer.enabled:
+            scope = tracer.span("db.plan", layer="engine", sql=sql)
+        elif tracer.monitored:
+            scope = tracer.layer("engine")
+        else:
+            scope = nullcontext()
+        with scope:
             self.clock.charge(self.params.plan_cpu_s)
             yield
 
@@ -474,6 +482,9 @@ class Database:
                 for root in self._profiled_roots:
                     detach_profile(root)
                 self._profiled_roots.clear()
+            if not tracer.monitored:
+                return Result(plan.column_names,
+                              plan.operator.materialize(params))
             with tracer.layer("engine"):
                 rows = plan.operator.materialize(params)
             return Result(plan.column_names, rows)
@@ -495,25 +506,35 @@ class Database:
 
     def _execute_dml(self, stmt, params: Sequence[object],
                      sql: str | None = None) -> Result:
-        with self.tracer.span("db.dml", layer="engine", sql=sql,
-                              kind=type(stmt).__name__) as span:
-            wal = self.wal
-            if wal is not None and not wal.in_txn and not wal.dead \
-                    and not wal.recovering:
-                # Statement-level transaction: a multi-row UPDATE or
-                # DELETE group-commits once instead of forcing the log
-                # per mutated row.  Committed even if the statement
-                # errors mid-way — the log must mirror whatever partial
-                # effects stayed in memory (there is no statement undo).
-                wal.begin()
-                try:
-                    result = self._dispatch_dml(stmt, params)
-                finally:
-                    wal.commit()
-            else:
-                result = self._dispatch_dml(stmt, params)
-            span.set(rows=result.scalar())
-            return result
+        """Run a DML statement, in a ``db.dml`` span while traced, in the
+        engine layer while only monitored (DESIGN.md §34)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            with tracer.span("db.dml", layer="engine", sql=sql,
+                             kind=type(stmt).__name__) as span:
+                result = self._statement_txn(stmt, params)
+                span.set(rows=result.scalar())
+                return result
+        if tracer.monitored:
+            with tracer.layer("engine"):
+                return self._statement_txn(stmt, params)
+        return self._statement_txn(stmt, params)
+
+    def _statement_txn(self, stmt, params: Sequence[object]) -> Result:
+        wal = self.wal
+        if wal is not None and not wal.in_txn and not wal.dead \
+                and not wal.recovering:
+            # Statement-level transaction: a multi-row UPDATE or
+            # DELETE group-commits once instead of forcing the log
+            # per mutated row.  Committed even if the statement
+            # errors mid-way — the log must mirror whatever partial
+            # effects stayed in memory (there is no statement undo).
+            wal.begin()
+            try:
+                return self._dispatch_dml(stmt, params)
+            finally:
+                wal.commit()
+        return self._dispatch_dml(stmt, params)
 
     def _dispatch_dml(self, stmt, params: Sequence[object]) -> Result:
         if isinstance(stmt, InsertStmt):

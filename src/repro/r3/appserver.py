@@ -115,19 +115,6 @@ class R3System:
         """Open a simulated-time measurement window."""
         return self.clock.span()
 
-    # -- dispatcher ----------------------------------------------------------
-
-    def build_dispatcher(self, config=None):
-        """A dispatcher + work-process pool over this system.
-
-        ``config`` is a :class:`~repro.r3.dispatcher.DispatcherConfig`
-        (or ``None`` for the defaults).  Each call builds a fresh pool;
-        the throughput/chaos harnesses own the instance's lifetime.
-        """
-        from repro.r3.dispatcher import Dispatcher
-
-        return Dispatcher(self, config)
-
     # -- fault injection ----------------------------------------------------
 
     def attach_faults(self, profile_or_injector) -> "object":

@@ -117,16 +117,6 @@ class TableBufferManager:
         hits = sum(b.window.hits for b in self._buffers.values())
         return hits / lookups
 
-    @property
-    def quality_cumulative(self) -> float | None:
-        """Lifetime hit ratio across active buffers (the old figure,
-        kept for long-horizon capacity reports)."""
-        lookups = sum(b.stats.lookups for b in self._buffers.values())
-        if not lookups:
-            return None
-        hits = sum(b.stats.hits for b in self._buffers.values())
-        return hits / lookups
-
     def configure(self, table_name: str, max_bytes: int) -> TableBuffer:
         """Activate single-record buffering for one table."""
         ddic_table = self._r3.ddic.lookup(table_name)
@@ -156,14 +146,23 @@ class TableBufferManager:
         # path with zero clock cost.
         if r3.coherence is not None:
             r3.coherence.before_read()
+        if not r3.tracer.enabled:
+            return True, *self._probe(buffer, key)
         with r3.tracer.span("buffer.lookup", table=table_name) as span:
-            r3.clock.charge(r3.params.cache_lookup_s)
-            r3.metrics.count("buffer_mgr.lookups")
-            hit, row = buffer.lookup(key)
-            if hit:
-                r3.metrics.count("buffer_mgr.hits")
+            hit, row = self._probe(buffer, key)
             span.set(hit=hit)
         return True, hit, row
+
+    def _probe(self, buffer: TableBuffer, key: tuple
+               ) -> tuple[bool, tuple | None]:
+        """(hit, row) of one charged, counted buffer lookup."""
+        r3 = self._r3
+        r3.clock.charge(r3.params.cache_lookup_s)
+        r3.metrics.count("buffer_mgr.lookups")
+        hit, row = buffer.lookup(key)
+        if hit:
+            r3.metrics.count("buffer_mgr.hits")
+        return hit, row
 
     def store(self, table_name: str, key: tuple, row: tuple | None) -> None:
         buffer = self._buffers.get(table_name.lower())

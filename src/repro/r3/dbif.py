@@ -179,53 +179,70 @@ class DatabaseInterface:
         as planned fresh, literals visible to the optimizer; the engine
         re-plans the text only when what its plan read has changed
         (DESIGN.md §29)."""
-        return self._call("literal", sql, params,
-                          lambda sql, span: partial(self._r3.db.execute, sql))
+        return self._call(
+            "literal", sql, params,
+            lambda sql: (None, partial(self._r3.db.execute, sql)))
 
     def _call(self, mode: str, sql: str, params: Sequence[object],
-              obtain: Callable[..., Callable[..., Result]]) -> Result:
-        """One call across the interface.  ``obtain(sql, span)`` is paid
-        for after the round trip and outside the statement deadline; what
-        it returns executes the statement with ``params``."""
+              obtain: Callable[[str], tuple]) -> Result:
+        """One call across the interface, in a ``dbif.call`` span while
+        traced, in the ``dbif`` layer while only monitored, bare while
+        nobody reads it (DESIGN.md §34)."""
+        tracer = self._r3.tracer
+        if tracer.enabled:
+            with tracer.span("dbif.call", layer="dbif", mode=mode,
+                             sql=sql) as span:
+                result, attempts = self._cross(sql, params, obtain, span)
+                span.set(rows=len(result.rows), roundtrips=attempts)
+                return result
+        if tracer.monitored:
+            with tracer.layer("dbif"):
+                return self._cross(sql, params, obtain)[0]
+        return self._cross(sql, params, obtain)[0]
+
+    def _cross(self, sql: str, params: Sequence[object],
+               obtain: Callable[[str], tuple], span=None
+               ) -> tuple[Result, int]:
+        """The call's work and its round trips.  ``obtain(sql)`` is paid
+        for after the round trip and outside the statement deadline; it
+        returns how it found the cursor (noted on ``span``, if any) and
+        what executes the statement with ``params``."""
         r3 = self._r3
         monitor = r3.monitor
-        with r3.tracer.span("dbif.call", layer="dbif", mode=mode,
-                            sql=sql) as span:
-            started_at = r3.clock.now if monitor.enabled else 0.0
-            self.breaker.before_call()
-            try:
-                attempts = self._roundtrip()
-                execute = obtain(sql, span)
-                result = self._execute_timed(sql, lambda: execute(params))
-            except StatementTimeout:
-                raise  # slow ≠ down: never trips the breaker
-            except TransientError:
-                self.breaker.record_failure()
-                raise
-            self.breaker.record_success()
-            self._charge_shipping(result)
-            if monitor.enabled:
-                monitor.record_statement(
-                    sql, r3.clock.now - started_at, len(result.rows))
-            span.set(rows=len(result.rows), roundtrips=attempts)
-            return result
+        started_at = r3.clock.now if monitor.enabled else 0.0
+        self.breaker.before_call()
+        try:
+            attempts = self._roundtrip()
+            cursor, execute = obtain(sql)
+            if span is not None and cursor is not None:
+                span.set(cursor=cursor)
+            result = self._execute_timed(sql, lambda: execute(params))
+        except StatementTimeout:
+            raise  # slow ≠ down: never trips the breaker
+        except TransientError:
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        self._charge_shipping(result)
+        if monitor.enabled:
+            monitor.record_statement(
+                sql, r3.clock.now - started_at, len(result.rows))
+        return result, attempts
 
-    def _cursor(self, sql: str, span) -> Callable[..., Result]:
-        """``execute`` of the statement's cursor: reopened from the
-        cache, or prepared (and kept, unless caching is off)."""
+    def _cursor(self, sql: str) -> tuple[str, Callable[..., Result]]:
+        """How the statement's cursor was found, and its ``execute``:
+        reopened from the cache ("hit"), or prepared ("miss", kept;
+        "bypass" while caching is off)."""
         r3 = self._r3
         if not self.cache_enabled:
             r3.metrics.count("dbif.cursor_cache_bypassed")
-            stmt = r3.db.prepare(sql)
-            span.set(cursor="bypass")
-        elif (stmt := self._cursor_cache.get(sql)) is None:
+            return "bypass", r3.db.prepare(sql).execute
+        if (stmt := self._cursor_cache.get(sql)) is None:
             r3.metrics.count("dbif.cursor_cache_misses")
             stmt = self._cursor_cache[sql] = r3.db.prepare(sql)
-            span.set(cursor="miss")
-        else:
-            r3.metrics.count("dbif.cursor_cache_hits")
-            span.set(cursor="hit")
-        return stmt.execute
+            return "miss", stmt.execute
+        r3.metrics.count("dbif.cursor_cache_hits")
+        return "hit", stmt.execute
 
     def flush_cursor_cache(self) -> None:
         self._cursor_cache.clear()

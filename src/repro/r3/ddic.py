@@ -139,12 +139,6 @@ class DataDictionary:
     def has(self, name: str) -> bool:
         return name.lower() in self.tables
 
-    def count_by_kind(self) -> dict[TableKind, int]:
-        out = {kind: 0 for kind in TableKind}
-        for table in self.tables.values():
-            out[table.kind] += 1
-        return out
-
     def convert_to_transparent(self, name: str) -> DDicTable:
         """Mark a pool/cluster table transparent (3.0 feature).
 

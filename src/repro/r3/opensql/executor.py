@@ -93,8 +93,11 @@ class OpenSql:
     def select(self, text: str, host_vars: dict[str, object] | None = None
                ) -> OSResult:
         """SELECT ... ENDSELECT: run the statement, return all rows."""
-        with self._r3.tracer.span("opensql.select", statement=text) as span:
-            with self._r3.tracer.span("opensql.parse"):
+        tracer = self._r3.tracer
+        if not tracer.enabled:
+            return self._statement(text, single=False).run(host_vars or {})
+        with tracer.span("opensql.select", statement=text) as span:
+            with tracer.span("opensql.parse"):
                 stmt = self._statement(text, single=False)
             span.set(path=stmt.path, table=stmt.table)
             result = stmt.run(host_vars or {})
@@ -105,27 +108,44 @@ class OpenSql:
                       host_vars: dict[str, object] | None = None
                       ) -> tuple | None:
         """SELECT SINGLE: at most one row, table buffer aware."""
-        r3 = self._r3
-        with r3.tracer.span("opensql.select_single",
-                            statement=text) as span:
-            with r3.tracer.span("opensql.parse"):
+        tracer = self._r3.tracer
+        host_vars = host_vars or {}
+        if not tracer.enabled:
+            stmt = self._statement(text, single=True)
+            key, hit, row = self._buffered(stmt, host_vars)
+            return row if hit else self._single(stmt, host_vars, key)
+        with tracer.span("opensql.select_single", statement=text) as span:
+            with tracer.span("opensql.parse"):
                 stmt = self._statement(text, single=True)
-            host_vars = host_vars or {}
-            key = None
-            if stmt.buffer_key is not None and \
-                    r3.buffers.active_for(stmt.table) is not None:
-                eq = stmt.eq(host_vars)
-                key = (r3.client, *[eq[name] for name in stmt.buffer_key])
-                _active, hit, row = r3.buffers.lookup(stmt.table, key)
-                if hit:
-                    span.set(path="buffer", rows=1 if row else 0)
-                    return row
+            key, hit, row = self._buffered(stmt, host_vars)
+            if hit:
+                span.set(path="buffer", rows=1 if row else 0)
+                return row
             span.set(path=stmt.path, table=stmt.table)
-            row = stmt.run(host_vars).first()
-            if key is not None:
-                r3.buffers.store(stmt.table, key, row)
+            row = self._single(stmt, host_vars, key)
             span.set(rows=1 if row else 0)
             return row
+
+    def _buffered(self, stmt: _Statement, host_vars: dict
+                  ) -> tuple[tuple | None, bool, tuple | None]:
+        """(key, hit, row) of the table buffer; key None when the
+        statement does not bind the buffer key or the table has none."""
+        r3 = self._r3
+        if stmt.buffer_key is None or \
+                r3.buffers.active_for(stmt.table) is None:
+            return None, False, None
+        eq = stmt.eq(host_vars)
+        key = (r3.client, *[eq[name] for name in stmt.buffer_key])
+        _active, hit, row = r3.buffers.lookup(stmt.table, key)
+        return key, hit, row
+
+    def _single(self, stmt: _Statement, host_vars: dict,
+                key: tuple | None) -> tuple | None:
+        """The row from the database, kept in the buffer under ``key``."""
+        row = stmt.run(host_vars).first()
+        if key is not None:
+            self._r3.buffers.store(stmt.table, key, row)
+        return row
 
     def flush_statements(self) -> None:
         """Forget every compiled statement (an app-server restart)."""
@@ -230,7 +250,10 @@ class OpenSql:
         translation = translate(stmt, self._field_names_of, lambda name: True)
 
         def run(host_vars: dict[str, object]) -> OSResult:
-            with r3.tracer.span("opensql.translate"):
+            if r3.tracer.enabled:
+                with r3.tracer.span("opensql.translate"):
+                    params = translation.bind(r3.client, host_vars)
+            else:
                 params = translation.bind(r3.client, host_vars)
             result = r3.dbif.execute_param(translation.sql, params)
             r3.charge_abap(len(result.rows))
@@ -248,6 +271,14 @@ class OpenSql:
         if probe_key is not None:  # exact logical key: probe by VARKEY
             sql += " AND varkey = ?"
 
+        def decode(records: list[tuple]) -> list[tuple]:
+            client = r3.client
+            return [full[1:]  # strip MANDT
+                    for full in r3.decode_each(
+                        table.decode_pool_row,
+                        (vardata for (vardata,) in records))
+                    if full[0] == client]
+
         def run(host_vars: dict[str, object]) -> OSResult:
             bound = eq(host_vars)
             if probe_key is None:
@@ -256,16 +287,13 @@ class OpenSql:
                 varkey = "|".join(
                     [r3.client] + [str(bound[name]) for name in probe_key])
                 params = (table.name, varkey)
-            result = r3.dbif.execute_param(sql, params)
+            records = r3.dbif.execute_param(sql, params).rows
+            if not r3.tracer.enabled:
+                return finish(decode(records), host_vars)
             with r3.tracer.span("opensql.decode", kind="pool",
                                 table=table.name) as span:
-                client = r3.client
-                rows = [full[1:]  # strip MANDT
-                        for full in r3.decode_each(
-                            table.decode_pool_row,
-                            (vardata for (vardata,) in result.rows))
-                        if full[0] == client]
-                span.set(records=len(result.rows), rows=len(rows))
+                rows = decode(records)
+                span.set(records=len(records), rows=len(rows))
             return finish(rows, host_vars)
 
         return run
@@ -280,23 +308,29 @@ class OpenSql:
             predicates = " AND ".join(f"{name} = ?" for name in probe_key)
             sql += f" AND {predicates} ORDER BY pagno"
 
+        def decode(pages: list[tuple]) -> list[tuple]:
+            rows: list[tuple] = []
+            decode_page, charge_decode_each = \
+                ClusterContainer.decode_page, r3.charge_decode_each
+            for (vardata,) in pages:
+                page = decode_page(table, vardata)
+                charge_decode_each(len(page))  # a page is decoded whole
+                rows += page
+            return rows
+
         def run(host_vars: dict[str, object]) -> OSResult:
             bound = eq(host_vars)
             if probe_key is None:
                 params = (r3.client,)
             else:
                 params = [r3.client] + [bound[name] for name in probe_key]
-            result = r3.dbif.execute_param(sql, params)
-            rows = []
+            pages = r3.dbif.execute_param(sql, params).rows
+            if not r3.tracer.enabled:
+                return finish(decode(pages), host_vars)
             with r3.tracer.span("opensql.decode", kind="cluster",
                                 table=table.name) as span:
-                decode_page, charge_decode_each = \
-                    ClusterContainer.decode_page, r3.charge_decode_each
-                for (vardata,) in result.rows:
-                    page = decode_page(table, vardata)
-                    charge_decode_each(len(page))  # a page is decoded whole
-                    rows += page
-                span.set(pages=len(result.rows), rows=len(rows))
+                rows = decode(pages)
+                span.set(pages=len(pages), rows=len(rows))
             return finish(rows, host_vars)
 
         return run

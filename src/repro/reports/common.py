@@ -57,11 +57,12 @@ class KonvLookup:
     def conditions(self, knumv: str) -> dict[str, dict[str, float]]:
         """posnr -> {'disc': ..., 'tax': ...} for one pricing document."""
         if knumv != self._knumv:
-            with self._r3.tracer.span("report.konv_fetch", knumv=knumv):
-                result = self._r3.open_sql.select(
-                    "SELECT kposn kschl kbetr FROM konv WHERE knumv = :knumv",
-                    {"knumv": knumv},
-                )
+            tracer = self._r3.tracer
+            if tracer.enabled:
+                with tracer.span("report.konv_fetch", knumv=knumv):
+                    result = self._fetch(knumv)
+            else:
+                result = self._fetch(knumv)
             table: dict[str, dict[str, float]] = {}
             for kposn, kschl, kbetr in result.rows:
                 entry = table.setdefault(kposn, {})
@@ -72,6 +73,12 @@ class KonvLookup:
             self._knumv = knumv
             self._by_position = table
         return self._by_position
+
+    def _fetch(self, knumv: str):
+        return self._r3.open_sql.select(
+            "SELECT kposn kschl kbetr FROM konv WHERE knumv = :knumv",
+            {"knumv": knumv},
+        )
 
     def disc(self, knumv: str, posnr: str) -> float:
         return self.conditions(knumv)[posnr]["disc"]

@@ -43,7 +43,7 @@ def to_json(tracer, meta: dict | None = None) -> dict:
         "format": "repro-trace-v1",
         "clock": "simulated_seconds",
         "meta": dict(meta or {}),
-        "dropped_spans": getattr(tracer, "dropped", 0),
+        "dropped_spans": 0,
         "spans": [span_to_dict(root) for root in tracer.roots],
     }
 

@@ -22,12 +22,14 @@ Two invariants the whole subsystem relies on:
 * **The tracer never charges the clock.**  Spans and layers only
   *read* ``clock.now``, so enabling tracing changes the simulated
   duration of any run by exactly zero ticks.
-* **Disabled mode allocates nothing.**  When neither the tracer nor a
-  monitor is on, :meth:`Tracer.span` and :meth:`Tracer.layer` return a
-  shared no-op singleton — no ``Span`` object, no stack traffic, no
-  metrics snapshot — so the hot paths pay one attribute load and one
-  branch.  With only the monitor on, a span that declares a layer is
-  that layer's reusable token, still no ``Span``.
+* **Off costs nothing.**  With neither consumer on,
+  :meth:`Tracer.span` and :meth:`Tracer.layer` return a shared no-op
+  singleton — no ``Span`` object, no stack traffic, no metrics
+  snapshot — and the statement path (Open SQL, DBIF, engine, table
+  buffer) does not call them at all: each boundary tests ``enabled``,
+  and ``monitored`` if it declares a layer, first (DESIGN.md §34).
+  With only the monitor on, a span that declares a layer is that
+  layer's reusable token, still no ``Span``.
 
 Each tracer keeps its own innermost open span, so tracers from
 different systems (e.g. the three power-test variants) never
@@ -187,25 +189,18 @@ class Span:
 class Tracer:
     """Span factory, trace store and layer stack for one simulated system.
 
-    Disabled by default; ``enable()`` before the work to trace.  An
-    optional ``max_spans`` bounds memory on very large runs — spans
-    beyond the cap are silently replaced by the no-op span (or their
-    layer's token) and counted in :attr:`dropped`.
+    Disabled by default; ``enable()`` before the work to trace.
     """
 
     def __init__(self, clock: SimulatedClock,
                  metrics: MetricsCollector | None = None,
-                 enabled: bool = False,
-                 max_spans: int | None = None) -> None:
+                 enabled: bool = False) -> None:
         self.clock = clock
         self.metrics = metrics
         self.enabled = enabled
         #: set while an enabled monitor reads the layer stack
         self.monitored = False
-        self.max_spans = max_spans
         self.roots: list[Span] = []
-        self.dropped = 0
-        self.span_count = 0
         self._current: Span | None = None
         #: simulated seconds per layer, cumulative while the stack counts
         self.totals: dict[str, float] = {}
@@ -228,8 +223,6 @@ class Tracer:
     def clear(self) -> None:
         """Drop all recorded spans (the enabled flag is unchanged)."""
         self.roots.clear()
-        self.dropped = 0
-        self.span_count = 0
 
     def _start(self) -> None:
         """Start the layer stack counting, unless it already does."""
@@ -252,10 +245,6 @@ class Tracer:
             if layer is None or not self.monitored:
                 return NOOP_SPAN
             return self._tokens.get(layer) or self.layer(layer)
-        if self.max_spans is not None and self.span_count >= self.max_spans:
-            self.dropped += 1
-            return NOOP_SPAN if layer is None else self.layer(layer)
-        self.span_count += 1
         return Span(self, name, attrs, layer, capture_metrics)
 
     # -- layer accounting --------------------------------------------------

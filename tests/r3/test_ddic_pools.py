@@ -85,14 +85,6 @@ class TestDataDictionary:
         with pytest.raises(DDicError):
             ddic.convert_to_transparent("a004")
 
-    def test_count_by_kind(self):
-        ddic = DataDictionary()
-        ddic.define(_pool_table())
-        ddic.define(_cluster_table())
-        counts = ddic.count_by_kind()
-        assert counts[TableKind.POOL] == 1
-        assert counts[TableKind.CLUSTER] == 1
-
 
 class TestEncoding:
     def test_roundtrip_all_types(self):

@@ -245,11 +245,6 @@ class TestConfigAndPool:
         assert stats["DIA00"]["served"] == 1
         assert stats["DIA00"]["busy_s"] == pytest.approx(3.0)
 
-    def test_build_dispatcher_facade(self, r3):
-        disp = r3.build_dispatcher()
-        assert isinstance(disp, Dispatcher)
-        assert disp.config.dialog_processes == 4
-
     def test_serve_emits_trace_spans(self, r3):
         r3.tracer.enable()
         disp = Dispatcher(r3, DispatcherConfig(dialog_processes=1))
