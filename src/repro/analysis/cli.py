@@ -31,8 +31,7 @@ def run_lint(paths: list[str | Path] | None = None,
              baseline_path: str | Path | None = None,
              use_baseline: bool = True,
              write_baseline: bool = False,
-             scale: float = 1.0,
-             emit=print) -> int:
+             scale: float = 1.0) -> int:
     """Analyze ``paths`` and render findings; returns the exit status."""
     targets = [Path(p) for p in paths] if paths else default_lint_paths()
     analyses = analyze_paths(targets)
@@ -43,8 +42,8 @@ def run_lint(paths: list[str | Path] | None = None,
         else default_baseline_path()
     if write_baseline:
         Baseline.from_findings(findings).save(resolved_baseline)
-        emit(f"wrote {len(findings)} finding key(s) to "
-             f"{resolved_baseline}")
+        print(f"wrote {len(findings)} finding key(s) to "
+              f"{resolved_baseline}")
         return 0
 
     baseline = Baseline()
@@ -70,9 +69,9 @@ def run_lint(paths: list[str | Path] | None = None,
     fresh = baseline.apply(findings)
 
     if output_format == "json":
-        emit(render_json(findings))
+        print(render_json(findings))
     else:
-        emit(render_text(findings))
+        print(render_text(findings))
     return 1 if fresh else 0
 
 

@@ -33,8 +33,7 @@ def run_rewrite(families: list[str] | None = None,
                 diff: bool = False,
                 report_path: str | Path | None = None,
                 rewrite_out: str | Path | None = None,
-                scale: float = 0.001,
-                emit=print) -> int:
+                scale: float = 0.001) -> int:
     """Run the rewriter; returns the process exit status."""
     chosen = families or DEFAULT_FAMILIES
     unknown = [f for f in chosen if f not in FAMILIES]
@@ -63,7 +62,7 @@ def run_rewrite(families: list[str] | None = None,
             for module in fam.modules:
                 text = module.diff()
                 if text:
-                    emit(text)
+                    print(text)
 
     if rewrite_out is not None:
         out_dir = Path(rewrite_out)
@@ -75,14 +74,14 @@ def run_rewrite(families: list[str] | None = None,
                 written.add(module.module)
                 (out_dir / f"{module.module}.py").write_text(
                     module.rewritten_source)
-        emit(f"wrote {len(written)} rewritten module(s) to {out_dir}")
+        print(f"wrote {len(written)} rewritten module(s) to {out_dir}")
 
-    emit(render_text(results, checked=check))
+    print(render_text(results, checked=check))
 
     if report_path is not None:
         Path(report_path).write_text(
             render_json(results, scale, checked=check) + "\n")
-        emit(f"report written to {report_path}")
+        print(f"report written to {report_path}")
 
     if check:
         if "open22" in chosen and not any(

@@ -91,13 +91,11 @@ class ModuleRewrite:
         }
 
 
-def plan_module(path: str | Path, schema: SchemaInfo,
-                module: str | None = None) -> ModuleRewrite:
+def plan_module(path: str | Path, schema: SchemaInfo) -> ModuleRewrite:
     """Plan every safe rewrite for the module at ``path``."""
     path = Path(path)
     source = path.read_text()
-    if module is None:
-        module = path.stem
+    module = path.stem
     tree = ast.parse(source, filename=str(path))
     original_normalized = ast.unparse(ast.parse(source)) + "\n"
     env = _module_constants(tree)

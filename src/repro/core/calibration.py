@@ -2,18 +2,25 @@
 
 Every constant the reproduction uses lives in
 :class:`repro.sim.params.SimParams`; this module documents the
-calibration and provides the canonical instances.
+calibration and makes the perturbed instances the robustness tests run.
 
 Calibration philosophy
 ----------------------
 
 The paper's absolute numbers come from a 1996 SPARCstation 20 with
 four to five SCSI disks.  We do not chase absolute seconds; we pick
-constants of the right *order* for that hardware class and verify that
+constants of the right *order* for that hardware class and check that
 the reproduced shapes (who wins, by what factor, where crossovers sit)
-are insensitive to the exact values.  ``perturbed()`` exists so tests
-can check that robustness mechanically: doubling or halving any single
-constant must not flip any of the paper's qualitative conclusions.
+do not hang on the exact values.  ``perturbed()`` scales the 19 time
+constants — all of them, or one — so tests can check that robustness
+mechanically for the conclusions they cover.
+
+It scales neither memory size (``buffer_pool_bytes``,
+``work_mem_bytes``), and for memory the claim is false: halving
+``work_mem_bytes`` at SF 0.002 turns the 2.2 -> 3.0 upgrade gain from
+2.32 / 2.34 (Open SQL / Native SQL) into 0.84 / 0.49 (the table in
+ROADMAP.md).  Memory that scales with the data is open as ROADMAP item
+8 (a).
 
 The constants and their anchors:
 
@@ -38,11 +45,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.sim.params import SimParams
-
-
-def paper_calibrated_params() -> SimParams:
-    """The calibrated constants (currently SimParams defaults)."""
-    return SimParams()
 
 
 def perturbed(factor: float, field_name: str | None = None) -> SimParams:

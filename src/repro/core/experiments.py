@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.r3.appserver import R3System, R3Version
 from repro.sapschema.loader import LoadTimings, load_sap_batch_input
 from repro.sapschema.tables import SAP_TABLE_INFO
-from repro.sim.params import SimParams
 from repro.tpcd.dbgen import TpcdData, generate
 from repro.tpcd.loader import load_original
 from repro.warehouse.extract import ExtractResult, extract_all
@@ -106,7 +105,6 @@ def _stxl_shares(r3: R3System) -> dict[str, float]:
 
 def table2_dbsize(
     scale_factor: float = 0.002,
-    params: SimParams | None = None,
     data: TpcdData | None = None,
     db=None,
     r3: R3System | None = None,
@@ -116,9 +114,9 @@ def table2_dbsize(
 
     data = data or generate(scale_factor)
     if db is None:
-        db = load_original(data, params=params, analyze=False)
+        db = load_original(data, analyze=False)
     if r3 is None:
-        r3 = build_sap_system(data, R3Version.V22, params)
+        r3 = build_sap_system(data, R3Version.V22)
     original = db.storage_report()
     sap = r3.db.storage_report()
     stxl_share = _stxl_shares(r3)
@@ -152,13 +150,12 @@ def table2_dbsize(
 def table3_loading(
     scale_factor: float = 0.001,
     processes: int = 2,
-    params: SimParams | None = None,
     data: TpcdData | None = None,
     storage: str = "heap",
 ) -> LoadTimings:
     """Batch-input load of a fresh SAP system (the paper's Table 3)."""
     data = data or generate(scale_factor)
-    r3 = R3System(R3Version.V22, params=params, storage=storage)
+    r3 = R3System(R3Version.V22, storage=storage)
     return load_sap_batch_input(r3, data, processes=processes)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.sim.clock import format_duration
 
@@ -128,32 +128,3 @@ def robustness_summary(metrics, title: str = "Robustness counters") -> str:
         rows.append(["(no faults injected, no retries, no checkpoints)",
                      "-"])
     return render_table(["Counter", "Value"], rows, title=title)
-
-
-def ratio(a: float, b: float) -> float:
-    """a / b with a guard for zero denominators."""
-    if b == 0:
-        return float("inf") if a > 0 else 1.0
-    return a / b
-
-
-def shape_report(
-    measured: Mapping[str, float],
-    paper: Mapping[str, float],
-    baseline_measured: Mapping[str, float],
-    baseline_paper: Mapping[str, float],
-    names: Sequence[str],
-) -> list[tuple[str, float, float]]:
-    """Per-entry (name, measured ratio, paper ratio) vs a baseline.
-
-    The reproduction's claim is that *ratios against the baseline*
-    match the paper's, not absolute values.
-    """
-    out = []
-    for name in names:
-        out.append((
-            name,
-            ratio(measured[name], baseline_measured[name]),
-            ratio(paper[name], baseline_paper[name]),
-        ))
-    return out

@@ -148,15 +148,6 @@ class ThroughputResult:
             return False
         return self.updates_submitted == self.updates_run + self.updates_shed
 
-    def stream_elapsed(self, stream: int) -> float:
-        return sum(
-            seconds for (s, _name), seconds in self.per_query.items()
-            if s == stream
-        )
-
-    def stream_queue_wait(self, stream: int) -> float:
-        return self.per_stream[stream].queue_wait_s
-
 
 @dataclass
 class _StreamRequest(Request):

@@ -92,7 +92,3 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         while len(self._pages) > capacity_pages:
             self._pages.popitem(last=False)
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)

@@ -187,7 +187,7 @@ class Database:
     """
 
     def __init__(self, params: SimParams | None = None,
-                 name: str = "db", degree: int = 1,
+                 name: str = "db",
                  durability: str = "off",
                  store: DurableStore | None = None,
                  storage: str = "heap") -> None:
@@ -231,7 +231,7 @@ class Database:
                                        tracer=self.tracer)
         #: version-checked partition overlays for parallel scans
         self.partitions = PartitionManager(self.ctx)
-        self._partition_choices: dict[str, tuple[str, str]] = {}
+        self._partition_choices: dict[str, str] = {}
         #: view name -> CREATE VIEW select text (for checkpoint images)
         self._view_sql: dict[str, str] = {}
         #: SELECT text -> its plan, which ``execute`` reuses while what
@@ -259,9 +259,8 @@ class Database:
             self.monitor.attach_source(
                 "compaction_backlog", self._compaction_backlog
             )
+        #: the requested degree of parallelism (:meth:`set_degree`)
         self.degree = 1
-        if degree != 1:  # set_degree rejects anything below 1
-            self.set_degree(degree)
 
     # -- parallelism --------------------------------------------------------
 
@@ -285,15 +284,12 @@ class Database:
                 partition_choices=self._partition_choices,
             )
 
-    def set_partition_column(self, table_name: str, column: str,
-                             kind: str = "hash") -> None:
+    def set_partition_column(self, table_name: str, column: str) -> None:
         """Override the partition key for a table (e.g. to force skew)."""
         table = self.catalog.table(table_name)
         column = column.lower()
         table.schema.column_index(column)  # raises on unknown column
-        if kind not in ("hash", "range"):
-            raise PlanError(f"unknown partition kind {kind!r}")
-        self._partition_choices[table.name] = (column, kind)
+        self._partition_choices[table.name] = column
         self.partitions.invalidate(table.name)
 
     def prepartition(self, *table_names: str) -> dict[str, int]:
@@ -841,23 +837,19 @@ class Database:
         return self.wal.store
 
     @classmethod
-    def open(cls, store: DurableStore, params: SimParams | None = None,
-             name: str = "db", degree: int = 1,
-             storage: str | None = None):
+    def open(cls, store: DurableStore):
         """Reopen a durable store, running crash recovery first.
 
         Returns ``(database, recovery_report)``.  This is the only
         supported way to attach an engine to a store that already
-        carries log frames or a checkpoint image.  The storage backend
-        defaults to whatever the store was written with.
+        carries log frames or a checkpoint image.  The database runs
+        with the store's parameters and storage backend.
         """
         from repro.engine.recovery import RecoveryManager
 
         store.thaw()
-        if storage is None:
-            storage = getattr(store, "storage", "heap")
-        db = cls(params=params or store.params, name=name, degree=degree,
-                 durability="wal", store=store, storage=storage)
+        db = cls(params=store.params, durability="wal", store=store,
+                 storage=store.storage)
         report = RecoveryManager(db).run()
         return db, report
 

@@ -124,11 +124,9 @@ class Gather(Operator):
     gathered row pays an exchange shipping cost inside its lane.
     """
 
-    def __init__(self, ctx: ExecContext, lane_ops: list[Operator],
-                 label: str = "Gather") -> None:
+    def __init__(self, ctx: ExecContext, lane_ops: list[Operator]) -> None:
         super().__init__(ctx, lane_ops[0].schema)
         self.lane_ops = lane_ops
-        self.label = label
 
     @property
     def degree(self) -> int:
@@ -147,7 +145,7 @@ class Gather(Operator):
         ship_s = ctx.params.parallel_ship_tuple_s
         lanes = LaneSet(clock, self.degree)
         outputs: list[list[tuple]] = []
-        with ctx.tracer.span("exec.fragment", operator=self.label,
+        with ctx.tracer.span("exec.fragment", operator="Gather",
                              degree=self.degree) as fragment:
             for index, op in enumerate(self.lane_ops):
                 def work(op: Operator = op,
@@ -169,7 +167,7 @@ class Gather(Operator):
             yield from rows
 
     def describe(self) -> str:
-        return f"{self.label}(degree={self.degree})"
+        return f"Gather(degree={self.degree})"
 
     def child_operators(self) -> list[Operator]:
         return list(self.lane_ops)

@@ -160,8 +160,6 @@ class LsmTree(StorageBackend):
         self._next_rowid = 0
         self._live = 0
         self.version = 0
-        #: set by :meth:`hold_compaction`: flushed runs stack in L0
-        self._compaction_held = False
 
     # -- cost helpers -----------------------------------------------------
 
@@ -232,20 +230,9 @@ class LsmTree(StorageBackend):
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
-        if self._compaction_held:
-            return
         if len(self._l0) >= self._params.lsm_l0_compaction_trigger:
             self._compact_l0()
         self._cascade_levels()
-
-    def hold_compaction(self) -> None:
-        """Suspend compaction (flushed runs stack in L0)."""
-        self._compaction_held = True
-
-    def release_compaction(self) -> None:
-        """Resume compaction and catch up on the backlog."""
-        self._compaction_held = False
-        self._maybe_compact()
 
     def _level_budget(self, level_index: int) -> int:
         """Byte budget of ``levels[level_index]`` (level ``index+1``)."""
@@ -513,16 +500,6 @@ class LsmTree(StorageBackend):
         if rowid >= self._next_rowid:
             self._next_rowid = rowid + 1
         self._live += 1
-        self.version += 1
-        self._charge_memtable_op()
-        self._maybe_flush()
-
-    def put_slot(self, rowid: int, row: tuple | None) -> None:
-        if not 0 <= rowid < self._next_rowid:
-            raise ExecutionError(f"put_slot of unknown rowid {rowid}")
-        was_live = self._visible(rowid) is not None
-        self._memtable[rowid] = row
-        self._live += (row is not None) - was_live
         self.version += 1
         self._charge_memtable_op()
         self._maybe_flush()

@@ -7,13 +7,10 @@ a virtual file name (``<table>#p<i>of<n>``) so per-partition page
 accounting is exact — ``ceil(assigned_slots / rows_per_page)`` pages
 per partition, tombstoned slots included until the next rebuild.
 
-Partition assignment is deterministic across processes and runs:
-
-* **hash** partitioning uses :func:`stable_hash` (CRC-32 over a
-  canonical byte encoding — Python's builtin ``hash`` is salted per
-  process and would break reproducibility);
-* **range** partitioning computes equi-depth boundaries from the key
-  values observed at build time and routes by :mod:`bisect`.
+Partition assignment hashes the key with :func:`stable_hash` (CRC-32
+over a canonical byte encoding — Python's builtin ``hash`` is salted
+per process and would break reproducibility), so it is deterministic
+across processes and runs.
 
 The overlay is a *snapshot*: it is keyed on ``HeapFile.version`` and
 the :class:`PartitionManager` rebuilds it lazily after any mutation.
@@ -24,7 +21,6 @@ rebuild the next parallel query triggers.
 
 from __future__ import annotations
 
-import bisect
 import zlib
 from dataclasses import dataclass
 
@@ -55,18 +51,15 @@ def stable_hash(value: object, seed: int = 0) -> int:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How one table is split: key column, partition count, scheme."""
+    """How one table is split: key column, partition count, hash seed."""
 
     column: str
     degree: int
-    kind: str = "hash"  # "hash" | "range"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.degree < 2:
             raise PlanError(f"partition degree must be >= 2: {self.degree}")
-        if self.kind not in ("hash", "range"):
-            raise PlanError(f"unknown partition kind {self.kind!r}")
 
 
 class HeapPartition:
@@ -100,10 +93,7 @@ class PartitionedHeap:
         self.spec = spec
         self.version = table.store.version
         self.key_position = table.schema.column_index(spec.column)
-        self.boundaries: list[object] = []
         rowid_lists: list[list[int]] = [[] for _ in range(spec.degree)]
-        if spec.kind == "range":
-            self.boundaries = self._equi_depth_boundaries()
         for rowid, row in table.store.rows():
             rowid_lists[self.partition_of(row[self.key_position])] \
                 .append(rowid)
@@ -115,31 +105,11 @@ class PartitionedHeap:
             for i, rowids in enumerate(rowid_lists)
         ]
 
-    def _equi_depth_boundaries(self) -> list[object]:
-        """Upper-exclusive split points from the observed key values."""
-        values = sorted(
-            row[self.key_position]
-            for _rowid, row in self.table.store.rows()
-            if row[self.key_position] is not None
-        )
-        if not values:
-            return []
-        n = self.spec.degree
-        return [values[(len(values) * i) // n] for i in range(1, n)]
-
     def partition_of(self, value: object) -> int:
         """Deterministic partition index for one key value."""
-        if self.spec.kind == "hash":
-            return stable_hash(value, self.spec.seed) % self.spec.degree
-        if value is None:
-            return 0
-        return bisect.bisect_right(self.boundaries, value)
+        return stable_hash(value, self.spec.seed) % self.spec.degree
 
     # -- accounting ------------------------------------------------------
-
-    @property
-    def total_pages(self) -> int:
-        return sum(p.page_count for p in self.partitions)
 
     def row_counts(self) -> list[int]:
         """Snapshot rows per partition (the skew evidence)."""
@@ -166,11 +136,11 @@ class PartitionManager:
 
     def __init__(self, ctx: ExecContext) -> None:
         self.ctx = ctx
-        self._cache: dict[tuple[str, str, str, int, int],
+        self._cache: dict[tuple[str, str, int, int],
                           PartitionedHeap] = {}
 
     def get(self, table: Table, spec: PartitionSpec) -> PartitionedHeap:
-        key = (table.name, spec.column, spec.kind, spec.degree, spec.seed)
+        key = (table.name, spec.column, spec.degree, spec.seed)
         cached = self._cache.get(key)
         if cached is not None and cached.version == table.store.version:
             return cached

@@ -74,13 +74,13 @@ class ParallelPolicy:
         stats_store: dict[str, TableStats],
         manager: PartitionManager,
         requested_degree: int,
-        partition_choices: dict[str, tuple[str, str]] | None = None,
+        partition_choices: dict[str, str] | None = None,
     ) -> None:
         self.ctx = ctx
         self.stats = stats_store
         self.manager = manager
         self.requested = max(1, int(requested_degree))
-        #: table -> (column, kind) overrides from set_partition_column
+        #: table -> column overrides from set_partition_column
         self.partition_choices = partition_choices \
             if partition_choices is not None else {}
 
@@ -99,9 +99,8 @@ class ParallelPolicy:
         )
         return degree if degree >= 2 else 0
 
-    def partition_choice(self, table: Table,
-                         degree: int) -> tuple[str, str] | None:
-        """(column, kind) to partition ``table`` by, or None."""
+    def partition_choice(self, table: Table, degree: int) -> str | None:
+        """The column to partition ``table`` by, or None."""
         override = self.partition_choices.get(table.name)
         if override is not None:
             return override
@@ -119,15 +118,14 @@ class ParallelPolicy:
                 col_stats = stats.columns.get(column)
                 if col_stats is not None \
                         and col_stats.n_distinct >= degree * 4:
-                    return column, "hash"
-        return candidates[0], "hash"
+                    return column
+        return candidates[0]
 
     def spec_for(self, table: Table, degree: int) -> PartitionSpec | None:
-        choice = self.partition_choice(table, degree)
-        if choice is None:
+        column = self.partition_choice(table, degree)
+        if column is None:
             return None
-        column, kind = choice
-        return PartitionSpec(column=column, degree=degree, kind=kind,
+        return PartitionSpec(column=column, degree=degree,
                              seed=self.ctx.params.parallel_hash_seed)
 
     # -- scan-chain matching ---------------------------------------------

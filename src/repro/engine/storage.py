@@ -41,7 +41,7 @@ class StorageBackend(abc.ABC):
       :meth:`snapshot_slots`) never touches the clock or a metric: it
       is for harness checks, digests, statistics and index builds whose
       cost the caller accounts for separately (or not at all);
-    * the slot-restoration API (:meth:`restore_slot`, :meth:`put_slot`,
+    * the slot-restoration API (:meth:`restore_slot`,
       :meth:`snapshot_slots`, :meth:`load_slots`) lets checkpointing
       capture — and recovery rebuild — the *exact* physical state,
       tombstones included, so redo replay is idempotent.
@@ -132,10 +132,6 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def restore_slot(self, rowid: int, row: tuple) -> None:
         """Place ``row`` at exactly ``rowid`` (redo replay; charged)."""
-
-    @abc.abstractmethod
-    def put_slot(self, rowid: int, row: tuple | None) -> None:
-        """Overwrite slot ``rowid`` (undo: tombstone or old image)."""
 
     # -- accounting -----------------------------------------------------
 
@@ -339,16 +335,6 @@ class HeapFile(StorageBackend):
         self._live += 1
         self.version += 1
         self._buffer.write(self._file, rowid // self.rows_per_page)
-
-    def put_slot(self, rowid: int, row: tuple | None) -> None:
-        if not 0 <= rowid < len(self._rows):
-            raise ExecutionError(f"put_slot of unknown rowid {rowid}")
-        was_live = self._rows[rowid] is not None
-        self._rows[rowid] = row
-        if row is None:
-            self._tombstone_pages.add(rowid // self.rows_per_page)
-        self._live += (row is not None) - was_live
-        self.version += 1
 
     # -- accounting -------------------------------------------------------
 

@@ -54,8 +54,9 @@ class SqlType:
         return SqlType(TypeKind.INTEGER)
 
     @staticmethod
-    def decimal(precision: int = 15, scale: int = 2) -> "SqlType":
-        return SqlType(TypeKind.DECIMAL, length=precision, scale=scale)
+    def decimal() -> "SqlType":
+        """DECIMAL(15,2), the one decimal the schemas use."""
+        return SqlType(TypeKind.DECIMAL, length=15, scale=2)
 
     @staticmethod
     def char(length: int) -> "SqlType":

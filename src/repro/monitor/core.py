@@ -225,14 +225,16 @@ def statement_fingerprint(sql: str) -> str:
     return hashlib.sha1(normalized.encode()).hexdigest()[:12]
 
 
+#: samples each gauge series keeps
+SERIES_CAPACITY = 512
+
+
 class WorkloadMonitor:
     """Always-on workload statistics for one simulated system."""
 
     def __init__(self, clock, metrics, stat_capacity: int = 1024,
-                 series_capacity: int = 512,
                  statement_capacity: int = 512,
-                 sample_interval_s: float = 1.0,
-                 rules=None, tracer: Tracer | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         self._clock = clock
         self._metrics = metrics
         #: the layer stack the STAT records read (the Database's tracer;
@@ -240,14 +242,13 @@ class WorkloadMonitor:
         self.tracer = tracer if tracer is not None else Tracer(clock, metrics)
         self.enabled = False
         self.stat_capacity = stat_capacity
-        self.series_capacity = series_capacity
         self.statement_capacity = statement_capacity
-        self.sample_interval_s = sample_interval_s
+        #: simulated seconds between two gauge samples
+        self.sample_interval_s = 1.0
         self.stat_records: deque[StatRecord] = deque(maxlen=stat_capacity)
         self.statements: dict[str, StatementStats] = {}
         self.series: dict[str, RingSeries] = {}
-        self.alerts = AlertEngine(
-            list(rules) if rules is not None else default_alert_rules())
+        self.alerts = AlertEngine(default_alert_rules())
         self._step: _OpenStep | None = None
         self._seq = 0
         self._window_snap = None
@@ -399,7 +400,7 @@ class WorkloadMonitor:
             series = self.series.get(name)
             if series is None:
                 series = self.series[name] = RingSeries(
-                    name, self.series_capacity)
+                    name, SERIES_CAPACITY)
             series.append(now, value)
         self._window_snap = self._metrics.snapshot()
         self._last_sample_t = now

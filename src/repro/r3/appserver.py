@@ -55,7 +55,6 @@ class R3System:
         version: R3Version = R3Version.V22,
         params: SimParams | None = None,
         client: str = DEFAULT_CLIENT,
-        degree: int = 1,
         durability: str = "off",
         store=None,
         database: Database | None = None,
@@ -82,8 +81,8 @@ class R3System:
         else:
             self.params = params or SimParams()
             self.db = Database(params=self.params, name="sapdb",
-                               degree=degree, durability=durability,
-                               store=store, storage=storage)
+                               durability=durability, store=store,
+                               storage=storage)
         self.clock = self.db.clock
         self.metrics = self.db.metrics
         #: shared hierarchical tracer (one tree across all tiers)

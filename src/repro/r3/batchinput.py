@@ -160,13 +160,11 @@ class BatchInputSession:
     :class:`~repro.r3.errors.WorkProcessCrash`) escapes.
     """
 
-    def __init__(self, r3, strict: bool = True,
-                 commit_interval: int | None = None,
+    def __init__(self, r3, commit_interval: int | None = None,
                  journal: LoadJournal | None = None) -> None:
         if commit_interval is not None and commit_interval < 1:
             raise ValueError("commit_interval must be >= 1")
         self._r3 = r3
-        self.strict = strict
         self.commit_interval = commit_interval
         self.journal = journal
         self.stats = BatchInputStats()
@@ -215,12 +213,10 @@ class BatchInputSession:
             row = r3.open_sql.select_single(check_sql, host_vars)
             if row is None:
                 self.stats.failures += 1
-                if self.strict:
-                    raise BatchInputError(
-                        f"consistency check failed: {check_sql} "
-                        f"with {host_vars}"
-                    )
-                return
+                raise BatchInputError(
+                    f"consistency check failed: {check_sql} "
+                    f"with {host_vars}"
+                )
         # Tuple-at-a-time inserts (no bulk path, full index maintenance).
         for table, row in transaction.inserts:
             written = r3.insert_logical(table, row, bulk=False)

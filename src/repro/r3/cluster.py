@@ -315,9 +315,6 @@ class R3Cluster:
     def servers_down(self) -> int:
         return sum(1 for server in self.servers if not server.up)
 
-    def healthy(self) -> list[R3System]:
-        return [server for server in self.servers if server.up]
-
     @property
     def max_read_staleness_s(self) -> float:
         """Worst staleness bound any buffered read on any server was
@@ -392,7 +389,7 @@ class R3Cluster:
 
 
 def build_sap_cluster(data, version, n_servers: int = 2,
-                      params=None, sync_period_s: float | None = None,
+                      sync_period_s: float | None = None,
                       routing: str = "round_robin",
                       buffered_tables: dict[str, int] | None = None
                       ) -> R3Cluster:
@@ -408,7 +405,7 @@ def build_sap_cluster(data, version, n_servers: int = 2,
     """
     from repro.core.powertest import build_sap_system
 
-    primary = build_sap_system(data, version, params=params)
+    primary = build_sap_system(data, version)
     cluster = R3Cluster(primary, n_servers=n_servers,
                         sync_period_s=sync_period_s, routing=routing)
     if buffered_tables:

@@ -173,14 +173,13 @@ class DatabaseInterface:
         path of Open SQL and of cluster/pool physical reads."""
         return self._call("param", sql, params, self._cursor)
 
-    def execute_literal(self, sql: str,
-                        params: Sequence[object] = ()) -> Result:
+    def execute_literal(self, sql: str) -> Result:
         """Round trip with literal SQL (Native SQL / EXEC SQL): charged
         as planned fresh, literals visible to the optimizer; the engine
         re-plans the text only when what its plan read has changed
         (DESIGN.md §29)."""
         return self._call(
-            "literal", sql, params,
+            "literal", sql, (),
             lambda sql: (None, partial(self._r3.db.execute, sql)))
 
     def _call(self, mode: str, sql: str, params: Sequence[object],

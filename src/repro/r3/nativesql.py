@@ -10,8 +10,6 @@ be written by hand, and the report is neither safe nor portable
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.engine.database import Result
 from repro.engine.expr import SubqueryExpr
 from repro.engine.sql.ast import (
@@ -68,7 +66,7 @@ class NativeSql:
     def __init__(self, r3) -> None:
         self._r3 = r3
 
-    def exec_sql(self, sql: str, params: Sequence[object] = ()) -> Result:
+    def exec_sql(self, sql: str) -> Result:
         """EXEC SQL: run literal SQL directly against the back end.
 
         Raises :class:`NativeSqlError` if the statement references an
@@ -86,7 +84,7 @@ class NativeSql:
                         f"EXEC SQL cannot access encapsulated tables"
                     )
         r3.metrics.count("nativesql.statements")
-        result = r3.dbif.execute_literal(sql, params)
+        result = r3.dbif.execute_literal(sql)
         # The EXEC SQL PERFORMING loop still processes rows in ABAP.
         r3.charge_abap(len(result.rows))
         return result

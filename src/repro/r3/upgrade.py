@@ -31,8 +31,11 @@ def _total_db_bytes(r3: R3System) -> int:
     )
 
 
-def upgrade_to_30(r3: R3System,
-                  convert: tuple[str, ...] = ("konv",)) -> UpgradeReport:
+#: the tables the upgrade converts from cluster to transparent
+CONVERTED = ("konv",)
+
+
+def upgrade_to_30(r3: R3System) -> UpgradeReport:
     """Upgrade an R/3 2.2G system in place to 3.0E."""
     if r3.version is not R3Version.V22:
         raise R3Error(f"system is already at {r3.version.value}")
@@ -40,7 +43,7 @@ def upgrade_to_30(r3: R3System,
     span = r3.measure()
     r3.version = R3Version.V30
     converted: list[str] = []
-    for name in convert:
+    for name in CONVERTED:
         if r3.ddic.has(name) and r3.ddic.lookup(name).encapsulated:
             r3.convert_table(name)
             converted.append(name)

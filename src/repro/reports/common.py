@@ -148,16 +148,8 @@ def customer_comment_map(r3: R3System, kunnrs: list[str]) -> dict[str, str]:
     return out
 
 
-def as_int_key(value: str) -> int:
-    return int(value)
-
-
-def round2(value: float) -> float:
-    return round(value, 2)
-
-
 __all__ = [
     "KeyCodec", "KonvLookup", "discount_of", "tax_of", "nation_names",
     "nation_regions", "region_by_name", "nations_in_region",
-    "supplier_comment_map", "customer_comment_map", "as_int_key", "round2",
+    "supplier_comment_map", "customer_comment_map",
 ]

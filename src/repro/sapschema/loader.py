@@ -192,8 +192,7 @@ def load_sap_batch_input(r3: R3System, data: TpcdData,
     return timings
 
 
-def recover_sap_system(store, version: R3Version = R3Version.V22,
-                       params=None, degree: int = 1):
+def recover_sap_system(store, version: R3Version = R3Version.V22):
     """Reopen a crashed durable store as a ready-to-resume R/3 system.
 
     Composes the two recovery layers the crash-fuzz harness exercises:
@@ -214,7 +213,7 @@ def recover_sap_system(store, version: R3Version = R3Version.V22,
     """
     from repro.engine.database import Database
 
-    db, report = Database.open(store, params=params, degree=degree)
+    db, report = Database.open(store)
     r3 = R3System(version=version, database=db)
     journal = LoadJournal.recover(report.app_journal_history)
     if journal.setup_done:
@@ -249,8 +248,7 @@ def load_sap_fast(r3: R3System, data: TpcdData,
         r3.db.analyze()
 
 
-def load_sap_direct(r3: R3System, data: TpcdData,
-                    analyze: bool = True) -> LoadTimings:
+def load_sap_direct(r3: R3System, data: TpcdData) -> LoadTimings:
     """Direct-path load: the fast path batch input forgoes (Table 3).
 
     All logical rows are first rendered to their physical form (MANDT
@@ -286,6 +284,5 @@ def load_sap_direct(r3: R3System, data: TpcdData,
         for logical_name in logical_of[name]:
             r3.note_write(logical_name)
     timings.elapsed["DIRECT"] = r3.clock.now - start
-    if analyze:
-        r3.db.analyze()
+    r3.db.analyze()
     return timings

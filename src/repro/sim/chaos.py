@@ -139,7 +139,6 @@ def monotone_degradation(cells: list[SweepCell]) -> list[str]:
 
 def run_chaos_cell(data, streams: int, profile: FaultProfile,
                    scale_factor: float,
-                   config: DispatcherConfig | None = None,
                    update_pairs: int = 2,
                    name: str | None = None) -> SweepCell:
     """Run one (streams, profile) cell on a fresh system.
@@ -161,7 +160,7 @@ def run_chaos_cell(data, streams: int, profile: FaultProfile,
     result = run_throughput_test(
         r3, suite, streams=streams,
         update_sets=generate_update_pairs(data, update_pairs),
-        dispatcher=config or default_chaos_config())
+        dispatcher=default_chaos_config())
     r3.detach_faults()
 
     breaker = r3.dbif.breaker
@@ -193,7 +192,6 @@ def run_chaos(
     scale_factor: float = 0.001,
     stream_counts: tuple[int, ...] = (2, 4, 8),
     profiles: tuple[str, ...] = ("none", "light", "heavy"),
-    config: DispatcherConfig | None = None,
     data=None,
     update_pairs: int = 2,
 ) -> SweepReport:
@@ -218,7 +216,7 @@ def run_chaos(
                   "recovery, monotone degradation.")
     report.cells = [
         run_chaos_cell(data, streams, CHAOS_PROFILES[name], scale_factor,
-                       config=config, update_pairs=update_pairs, name=name)
+                       update_pairs=update_pairs, name=name)
         for streams in stream_counts for name in profiles]
     return report.check()
 
@@ -230,6 +228,12 @@ def run_chaos(
 #: existence checks (vbak) — vbak is also what UF1/UF2 write, so the
 #: DDLOG actually carries invalidations between servers.
 SCALEOUT_BUFFERED_TABLES = {"vbak": 256 * 1024, "lfa1": 64 * 1024}
+
+
+#: a kill cell's server crashes at this share of its baseline's elapsed
+#: time, and rejoins this share of it later
+KILL_FRACTION = 0.3
+REJOIN_FRACTION = 0.25
 
 
 def default_scaleout_config() -> DispatcherConfig:
@@ -349,7 +353,6 @@ def run_scaleout_cell(data, n_servers: int, streams: int,
                       kill: bool = False,
                       kill_at_s: float = 0.0,
                       rejoin_after_s: float | None = None,
-                      config: DispatcherConfig | None = None,
                       update_pairs: int = 2) -> SweepCell:
     """Run one scale-out cell on a fresh cluster.
 
@@ -378,7 +381,7 @@ def run_scaleout_cell(data, n_servers: int, streams: int,
     result = run_cluster_throughput_test(
         cluster, suite, streams=streams,
         update_sets=generate_update_pairs(data, update_pairs),
-        dispatcher=config or default_scaleout_config(),
+        dispatcher=default_scaleout_config(),
         failover=failover)
 
     # Counters and alerts are read before the probe below: the probe is
@@ -412,25 +415,21 @@ def run_kill_appserver(
     streams: int = 6,
     routing: str = "sticky",
     sync_period_s: float = 5.0,
-    kill_fraction: float = 0.3,
-    rejoin_fraction: float = 0.25,
-    config: DispatcherConfig | None = None,
-    data=None,
     update_pairs: int = 2,
 ) -> SweepReport:
     """Sweep server counts with and without a mid-run app-server crash.
 
     Per count N >= 2 the sweep runs a no-kill baseline and a kill cell
-    (crash at ``kill_fraction`` of the baseline's elapsed time, rejoin
-    ``rejoin_fraction`` later) and asserts **conservation** in every
-    cell, :func:`bounded_staleness`, :func:`kill_never_helps`,
-    :func:`shrinking_failover_impact` and
+    (crash at :data:`KILL_FRACTION` of the baseline's elapsed time,
+    rejoin :data:`REJOIN_FRACTION` of it later) and asserts
+    **conservation** in every cell, :func:`bounded_staleness`,
+    :func:`kill_never_helps`, :func:`shrinking_failover_impact` and
     :func:`steady_state_after_recovery`, plus the bookkeeping check
     :func:`kill_is_observed`.
     """
     from repro.tpcd.dbgen import generate
 
-    data = data if data is not None else generate(scale_factor)
+    data = generate(scale_factor)
     report = SweepReport(
         format="repro-scaleout-chaos-v1",
         header={"scale_factor": scale_factor, "streams": streams,
@@ -449,14 +448,14 @@ def run_kill_appserver(
     for n_servers in server_counts:
         cell = run_scaleout_cell(
             data, n_servers, streams, scale_factor, routing=routing,
-            sync_period_s=sync_period_s, kill=False, config=config,
+            sync_period_s=sync_period_s, kill=False,
             update_pairs=update_pairs)
         report.cells.append(cell)
         if n_servers >= 2:
             report.cells.append(run_scaleout_cell(
                 data, n_servers, streams, scale_factor, routing=routing,
                 sync_period_s=sync_period_s, kill=True,
-                kill_at_s=cell.elapsed_s * kill_fraction,
-                rejoin_after_s=cell.elapsed_s * rejoin_fraction,
-                config=config, update_pairs=update_pairs))
+                kill_at_s=cell.elapsed_s * KILL_FRACTION,
+                rejoin_after_s=cell.elapsed_s * REJOIN_FRACTION,
+                update_pairs=update_pairs))
     return report.check()

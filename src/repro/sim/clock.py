@@ -20,7 +20,7 @@ same constant, so it only *counts* tuples, on a metrics counter the
 clock is bound to (:meth:`SimulatedClock.bind_unit_charge`), and the
 clock replays the counted additions one by one before anything can
 observe or interleave with them: a ``charge``, a read of ``now``, a lane
-switch, a reset.  The same float additions in the same order give the
+switch.  The same float additions in the same order give the
 same bits whenever they are made.
 
 A run of equal additions is made in closed form where that gives the
@@ -233,9 +233,6 @@ class SimulatedClock:
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         self._settle()
-        if self._metrics is not None:
-            self._metrics.before_reset.remove(self._rebase)
-        metrics.before_reset.append(self._rebase)
         self._metrics = metrics
         self._counts = metrics.counts
         self._unit_name = name
@@ -322,12 +319,6 @@ class SimulatedClock:
             sink.seconds = total
         self._settled = counted
 
-    def _rebase(self) -> None:
-        """The bound counters are about to be emptied: what is pending
-        is work done, so it is settled, not dropped."""
-        self._settle()
-        self._settled = 0
-
     def redirect(self, sink: LaneSink) -> _Redirect:
         """Redirect subsequent charges into ``sink`` (context manager)."""
         return _Redirect(self, sink)
@@ -335,15 +326,6 @@ class SimulatedClock:
     def span(self) -> ClockSpan:
         """Open a measurement window (usable as a context manager)."""
         return ClockSpan(self)
-
-    def reset(self) -> None:
-        """Rewind to zero.  Only meant for harness setup, not mid-run.
-        Pending unit charges are settled first: they go with the time
-        they belong to instead of landing after it."""
-        self._settle()
-        self._now = 0.0
-        self._sink = None
-        self._deadlines.clear()
 
     # -- deadlines (statement/query timeouts) --------------------------------
 

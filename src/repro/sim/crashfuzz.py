@@ -324,47 +324,46 @@ def run_crash_trial(workload: str, data, k: int, mode: str,
     return trial
 
 
+#: the automatic checkpoint interval (log records) a fuzz run lowers the
+#: engine's to
+FUZZ_CHECKPOINT_EVERY = 1500
+
+
 def run_crash_fuzz(
     scale_factor: float = 0.0002,
     workloads: tuple[str, ...] = ("load",),
     commit_interval: int = 8,
     sample: int | None = 24,
-    torn: bool = True,
     corrupt_tail_trials: int = 2,
-    checkpoint_every: int | None = 1500,
-    data=None,
-    params_factory=None,
     storage: str = "heap",
 ) -> SweepReport:
     """Sweep injected engine crashes over ``workloads``.
 
     ``sample=None`` fuzzes *every* boundary (exhaustive); an integer
-    bounds the sweep to that many evenly spaced crash points.  With
-    ``torn`` set, every other sampled point reruns with guaranteed
-    torn-write truncation; ``corrupt_tail_trials`` additional points
-    reuse the lowest sampled indices with post-crash CRC damage on the
-    log tail.  ``checkpoint_every`` lowers the engine's automatic
-    checkpoint interval so the sweep also lands crashes *inside* the
-    checkpoint protocol (begin / page writes / end) at fuzz-sized
-    workloads.
+    bounds the sweep to that many evenly spaced crash points.  Every
+    other sampled point reruns with guaranteed torn-write truncation;
+    ``corrupt_tail_trials`` additional points reuse the lowest sampled
+    indices with post-crash CRC damage on the log tail.  The engine
+    checkpoints every :data:`FUZZ_CHECKPOINT_EVERY` log records, so the
+    sweep also lands crashes *inside* the checkpoint protocol (begin /
+    page writes / end) at fuzz-sized workloads.
     """
     from repro.tpcd.dbgen import generate
 
-    if params_factory is None:
-        def params_factory() -> SimParams:
-            params = SimParams()
-            params.wal_checkpoint_every_records = checkpoint_every
-            if storage == "lsm":
-                # Fuzz-sized datasets would never fill the default
-                # memtable: shrink it so the sweep actually lands
-                # crashes on lsm.flush / lsm.compaction boundaries.
-                params.lsm_memtable_bytes = 8 * 1024
-                params.lsm_l0_compaction_trigger = 2
-            return params
+    def params_factory() -> SimParams:
+        params = SimParams()
+        params.wal_checkpoint_every_records = FUZZ_CHECKPOINT_EVERY
+        if storage == "lsm":
+            # Fuzz-sized datasets would never fill the default
+            # memtable: shrink it so the sweep actually lands
+            # crashes on lsm.flush / lsm.compaction boundaries.
+            params.lsm_memtable_bytes = 8 * 1024
+            params.lsm_l0_compaction_trigger = 2
+        return params
 
     for name in workloads:
         _workload(name)
-    data = data if data is not None else generate(scale_factor)
+    data = generate(scale_factor)
     report = SweepReport(
         format="repro-crashfuzz-v1",
         header={"scale_factor": scale_factor,
@@ -383,8 +382,7 @@ def run_crash_fuzz(
                             storage)
         ks = _sample_boundaries(cell.boundaries, sample)
         plan = [(k, "clean") for k in ks]
-        if torn:
-            plan += [(k, "torn") for k in ks[::2]]
+        plan += [(k, "torn") for k in ks[::2]]
         plan += [(k, "corrupt-tail") for k in ks[:corrupt_tail_trials]]
         cell.trials = [
             run_crash_trial(name, data, k, mode, cell.reference_digest,

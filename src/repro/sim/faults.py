@@ -260,7 +260,3 @@ class FaultInjector:
             f"{due:.1f}s simulated (now {self._clock.now:.1f}s, "
             f"profile {self.profile.name!r})"
         )
-
-    @property
-    def crashes_pending(self) -> int:
-        return len(self._crashes) - self._crash_index

@@ -9,7 +9,7 @@ simulated clock (via the calibration table) and the experiment reports
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 class MetricsSnapshot:
@@ -21,17 +21,13 @@ class MetricsSnapshot:
 
     def delta(self) -> dict[str, float]:
         """Counter deltas accumulated since the snapshot was taken,
-        in name order (the order is part of every trace file).
-
-        Counters that existed at the base but were reset or removed
-        afterwards show up with a negative delta — a silent drop would
-        make a ``reset()`` between snapshots look like "nothing
-        happened".
-        """
+        in name order (the order is part of every trace file).  A
+        counter is never removed, so every name at the base is still
+        current."""
         current = self._collector.counts
         out: dict[str, float] = {}
-        for name in sorted(current.keys() | self._base.keys()):
-            change = current.get(name, 0) - self._base.get(name, 0)
+        for name in sorted(current):
+            change = current[name] - self._base.get(name, 0)
             if change:
                 out[name] = change
         return out
@@ -74,16 +70,13 @@ class MetricsCollector:
     that :meth:`count` does, and a loop that counts per tuple binds the
     mapping once and writes that statement inline instead of paying a
     call per increment.  The mapping object lives as long as the
-    collector (:meth:`reset` empties it in place).  Read through
+    collector, and no counter is ever removed from it.  Read through
     :meth:`get`, :meth:`all`, a snapshot or iteration, never by
     subscript: a subscript read of a missing name would create it.
     """
 
     def __init__(self) -> None:
         self.counts: defaultdict[str, float] = defaultdict(int)
-        #: called by :meth:`reset` before it empties the mapping (a
-        #: clock settles the unit charges it replays from a counter)
-        self.before_reset: list[Callable[[], None]] = []
 
     def count(self, name: str, amount: float = 1) -> None:
         """Increase counter ``name`` by ``amount`` (default 1)."""
@@ -102,11 +95,6 @@ class MetricsCollector:
 
     def all(self) -> dict[str, float]:
         return dict(self.counts)
-
-    def reset(self) -> None:
-        for notify in self.before_reset:
-            notify()
-        self.counts.clear()
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(sorted(self.counts.items()))

@@ -122,8 +122,8 @@ def _retail_price(partkey: int) -> float:
     )
 
 
-def _scaled(base: int, sf: float, minimum: int = 1) -> int:
-    return max(minimum, round(base * sf))
+def _scaled(base: int, sf: float) -> int:
+    return max(1, round(base * sf))
 
 
 def generate(scale_factor: float = 0.01, seed: int = 19970601) -> TpcdData:

@@ -257,12 +257,12 @@ WHERE p_partkey = l_partkey AND p_brand = 'Brand#23'
     return {spec.number: spec for spec in queries}
 
 
-def run_query(db, spec: QuerySpec, params: tuple = ()):
+def run_query(db, spec: QuerySpec):
     """Execute one query spec on an engine Database, handling views."""
     for view_name, view_sql in spec.setup_views:
         db.create_view(view_name, view_sql)
     try:
-        return db.execute(spec.sql, params)
+        return db.execute(spec.sql)
     finally:
         for view_name, _sql in spec.setup_views:
             db.drop_view(view_name)

@@ -130,11 +130,9 @@ SECONDARY_INDEXES = [
 ]
 
 
-def create_original_schema(db: Database,
-                           with_secondary_indexes: bool = True) -> None:
-    """Create the eight TPC-D tables (and indexes) in ``db``."""
+def create_original_schema(db: Database) -> None:
+    """Create the eight TPC-D tables and their indexes in ``db``."""
     for schema in table_schemas():
         db.create_table(schema)
-    if with_secondary_indexes:
-        for index_name, table, columns in SECONDARY_INDEXES:
-            db.create_index(index_name, table, columns)
+    for index_name, table, columns in SECONDARY_INDEXES:
+        db.create_index(index_name, table, columns)

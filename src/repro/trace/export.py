@@ -68,7 +68,11 @@ _RATE_TRACKS = {
 }
 
 
-def _counter_events(trace: dict, pid: int) -> list[dict]:
+#: the one process every event belongs to
+PID = 1
+
+
+def _counter_events(trace: dict) -> list[dict]:
     """Counter ('C') events from the spans' captured metric deltas.
 
     Spans that captured metrics (e.g. ``power.query``) carry the
@@ -100,42 +104,41 @@ def _counter_events(trace: dict, pid: int) -> list[dict]:
             if metric in totals:
                 events.append({"ph": "C", "name": metric,
                                "cat": metric.split(".", 1)[0],
-                               "ts": ts, "pid": pid,
+                               "ts": ts, "pid": PID,
                                "args": {"count": totals[metric]}})
         for track, (hit_metric, miss_metric) in _RATE_TRACKS.items():
             hits = totals.get(hit_metric, 0.0)
             misses = totals.get(miss_metric, 0.0)
             if hits + misses > 0:
                 events.append({"ph": "C", "name": track, "cat": "rate",
-                               "ts": ts, "pid": pid,
+                               "ts": ts, "pid": PID,
                                "args": {"rate": hits / (hits + misses)}})
         lookups = totals.get("buffer_mgr.lookups", 0.0)
         if lookups > 0:
             events.append({
                 "ph": "C", "name": "buffer quality", "cat": "rate",
-                "ts": ts, "pid": pid,
+                "ts": ts, "pid": PID,
                 "args": {"rate": totals.get("buffer_mgr.hits", 0.0)
                          / lookups}})
     return events
 
 
-def to_chrome(trace, tid: int = 1, pid: int = 1,
-              thread_name: str | None = None,
-              counters: bool = True) -> dict:
+def to_chrome(trace, tid: int = 1,
+              thread_name: str | None = None) -> dict:
     """Chrome Trace Event document from a tracer or a ``to_json`` dict.
 
     Every span becomes a complete ('X') event; simulated seconds map to
     the format's microsecond timestamps.  Operator profiles are left
     out of ``args`` (they have their own JSON form and would bloat the
-    viewer's tooltips).  With ``counters=True`` spans' captured metric
-    deltas additionally become counter ('C') tracks — running round-trip
-    totals and buffer/cursor hit rates alongside the span rows.
+    viewer's tooltips).  Spans' captured metric deltas additionally
+    become counter ('C') tracks — running round-trip totals and
+    buffer/cursor hit rates alongside the span rows.
     """
     if not isinstance(trace, dict):
         trace = to_json(trace)
     events: list[dict] = []
     if thread_name:
-        events.append({"ph": "M", "name": "thread_name", "pid": pid,
+        events.append({"ph": "M", "name": "thread_name", "pid": PID,
                        "tid": tid, "args": {"name": thread_name}})
 
     def emit(node: dict) -> None:
@@ -151,7 +154,7 @@ def to_chrome(trace, tid: int = 1, pid: int = 1,
             "ph": "X",
             "ts": node["start_s"] * 1e6,
             "dur": (node["end_s"] - node["start_s"]) * 1e6,
-            "pid": pid,
+            "pid": PID,
             "tid": tid,
             "args": args,
         })
@@ -160,8 +163,7 @@ def to_chrome(trace, tid: int = 1, pid: int = 1,
 
     for root in trace.get("spans", ()):
         emit(root)
-    if counters:
-        events.extend(_counter_events(trace, pid))
+    events.extend(_counter_events(trace))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -193,11 +193,10 @@ class Tracer:
     """
 
     def __init__(self, clock: SimulatedClock,
-                 metrics: MetricsCollector | None = None,
-                 enabled: bool = False) -> None:
+                 metrics: MetricsCollector | None = None) -> None:
         self.clock = clock
         self.metrics = metrics
-        self.enabled = enabled
+        self.enabled = False
         #: set while an enabled monitor reads the layer stack
         self.monitored = False
         self.roots: list[Span] = []

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from repro.engine.database import Database
 from repro.r3.appserver import R3System
 from repro.sapschema.mapping import KeyCodec
-from repro.sim.params import SimParams
 from repro.tpcd.queries import build_queries, run_query
 from repro.tpcd.schema import create_original_schema
 from repro.warehouse.extract import extract_all
@@ -100,14 +99,13 @@ class EisWarehouse:
     query_times: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def build_from_sap(cls, r3: R3System,
-                       params: SimParams | None = None) -> "EisWarehouse":
+    def build_from_sap(cls, r3: R3System) -> "EisWarehouse":
         """Extract from SAP, parse, bulk load, analyze."""
         span = r3.measure()
         feed = extract_all(r3, keep_lines=True)
         extraction_s = span.stop()
 
-        db = Database(params=params or r3.params, name="eis")
+        db = Database(params=r3.params, name="eis")
         create_original_schema(db)
         span = db.clock.span()
         rows_loaded = 0
@@ -224,8 +222,7 @@ class EisWarehouse:
 
 
 def breakeven_queries(build_cost_s: float, open_total_s: float,
-                      warehouse_total_s: float,
-                      queries_per_round: int = 17) -> float:
+                      warehouse_total_s: float) -> float:
     """How many power-test rounds until the warehouse pays off."""
     per_round_gain = open_total_s - warehouse_total_s
     if per_round_gain <= 0:

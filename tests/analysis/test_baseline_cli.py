@@ -29,54 +29,51 @@ def _write(tmp_path, source, name="open22_case.py"):
     return path
 
 
-def test_exit_one_on_new_findings(tmp_path):
+def test_exit_one_on_new_findings(tmp_path, capsys):
     path = _write(tmp_path, LOOPING)
-    out = []
-    status = run_lint([path], use_baseline=False, emit=out.append)
+    status = run_lint([path], use_baseline=False)
     assert status == 1
-    assert "R001" in out[0]
+    assert "R001" in capsys.readouterr().out
 
 
 def test_exit_zero_when_clean(tmp_path):
     path = _write(tmp_path, CLEAN)
-    status = run_lint([path], use_baseline=False, emit=lambda _s: None)
+    status = run_lint([path], use_baseline=False)
     assert status == 0
 
 
-def test_baseline_suppresses_but_counts(tmp_path):
+def test_baseline_suppresses_but_counts(tmp_path, capsys):
     path = _write(tmp_path, LOOPING)
     baseline_file = tmp_path / "baseline.json"
-    out = []
     assert run_lint([path], baseline_path=baseline_file,
-                    write_baseline=True, emit=out.append) == 0
+                    write_baseline=True) == 0
     assert baseline_file.exists()
 
-    out = []
+    capsys.readouterr()
     status = run_lint([path], output_format="json",
-                      baseline_path=baseline_file, emit=out.append)
+                      baseline_path=baseline_file)
     assert status == 0
-    payload = json.loads(out[0])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["new"] == 0
     assert payload["summary"]["baselined"] == payload["summary"]["total"]
     assert payload["summary"]["total"] > 0
     assert all(f["baselined"] for f in payload["findings"])
 
 
-def test_new_finding_breaks_through_baseline(tmp_path):
+def test_new_finding_breaks_through_baseline(tmp_path, capsys):
     path = _write(tmp_path, LOOPING)
     baseline_file = tmp_path / "baseline.json"
-    run_lint([path], baseline_path=baseline_file, write_baseline=True,
-             emit=lambda _s: None)
+    run_lint([path], baseline_path=baseline_file, write_baseline=True)
     # A second, previously unseen anti-pattern appears in the module.
     path.write_text(path.read_text() + textwrap.dedent("""
         def q_new(r3):
             return r3.open_sql.select("SELECT * FROM vbak")
     """))
-    out = []
+    capsys.readouterr()
     status = run_lint([path], output_format="json",
-                      baseline_path=baseline_file, emit=out.append)
+                      baseline_path=baseline_file)
     assert status == 1
-    payload = json.loads(out[0])
+    payload = json.loads(capsys.readouterr().out)
     fresh = [f for f in payload["findings"] if not f["baselined"]]
     assert {f["func"] for f in fresh} == {"q_new"}
 
@@ -106,8 +103,7 @@ def test_cli_main_lint_json_no_baseline_fails(tmp_path, capsys):
 
 def test_missing_baseline_exits_two(tmp_path, capsys):
     path = _write(tmp_path, LOOPING)
-    status = run_lint([path], baseline_path=tmp_path / "absent.json",
-                      emit=lambda _s: None)
+    status = run_lint([path], baseline_path=tmp_path / "absent.json")
     assert status == 2
     err = capsys.readouterr().err
     assert "missing" in err and "--write-baseline" in err
@@ -117,8 +113,7 @@ def test_unreadable_baseline_exits_two(tmp_path, capsys):
     path = _write(tmp_path, LOOPING)
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{not json")
-    status = run_lint([path], baseline_path=corrupt,
-                      emit=lambda _s: None)
+    status = run_lint([path], baseline_path=corrupt)
     assert status == 2
     assert "unreadable" in capsys.readouterr().err
 

@@ -7,7 +7,7 @@ These tests perturb the constants and check the directions survive.
 
 import pytest
 
-from repro.core.calibration import paper_calibrated_params, perturbed
+from repro.core.calibration import perturbed
 from repro.core.powertest import build_sap_system
 from repro.r3.appserver import R3Version
 from repro.reports import native30, open30
@@ -31,9 +31,6 @@ class TestPerturbationHelper:
     def test_unknown_field(self):
         with pytest.raises(ValueError):
             perturbed(2.0, "page_size_bytes")
-
-    def test_defaults_are_calibrated_instance(self):
-        assert paper_calibrated_params() == SimParams()
 
 
 class TestUniformScalingPreservesRatios:

@@ -297,7 +297,9 @@ def _corrupt_wal(args):
 def _reopen_with_unknown_storage(args):
     from repro.engine.database import Database
 
-    Database.open(_durable_store()[1], storage="btree")
+    store = _durable_store()[1]
+    store.storage = "btree"  # a store no backend wrote
+    Database.open(store)
 
 
 def _bad_fault_profile(args):
@@ -348,7 +350,8 @@ def test_reopening_with_the_other_backend_is_not_an_error():
     from repro.engine.database import Database
 
     db, store = _durable_store("heap")
-    reopened, _report = Database.open(store, storage="lsm")
+    store.storage = "lsm"
+    reopened, _report = Database.open(store)
     assert reopened.content_digest() == db.content_digest()
 
 

@@ -1,10 +1,4 @@
-from repro.core.results import (
-    duration_cell,
-    kb_cell,
-    ratio,
-    render_table,
-    shape_report,
-)
+from repro.core.results import duration_cell, kb_cell, render_table
 
 
 class TestRenderTable:
@@ -30,17 +24,3 @@ class TestCells:
         assert kb_cell(2048) == "2"
         assert kb_cell(10 * 1024 * 1024) == "10,240"
 
-
-class TestRatios:
-    def test_ratio(self):
-        assert ratio(10, 2) == 5
-        assert ratio(0, 0) == 1.0
-        assert ratio(1, 0) == float("inf")
-
-    def test_shape_report(self):
-        measured = {"Q1": 10.0}
-        paper = {"Q1": 100.0}
-        base_m = {"Q1": 2.0}
-        base_p = {"Q1": 25.0}
-        report = shape_report(measured, paper, base_m, base_p, ["Q1"])
-        assert report == [("Q1", 5.0, 4.0)]

@@ -28,8 +28,9 @@ class TestThroughput:
     def test_two_streams_run_34_queries(self, r3_30, suite):
         result = run_throughput_test(r3_30, suite, streams=2)
         assert result.queries_run == 34
-        assert result.stream_elapsed(0) > 0
-        assert result.stream_elapsed(1) > 0
+        for stream in (0, 1):
+            assert sum(seconds for (s, _name), seconds
+                       in result.per_query.items() if s == stream) > 0
         assert result.conservation_ok()
 
     def test_queries_per_hour_metric(self, r3_30, suite):
@@ -186,10 +187,9 @@ class TestConstrainedPool:
         assert result.conservation_ok()
         # per-stream queue-wait breakdown: the pool is outnumbered, so
         # every stream spends simulated time in the dispatcher queue
-        for stream in range(16):
-            assert result.stream_queue_wait(stream) > 0
-        assert result.queue_wait_s == pytest.approx(sum(
-            result.stream_queue_wait(s) for s in range(16)))
+        waits = [result.per_stream[s].queue_wait_s for s in range(16)]
+        assert all(wait > 0 for wait in waits)
+        assert result.queue_wait_s == pytest.approx(sum(waits))
 
     def test_full_queue_rejects_with_typed_error(self, r3_30, suite):
         config = DispatcherConfig(dialog_processes=1, update_processes=0,

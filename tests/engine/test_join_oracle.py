@@ -45,7 +45,8 @@ def _engine(rows, storage: str, degree: int) -> Database:
     params = SimParams()
     params.parallel_min_rows_per_lane = 10  # small tables get lanes
     params.lsm_memtable_bytes = 2048
-    db = Database(params, storage=storage, degree=degree)
+    db = Database(params, storage=storage)
+    db.set_degree(degree)
     for name, table_rows in rows.items():
         db.create_table(TableSchema(name, [
             Column("id", SqlType.integer(), nullable=False),

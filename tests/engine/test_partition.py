@@ -50,10 +50,6 @@ class TestPartitionSpec:
         with pytest.raises(PlanError):
             PartitionSpec(column="id", degree=1)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(PlanError):
-            PartitionSpec(column="id", degree=2, kind="round_robin")
-
 
 class TestPartitionedHeap:
     def test_every_live_row_in_exactly_one_partition(self):
@@ -99,22 +95,6 @@ class TestPartitionedHeap:
             if p.rowids:
                 assert p.page_of(0) == 0
                 assert p.page_of(len(p.rowids) - 1) == p.page_count - 1
-        assert heap.total_pages == sum(p.page_count
-                                       for p in heap.partitions)
-
-    def test_range_partitioning_orders_keys(self):
-        db = make_db()
-        table = db.catalog.table("t")
-        heap = PartitionedHeap(table, PartitionSpec("id", 4, kind="range"))
-        key = table.schema.column_index("id")
-        highs = []
-        for p in heap.partitions:
-            keys = [table.store.fetch(r)[key] for r in p.rowids]
-            assert keys == sorted(keys)
-            if keys:
-                if highs:
-                    assert keys[0] >= highs[-1]
-                highs.append(keys[-1])
 
     def test_skewed_key_measured(self):
         db = make_db()

@@ -764,7 +764,8 @@ def test_a_partial_aggregate_lane_keeps_the_row_path(kernel_tops):
     for degree in (4, 1):
         params = SimParams(page_size_bytes=1024)
         params.parallel_min_rows_per_lane = 10
-        db = Database(params, degree=degree)
+        db = Database(params)
+        db.set_degree(degree)
         db.create_table(TableSchema("p", [
             Column("k", SqlType.integer(), nullable=False),
             *(Column(column, SqlType.integer()) for column in "abc"),

@@ -139,7 +139,7 @@ class TestBufferPool:
         for page in range(4):
             pool.access("f", page, True)
         pool.resize(2)
-        assert pool.resident_pages == 2
+        assert list(pool._pages) == [("f", 2), ("f", 3)]
         with pytest.raises(ValueError):
             pool.resize(0)
 

@@ -183,23 +183,37 @@ class TestSlotApi:
         with pytest.raises(ExecutionError):
             store.restore_slot(rowid, (2, "two"))
 
-    def test_put_slot_unknown_rowid_raises(self, storage):
+    def test_delete_tombstones_and_restore_slot_revives(self, storage):
+        db = _fresh(storage)
+        store = db.catalog.table("t").store
+        rowid = store.append((1, "one"))
+        store.delete(rowid)
+        assert store.row_count == 0
+        assert store.get(rowid) is None
+        store.restore_slot(rowid, (2, "two"))
+        assert store.row_count == 1
+        assert store.get(rowid) == (2, "two")
+
+    def test_store_delete_and_update_of_unknown_rowid_raise(self, storage):
         db = _fresh(storage)
         store = db.catalog.table("t").store
         store.append((1, "one"))
         with pytest.raises(ExecutionError):
-            store.put_slot(99, (2, "two"))
+            store.delete(7)
+        with pytest.raises(ExecutionError):
+            store.update(7, (7, "seven"))
+        assert store.row_count == 1
 
-    def test_put_slot_tombstone_and_revive(self, storage):
+    def test_restore_slot_past_the_end_leaves_dead_slots(self, storage):
         db = _fresh(storage)
         store = db.catalog.table("t").store
-        rowid = store.append((1, "one"))
-        store.put_slot(rowid, None)
-        assert store.row_count == 0
-        assert store.get(rowid) is None
-        store.put_slot(rowid, (2, "two"))
+        store.restore_slot(5, (5, "five"))
         assert store.row_count == 1
-        assert store.get(rowid) == (2, "two")
+        assert [store.get(rowid) for rowid in range(6)] == [None] * 5 + [
+            (5, "five")]
+        assert store.append((6, "six")) == 6
+        with pytest.raises(ExecutionError):
+            store.delete(3)
 
     def test_snapshot_load_slots_roundtrip(self, storage):
         db = _fresh(storage)
@@ -378,7 +392,7 @@ class TestPageScan:
             got = list(itertools.islice(scan(table), limit))
             assert got == list(itertools.islice(table.store.rows(), limit))
             observed.append((db.clock.now, db.metrics.all(),
-                             db.buffer_pool.resident_pages))
+                             len(db.buffer_pool._pages)))
         assert observed[0] == observed[1]
         assert observed[0][1]["buffer.misses"] > 0
 

@@ -1,7 +1,7 @@
 """``HeapFile.scan`` looks for tombstones only where there may be one.
 
 The heap keeps a conservative set of pages that may hold a tombstone:
-``delete``, ``put_slot(None)`` and ``restore_slot``'s padding add to it,
+``delete`` and ``restore_slot``'s padding add to it,
 ``load_slots`` recomputes it.  ``reference_scan`` below is the scan body
 as it was, which looked through every page.  Two twin heaps run one
 random script of writes and scans — a scan also with writes between its
@@ -58,7 +58,15 @@ def apply(heap, op) -> None:
     elif kind == "delete" and slots and heap._rows[at % slots] is not None:
         heap.delete(at % slots)
     elif kind == "put" and slots:
-        heap.put_slot(at % slots, None if value % 2 else (value, "p"))
+        # overwrite a slot: tombstone or replace a live row, revive a
+        # dead one
+        rowid = at % slots
+        if heap._rows[rowid] is None:
+            heap.restore_slot(rowid, (value, "p"))
+        elif value % 2:
+            heap.delete(rowid)
+        else:
+            heap.update(rowid, (value, "p"))
     elif kind == "restore":
         rowid = slots + at % 9  # past the end: pads with tombstones
         if slots and value % 2 and heap._rows[at % slots] is None:

@@ -73,7 +73,7 @@ class TestValidation:
 
     def test_str_rendering(self):
         assert str(SqlType.char(10)) == "CHAR(10)"
-        assert str(SqlType.decimal(15, 2)) == "DECIMAL(15,2)"
+        assert str(SqlType.decimal()) == "DECIMAL(15,2)"
         assert str(SqlType.integer()) == "INTEGER"
 
     def test_kind_enum(self):

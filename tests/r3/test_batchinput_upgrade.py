@@ -61,18 +61,6 @@ class TestBatchInput:
         assert r3.open_sql.select(
             "SELECT lifnr FROM lfa1").rows == []
 
-    def test_lenient_mode_skips(self):
-        r3 = _system()
-        session = BatchInputSession(r3, strict=False)
-        session.run(BatchTransaction(
-            screens=1,
-            checks=[("SELECT SINGLE land1 FROM t005 WHERE land1 = :l",
-                     {"l": "999"})],
-            inserts=[("lfa1", ("S1", "999"))],
-        ))
-        assert session.stats.failures == 1
-        assert session.stats.transactions == 0
-
     def test_screens_and_overhead_charge_time(self):
         r3 = _system()
         session = BatchInputSession(r3)

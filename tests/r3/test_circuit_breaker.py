@@ -114,7 +114,7 @@ class TestStateMachine:
 class TestTraceSpans:
     def test_transitions_emit_spans(self):
         clock = SimulatedClock()
-        tracer = Tracer(clock, enabled=True)
+        tracer = Tracer(clock).enable()
         breaker = CircuitBreaker(clock, MetricsCollector(), tracer=tracer,
                                  failure_threshold=1, cooldown_s=5.0)
         _trip(breaker)

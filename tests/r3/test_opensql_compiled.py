@@ -415,7 +415,7 @@ class TestStaleness:
         for _ in range(2):  # a failed compile is not kept
             with pytest.raises(OpenSqlError, match="require Release 3.0"):
                 r3.open_sql.select(text)
-        upgrade_to_30(r3, convert=())
+        upgrade_to_30(r3)
         assert r3.open_sql.select(text).rows == [("M001", 1)]
 
     def test_gates_follow_the_release_not_the_first_compile(self, r3):

@@ -179,7 +179,7 @@ def test_load_sap_direct_ingests_the_old_tables_in_the_old_order(
     r3.db.direct_path_load = lambda name, rows: (
         ingested.append((name, list(rows))), direct_path_load(name, rows))
     r3.note_write = lambda name: (noted.append(name), note_write(name))
-    loader.load_sap_direct(r3, data, analyze=False)
+    loader.load_sap_direct(r3, data)
     assert ingested == list(physical.items())
     assert sorted(noted) == sorted(
         name for names in logical_of.values() for name in names)

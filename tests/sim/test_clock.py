@@ -46,12 +46,6 @@ class TestSimulatedClock:
         assert inner.stop() == 2.0
         assert outer.stop() == 3.0
 
-    def test_reset(self):
-        clock = SimulatedClock()
-        clock.charge(7.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestFormatDuration:
     def test_seconds(self):
@@ -124,15 +118,6 @@ class TestUnitCharge:
         clock.bind_unit_charge(metrics, "exec.tuples", UNIT_S)
         assert clock.now == 0.0
 
-    def test_reset_with_units_pending_leaves_nothing_pending(self):
-        clock, metrics = bound_clock()
-        clock.charge(7.0)
-        metrics.counts["exec.tuples"] += 3
-        clock.reset()
-        assert clock.now == 0.0  # not 3 units, and not minus anything
-        metrics.counts["exec.tuples"] += 2
-        assert clock.now == UNIT_S + UNIT_S
-
     def test_rebinding_settles_the_first_binding(self):
         clock, first = bound_clock()
         first.counts["exec.tuples"] += 2
@@ -141,7 +126,6 @@ class TestUnitCharge:
         clock.bind_unit_charge(second, "rows", 0.5)
         assert clock.now == UNIT_S + UNIT_S
         first.counts["exec.tuples"] += 1  # no longer a charge
-        first.reset()                     # and no longer watched
         second.counts["rows"] += 1
         assert clock.now == UNIT_S + UNIT_S + 0.5
 

@@ -103,13 +103,13 @@ def bound_clock():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(
-    st.sampled_from(["units", "each", "charge", "enter", "leave", "reset",
+    st.sampled_from(["units", "each", "charge", "enter", "leave", "fresh",
                      "rebind"]),
     st.integers(0, 3000), st.sampled_from(COSTS)), max_size=30))
 def test_the_clock_replays_runs_as_the_loop(script):
     """Units, runs and single charges, in and out of a lane sink, with
-    resets and rebindings after binades are cached; the reference adds
-    one at a time."""
+    fresh clocks and rebindings after binades are cached; the reference
+    adds one at a time."""
     clock, metrics = bound_clock()
     unit = SimParams().tuple_cpu_s
     sink, ref_sink = LaneSink(), None
@@ -135,8 +135,8 @@ def test_the_clock_replays_runs_as_the_loop(script):
             redirect.__exit__(None, None, None)
             redirect = None
             continue
-        elif kind == "reset" and not lane:
-            clock.reset()
+        elif kind == "fresh" and not lane:
+            clock, metrics = bound_clock()
             ref_global = 0.0
             continue
         elif kind == "rebind":

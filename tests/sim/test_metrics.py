@@ -1,4 +1,3 @@
-from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 
 
@@ -40,33 +39,6 @@ class TestMetricsCollector:
         metrics.count("aa")
         assert [name for name, _v in metrics] == ["aa", "zz"]
 
-    def test_reset(self):
-        metrics = MetricsCollector()
-        metrics.count("a")
-        metrics.reset()
-        assert metrics.all() == {}
-
-    def test_delta_reports_reset_counters(self):
-        metrics = MetricsCollector()
-        metrics.count("a", 3)
-        metrics.count("b", 1)
-        snap = metrics.snapshot()
-        metrics.reset()
-        metrics.count("b", 1)
-        # 'a' vanished entirely, 'b' is back at its old value
-        assert snap.delta() == {"a": -3}
-        assert snap.get("a") == -3
-
-    def test_delta_negative_when_counter_readded_lower(self):
-        metrics = MetricsCollector()
-        metrics.count("a", 10)
-        snap = metrics.snapshot()
-        metrics.reset()
-        metrics.count("a", 4)
-        # not dropped and not +4: reset-then-recount must be visible
-        assert snap.delta() == {"a": -6}
-        assert snap.get("a") == -6
-
     def test_reading_never_lists_a_counter(self):
         # the counts live in a defaultdict: a subscript read would
         # create the name, so every read goes through ``.get``
@@ -97,25 +69,8 @@ class TestMetricsCollector:
         counts["hot"] += 2
         metrics.count("hot")
         assert metrics.get("hot") == 3
-        metrics.reset()  # in place: a loop's binding stays valid
         counts["hot"] += 1
-        assert metrics.all() == {"hot": 1}
-
-    def test_reset_under_a_clock_that_replays_a_counter(self):
-        # the clock charges ``exec.tuples`` lazily, from this mapping:
-        # a reset with tuples pending settles them (work done is time
-        # spent) and leaves neither a negative nor a phantom count
-        metrics, clock = MetricsCollector(), SimulatedClock()
-        clock.bind_unit_charge(metrics, "exec.tuples", 0.5)
-        metrics.counts["exec.tuples"] += 3
-        assert clock.now == 1.5
-        metrics.counts["exec.tuples"] += 2  # pending at the reset
-        metrics.reset()
-        assert metrics.all() == {}
-        assert clock.now == 2.5
-        metrics.counts["exec.tuples"] += 4  # fewer than before: no matter
-        assert clock.now == 4.5
-        assert metrics.all() == {"exec.tuples": 4}
+        assert metrics.all() == {"hot": 4}
 
     def test_snapshot_isolation_across_collectors(self):
         one, two = MetricsCollector(), MetricsCollector()

@@ -294,7 +294,8 @@ class TestGaugeSampling:
         assert monitor.series["pool_hit_rate"].values() == [0.75]
 
     def test_maybe_sample_respects_interval(self):
-        monitor, clock, metrics = _bare_monitor(sample_interval_s=2.0)
+        monitor, clock, metrics = _bare_monitor()
+        monitor.sample_interval_s = 2.0
         monitor.enable()
         clock.charge(1.0)
         monitor.maybe_sample()
@@ -327,7 +328,8 @@ class TestGaugeSampling:
         assert metrics.get("monitor.alerts_cleared") == 1
 
     def test_finish_forces_tail_sample(self):
-        monitor, clock, metrics = _bare_monitor(sample_interval_s=100.0)
+        monitor, clock, metrics = _bare_monitor()
+        monitor.sample_interval_s = 100.0
         monitor.enable()
         clock.charge(1.0)
         monitor.finish()

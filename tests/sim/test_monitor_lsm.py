@@ -23,12 +23,14 @@ def _schema() -> TableSchema:
     )
 
 
+#: L0 runs that trigger a compaction: more than any test stacks
+STACKING = 100
+
+
 def _db(storage: str) -> Database:
     params = SimParams()
     params.lsm_memtable_bytes = 1024
-    # high memtable:trigger ratio so nothing compacts while stacking is
-    # explicitly held, yet release_compaction() drains the whole backlog
-    params.lsm_l0_compaction_trigger = 2
+    params.lsm_l0_compaction_trigger = STACKING
     db = Database(params=params, storage=storage)
     db.create_table(_schema())
     db.monitor.enable()
@@ -36,9 +38,8 @@ def _db(storage: str) -> Database:
 
 
 def _stack_l0(db: Database, segments: int) -> None:
-    """Flush ``segments`` L0 runs with compaction suspended."""
+    """Flush ``segments`` L0 runs, fewer than trigger a compaction."""
     table = db.catalog.table("t")
-    table.store.hold_compaction()
     base = table.row_count
     for i in range(segments):
         table.insert((base + i, f"s{i}"))
@@ -82,8 +83,10 @@ class TestCompactionBacklogRule:
         second = db.monitor.sample()
         assert [e.kind for e in second
                 if e.rule == "compaction_backlog_high"] == ["fired"]
-        # Drain the backlog and hold two calm windows to clear.
-        db.catalog.table("t").store.release_compaction()
+        # Drain the backlog and hold two calm windows to clear: with a
+        # low trigger the next flush compacts every L0 run.
+        db.params.lsm_l0_compaction_trigger = 2
+        _stack_l0(db, segments=1)
         assert db.catalog.table("t").store.compaction_backlog < 4
         db.clock.charge(1.0)
         third = db.monitor.sample()

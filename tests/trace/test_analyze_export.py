@@ -14,7 +14,7 @@ def traced_query(with_profile=False):
     span declares its layer, as the program's spans do."""
     clock = SimulatedClock()
     metrics = MetricsCollector()
-    tracer = Tracer(clock, metrics, enabled=True)
+    tracer = Tracer(clock, metrics).enable()
     profile = None
     if with_profile:
         profile = OperatorProfile("SeqScan(lineitem)")

@@ -7,10 +7,13 @@ from repro.sim.metrics import MetricsCollector
 from repro.trace import NOOP_SPAN, TraceAnalyzer, Tracer
 
 
-def make_tracer(enabled=True, **kwargs):
+def make_tracer(enabled=True):
     clock = SimulatedClock()
     metrics = MetricsCollector()
-    return Tracer(clock, metrics, enabled=enabled, **kwargs), clock, metrics
+    tracer = Tracer(clock, metrics)
+    if enabled:
+        tracer.enable()
+    return tracer, clock, metrics
 
 
 class TestNesting:
