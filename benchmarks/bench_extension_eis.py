@@ -5,44 +5,22 @@ and computes the break-even point against querying SAP directly with
 Open SQL — the decision the paper says customers must make.
 """
 
-from repro.reports import open30
 from repro.sim.clock import format_duration
-from repro.warehouse.eis import EisWarehouse, breakeven_queries
+from repro.warehouse.eis import EisWarehouse, run_breakeven
 
 
 def test_extension_eis_warehouse(benchmark, r3_30, bench_sf):
-    def run():
-        warehouse = EisWarehouse.build_from_sap(r3_30)
-        warehouse_total = warehouse.run_power_test(bench_sf)
-        suite = open30.make_queries(bench_sf)
-        span = r3_30.measure()
-        for number in range(1, 18):
-            suite[number](r3_30)
-        open_total = span.stop()
-        return warehouse, warehouse_total, open_total
-
-    warehouse, warehouse_total, open_total = benchmark.pedantic(
-        run, rounds=1, iterations=1,
+    study = benchmark.pedantic(
+        lambda: run_breakeven(r3_30, bench_sf), rounds=1, iterations=1,
     )
-    build = warehouse.build
-    rounds = breakeven_queries(build.total_s, open_total,
-                               warehouse_total)
     print()
-    print(f"warehouse construction: extraction "
-          f"{format_duration(build.extraction_s)} + load "
-          f"{format_duration(build.load_s)} "
-          f"({build.rows_loaded} rows)")
-    print(f"power test on the warehouse: "
-          f"{format_duration(warehouse_total)}")
-    print(f"power test via Open SQL:     {format_duration(open_total)}")
-    print(f"break-even: ~{rounds:.1f} power-test rounds "
-          f"(~{rounds * 17:.0f} queries)")
-    benchmark.extra_info["breakeven_rounds"] = round(rounds, 2)
+    print(study.render())
+    benchmark.extra_info["breakeven_rounds"] = round(study.rounds, 2)
     # The paper's conclusion: construction costs the same order as one
     # power test, so the warehouse only pays off under repeated
     # analytical load — and then it pays off fast.
-    assert 0.1 < rounds < 10
-    assert warehouse_total < open_total
+    assert 0.1 < study.rounds < 10
+    assert study.warehouse_total_s < study.open_total_s
 
 
 def test_extension_eis_incremental_maintenance(benchmark, r3_30,

@@ -7,9 +7,14 @@ one without — and two acceptance gates apply:
 
 * **zero-tick**: the simulated clocks and every non-``monitor.*``
   metric are *exactly* equal — the monitor reads time, never charges;
-* **wall-clock**: the monitored run costs < 2% extra real time
-  (best-of-N rounds, so scheduler noise doesn't decide the verdict).
+* **calls**: the Python function calls the monitor adds per DBIF
+  round trip, counted with ``sys.setprofile`` over the warm-up pass of
+  each system, stay within the count pinned below.  A count is the
+  same on every run; the wall ratio of two best-of-N passes spreads by
+  about ±10 % on a shared two-core machine, wider than any budget the
+  monitor could be held to.
 
+The wall overhead is still measured and reported (``overhead_pct``).
 Dumps BENCH_monitor_overhead.json for ``repro bench-diff`` (the
 ``wall_*``/``overhead_pct`` fields measure the host machine, not the
 simulation — allowlist them when gating).  Override the scale factor
@@ -18,6 +23,7 @@ with REPRO_MONITOR_SF.
 
 import json
 import os
+import sys
 import time
 
 from repro.core.powertest import build_sap_system
@@ -28,8 +34,9 @@ from repro.tpcd.dbgen import generate
 
 MONITOR_SF = float(os.environ.get("REPRO_MONITOR_SF", "0.002"))
 ROUNDS = 5
-#: wall-clock overhead budget for monitoring on vs off
-BUDGET = 0.02
+#: Python calls the monitor adds per DBIF round trip, as counted when
+#: this gate was set; a change that makes the monitor dearer fails it
+CALL_BUDGET = 24.3
 
 
 def _dump(name: str, extra_info: dict) -> None:
@@ -49,6 +56,24 @@ def _suite_pass(r3, suite) -> None:
         r3.monitor.end_step(step)
 
 
+def _counted_pass(r3, suite) -> tuple[int, int]:
+    """One suite pass: its Python calls and its DBIF round trips."""
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    roundtrips = r3.metrics.get("dbif.roundtrips")
+    sys.setprofile(count)
+    try:
+        _suite_pass(r3, suite)
+    finally:
+        sys.setprofile(None)
+    return calls, int(r3.metrics.get("dbif.roundtrips") - roundtrips)
+
+
 def test_monitor_overhead(benchmark):
     data = generate(MONITOR_SF)
     suite = open30.make_queries(MONITOR_SF)
@@ -56,12 +81,14 @@ def test_monitor_overhead(benchmark):
     on = build_sap_system(data, R3Version.V30)
     on.monitor.enable()
     wall: dict[str, list[float]] = {"off": [], "on": []}
+    counted: dict[str, tuple[int, int]] = {}
 
     def scenario():
-        # warm-up pass each: buffer pools and cursor caches fill, so
-        # the timed rounds compare steady-state against steady-state
-        _suite_pass(off, suite)
-        _suite_pass(on, suite)
+        # warm-up pass each, counted: buffer pools and cursor caches
+        # fill, so the timed rounds compare steady-state against
+        # steady-state
+        counted["off"] = _counted_pass(off, suite)
+        counted["on"] = _counted_pass(on, suite)
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
             _suite_pass(off, suite)
@@ -74,6 +101,10 @@ def test_monitor_overhead(benchmark):
 
     best_off, best_on = min(wall["off"]), min(wall["on"])
     overhead = best_on / best_off - 1
+    (calls_off, roundtrips), (calls_on, roundtrips_on) = \
+        counted["off"], counted["on"]
+    assert roundtrips == roundtrips_on > 0
+    calls_per_roundtrip = (calls_on - calls_off) / roundtrips
 
     # Zero-tick: identical simulated history, bit for bit.
     assert on.clock.now == off.clock.now
@@ -100,7 +131,9 @@ def test_monitor_overhead(benchmark):
         title=f"Monitor overhead at SF={MONITOR_SF}, "
               f"best of {ROUNDS} suite passes",
     ))
-    print(f"wall overhead {overhead:+.2%} (budget {BUDGET:.0%}); "
+    print(f"wall overhead {overhead:+.2%}; {calls_per_roundtrip:.1f} "
+          f"Python calls added per DBIF round trip (budget "
+          f"{CALL_BUDGET}, {roundtrips} round trips); "
           f"simulated overhead exactly 0 by construction; "
           f"{len(records)} STAT records, "
           f"{int(on.metrics.get('monitor.samples'))} gauge samples")
@@ -112,9 +145,11 @@ def test_monitor_overhead(benchmark):
         "wall_off_s": round(best_off, 4),
         "wall_on_s": round(best_on, 4),
         "overhead_pct": round(100 * overhead, 2),
+        "monitor_calls_per_roundtrip": round(calls_per_roundtrip, 2),
     }
     _dump("monitor_overhead", extra)
     benchmark.extra_info.update(extra)
 
-    # Acceptance: always-on monitoring costs < 2% wall.
-    assert overhead < BUDGET
+    # Acceptance: always-on monitoring adds no more Python calls per
+    # DBIF round trip than it did when the budget was pinned.
+    assert calls_per_roundtrip <= CALL_BUDGET

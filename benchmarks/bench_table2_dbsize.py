@@ -1,7 +1,6 @@
 """Table 2: DB sizes, original TPC-D DB vs SAP DB (data + indexes)."""
 
 from repro.core.experiments import table2_dbsize
-from repro.core.results import kb_cell, render_table
 
 
 def test_table2_dbsize(benchmark, data, rdbms, r3_22):
@@ -9,26 +8,8 @@ def test_table2_dbsize(benchmark, data, rdbms, r3_22):
         lambda: table2_dbsize(data=data, db=rdbms, r3=r3_22),
         rounds=1, iterations=1,
     )
-    rows = []
-    for entity, entry in result.entities.items():
-        rows.append([
-            entity, kb_cell(entry["orig_data"]), kb_cell(entry["orig_index"]),
-            kb_cell(entry["sap_data"]), kb_cell(entry["sap_index"]),
-        ])
-    totals = result.totals()
-    rows.append([
-        "Total", kb_cell(totals["orig_data"]), kb_cell(totals["orig_index"]),
-        kb_cell(totals["sap_data"]), kb_cell(totals["sap_index"]),
-    ])
     print()
-    print(render_table(
-        ["", "Orig Data KB", "Orig Idx KB", "SAP Data KB", "SAP Idx KB"],
-        rows,
-        title=f"Table 2: DB sizes at SF={result.scale_factor} "
-              f"(paper: 10.4x data, 8.2x index inflation)",
-    ))
-    print(f"measured inflation: data {result.data_inflation:.1f}x, "
-          f"index {result.index_inflation:.1f}x")
+    print(result.render())
     benchmark.extra_info["data_inflation"] = round(result.data_inflation, 2)
     benchmark.extra_info["index_inflation"] = round(result.index_inflation, 2)
     assert result.data_inflation > 3.0

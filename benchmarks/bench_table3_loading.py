@@ -5,9 +5,7 @@ the load takes a simulated month).  Reported per-entity times are the
 two-process effective times, as in the paper.
 """
 
-from repro.core.experiments import table3_loading
-from repro.core.results import duration_cell, render_table
-from repro.sim.clock import format_duration
+from repro.core.experiments import render_table3, table3_loading
 from repro.tpcd.dbgen import generate
 
 LOAD_SF = 0.0005
@@ -19,21 +17,10 @@ def test_table3_loading(benchmark):
         lambda: table3_loading(data=data, processes=2),
         rounds=1, iterations=1,
     )
-    rows = [
-        [entity, duration_cell(timings.effective(entity))]
-        for entity in ("SUPPLIER", "PART", "PARTSUPP", "CUSTOMER",
-                       "ORDER+LINEITEM")
-    ]
-    print()
-    print(render_table(
-        ["", "Loading Time (simulated)"], rows,
-        title=f"Table 3: batch-input load at SF={LOAD_SF}, "
-              f"two parallel processes (paper: ORDER+LINEITEM 25d19h)",
-    ))
+    print(f"\nSF={LOAD_SF}")
+    print(render_table3(timings))
     orders = timings.effective("ORDER+LINEITEM")
     others = sum(timings.effective(e) for e in timings.elapsed
                  if e != "ORDER+LINEITEM")
-    print(f"ORDER+LINEITEM dominates by {orders / others:.1f}x "
-          f"(total {format_duration(orders + others)})")
     benchmark.extra_info["orders_simulated_s"] = round(orders, 1)
     assert orders > others

@@ -1,31 +1,14 @@
 """Table 6 / Figure 3: the parameterized-query optimizer trap."""
 
 from repro.core.experiments import table6_plan_choice
-from repro.core.results import duration_cell, render_table
 
 
 def test_table6_plan_choice(benchmark, r3_30):
     result = benchmark.pedantic(
         lambda: table6_plan_choice(r3_30), rounds=1, iterations=1,
     )
-    rows = [
-        ["high (0 result tuples)",
-         duration_cell(result.times[("native", "high")]),
-         duration_cell(result.times[("open", "high")])],
-        ["low (all tuples qualify)",
-         duration_cell(result.times[("native", "low")]),
-         duration_cell(result.times[("open", "low")])],
-    ]
     print()
-    print(render_table(
-        ["selectivity", "Native SQL", "Open SQL"], rows,
-        title="Table 6: one-table query, index on KWMENG "
-              "(paper: 1s/1s and 4m56s/1h50m)",
-    ))
-    print("native low-selectivity plan:\n"
-          + result.plans["native_low"])
-    print("open low-selectivity plan (parameterized):\n"
-          + result.plans["open_low"])
+    print(result.render())
     benchmark.extra_info["trap_ratio"] = round(
         result.times[("open", "low")]
         / max(result.times[("native", "low")], 1e-9), 1

@@ -1,7 +1,6 @@
 """Table 7 / Figure 4: complex aggregation, pushed down vs in ABAP."""
 
 from repro.core.experiments import table7_aggregation
-from repro.core.results import duration_cell, render_table
 
 
 def test_table7_aggregation(benchmark, r3_30):
@@ -9,15 +8,8 @@ def test_table7_aggregation(benchmark, r3_30):
         lambda: table7_aggregation(r3_30), rounds=1, iterations=1,
     )
     print()
-    print(render_table(
-        ["", "Native SQL", "Open SQL"],
-        [["cost", duration_cell(result.native_s),
-          duration_cell(result.open_s)]],
-        title="Table 7: AVG(KAWRT*(1+KBETR/1000)) GROUP BY KPOSN "
-              "(paper: 4m11s vs 13m48s, 3.3x)",
-    ))
+    print(result.render())
     ratio = result.open_s / max(result.native_s, 1e-9)
-    print(f"measured ratio: {ratio:.1f}x")
     benchmark.extra_info["open_over_native"] = round(ratio, 2)
     assert result.rows_match
     assert result.open_s > 2 * result.native_s

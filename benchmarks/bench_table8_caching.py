@@ -1,23 +1,14 @@
 """Table 8 / Figure 5: application-server table buffering of MARA."""
 
 from repro.core.experiments import table8_caching
-from repro.core.results import duration_cell, render_table
 
 
 def test_table8_caching(benchmark, r3_30):
     result = benchmark.pedantic(
         lambda: table8_caching(r3_30), rounds=1, iterations=1,
     )
-    rows = []
-    for label in ("none", "small", "large"):
-        hit_ratio, cost = result.configs[label]
-        rows.append([label, f"{hit_ratio:.0%}", duration_cell(cost)])
     print()
-    print(render_table(
-        ["cache", "hit ratio", "cost for querying MARA"], rows,
-        title=f"Table 8: {result.lookups} small MARA queries "
-              f"(paper: 0%/1h48m, 11%/1h50m, 85%/35m)",
-    ))
+    print(result.render())
     none_cost = result.configs["none"][1]
     large_cost = result.configs["large"][1]
     benchmark.extra_info["large_cache_speedup"] = round(

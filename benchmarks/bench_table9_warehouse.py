@@ -1,29 +1,15 @@
 """Table 9: the cost of constructing an SAP data warehouse."""
 
-from repro.core.experiments import table9_warehouse
-from repro.core.results import duration_cell, render_table
+from repro.core.experiments import render_table9, table9_warehouse
 
 
 def test_table9_warehouse(benchmark, r3_30):
     results = benchmark.pedantic(
         lambda: table9_warehouse(r3_30), rounds=1, iterations=1,
     )
-    order = ["REGION", "NATION", "SUPPLIER", "PART", "PARTSUPP",
-             "CUSTOMER", "ORDER", "LINEITEM"]
-    rows = [
-        [name, results[name].rows,
-         duration_cell(results[name].elapsed_s)]
-        for name in order
-    ]
-    total = sum(r.elapsed_s for r in results.values())
-    rows.append(["total", sum(r.rows for r in results.values()),
-                 duration_cell(total)])
     print()
-    print(render_table(
-        ["", "rows", "running time"], rows,
-        title="Table 9: reconstructing the original TPC-D DB via "
-              "Open SQL reports (paper total: 6h05m)",
-    ))
+    print(render_table9(results))
+    total = sum(r.elapsed_s for r in results.values())
     benchmark.extra_info["total_simulated_s"] = round(total, 1)
     lineitem = results["LINEITEM"].elapsed_s
     assert lineitem > total / 2

@@ -15,7 +15,6 @@ import sys
 from repro.core.experiments import table8_caching
 from repro.core.powertest import build_sap_system
 from repro.r3.appserver import R3Version
-from repro.sim.clock import format_duration
 from repro.tpcd.dbgen import generate
 
 
@@ -25,22 +24,9 @@ def main() -> None:
     r3 = build_sap_system(generate(scale_factor), R3Version.V30)
 
     print("replaying the Figure 5 report under three buffer sizes ...\n")
-    result = table8_caching(r3)
-
-    print(f"{result.lookups} small queries against MARA "
-          f"(paper: 1.2 million at SF=0.2)\n")
-    print(f"{'cache':<8} {'hit ratio':>10} {'cost for querying MARA':>24}")
-    for label in ("none", "small", "large"):
-        hit_ratio, cost = result.configs[label]
-        print(f"{label:<8} {hit_ratio:>9.0%} "
-              f"{format_duration(cost):>24}")
-    print()
-    none_cost = result.configs["none"][1]
-    large_cost = result.configs["large"][1]
-    print(f"a buffer that holds the whole table wins "
-          f"{none_cost / max(large_cost, 1e-9):.1f}x "
-          f"(paper: 3x); a thrashing one is a wash — "
-          f"management overhead eats the few hits.")
+    print(table8_caching(r3).render())
+    print("\na buffer that holds the whole table wins; a thrashing one is "
+          "a wash — management overhead eats the few hits.")
 
 
 if __name__ == "__main__":

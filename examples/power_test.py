@@ -11,7 +11,6 @@ paper's published ones.
 
 import argparse
 
-from repro.core import paperdata
 from repro.core.powertest import run_power_test
 from repro.r3.appserver import R3Version
 
@@ -25,9 +24,6 @@ def main() -> None:
     args = parser.parse_args()
 
     version = R3Version.V22 if args.release == "2.2" else R3Version.V30
-    paper = (paperdata.TABLE4_22G_S if version is R3Version.V22
-             else paperdata.TABLE5_30E_S)
-
     print(f"running the TPC-D power test, R/3 {version.value}, "
           f"SF={args.sf} (this takes a minute or two) ...")
     result = run_power_test(
@@ -36,15 +32,7 @@ def main() -> None:
     print()
     print(result.render())
     print()
-    rdbms = result.total("rdbms", queries_only=True)
-    paper_rdbms = paperdata.total(paper["rdbms"], queries_only=True)
-    print("query-total slowdown vs the isolated RDBMS:")
-    for variant in ("native", "open"):
-        measured = result.total(variant, queries_only=True) / rdbms
-        published = paperdata.total(paper[variant], queries_only=True) \
-            / paper_rdbms
-        print(f"  {variant:>6}: measured {measured:5.1f}x   "
-              f"paper {published:4.1f}x")
+    print(result.render_vs_paper())
 
 
 if __name__ == "__main__":

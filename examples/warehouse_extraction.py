@@ -11,12 +11,13 @@ Run:  python examples/warehouse_extraction.py [scale_factor]
 
 import sys
 
+from repro.core import paperdata
+from repro.core.experiments import render_table9, table9_warehouse
 from repro.core.powertest import build_sap_system
 from repro.r3.appserver import R3Version
-from repro.reports import open30
 from repro.sim.clock import format_duration
 from repro.tpcd.dbgen import generate
-from repro.warehouse.extract import extract_all
+from repro.warehouse.eis import open_sql_power_total
 
 
 def main() -> None:
@@ -25,26 +26,19 @@ def main() -> None:
     r3 = build_sap_system(generate(scale_factor), R3Version.V30)
 
     print("running the extraction reports ...\n")
-    results = extract_all(r3, keep_lines=True)
-    total = 0.0
-    for name in ("REGION", "NATION", "SUPPLIER", "PART", "PARTSUPP",
-                 "CUSTOMER", "ORDER", "LINEITEM"):
-        entry = results[name]
-        total += entry.elapsed_s
-        sample = entry.lines[0][:60] if entry.lines else ""
-        print(f"  {name:<10} {entry.rows:>7} rows  "
-              f"{format_duration(entry.elapsed_s):>10}   e.g. {sample}")
-    print(f"  {'total':<10} {'':>7}       {format_duration(total):>10}")
+    results = table9_warehouse(r3)
+    print(render_table9(results))
+    total = sum(entry.elapsed_s for entry in results.values())
 
     print("\nfor comparison: one Open SQL power test on the same data ...")
-    suite = open30.make_queries(scale_factor)
-    span = r3.measure()
-    for number in range(1, 18):
-        suite[number](r3)
-    power = span.stop()
+    power = open_sql_power_total(r3, scale_factor)
+    paper_power = paperdata.total(paperdata.TABLE5_30E_S["open"],
+                                  queries_only=True)
     print(f"  power test total: {format_duration(power)}")
     print(f"\nextraction / power-test ratio: {total / power:.2f} "
-          f"(paper: ~1.0 — 6h05m vs 6h06m)")
+          f"(paper: {paperdata.TABLE9_TOTAL_S / paper_power:.2f} — "
+          f"{format_duration(paperdata.TABLE9_TOTAL_S)} vs "
+          f"{format_duration(paper_power)})")
 
 
 if __name__ == "__main__":

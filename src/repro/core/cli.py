@@ -1,8 +1,9 @@
 """The paper's experiments on the command line, plus ``bench-diff``.
 
-One subcommand per paper artifact (the drivers live next door in
-:mod:`repro.core.experiments` and :mod:`repro.core.powertest`) and the
-benchmark-result differ of :mod:`repro.core.benchdiff`.
+One subcommand per paper artifact (the drivers and their renders live
+next door in :mod:`repro.core.experiments`, :mod:`repro.core.powertest`
+and :mod:`repro.warehouse.eis`) and the benchmark-result differ of
+:mod:`repro.core.benchdiff`.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from repro import cli
 from repro.core import experiments as ex
 from repro.core.benchdiff import run_bench_diff
 from repro.core.powertest import build_sap_system, run_power_test
-from repro.core.results import duration_cell, kb_cell, render_table
 from repro.r3.appserver import R3Version
-from repro.sim.clock import format_duration
 from repro.tpcd.dbgen import generate
 
 
@@ -28,78 +27,34 @@ def cmd_power(args) -> None:
 
 
 def cmd_dbsize(args) -> None:
-    result = ex.table2_dbsize(scale_factor=args.sf)
-    rows = [
-        [entity, kb_cell(e["orig_data"]), kb_cell(e["orig_index"]),
-         kb_cell(e["sap_data"]), kb_cell(e["sap_index"])]
-        for entity, e in result.entities.items()
-    ]
-    print(render_table(
-        ["", "Orig Data KB", "Orig Idx KB", "SAP Data KB", "SAP Idx KB"],
-        rows, title=f"Table 2 at SF={args.sf}",
-    ))
-    print(f"inflation: data {result.data_inflation:.1f}x, "
-          f"index {result.index_inflation:.1f}x")
+    print(ex.table2_dbsize(scale_factor=args.sf).render())
 
 
 def cmd_loading(args) -> None:
-    timings = ex.table3_loading(scale_factor=args.sf,
-                                storage=args.storage)
-    for entity in ("SUPPLIER", "PART", "PARTSUPP", "CUSTOMER",
-                   "ORDER+LINEITEM"):
-        print(f"{entity:16} {duration_cell(timings.effective(entity))}")
+    print(ex.render_table3(ex.table3_loading(scale_factor=args.sf,
+                                             storage=args.storage)))
 
 
 def cmd_plan_trap(args) -> None:
-    result = ex.table6_plan_choice(_build_30(args))
-    for (interface, label), seconds in sorted(result.times.items()):
-        print(f"{interface:>6} / {label:<4} "
-              f"{duration_cell(seconds):>10} "
-              f"({result.rows[(interface, label)]} rows)")
+    print(ex.table6_plan_choice(_build_30(args)).render())
 
 
 def cmd_aggregation(args) -> None:
-    result = ex.table7_aggregation(_build_30(args))
-    print(f"native {duration_cell(result.native_s)}  "
-          f"open {duration_cell(result.open_s)}  "
-          f"match={result.rows_match}")
+    print(ex.table7_aggregation(_build_30(args)).render())
 
 
 def cmd_caching(args) -> None:
-    result = ex.table8_caching(_build_30(args))
-    for label, (hit_ratio, cost) in result.configs.items():
-        print(f"{label:<6} hit {hit_ratio:>4.0%}  "
-              f"cost {duration_cell(cost)}")
+    print(ex.table8_caching(_build_30(args)).render())
 
 
 def cmd_warehouse(args) -> None:
-    results = ex.table9_warehouse(_build_30(args))
-    total = 0.0
-    for name, entry in results.items():
-        total += entry.elapsed_s
-        print(f"{name:10} {entry.rows:7} rows  "
-              f"{duration_cell(entry.elapsed_s)}")
-    print(f"{'total':10} {'':>12} {duration_cell(total)}")
+    print(ex.render_table9(ex.table9_warehouse(_build_30(args))))
 
 
 def cmd_eis(args) -> None:
-    from repro.reports import open30
-    from repro.warehouse.eis import EisWarehouse, breakeven_queries
+    from repro.warehouse.eis import run_breakeven
 
-    r3 = _build_30(args)
-    warehouse = EisWarehouse.build_from_sap(r3)
-    eis_total = warehouse.run_power_test(args.sf)
-    suite = open30.make_queries(args.sf)
-    span = r3.measure()
-    for number in range(1, 18):
-        suite[number](r3)
-    open_total = span.stop()
-    rounds = breakeven_queries(warehouse.build.total_s, open_total,
-                               eis_total)
-    print(f"construction {format_duration(warehouse.build.total_s)}, "
-          f"power test on EIS {format_duration(eis_total)}, "
-          f"via Open SQL {format_duration(open_total)}")
-    print(f"break-even after ~{rounds:.1f} power-test rounds")
+    print(run_breakeven(_build_30(args), args.sf).render())
 
 
 #: name -> (function, one-line summary, parent parsers)

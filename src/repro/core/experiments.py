@@ -1,6 +1,9 @@
 """Drivers for the paper's non-power-test experiments.
 
-One function per paper artifact:
+One function per paper artifact, and one render per result that prints
+the reproduced figures beside the published ones of
+:mod:`repro.core.paperdata` (the CLI, the benches and the examples all
+print through it):
 
 * :func:`table1_schema_mapping` — the SAP-table inventory (Table 1),
 * :func:`table2_dbsize` — database/index sizes, original vs SAP,
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core import paperdata
+from repro.core.results import duration_cell, kb_cell, render_table
 from repro.r3.appserver import R3System, R3Version
 from repro.sapschema.loader import LoadTimings, load_sap_batch_input
 from repro.sapschema.tables import SAP_TABLE_INFO
@@ -78,6 +83,37 @@ class Table2Result:
     def index_inflation(self) -> float:
         totals = self.totals()
         return totals["sap_index"] / max(totals["orig_index"], 1)
+
+    def render(self) -> str:
+        """Sizes in KB and the SAP/original inflation per entity, beside
+        the paper's inflation (its sizes are at SF 0.2, so only the
+        ratios compare)."""
+        paper_orig = {**paperdata.TABLE2_ORIGINAL_KB,
+                      "Total": paperdata.TABLE2_TOTAL_ORIGINAL_KB}
+        paper_sap = {**paperdata.TABLE2_SAP_KB,
+                     "Total": paperdata.TABLE2_TOTAL_SAP_KB}
+        rows = []
+        for entity, e in [*self.entities.items(), ("Total", self.totals())]:
+            (p_orig_data, p_orig_index), (p_sap_data, p_sap_index) = \
+                paper_orig[entity], paper_sap[entity]
+            rows.append([
+                entity, kb_cell(e["orig_data"]), kb_cell(e["orig_index"]),
+                kb_cell(e["sap_data"]), kb_cell(e["sap_index"]),
+                _ratio(e["sap_data"], e["orig_data"]),
+                _ratio(p_sap_data, p_orig_data),
+                _ratio(e["sap_index"], e["orig_index"]),
+                _ratio(p_sap_index, p_orig_index),
+            ])
+        return render_table(
+            ["", "Orig Data KB", "Orig Idx KB", "SAP Data KB",
+             "SAP Idx KB", "Data x", "paper", "Idx x", "paper"], rows,
+            title=f"Table 2: DB sizes at SF={self.scale_factor} and the "
+                  f"SAP/original inflation (paper at "
+                  f"SF={paperdata.SCALE_FACTOR})")
+
+
+def _ratio(numerator: float, denominator: float) -> str:
+    return f"{numerator / denominator:.1f}x" if denominator else "-"
 
 
 _ENTITY_ORIGINAL = {
@@ -159,6 +195,28 @@ def table3_loading(
     return load_sap_batch_input(r3, data, processes=processes)
 
 
+def render_table3(timings: LoadTimings) -> str:
+    """Each entity's effective load time beside the paper's, and how far
+    ORDER+LINEITEM outweighs the rest in both."""
+    paper = paperdata.TABLE3_LOADING_S
+    measured = {entity: timings.effective(entity) for entity in paper}
+    table = render_table(
+        ["", "Loading time", "paper"],
+        [[entity, duration_cell(seconds), duration_cell(paper[entity])]
+         for entity, seconds in measured.items()],
+        title=f"Table 3: batch-input load, {timings.processes} parallel "
+              f"processes (simulated; paper at "
+              f"SF={paperdata.SCALE_FACTOR})")
+
+    def dominance(times: dict[str, float]) -> float:
+        orders = times["ORDER+LINEITEM"]
+        return orders / (sum(times.values()) - orders)
+
+    return (f"{table}\nORDER+LINEITEM over the rest: "
+            f"{dominance(measured):.1f}x (paper {dominance(paper):.1f}x), "
+            f"total {duration_cell(sum(measured.values()))}")
+
+
 # ---------------------------------------------------------------------------
 # Table 6
 # ---------------------------------------------------------------------------
@@ -170,6 +228,38 @@ class Table6Result:
     #: (interface, selectivity) -> rows returned
     rows: dict[tuple[str, str], int] = field(default_factory=dict)
     plans: dict[str, str] = field(default_factory=dict)
+
+    def render(self) -> str:
+        """Both interfaces at both selectivities beside the paper, the
+        penalty of the blind plan, and the two plans."""
+        paper = paperdata.TABLE6_S
+        rows = [
+            [title,
+             duration_cell(self.times[("native", label)]),
+             self.rows[("native", label)],
+             duration_cell(self.times[("open", label)]),
+             self.rows[("open", label)],
+             duration_cell(paper[("native", label)]),
+             duration_cell(paper[("open", label)])]
+            for label, title in (("high", "high (0 result tuples)"),
+                                 ("low", "low (all tuples qualify)"))
+        ]
+        table = render_table(
+            ["selectivity", "Native SQL", "rows", "Open SQL", "rows",
+             "paper Native", "paper Open"], rows,
+            title="Table 6: one-table query, index on KWMENG (simulated)")
+        penalty = self.times[("open", "low")] / max(
+            self.times[("native", "low")], 1e-9)
+        paper_penalty = paper[("open", "low")] / paper[("native", "low")]
+        return "\n".join([
+            table,
+            f"blind plan penalty at low selectivity: {penalty:.1f}x "
+            f"(paper {paper_penalty:.1f}x)",
+            "Native SQL plan, the literal reaches the optimizer:",
+            self.plans["native_low"],
+            "Open SQL plan, parameterized (KWMENG < ?):",
+            self.plans["open_low"],
+        ])
 
 
 def table6_plan_choice(r3: R3System) -> Table6Result:
@@ -233,6 +323,19 @@ class Table7Result:
     open_s: float = 0.0
     rows_match: bool = False
 
+    def render(self) -> str:
+        paper = paperdata.TABLE7_S
+        rows = [[label, duration_cell(native), duration_cell(open_s),
+                 f"{open_s / max(native, 1e-9):.1f}x"]
+                for label, native, open_s in (
+                    ("reproduced", self.native_s, self.open_s),
+                    ("paper", paper["native"], paper["open"]))]
+        table = render_table(
+            ["", "Native SQL", "Open SQL", "Open/Native"], rows,
+            title="Table 7: AVG(KAWRT*(1+KBETR/1000)) GROUP BY KPOSN "
+                  "(simulated)")
+        return f"{table}\nanswers identical: match={self.rows_match}"
+
 
 def table7_aggregation(r3: R3System) -> Table7Result:
     """Figure 4 / Table 7: complex aggregation, pushed vs in ABAP.
@@ -284,6 +387,22 @@ class Table8Result:
     #: config -> (hit_ratio, mara_query_cost_s)
     configs: dict[str, tuple[float, float]] = field(default_factory=dict)
     lookups: int = 0
+
+    def render(self) -> str:
+        paper = paperdata.TABLE8
+        rows = [[label, f"{hit_ratio:.0%}", duration_cell(cost),
+                 f"{paper[label][0]:.0%}", duration_cell(paper[label][1])]
+                for label, (hit_ratio, cost) in self.configs.items()]
+        table = render_table(
+            ["cache", "hit ratio", "cost for querying MARA", "paper hit",
+             "paper cost"], rows,
+            title=f"Table 8: {self.lookups:,} small MARA queries (paper: "
+                  f"{paperdata.TABLE8_LOOKUPS:,} at "
+                  f"SF={paperdata.SCALE_FACTOR})")
+        speedup = self.configs["none"][1] / max(self.configs["large"][1],
+                                                1e-9)
+        return (f"{table}\nlarge cache speedup: {speedup:.1f}x (paper "
+                f"{paper['none'][1] / paper['large'][1]:.1f}x)")
 
 
 def table8_caching(r3: R3System) -> Table8Result:
@@ -338,3 +457,17 @@ def table8_caching(r3: R3System) -> Table8Result:
 def table9_warehouse(r3: R3System) -> dict[str, ExtractResult]:
     """Table 9: cost of reconstructing the original DB (3.0 system)."""
     return extract_all(r3)
+
+
+def render_table9(results: dict[str, ExtractResult]) -> str:
+    """Each extraction report's rows and time beside the paper's time."""
+    paper = paperdata.TABLE9_S
+    rows = [[name, results[name].rows, duration_cell(results[name].elapsed_s),
+             duration_cell(paper[name])] for name in paper]
+    rows.append(["total", sum(r.rows for r in results.values()),
+                 duration_cell(sum(r.elapsed_s for r in results.values())),
+                 duration_cell(paperdata.TABLE9_TOTAL_S)])
+    return render_table(
+        ["", "rows", "running time", "paper"], rows,
+        title="Table 9: reconstructing the original TPC-D DB via Open SQL "
+              "reports (simulated)")

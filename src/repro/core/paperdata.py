@@ -10,6 +10,9 @@ from __future__ import annotations
 QUERIES = [f"Q{n}" for n in range(1, 18)]
 UPDATES = ["UF1", "UF2"]
 
+#: the scale factor every published table was measured at
+SCALE_FACTOR = 0.2
+
 # ---------------------------------------------------------------------------
 # Table 2: database sizes in KB (data, indexes)
 # ---------------------------------------------------------------------------
@@ -111,6 +114,8 @@ TABLE8 = {
     "small": (0.11, 6651),
     "large": (0.85, 2141),
 }
+#: SELECT SINGLE lookups against MARA, one per VBAP row
+TABLE8_LOOKUPS = 1_200_000
 
 # ---------------------------------------------------------------------------
 # Table 9: warehouse extraction, seconds

@@ -101,6 +101,22 @@ class PowerTestResult:
                       "charge until the abort")
         return table
 
+    def render_vs_paper(self) -> str:
+        """Each SAP variant's query total over the RDBMS's, beside the
+        paper's ratio for the same release (Table 4 or 5)."""
+        paper = (paperdata.TABLE4_22G_S if self.version is R3Version.V22
+                 else paperdata.TABLE5_30E_S)
+        rdbms = self.total("rdbms", queries_only=True)
+        paper_rdbms = paperdata.total(paper["rdbms"], queries_only=True)
+        lines = ["query-total slowdown vs the isolated RDBMS:"]
+        for variant in ("native", "open"):
+            measured = self.total(variant, queries_only=True) / rdbms
+            published = paperdata.total(paper[variant],
+                                        queries_only=True) / paper_rdbms
+            lines.append(f"  {variant:>6}: measured {measured:5.1f}x   "
+                         f"paper {published:4.1f}x")
+        return "\n".join(lines)
+
 
 def build_sap_system(data: TpcdData, version: R3Version,
                      params: SimParams | None = None,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import CatalogError
 from repro.engine.index import BTreeIndex
@@ -24,6 +26,7 @@ class Catalog:
         params: SimParams,
         storage: str,
         disk: DiskModel,
+        segment_seq: Iterator[int],
     ) -> None:
         self._buffer = buffer_pool
         self._clock = clock
@@ -32,6 +35,7 @@ class Catalog:
         #: backend every new table is created with ("heap" | "lsm")
         self.storage = storage
         self._disk = disk
+        self._segment_seq = segment_seq
         self._tables: dict[str, Table] = {}
         # Views map a name to a parsed SELECT AST (repro.engine.sql.ast).
         self._views: dict[str, object] = {}
@@ -50,7 +54,8 @@ class Catalog:
         if name in self._tables or name in self._views:
             raise CatalogError(f"{schema.name} already exists")
         table = Table(schema, self._buffer, self._clock, self._metrics,
-                      self._params, storage=self.storage, disk=self._disk)
+                      self._params, storage=self.storage, disk=self._disk,
+                      segment_seq=self._segment_seq)
         self._tables[name] = table
         if schema.primary_key and attach_pk:
             self.attach_primary(table)

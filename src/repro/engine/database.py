@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -215,8 +216,12 @@ class Database:
             capacity, self.disk, self.clock, self.metrics,
             hit_cpu_s=self.params.buffer_hit_s,
         )
+        #: LSM segment serials: the buffer pool is this database's, so
+        #: a segment's file name depends on this database alone
+        self._segment_seq = itertools.count(1)
         self.catalog = Catalog(self.buffer_pool, self.clock, self.metrics,
-                               self.params, storage=storage, disk=self.disk)
+                               self.params, storage=storage, disk=self.disk,
+                               segment_seq=self._segment_seq)
         self.stats: dict[str, TableStats] = {}
         #: hierarchical span tracer (disabled by default, zero-overhead)
         self.tracer = Tracer(self.clock, self.metrics)

@@ -86,13 +86,11 @@ class SSTable:
     any I/O.
     """
 
-    _seq = 0
-
     def __init__(self, entries: list[tuple[int, tuple | None]],
-                 rows_per_block: int, table_name: str) -> None:
+                 rows_per_block: int, name: str) -> None:
         assert entries, "SSTable must hold at least one entry"
-        SSTable._seq += 1
-        self.name = f"lsm:{table_name}:{SSTable._seq}"
+        #: the buffer pool's file name of this segment's blocks
+        self.name = name
         self.entries = entries
         self.rows_per_block = rows_per_block
         self.min_key = entries[0][0]
@@ -140,6 +138,7 @@ class LsmTree(StorageBackend):
         metrics: MetricsCollector,
         disk: DiskModel,
         buffer_pool: BufferPool,
+        segment_seq: Iterator[int],
     ) -> None:
         self.schema = schema
         self._params = params
@@ -147,6 +146,9 @@ class LsmTree(StorageBackend):
         self._metrics = metrics
         self._disk = disk
         self._buffer = buffer_pool
+        #: the database's segment serial: a name is never reused within
+        #: the buffer pool, not even after a drop and re-create
+        self._segment_seq = segment_seq
         self.rows_per_page = max(
             1, params.page_size_bytes // schema.row_byte_width
         )
@@ -160,6 +162,10 @@ class LsmTree(StorageBackend):
         self._next_rowid = 0
         self._live = 0
         self.version = 0
+
+    def _segment(self, entries: list[tuple[int, tuple | None]]) -> SSTable:
+        return SSTable(entries, self.rows_per_page,
+                       f"lsm:{self.schema.name}:{next(self._segment_seq)}")
 
     # -- cost helpers -----------------------------------------------------
 
@@ -217,7 +223,7 @@ class LsmTree(StorageBackend):
         if not self._memtable:
             return
         entries = sorted(self._memtable.items())
-        segment = SSTable(entries, self.rows_per_page, self.schema.name)
+        segment = self._segment(entries)
         pages = self._pages_for_entries(len(entries))
         for _ in range(pages):
             self._disk.write_page(sequential=True)
@@ -313,7 +319,7 @@ class LsmTree(StorageBackend):
             # every row tombstoned away at the bottom level: keep one
             # tombstone entry so callers always get a segment back
             entries = sorted(merged.items())[:1]
-        return SSTable(entries, self.rows_per_page, self.schema.name)
+        return self._segment(entries)
 
     # -- direct-path load -------------------------------------------------
 
@@ -339,7 +345,7 @@ class LsmTree(StorageBackend):
             self._next_rowid += len(chunk)
             entries: list[tuple[int, tuple | None]] = list(zip(fresh, chunk))
             rowids += fresh
-            segment = SSTable(entries, self.rows_per_page, self.schema.name)
+            segment = self._segment(entries)
             pages = self._pages_for_entries(len(entries))
             for _ in range(pages):
                 self._disk.write_page(sequential=True)
@@ -488,9 +494,7 @@ class LsmTree(StorageBackend):
         entries = [(rowid, row) for rowid, row in enumerate(slots)
                    if row is not None]
         if entries:
-            self._levels.append(
-                SSTable(entries, self.rows_per_page, self.schema.name)
-            )
+            self._levels.append(self._segment(entries))
         self.version += 1
 
     def restore_slot(self, rowid: int, row: tuple) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ConstraintError
@@ -35,6 +35,7 @@ class Table:
         params: SimParams,
         storage: str,
         disk: DiskModel,
+        segment_seq: Iterator[int],
     ) -> None:
         self.schema = schema
         self.name = schema.name.lower()
@@ -51,8 +52,8 @@ class Table:
         self.storage = storage
         if storage == "lsm":
             self.store: StorageBackend = LsmTree(
-                schema, params, clock, metrics, disk, buffer_pool
-            )
+                schema, params, clock, metrics, disk, buffer_pool,
+                segment_seq)
         elif storage == "heap":
             self.store = HeapFile(schema, params.page_size_bytes,
                                   buffer_pool, disk)

@@ -303,15 +303,30 @@ def generate_update_pairs(
     throughput update stream.
 
     Each UF1 set gets its own order-key range above the loaded data, so
-    the pairs can be applied to one database in sequence.  The seeds
-    are fixed: the chaos, scale-out and monitor harnesses (and their
-    committed baselines) all run exactly these pairs.
+    the pairs can be applied to one database in sequence; likewise no
+    order is doomed by two UF2 sets: a key an earlier pair already
+    deletes is redrawn from the orders no pair has taken, and only
+    then, so a draw without a collision is :func:`delete_keys`'s own.
+    The seeds are fixed: the chaos, scale-out and monitor harnesses
+    (and their committed baselines) all run exactly these pairs.
     """
     pair_size = max(1, round(len(data.orders) * 0.001))
-    return [
-        (generate_refresh_orders(
-            data, seed=123 + i,
-            start_key=data.max_orderkey + 1 + i * pair_size),
-         delete_keys(data, seed=321 + i))
-        for i in range(pairs)
-    ]
+    taken: set[int] = set()
+    pairs_out = []
+    for i in range(pairs):
+        keys = delete_keys(data, seed=321 + i)
+        clashes = taken.intersection(keys)
+        if clashes:
+            drawn = taken.union(keys)
+            free = [row[0] for row in data.orders if row[0] not in drawn]
+            redrawn = random.Random(321 + i).sample(
+                free, min(len(clashes), len(free)))
+            keys = sorted([key for key in keys if key not in clashes]
+                          + redrawn)
+        taken.update(keys)
+        pairs_out.append((
+            generate_refresh_orders(
+                data, seed=123 + i,
+                start_key=data.max_orderkey + 1 + i * pair_size),
+            keys))
+    return pairs_out

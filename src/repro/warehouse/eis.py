@@ -12,7 +12,8 @@ This module builds that study:
 
 The pay-off analysis the paper sketches falls out directly: the
 warehouse costs one extraction up front and wins
-``(open_sql_query_cost - warehouse_query_cost)`` per query thereafter.
+``(open_sql_query_cost - warehouse_query_cost)`` per query thereafter;
+:func:`run_breakeven` is that study, for the CLI and the bench alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.engine.database import Database
 from repro.r3.appserver import R3System
+from repro.reports import open30
 from repro.sapschema.mapping import KeyCodec
+from repro.sim.clock import format_duration
 from repro.tpcd.queries import build_queries, run_query
 from repro.tpcd.schema import create_original_schema
 from repro.warehouse.extract import extract_all
@@ -228,3 +231,47 @@ def breakeven_queries(build_cost_s: float, open_total_s: float,
     if per_round_gain <= 0:
         return float("inf")
     return build_cost_s / per_round_gain
+
+
+def open_sql_power_total(r3: R3System, scale_factor: float) -> float:
+    """The 17 Open SQL 3.0 reports run one after another on ``r3``:
+    their simulated seconds."""
+    suite = open30.make_queries(scale_factor)
+    span = r3.measure()
+    for number in range(1, 18):
+        suite[number](r3)
+    return span.stop()
+
+
+@dataclass
+class EisBreakeven:
+    """One power test on the warehouse against one via Open SQL."""
+
+    warehouse: EisWarehouse
+    warehouse_total_s: float
+    open_total_s: float
+
+    @property
+    def rounds(self) -> float:
+        return breakeven_queries(self.warehouse.build.total_s,
+                                 self.open_total_s, self.warehouse_total_s)
+
+    def render(self) -> str:
+        build = self.warehouse.build
+        return "\n".join([
+            f"construction {format_duration(build.total_s)}: extraction "
+            f"{format_duration(build.extraction_s)} + load "
+            f"{format_duration(build.load_s)} ({build.rows_loaded} rows)",
+            f"power test on EIS {format_duration(self.warehouse_total_s)}, "
+            f"via Open SQL {format_duration(self.open_total_s)}",
+            f"break-even after ~{self.rounds:.1f} power-test rounds "
+            f"(~{self.rounds * 17:.0f} queries)",
+        ])
+
+
+def run_breakeven(r3: R3System, scale_factor: float) -> EisBreakeven:
+    """Build the warehouse from ``r3`` and run the power test on both."""
+    warehouse = EisWarehouse.build_from_sap(r3)
+    warehouse_total_s = warehouse.run_power_test(scale_factor)
+    return EisBreakeven(warehouse, warehouse_total_s,
+                        open_sql_power_total(r3, scale_factor))

@@ -68,6 +68,20 @@ class TestHarness:
         assert "Q17" in text and "Total (all)" in text
         assert "3.0E" in text
 
+    def test_render_vs_paper(self, result22, result30):
+        for result, paper in ((result22, paperdata.TABLE4_22G_S),
+                              (result30, paperdata.TABLE5_30E_S)):
+            lines = result.render_vs_paper().splitlines()[1:]
+            for line, variant in zip(lines, ("native", "open")):
+                measured = (result.total(variant, queries_only=True)
+                            / result.total("rdbms", queries_only=True))
+                published = (
+                    paperdata.total(paper[variant], queries_only=True)
+                    / paperdata.total(paper["rdbms"], queries_only=True))
+                assert line.split() == [
+                    f"{variant}:", "measured", f"{measured:.1f}x",
+                    "paper", f"{published:.1f}x"]
+
 
 class TestHeadlineShapes30:
     def test_rdbms_fastest_overall(self, result30):

@@ -97,23 +97,12 @@ def make_db(storage):
     return db
 
 
-def resident(db):
-    """The LRU order of the pool; an LSM segment's file name carries a
-    process-wide serial, so twins compare the serials' ranks."""
-    pages = list(db.buffer_pool._pages)
-    serials = sorted({int(name.rsplit(":", 1)[1]) for name, _page in pages
-                      if name.startswith("lsm:")})
-    rank = {f"lsm:t:{serial}": f"lsm:t:#{i}"
-            for i, serial in enumerate(serials)}
-    return [(rank.get(name, name), page) for name, page in pages]
-
-
 def observed(db):
     table = db.catalog.table("t")
     return {
         "now": repr(db.clock.now),
         "counters": db.metrics.all(),
-        "resident": resident(db),
+        "resident": list(db.buffer_pool._pages),
         "rows": sorted(map(repr, table.store.rows())),
         "entries": {name: all_entries(index)
                     for name, index in table.indexes.items()},
@@ -282,7 +271,7 @@ def test_sstable_builds_the_offsets_and_fence_of_each_entry(
         rowids, rows_per_block):
     entries = [(rowid, (rowid,) if rowid % 3 else None)
                for rowid in sorted(rowids)]
-    segment = SSTable(entries, rows_per_block, "t")
+    segment = SSTable(entries, rows_per_block, "lsm:t:1")
     assert (bytes(segment.bloom._bits), segment._offsets) == \
         per_entry_build(entries)
     assert segment.block_fence == [

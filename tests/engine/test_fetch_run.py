@@ -127,19 +127,6 @@ def make_db(storage="heap", wal=True, pool_pages=6):
     return db
 
 
-def resident(db):
-    """The pool's pages, LRU first; an LSM segment's file carries a
-    process-wide serial, so it is named by its rank among the resident
-    ones (twins are built one after the other)."""
-    pages = list(db.buffer_pool._pages)
-    serials = sorted({int(name.rsplit(":", 1)[1]) for name, _page in pages
-                      if name.startswith("lsm:")})
-    rank = {serial: n for n, serial in enumerate(serials)}
-    return [(f"lsm:{rank[int(name.rsplit(':', 1)[1])]}", page)
-            if name.startswith("lsm:") else (name, page)
-            for name, page in pages]
-
-
 def observed(db):
     table = db.catalog.table("t")
     frames = None
@@ -149,7 +136,7 @@ def observed(db):
     return {
         "now": repr(db.clock.now),
         "counters": db.metrics.all(),
-        "resident": resident(db),
+        "resident": list(db.buffer_pool._pages),
         "indexes": {name: list(index._entries)
                     for name, index in table.indexes.items()},
         "rows": list(table.store.rows()),
@@ -483,7 +470,7 @@ def window_observed(db):
     return {
         "now": repr(db.clock.now),
         "counters": db.metrics.all(),
-        "resident": resident(db),
+        "resident": list(db.buffer_pool._pages),
         "rows": list(table.store.rows()),
         "entries": list(table.indexes["i_name"]._entries),
     }

@@ -41,7 +41,6 @@ from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 from repro.sim.params import SimParams
 
-from tests.engine.test_fetch_run import resident
 
 COLUMNS = ("k", "a", "b", "c")
 #: ``a`` and ``c`` are integers, ``b`` a decimal: ``1 == 1.0`` across them
@@ -77,7 +76,7 @@ def make_db(tables, storage="heap", work_mem=10**9) -> Database:
 
 
 def observed(db: Database) -> tuple:
-    return repr(db.clock.now), db.metrics.all(), resident(db)
+    return repr(db.clock.now), db.metrics.all(), list(db.buffer_pool._pages)
 
 
 def outcome(run):

@@ -392,7 +392,7 @@ class TestPageScan:
             got = list(itertools.islice(scan(table), limit))
             assert got == list(itertools.islice(table.store.rows(), limit))
             observed.append((db.clock.now, db.metrics.all(),
-                             len(db.buffer_pool._pages)))
+                             list(db.buffer_pool._pages)))
         assert observed[0] == observed[1]
         assert observed[0][1]["buffer.misses"] > 0
 
@@ -421,3 +421,44 @@ class TestStorageSelection:
 
     def test_heap_is_the_default(self):
         assert Database(params=SimParams()).storage == "heap"
+
+
+class TestSegmentNames:
+    """An LSM segment's buffer-pool file name is a serial of its
+    database: twins name theirs alike, and a dropped table's names are
+    never handed to the table re-created in its place."""
+
+    def _filled(self, db, value):
+        table = db.catalog.table("t")
+        for key in range(300):
+            table.insert((key, value))
+        assert list(_scan(table))
+        return table
+
+    def test_twin_databases_cache_the_same_page_keys(self):
+        resident = []
+        for _ in range(2):
+            db = _fresh("lsm")
+            self._filled(db, "twin")
+            resident.append(list(db.buffer_pool._pages))
+        assert resident[0] == resident[1]
+        assert any(name.startswith("lsm:t:") for name, _page in resident[0])
+
+    def test_a_recreated_table_hits_no_page_of_the_dropped_one(self):
+        db = _fresh("lsm")
+        self._filled(db, "old")
+        stale = set(db.buffer_pool._pages)
+        db.drop_table("t")
+        db.create_table(_schema())
+        table = db.catalog.table("t")
+        for key in range(300):
+            table.insert((key, "new"))
+        hits = db.metrics.get("buffer.hits")
+        assert {row for _rowid, row in _scan(table)} == {
+            (key, "new") for key in range(300)}
+        assert db.metrics.get("buffer.hits") == hits
+        segments = [*table.store._l0,
+                    *(s for s in table.store._levels if s is not None)]
+        assert segments
+        assert not {name for name, _page in stale} & {
+            segment.name for segment in segments}

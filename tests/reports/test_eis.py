@@ -4,7 +4,9 @@ import pytest
 
 from repro.tpcd.answers import assert_rows_match
 from repro.tpcd.queries import build_queries, run_query
+from repro.sim.clock import format_duration
 from repro.warehouse.eis import (
+    EisBreakeven,
     EisWarehouse,
     breakeven_queries,
     parse_feed_line,
@@ -68,3 +70,14 @@ class TestWarehouse:
     def test_breakeven_math(self):
         assert breakeven_queries(100.0, 20.0, 10.0) == 10.0
         assert breakeven_queries(100.0, 10.0, 20.0) == float("inf")
+
+    def test_breakeven_render(self, warehouse):
+        build = warehouse.build
+        study = EisBreakeven(warehouse, warehouse_total_s=60.0,
+                             open_total_s=60.0 + build.total_s / 2)
+        assert study.rounds == pytest.approx(2.0)
+        text = study.render()
+        for seconds in (build.total_s, build.extraction_s, build.load_s,
+                        60.0, study.open_total_s):
+            assert format_duration(seconds) in text
+        assert "~2.0 power-test rounds (~34 queries)" in text

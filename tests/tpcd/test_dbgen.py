@@ -11,6 +11,7 @@ from repro.tpcd.dbgen import (
     delete_keys,
     generate,
     generate_refresh_orders,
+    generate_update_pairs,
 )
 
 
@@ -149,6 +150,37 @@ class TestRefresh:
         existing = {row[0] for row in data.orders}
         assert all(k in existing for k in keys)
         assert len(keys) == len(set(keys))
+
+
+class TestUpdatePairs:
+    """Independent draws collide at these sizes: SF 0.002 with 8 pairs
+    (24 keys, 23 distinct) and SF 0.001 with 32 pairs (64, 63)."""
+
+    @pytest.mark.parametrize("sf, pairs", [(0.002, 8), (0.001, 32)])
+    def test_no_order_is_deleted_twice(self, sf, pairs):
+        data = generate(sf)
+        existing = {row[0] for row in data.orders}
+        drawn = [delete_keys(data, seed=321 + i) for i in range(pairs)]
+        assert len({k for keys in drawn for k in keys}) < sum(map(len, drawn))
+        update_sets = generate_update_pairs(data, pairs)
+        taken: set[int] = set()
+        for (_refresh, keys), own in zip(update_sets, drawn):
+            assert len(keys) == len(own) == len(set(keys))
+            assert set(keys) <= existing
+            assert taken.isdisjoint(keys)
+            # only the keys an earlier pair took were redrawn
+            assert set(own) - taken <= set(keys)
+            if taken.isdisjoint(own):
+                assert keys == own
+            taken.update(keys)
+
+    def test_pairs_without_a_collision_are_the_independent_draws(self):
+        data = generate(0.002)
+        for i, (refresh, keys) in enumerate(generate_update_pairs(data, 2)):
+            assert keys == delete_keys(data, seed=321 + i)
+            assert refresh.orders == generate_refresh_orders(
+                data, seed=123 + i,
+                start_key=data.max_orderkey + 1 + i * 3).orders
 
 
 @settings(max_examples=10, deadline=None)
